@@ -362,17 +362,9 @@ def sub_billiard(
     lat_basis = system.lattice.basis
 
     # common axis directions, exactly, in lattice coefficients
-    annihilators = []
-    for i in idx:
-        c = np.asarray(system.cylinders[i].generator_coeffs)
-        ann = intlat.integer_kernel(c.T).T     # rows annihilate span(c)
-        annihilators.append(np.asarray(ann))
-    stack = np.concatenate(
-        [a for a in annihilators if a.shape[0]] or [np.zeros((0, d), np.int64)],
-        axis=0,
-    )
-    kernel = intlat.integer_kernel(stack) if stack.shape[0] else np.eye(d, np.int64)
-    nu0 = kernel.shape[1]
+    quotient = intlat.lattice_quotient(
+        [system.cylinders[i].generator_coeffs for i in idx], d)
+    nu0 = quotient.rank
 
     span_l = span_of([system.base_space(i) for i in idx])
     if nu0 != d - span_l.dim:
@@ -382,7 +374,8 @@ def sub_billiard(
         )
 
     drift = (
-        orthonormalize((lat_basis @ kernel.astype(float)).T, ambient_dim=d)
+        orthonormalize((lat_basis @ quotient.kernel.astype(float)).T,
+                       ambient_dim=d)
         if nu0
         else Subspace.zero(d)
     )
@@ -392,11 +385,8 @@ def sub_billiard(
         f"{projector_distance(active, span_l):.3e}"
     ]
 
-    completion = intlat.unimodular_completion(kernel)
-    comp_inv = np.asarray(intlat.int_inverse(completion))
-    w_cols = np.asarray(completion)[:, nu0:]
     q = active.basis                                   # (d, p)
-    factor_lattice = q.T @ (lat_basis @ w_cols.astype(float))
+    factor_lattice = q.T @ (lat_basis @ quotient.complement.astype(float))
 
     cylinders = []
     for i in idx:
@@ -404,7 +394,7 @@ def sub_billiard(
         c = np.asarray(cyl.generator_coeffs)
         quotient_cols = []
         for jcol in range(c.shape[1]):
-            y = comp_inv @ c[:, jcol].astype(object)
+            y = quotient.inverse @ c[:, jcol].astype(object)
             quotient_cols.append(np.asarray(y[nu0:], dtype=np.int64))
         # drop columns that add no rank (axis directions inside the drift space)
         chosen: list[np.ndarray] = []

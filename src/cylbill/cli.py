@@ -3,7 +3,8 @@
 Reports are machine-readable JSON bodies between a header (whose timestamp
 line is the only nondeterministic byte) and human summary footer lines.
 Exit codes: 0 success, 1 negative verdict (``rich`` only), 2 validation
-failure, 3 numerical-degeneracy abort, 4 usage error.
+failure, 3 numerical-degeneracy abort, 4 usage error (including a system
+too large for a stated size limit).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import builders, classify, fileio, model, paths
 from . import torusflow as flow
 from .config import DEFAULT_TOLS, Tolerances
-from .geometry import orthonormalize
+from .geometry import LatticeLimitError, orthonormalize
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except classify.EnumerationGuardError as exc:
+    except (classify.EnumerationGuardError, LatticeLimitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (model.SystemFormatError, ValidationFailure,

@@ -18,10 +18,13 @@ TOL_ORTHO = 1e-12
 TOL_DROP = 1e-10
 RANK_REL_TOL = 1e-8
 FD_RANK_REL_TOL = 1e-6
+MAX_BALL_CANDIDATES = 4_000_000
+MAX_LLL_STEPS = 100_000
 
 __all__ = [
     "Subspace",
     "Lattice",
+    "LatticeLimitError",
     "orthonormalize",
     "project",
     "complement",
@@ -39,6 +42,11 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Inputs do not share one ambient dimension."""
+
+
+class LatticeLimitError(RuntimeError):
+    """A lattice computation would exceed one of its stated size limits
+    (``MAX_BALL_CANDIDATES``, ``MAX_LLL_STEPS``)."""
 
 
 def _as_columns(vectors, ambient_dim=None) -> np.ndarray:
@@ -287,8 +295,9 @@ def _lll(basis: np.ndarray, delta: float = 0.75):
     guard = 0
     while k < n:
         guard += 1
-        if guard > 100000:
-            raise RuntimeError("lattice reduction failed to terminate")
+        if guard > MAX_LLL_STEPS:
+            raise LatticeLimitError(
+                f"lattice reduction did not finish in {MAX_LLL_STEPS} steps")
         for j in range(k - 1, -1, -1):
             q = int(round(mu[k, j]))
             if q:
@@ -400,11 +409,13 @@ class Lattice:
         y = self.inv_basis @ v
         return self.basis @ (y - np.round(y))
 
-    def enumerate_ball(self, center, radius, max_candidates: int = 4_000_000):
+    def enumerate_ball(self, center, radius):
         """All lattice points within ``radius`` of ``center``.
 
         Returns ``(ints, points)`` where ``points = basis @ ints.T`` row-wise
-        and ``ints`` are integer coordinates in the original basis.
+        and ``ints`` are integer coordinates in the original basis.  Raises
+        :class:`LatticeLimitError` when the search box holds more than
+        ``MAX_BALL_CANDIDATES`` points.
         """
         c = np.asarray(center, dtype=float).reshape(-1)
         red = self.reduced_basis
@@ -416,9 +427,10 @@ class Lattice:
         hi = np.floor(y0 + radius * row_norms + 1e-12).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
         total = int(np.prod(counts.astype(np.float64)))
-        if total > max_candidates:
-            raise RuntimeError(
-                f"lattice ball enumeration too large ({total} candidates)"
+        if total > MAX_BALL_CANDIDATES:
+            raise LatticeLimitError(
+                f"lattice ball enumeration too large ({total} candidates, "
+                f"limit {MAX_BALL_CANDIDATES})"
             )
         if total == 0:
             d = self.ambient_dim

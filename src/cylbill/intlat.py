@@ -1,13 +1,14 @@
 """Exact integer linear algebra: HNF, integer kernels, unimodular completion.
 
 Everything here runs on Python integers, so results are exact.  These
-routines back the factor-system construction: quotients of an integer
-lattice by a primitive sublattice need a unimodular change of basis, which
-floating point cannot certify.
+routines back the factor-system construction and the flow's image search:
+quotients of an integer lattice by a primitive sublattice need a unimodular
+change of basis, which floating point cannot certify.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "unimodular_completion",
     "int_det",
     "int_inverse",
+    "LatticeQuotient",
+    "lattice_quotient",
 ]
 
 
@@ -195,3 +198,46 @@ def unimodular_completion(k) -> np.ndarray:
     if abs(int_det(full)) != 1:
         raise AssertionError("completion failed to be unimodular")
     return _shrink_dtype(full)
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeQuotient:
+    """Split of ``Z^d`` along a saturated sublattice.
+
+    ``completion = [kernel | complement]`` is unimodular and ``inverse`` is
+    its exact inverse, so every integer vector is ``kernel @ a +
+    complement @ b`` for unique integer ``a``, ``b``; the ``b`` part,
+    ``inverse[rank:] @ n``, is the coordinate of ``n`` in the quotient.
+    """
+
+    kernel: np.ndarray
+    completion: np.ndarray
+    inverse: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.kernel.shape[1]
+
+    @property
+    def complement(self) -> np.ndarray:
+        return self.completion[:, self.rank:]
+
+
+def lattice_quotient(blocks, dim: int) -> LatticeQuotient:
+    """Quotient of ``Z^dim`` by the integer vectors lying in the rational
+    span of every block's columns (integer matrices, ``dim`` rows each).
+
+    The kernel is the saturated sublattice ``Z^dim ∩ ⋂ span(block)``: the
+    kernel of the stacked annihilators of the blocks, which
+    :func:`integer_kernel` returns primitive, so it always has a
+    unimodular completion.
+    """
+    annihilators = [np.asarray(integer_kernel(np.asarray(b).T)).T
+                    for b in blocks]
+    stack = [a for a in annihilators if a.shape[0]]
+    kernel = (integer_kernel(np.concatenate(stack, axis=0)) if stack
+              else np.eye(dim, dtype=np.int64))
+    completion = unimodular_completion(kernel)
+    return LatticeQuotient(kernel=np.asarray(kernel),
+                           completion=np.asarray(completion),
+                           inverse=np.asarray(int_inverse(completion)))

@@ -96,6 +96,8 @@ class CylindricBilliardSystem:
     interior_connected_asserted: bool = True
     _gen_cache: dict = field(default_factory=dict, repr=False)
     _base_cache: dict = field(default_factory=dict, repr=False)
+    # the flow's collision-scan arrays, built on first use by torusflow
+    _flow_cache: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.lattice.ambient_dim != self.dim:

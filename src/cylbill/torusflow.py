@@ -2,11 +2,14 @@
 
 Between collisions the point moves in a straight line; a collision is the
 earliest admissible root over all cylinders and all lattice images whose
-axis is reachable in the current search window.  Candidate images are
-enumerated in a ball of provable reach: a contact at time ``t <= T`` has an
-image representative within ``t + r + cover`` of the start, where ``cover``
-bounds the covering radius of the cylinder's own axis sublattice.  The
-window grows geometrically up to the caller's horizon.
+axis is reachable in the current search window.  Images are searched in
+each cylinder's base space, not in the torus: lattice vectors along the
+axis move no image, so the distinct images of cylinder ``i`` are the points
+of its projected lattice ``B_i^T L W_i``, where ``[K_i | W_i]`` is an exact
+unimodular completion of the saturated axis sublattice ``K_i``.  A contact
+at time ``t <= T`` has its image within ``T + r`` of the start's base-space
+point, so a ball of that radius in the projected lattice lists every
+candidate once.  The window grows geometrically up to the caller's horizon.
 
 Grazing (discriminant inside the guard) and simultaneous (two distinct
 contacts within ``t_min_gap``) encounters abort the computation loudly:
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import intlat
 from .classify import SplittingWitness, count_transitive_blocks, is_transitive
 from .config import DEFAULT_TOLS, Tolerances
-from .geometry import Subspace, complement, _lll
+from .geometry import Lattice, Subspace, complement
 from .paths import EuclideanPathSpec
 
 __all__ = [
@@ -87,7 +91,13 @@ class PhasePoint:
 class CollisionEvent:
     """One reflection: when, at which cylinder, at which lattice image
     (integer coordinates in the record's unfolded frame), with which unit
-    normal."""
+    normal.
+
+    ``lattice_image`` is one representative of the hit axis's coset modulo
+    the cylinder's axis sublattice; the representatives differ by lattice
+    vectors along the axis, share the base-space offset, and so unfold
+    (:func:`unfold_to_path`) to the same path.
+    """
 
     time: float
     cylinder: int
@@ -119,97 +129,101 @@ class TrajectoryRecord:
         return set(self.symbolic)
 
 
-class _FlowView:
-    """Per-system arrays for the collision scan, with cached image balls."""
+class _AxisImages:
+    """The axis images of one cylinder, one per point of its projected lattice.
 
-    __slots__ = ("system", "d", "lattice", "bases", "radii", "trans",
-                 "axis_mats", "axis_cover", "half_spread", "diam",
-                 "red_inv", "red_transform", "_ball_cache")
+    Lattice vectors along the axis map the axis onto itself, so the distinct
+    images are the cosets of the saturated axis sublattice ``K``.  With a
+    unimodular completion ``[K | W]``, ``W b`` represents one coset per
+    integer ``b``, and ``G = B^T L W`` (``B`` the orthonormal base-space
+    basis, ``L`` the lattice basis) gives that image's base-space offset.
+    ``G`` is square and invertible, so a ball of its lattice lists every
+    image within reach exactly once.  A cylinder without axis has ``W = I``
+    and ``B = I``, and uses the system's own lattice.
+    """
+
+    __slots__ = ("basis", "radius", "translation", "cosets", "lattice",
+                 "red", "red_inv", "red_transform", "half_spread", "diam",
+                 "_balls")
+
+    def __init__(self, system, i: int):
+        cyl = system.cylinders[i]
+        if not cyl.lattice_aligned and cyl.generator_basis.size:
+            raise FlowError(
+                f"cylinder {i} has no lattice-aligned axis; the toroidal "
+                "flow needs integer generator coefficients"
+            )
+        self.basis = system.base_space(i).basis
+        self.radius = cyl.radius
+        self.translation = cyl.translation
+        if cyl.n_generators == 0:
+            self.cosets = np.eye(system.dim, dtype=np.int64)
+            self.lattice = system.lattice
+        else:
+            quotient = intlat.lattice_quotient([cyl.generator_coeffs],
+                                               system.dim)
+            self.cosets = quotient.complement.astype(np.int64)
+            self.lattice = Lattice(
+                self.basis.T @ (system.lattice.basis @ self.cosets))
+        self.red = self.lattice.reduced_basis
+        self.red_inv = np.linalg.inv(self.red)
+        self.red_transform = self.lattice.reduced_transform
+        self.half_spread = 0.5 * float(np.sum(np.linalg.norm(self.red,
+                                                             axis=0)))
+        self.diam = max(self.lattice.fundamental_diameter, 1e-9)
+        self._balls: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def offsets(self, q: np.ndarray, reach: float):
+        """Base-space offsets ``B^T (q - t) - G b`` of at least every image
+        within ``reach`` of ``q``, one row per image.  Returns the offsets,
+        the integer rows of a cached ball and the shift that turns a ball
+        row into the image's ``b``."""
+        y = self.basis.T @ (q - self.translation)
+        k_red = np.round(self.red_inv @ y).astype(np.int64)
+        bucket = max(1, math.ceil((reach + self.half_spread) / self.diam))
+        ball = self._balls.get(bucket)
+        if ball is None:
+            ball = self.lattice.enumerate_ball(np.zeros(y.shape[0]),
+                                               bucket * self.diam + 1e-9)
+            self._balls[bucket] = ball
+        ints, pts = ball
+        w = (y - self.red @ k_red)[None, :] - pts
+        return w, ints, self.red_transform @ k_red
+
+    def distance(self, q: np.ndarray, reach: float) -> float:
+        """Distance from ``q`` to the nearest image (exact when that image
+        lies within ``reach``)."""
+        w, _, _ = self.offsets(q, reach)
+        return float(np.min(np.linalg.norm(w, axis=1)))
+
+
+class _FlowView:
+    """Per-system arrays for the collision scan, cached on the system."""
+
+    __slots__ = ("lattice", "diam", "images")
 
     def __init__(self, system):
-        self.system = system
-        self.d = system.dim
         self.lattice = system.lattice
-        self.bases = [system.base_space(i).basis for i in range(system.k)]
-        self.radii = [system.cylinders[i].radius for i in range(system.k)]
-        self.trans = [system.cylinders[i].translation for i in range(system.k)]
-        self.axis_mats = [self.lattice.basis.T @ b for b in self.bases]
-        red = self.lattice.reduced_basis
-        self.half_spread = 0.5 * float(np.sum(np.linalg.norm(red, axis=0)))
         self.diam = self.lattice.fundamental_diameter
-        self.red_inv = np.linalg.inv(red)
-        self.red_transform = self.lattice.reduced_transform
-        # covering-radius bound for each cylinder's axis sublattice: half the
-        # norm sum of a reduced generating set
-        covers = []
-        for i in range(system.k):
-            cyl = system.cylinders[i]
-            if cyl.generator_coeffs is not None and cyl.generator_coeffs.size:
-                gens = self.lattice.basis @ cyl.generator_coeffs.astype(float)
-                gens_red, _ = _lll(gens)
-                covers.append(0.5 * float(np.sum(np.linalg.norm(gens_red,
-                                                                axis=0))))
-            elif cyl.generator_basis is not None and cyl.generator_basis.size:
-                raise FlowError(
-                    f"cylinder {i} has no lattice-aligned axis; the toroidal "
-                    "flow needs integer generator coefficients"
-                )
-            else:
-                covers.append(0.0)
-        self.axis_cover = covers
-        self._ball_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def candidates(self, i: int, c: np.ndarray, reach: float) -> np.ndarray:
-        """Integer image coordinates covering all images within ``reach``
-        of ``c``, recentred via the reduced basis."""
-        k_red = np.round(self.red_inv @ c).astype(np.int64)
-        shift = self.red_transform @ k_red
-        bucket = max(1, math.ceil((reach + self.half_spread)
-                                  / max(self.diam, 1e-9)))
-        key = (i, bucket)
-        ball = self._ball_cache.get(key)
-        if ball is None:
-            ball, _ = self.lattice.enumerate_ball(
-                np.zeros(self.d), bucket * max(self.diam, 1e-9) + 1e-9
-            )
-            self._ball_cache[key] = ball
-        return ball + shift[None, :]
-
-
-_VIEWS: dict[int, _FlowView] = {}
+        self.images = [_AxisImages(system, i) for i in range(system.k)]
 
 
 def _flow_view(system) -> _FlowView:
-    view = _VIEWS.get(id(system))
-    if view is None or view.system is not system:
-        view = _FlowView(system)
-        _VIEWS[id(system)] = view
-    return view
+    if system._flow_cache is None:
+        system._flow_cache = _FlowView(system)
+    return system._flow_cache
 
 
 def min_axis_distances(system, q) -> np.ndarray:
     """Distance from ``q`` to the nearest axis image, per cylinder."""
-    view = _flow_view(system)
     q = np.asarray(q, dtype=float).reshape(-1)
-    out = np.empty(system.k)
-    for i in range(system.k):
-        c = q - view.trans[i]
-        ints = view.candidates(i, c, view.radii[i] + view.axis_cover[i]
-                               + view.diam)
-        w = (view.bases[i].T @ c)[None, :] - ints @ view.axis_mats[i]
-        dists = np.linalg.norm(w, axis=1)
-        out[i] = float(dists.min()) if dists.size else np.inf
-    return out
+    return np.array([img.distance(q, img.diam)
+                     for img in _flow_view(system).images])
 
 
 def _assert_outside(view: _FlowView, q: np.ndarray, tol: float = 1e-9) -> None:
-    for i in range(view.system.k):
-        c = q - view.trans[i]
-        ints = view.candidates(i, c, view.radii[i] + view.axis_cover[i])
-        if not ints.size:
-            continue
-        w = (view.bases[i].T @ c)[None, :] - ints @ view.axis_mats[i]
-        if float(np.min(np.linalg.norm(w, axis=1))) < view.radii[i] - tol:
+    for i, img in enumerate(view.images):
+        if img.distance(q, img.radius) < img.radius - tol:
             raise StartInside(f"start point lies inside cylinder {i}")
 
 
@@ -219,24 +233,16 @@ def _scan(view: _FlowView, q: np.ndarray, v: np.ndarray, horizon: float,
     none.  Returns (s, cylinder, image ints, unit normal)."""
     t_window = min(max(view.diam, 1e-3), horizon)
     while True:
-        # per-cylinder: earliest contact and earliest distinct-second contact
-        best = None          # (s, i, ints_row, w_row, u)
-        best_second = np.inf
-        others_min = np.inf
+        first = second = np.inf     # two earliest contacts over all images
+        best = None                 # (i, b, w_hit) of the first
         graze_s = np.inf
-        for i in range(view.system.k):
-            basis = view.bases[i]
-            r = view.radii[i]
-            u = basis.T @ v
+        for i, img in enumerate(view.images):
+            r = img.radius
+            u = img.basis.T @ v
             uu = float(u @ u)
             if uu < 1e-24:
                 continue
-            c = q - view.trans[i]
-            reach = t_window + r + view.axis_cover[i]
-            ints = view.candidates(i, c, reach)
-            if not ints.size:
-                continue
-            w = (basis.T @ c)[None, :] - ints @ view.axis_mats[i]
+            w, ints, shift = img.offsets(q, t_window + r)
             wu = w @ u
             ww = np.einsum("ij,ij->i", w, w)
             disc = wu * wu - uu * (ww - r * r)
@@ -257,30 +263,28 @@ def _scan(view: _FlowView, q: np.ndarray, v: np.ndarray, horizon: float,
             s_min = float(s_all[jmin])
             if not np.isfinite(s_min):
                 continue
-            # duplicates of the same physical contact share the offset row w
-            distinct = np.linalg.norm(w - w[jmin], axis=1) > 1e-3
-            s_sec = float(np.min(s_all[distinct])) if np.any(distinct) else np.inf
-            if best is None or s_min < best[0]:
-                if best is not None:
-                    others_min = min(others_min, best[0])
-                best = (s_min, i, ints[jmin], w[jmin] + s_min * u, s_sec)
+            if s_min < first:
+                # rows are distinct images, so this cylinder's own second
+                # contact is its second-smallest root
+                s_all[jmin] = np.inf
+                second = min(second, first, float(s_all.min()))
+                first = s_min
+                best = (i, ints[jmin] + shift, w[jmin] + s_min * u)
             else:
-                others_min = min(others_min, s_min)
-        if best is not None and best[0] <= t_window:
-            s_best = best[0]
-            if graze_s <= s_best + tols.t_min_gap:
+                second = min(second, s_min)
+        if first <= t_window:
+            i, b, w_hit = best
+            if graze_s <= first + tols.t_min_gap:
                 raise TangentialCollision(
                     f"grazing contact at t={graze_s:.6g}"
                 )
-            second = min(best[4], others_min)
-            if second - s_best < tols.t_min_gap:
+            if second - first < tols.t_min_gap:
                 raise SimultaneousCollision(
-                    f"two contacts within t_min_gap at t={s_best:.6g}"
+                    f"two contacts within t_min_gap at t={first:.6g}"
                 )
-            s, i, image, w_hit, _ = best
-            n_local = w_hit / np.linalg.norm(w_hit)
-            normal = view.bases[i] @ n_local
-            return float(s), int(i), np.asarray(image, dtype=np.int64), normal
+            img = view.images[i]
+            normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
+            return first, i, img.cosets @ b, normal
         if graze_s <= t_window:
             raise TangentialCollision(f"grazing contact at t={graze_s:.6g}")
         if t_window >= horizon:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cylbill import fileio
+from cylbill import fileio, geometry
 from cylbill.cli import main
 from cylbill.model import load_system, save_system
 from cylbill.paths import save_sigma
@@ -214,6 +214,20 @@ class TestSimulateAndScans:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 4
+
+
+class TestSizeLimitExit:
+    def test_lattice_limit_exits_4(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "sinai.json"
+        save_system(make_sphere_system(2, r=0.3), p)
+        monkeypatch.setattr(geometry, "MAX_BALL_CANDIDATES", 1)
+        code, _, err = run(capsys, "simulate", "--system", str(p),
+                           "--q", "0,0.5", "--v", "0.6,0.8",
+                           "--collisions", "10",
+                           "--out", str(tmp_path / "traj.json"))
+        assert code == 4
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: lattice ball enumeration")
 
 
 class TestDegeneracyExit:

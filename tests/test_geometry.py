@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylbill import fileio
+from cylbill import fileio, geometry
 from cylbill.geometry import (
     DimensionMismatch,
     Lattice,
+    LatticeLimitError,
     Subspace,
     complement,
     containment_residual,
@@ -190,6 +191,18 @@ class TestLattice:
         assert expected <= got
         for row, p in zip(ints, pts):
             assert np.linalg.norm(p - center) <= radius + 1e-6
+
+    def test_enumerate_ball_limit_is_typed(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_BALL_CANDIDATES", 100)
+        lat = Lattice(np.eye(2))
+        assert len(lat.enumerate_ball(np.zeros(2), 3.0)[0]) == 29
+        with pytest.raises(LatticeLimitError, match="too large"):
+            lat.enumerate_ball(np.zeros(2), 10.0)
+
+    def test_reduction_limit_is_typed(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_LLL_STEPS", 0)
+        with pytest.raises(LatticeLimitError, match="did not finish"):
+            Lattice(np.array([[1.0, 5.0], [0.0, 1.0]])).reduced_basis
 
     def test_nearest_image_delta(self):
         lat = Lattice(np.eye(2))

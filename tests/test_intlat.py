@@ -85,6 +85,31 @@ class TestCompletion:
             assert (prod == np.eye(u.shape[0], dtype=object)).all()
 
 
+class TestLatticeQuotient:
+    def test_saturates_the_common_span(self):
+        # span{(2, 0, 0)} meets Z^3 in multiples of e1, not of 2 e1
+        quot = intlat.lattice_quotient([np.array([[2], [0], [0]])], 3)
+        assert quot.rank == 1
+        assert sorted(abs(int(x)) for x in quot.kernel[:, 0]) == [0, 0, 1]
+        assert abs(intlat.int_det(quot.completion)) == 1
+        assert (_as_obj(quot.inverse) @ _as_obj(quot.completion)
+                == np.eye(3, dtype=object)).all()
+        assert quot.complement.shape == (3, 2)
+
+    def test_intersection_of_blocks(self):
+        # planes x3 = 0 and x1 = x2 share the line through (1, 1, 0)
+        a = np.array([[1, 0], [0, 1], [0, 0]])
+        b = np.array([[1, 0], [1, 0], [0, 1]])
+        quot = intlat.lattice_quotient([a, b], 3)
+        assert quot.rank == 1
+        assert sorted(abs(int(x)) for x in quot.kernel[:, 0]) == [0, 1, 1]
+
+    def test_no_axis(self):
+        quot = intlat.lattice_quotient([np.zeros((3, 0), np.int64)], 3)
+        assert quot.rank == 0
+        assert (np.asarray(quot.complement) == np.eye(3)).all()
+
+
 class TestDet:
     def test_matches_numpy(self, rng):
         for _ in range(20):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,20 @@ from conftest import make_sphere_system, make_two_block_system
 @pytest.fixture
 def sinai():
     return make_sphere_system(2, r=0.3)
+
+
+@pytest.fixture
+def hardball3():
+    system, _ = builders.hard_ball_system(
+        builders.HardBallParams(3, 2, (1.0, 1.0, 1.0), 0.15))
+    return system
+
+
+def base_offset(system, i, image):
+    """Base-space offset of a lattice image of cylinder ``i``'s axis; equal
+    offsets mean the same axis coset."""
+    return system.base_space(i).basis.T @ (
+        system.lattice.basis @ np.asarray(image, dtype=float))
 
 
 def torus_oracle_first_collision(system, q0, v, t_max=10.0, n_grid=2_000_000):
@@ -78,6 +95,27 @@ class TestNextCollision:
             assert oracle is not None
             assert abs(ev.time - oracle[0]) < 1e-9
             assert ev.cylinder == oracle[1]
+
+    def test_hard_ball_matches_torus_oracle(self, hardball3):
+        # the oracle scans a full lattice ball, one row per representative
+        rng = np.random.default_rng(77)
+        hits = 0
+        for _ in range(6):
+            phase = tf.random_phase(hardball3, rng)
+            ev = tf.next_collision(hardball3, phase, 1.0)
+            oracle = torus_oracle_first_collision(hardball3, phase.q, phase.v,
+                                                  t_max=1.0, n_grid=1_000_000)
+            if ev is None:
+                assert oracle is None
+                continue
+            assert oracle is not None
+            assert abs(ev.time - oracle[0]) < 1e-9
+            assert ev.cylinder == oracle[1]
+            i = ev.cylinder
+            assert np.linalg.norm(base_offset(hardball3, i, ev.lattice_image)
+                                  - base_offset(hardball3, i, oracle[2])) < 1e-9
+            hits += 1
+        assert hits >= 4
 
     def test_collision_free_direction(self):
         # small scatterer, motion along a clear lattice corridor
@@ -156,6 +194,44 @@ class TestFlow:
             assert ev.cylinder == mirror.cylinder
             assert np.array_equal(ev.lattice_image + rec.final_wrap,
                                   mirror.lattice_image)
+
+    def test_hard_ball_reversibility_windows(self, hardball3):
+        # images are coset representatives: compare them by base offset
+        rng = np.random.default_rng(31)
+        rec = tf.flow(hardball3, tf.random_phase(hardball3, rng),
+                      max_time=3.0, default_horizon=1e4)
+        assert len(rec.events) >= 3
+        back = tf.flow(hardball3, tf.PhasePoint(rec.final_q, -rec.final_v),
+                       max_time=3.0, default_horizon=1e4)
+        assert len(back.events) == len(rec.events)
+        for j, ev in enumerate(back.events):
+            mirror = rec.events[len(rec.events) - 1 - j]
+            assert abs((3.0 - mirror.time) - ev.time) < 1e-9
+            assert ev.cylinder == mirror.cylinder
+            i = ev.cylinder
+            assert np.linalg.norm(
+                base_offset(hardball3, i, ev.lattice_image + rec.final_wrap)
+                - base_offset(hardball3, i, mirror.lattice_image)) < 1e-9
+
+    @pytest.mark.parametrize("n, nu, seed", [(3, 3, 11), (4, 2, 12)])
+    def test_hard_ball_d6_speed_conservation_1e3(self, n, nu, seed):
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(n, nu, (1.0,) * n, 0.1))
+        assert system.dim == 6
+        phase = tf.random_phase(system, np.random.default_rng(seed))
+        rec = tf.flow(system, phase, max_collisions=1000, default_horizon=1e4)
+        assert len(rec.events) == 1000
+        assert not any(rec.flags.values())
+        assert abs(np.linalg.norm(rec.final_v) - 1.0) < 1e-9
+
+    def test_system_freed_after_flow(self):
+        sinai = make_sphere_system(2, r=0.3)
+        ref = weakref.ref(sinai)
+        tf.flow(sinai, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
+                max_collisions=5, default_horizon=1e4)
+        del sinai
+        gc.collect()
+        assert ref() is None
 
     def test_block_system_stays_in_block(self):
         system = make_two_block_system()
