@@ -21,7 +21,6 @@ from .classify import (
     non_orthogonality_graph,
     splits_according_to,
 )
-from .config import DEFAULT_TOLS, Tolerances
 from .torusflow import (
     CollisionEvent,
     PhasePoint,

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
+from .config import OVERLAP
 from .geometry import (
-    RANK_REL_TOL,
     Subspace,
     complement,
     containment_residual,
-    intersect,
     null_space,
     span_of,
     subspace_overlap,
@@ -44,9 +43,6 @@ __all__ = [
     "splits_according_to",
     "EnumerationGuardError",
 ]
-
-EDGE_TOL = 1e-9
-CONTAIN_TOL = 1e-9
 
 
 class EnumerationGuardError(RuntimeError):
@@ -75,12 +71,12 @@ class SplittingWitness:
             raise ValueError("witness parts must both be non-trivial")
         if self.b1.dim + self.b2.dim != d:
             raise ValueError("witness parts do not decompose the space")
-        if subspace_overlap(self.b1, self.b2) > CONTAIN_TOL:
+        if subspace_overlap(self.b1, self.b2) > OVERLAP:
             raise ValueError("witness parts are not orthogonal")
         if bases is not None:
             for i, side in self.assignment.items():
                 part = self.b1 if side == 1 else self.b2
-                if containment_residual(bases[i], part) > CONTAIN_TOL:
+                if containment_residual(bases[i], part) > OVERLAP:
                     raise ValueError(f"base space {i} leaks out of part {side}")
 
 
@@ -91,7 +87,7 @@ def non_orthogonality_graph(bases) -> nx.Graph:
     g.add_nodes_from(range(len(bases)))
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
-            if subspace_overlap(bases[i], bases[j]) > EDGE_TOL:
+            if subspace_overlap(bases[i], bases[j]) > OVERLAP:
                 g.add_edge(i, j)
     return g
 
@@ -182,7 +178,7 @@ def commutant_dimension(bases) -> int:
     n_sym = len(sym_basis)
     constraint = np.array(rows).reshape(len(gens), n_sym, d * d)
     constraint = np.transpose(constraint, (0, 2, 1)).reshape(-1, n_sym)
-    return null_space(constraint, rel_tol=RANK_REL_TOL).dim
+    return null_space(constraint).dim
 
 
 def _subset_spans_lex(k: int):
@@ -218,7 +214,7 @@ def is_transverse(system, max_enumeration: int = 24):
     adj = np.zeros((k, k), dtype=bool)
     for i in range(k):
         for j in range(i + 1, k):
-            adj[i, j] = adj[j, i] = subspace_overlap(bases[i], bases[j]) > EDGE_TOL
+            adj[i, j] = adj[j, i] = subspace_overlap(bases[i], bases[j]) > OVERLAP
 
     span_ok: dict[bytes, bool] = {}
 
@@ -314,21 +310,14 @@ def splits_according_to(collided_labels, b1: Subspace, b2: Subspace, system) -> 
         raise ValueError("splitting parts live in the wrong space")
     if b1.dim < 1 or b2.dim < 1 or b1.dim + b2.dim != d:
         raise ValueError("not a non-trivial orthogonal decomposition")
-    if subspace_overlap(b1, b2) > CONTAIN_TOL:
+    if subspace_overlap(b1, b2) > OVERLAP:
         raise ValueError("splitting parts are not orthogonal")
     for lab in set(int(x) for x in collided_labels):
         base = system.base_space(lab)
         if (
-            containment_residual(base, b1) > CONTAIN_TOL
-            and containment_residual(base, b2) > CONTAIN_TOL
+            containment_residual(base, b1) > OVERLAP
+            and containment_residual(base, b2) > OVERLAP
         ):
             return False
     return True
 
-
-def intersection_of_generators(labels, system) -> Subspace:
-    """Common generator directions of the touched cylinders."""
-    distinct = sorted(set(int(x) for x in labels))
-    return intersect(
-        [system.generator_space(i) for i in distinct], ambient_dim=system.dim
-    )

@@ -10,15 +10,13 @@ too large for a stated size limit).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import builders, classify, fileio, model, paths
+from . import builders, classify, config, fileio, model, paths
 from . import torusflow as flow
-from .config import DEFAULT_TOLS, Tolerances
 from .geometry import LatticeLimitError, orthonormalize
 
 EXIT_OK = 0
@@ -41,27 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _tols_from_args(args) -> Tolerances:
-    kw = {}
-    if args.tol_rank is not None:
-        kw["rank_rel"] = args.tol_rank
-    if args.disc_tol is not None:
-        kw["disc"] = args.disc_tol
-    if args.t_min_gap is not None:
-        kw["t_min_gap"] = args.t_min_gap
-    if args.fd_step is not None:
-        kw["fd_step"] = args.fd_step
-    return Tolerances(**kw) if kw else DEFAULT_TOLS
-
-
-def _run_info(args, seed=None) -> dict:
+def _run_info(seed=None) -> dict:
     info = {
-        "threads_cap": os.environ.get("CYLBILL_THREADS", ""),
         "tolerances": {
-            "rank_rel": _tols_from_args(args).rank_rel,
-            "disc": _tols_from_args(args).disc,
-            "t_min_gap": _tols_from_args(args).t_min_gap,
-            "fd_step": _tols_from_args(args).fd_step,
+            "rank_rel": config.RANK_REL,
+            "disc": config.DISC,
+            "t_min_gap": config.T_MIN_GAP,
+            "fd_step": config.FD_STEP,
         },
     }
     if seed is not None:
@@ -134,7 +118,7 @@ def cmd_classify(args) -> int:
         "transverse": transverse,
         "commutant_dimension": commutant,
         "graph_components": components,
-        "run": _run_info(args),
+        "run": _run_info(),
     }
     if witness is not None:
         body["splitting_witness"] = {
@@ -215,7 +199,7 @@ def cmd_build(args) -> int:
     if not report.ok:
         raise ValidationFailure(f"built system failed validation:\n{report}")
     model.save_system(system, args.out)
-    body = {"out": args.out, "dim": system.dim, "run": _run_info(args)}
+    body = {"out": args.out, "dim": system.dim, "run": _run_info()}
     body.update(extra)
     _write_report("build", body, [f"wrote {args.out} (dim {system.dim}, "
                                   f"{system.k} cylinders)"], None)
@@ -227,7 +211,7 @@ def _delta_body(args):
     labels = paths.load_sigma(args.sigma)
     report = paths.delta_sigma_report(
         system, labels, n_samples=args.samples, seed=args.seed,
-        box_scale=args.box_scale, tols=_tols_from_args(args),
+        box_scale=args.box_scale,
     )
     body = {
         "system": args.system,
@@ -242,7 +226,7 @@ def _delta_body(args):
         "sample_dims": report.sample_dims,
         "constrained_manifold_dim": paths.constrained_manifold_dim(system,
                                                                    labels),
-        "run": _run_info(args, seed=args.seed),
+        "run": _run_info(seed=args.seed),
     }
     summary = [
         f"delta = {report.value} (full target {report.d - 1}, "
@@ -275,6 +259,8 @@ def _initial_phase(args, system) -> flow.PhasePoint:
         raise UsageError("provide --q and --v, or --random with --seed")
     q = _parse_vector(args.q)
     v = _parse_vector(args.v)
+    if len(q) != system.dim or len(v) != system.dim:
+        raise UsageError(f"--q and --v need {system.dim} components")
     nv = np.linalg.norm(v)
     if nv == 0:
         raise UsageError("velocity must be nonzero")
@@ -290,7 +276,6 @@ def cmd_simulate(args) -> int:
         system, phase,
         max_collisions=args.collisions,
         max_time=args.time,
-        tols=_tols_from_args(args),
     )
     flow.save_record(record, args.out)
     if args.table:
@@ -305,7 +290,7 @@ def cmd_simulate(args) -> int:
         "n_events": len(record.events),
         "total_time": record.total_time,
         "flags": {k: bool(v) for k, v in record.flags.items()},
-        "run": _run_info(args, seed=args.seed),
+        "run": _run_info(seed=args.seed),
     }
     summary = [
         f"{len(record.events)} events over time {record.total_time:.6g}",
@@ -325,7 +310,6 @@ def cmd_lyapunov(args) -> int:
         renorm_dt=args.renorm_dt,
         d0=args.d0,
         seed=args.seed,
-        tols=_tols_from_args(args),
     )
     body = {
         "system": args.system,
@@ -336,7 +320,7 @@ def cmd_lyapunov(args) -> int:
         "discarded": result.discarded,
         "unreliable": result.unreliable,
         "window_logs": result.window_logs if args.dump_windows else None,
-        "run": _run_info(args, seed=args.seed),
+        "run": _run_info(seed=args.seed),
     }
     summary = [
         f"lyapunov estimate {result.estimate:.6g} "
@@ -356,7 +340,6 @@ def cmd_splitting_scan(args) -> int:
         n_orbits=args.orbits,
         n_collisions=args.collisions,
         seed=args.seed,
-        tols=_tols_from_args(args),
     )
     body = {
         "system": args.system,
@@ -365,7 +348,7 @@ def cmd_splitting_scan(args) -> int:
         "n_with_witness": result.n_with_witness,
         "n_degenerate": result.n_degenerate,
         "collisions_per_orbit": args.collisions,
-        "run": _run_info(args, seed=args.seed),
+        "run": _run_info(seed=args.seed),
     }
     summary = [
         f"splitting fraction {result.fraction:.4f} "
@@ -385,14 +368,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cylbill",
                      description="Cylindric billiards: build, classify, "
                                  "simulate, and diagnose hyperbolicity.")
-    parser.add_argument("--tol-rank", type=float, default=None,
-                        help="relative singular-value cutoff for ranks")
-    parser.add_argument("--disc-tol", type=float, default=None,
-                        help="tangency guard on quadratic discriminants")
-    parser.add_argument("--t-min-gap", type=float, default=None,
-                        help="minimal advance between collisions")
-    parser.add_argument("--fd-step", type=float, default=None,
-                        help="finite-difference step")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="transitivity / transverseness report")
@@ -466,12 +441,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (classify.EnumerationGuardError, LatticeLimitError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (model.SystemFormatError, ValidationFailure,
             builders.BuilderError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
@@ -480,7 +449,10 @@ def main(argv=None) -> int:
             builders.FactorLatticeError, flow.FlowError) as exc:
         print(f"numerical-degeneracy abort: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except OSError as exc:
+    except (UsageError, classify.EnumerationGuardError, LatticeLimitError,
+            ValueError, OSError) as exc:
+        # a ValueError here is an argument the library refused; the file
+        # errors, also ValueErrors, are caught above
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

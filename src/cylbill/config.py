@@ -1,33 +1,37 @@
-"""Shared numerical tolerances and run configuration."""
+"""Package-wide numerical tolerances, each defined once.
 
-from __future__ import annotations
+Every module reads these constants directly, and CLI reports record them
+under ``run.tolerances``, so a report states the values its computation
+used.
+"""
 
-from dataclasses import dataclass
+RANK_REL = 1e-8
+"""Relative singular-value cutoff for every rank decision on
+exactly-computed matrices: ``s`` counts as zero iff ``s < RANK_REL * s_max``."""
 
+FD_RANK_REL = 1e-6
+"""The looser rank cutoff for matrices assembled from finite differences."""
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used across the package.
+DROP = 1e-10
+"""Gram-Schmidt residual norm below which a vector adds no new direction."""
 
-    ``rank_rel`` governs every rank decision on exactly-computed matrices;
-    ``fd_rank_rel`` is the looser cutoff for matrices assembled from finite
-    differences.  ``disc`` is the tangency guard on quadratic discriminants
-    (scaled by the natural length^2 of the collision problem), ``t_min_gap``
-    the minimal admissible advance between collisions, and ``fd_step`` the
-    central-difference step.  Finite-difference probes refuse paths whose
-    smallest collision incidence |<v, n>| is below ``fd_incidence``: closer
-    to tangency the truncation error swamps the derivative.
-    """
+DISC = 1e-12
+"""Tangency guard on quadratic discriminants, scaled by the natural length^2
+of the collision problem: a discriminant this close to zero is grazing."""
 
-    ortho: float = 1e-12
-    drop: float = 1e-10
-    rank_rel: float = 1e-8
-    fd_rank_rel: float = 1e-6
-    fd_step: float = 1e-6
-    fd_incidence: float = 0.03
-    disc: float = 1e-12
-    t_min_gap: float = 1e-9
-    overlap: float = 1e-9
+T_MIN_GAP = 1e-9
+"""Minimal admissible advance between collisions; two distinct contacts
+closer than this are simultaneous."""
 
+FD_STEP = 1e-6
+"""Central-difference step."""
 
-DEFAULT_TOLS = Tolerances()
+FD_INCIDENCE = 0.03
+"""Finite-difference probes refuse paths whose smallest collision incidence
+|<v, n>| is below this floor: closer to tangency the truncation error swamps
+the derivative."""
+
+OVERLAP = 1e-9
+"""Subspace overlap (largest principal-angle cosine) and containment
+residual above which two subspaces count as non-orthogonal, or one as
+leaking out of the other."""

@@ -3,8 +3,9 @@
 Subspaces are carried as orthonormal column bases; every construction path
 funnels through :func:`orthonormalize`, so the Gram-matrix invariant is
 checked on each instance.  Rank decisions treat a singular value ``s`` as
-zero iff ``s < rel_tol * s_max`` with one package-wide default, so all
-dimension counts downstream use the same yardstick.
+zero iff ``s < rel_tol * s_max`` with the package-wide default
+``config.RANK_REL``, so all dimension counts downstream use the same
+yardstick.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TOL_ORTHO = 1e-12
-TOL_DROP = 1e-10
-RANK_REL_TOL = 1e-8
-FD_RANK_REL_TOL = 1e-6
+from .config import DROP, RANK_REL
+
 MAX_BALL_CANDIDATES = 4_000_000
 MAX_LLL_STEPS = 100_000
 
@@ -96,14 +95,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
@@ -123,11 +114,11 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def orthonormalize(vectors, ambient_dim=None, drop_tol: float = TOL_DROP) -> Subspace:
+def orthonormalize(vectors, ambient_dim=None) -> Subspace:
     """Orthonormal basis of the span of ``vectors``.
 
     Modified Gram-Schmidt with one re-orthogonalization pass; a vector whose
-    residual after projection has norm below ``drop_tol`` contributes no new
+    residual after projection has norm below ``DROP`` contributes no new
     direction and is dropped.
     """
     cols = _as_columns(vectors, ambient_dim)
@@ -139,7 +130,7 @@ def orthonormalize(vectors, ambient_dim=None, drop_tol: float = TOL_DROP) -> Sub
             for b in basis:
                 w -= (b @ w) * b
         nrm = float(np.linalg.norm(w))
-        if nrm >= drop_tol:
+        if nrm >= DROP:
             basis.append(w / nrm)
         if len(basis) == d:
             break
@@ -192,7 +183,7 @@ def intersect(subspaces, ambient_dim=None) -> Subspace:
     return complement(span_of(comps))
 
 
-def matrix_rank(m, rel_tol: float = RANK_REL_TOL) -> int:
+def matrix_rank(m, rel_tol: float = RANK_REL) -> int:
     """Rank of a dense matrix with the package's relative cutoff."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
@@ -204,7 +195,7 @@ def matrix_rank(m, rel_tol: float = RANK_REL_TOL) -> int:
     return int(np.sum(s >= rel_tol * smax))
 
 
-def column_space(m, rel_tol: float = RANK_REL_TOL) -> Subspace:
+def column_space(m, rel_tol: float = RANK_REL) -> Subspace:
     """Column space of a matrix at the given relative rank tolerance."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     d = m.shape[0]
@@ -218,7 +209,7 @@ def column_space(m, rel_tol: float = RANK_REL_TOL) -> Subspace:
     return Subspace(d, u[:, :r])
 
 
-def null_space(m, rel_tol: float = RANK_REL_TOL) -> Subspace:
+def null_space(m, rel_tol: float = RANK_REL) -> Subspace:
     """Kernel of a matrix at the given relative rank tolerance."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     n = m.shape[1]

@@ -21,8 +21,6 @@ __all__ = [
     "CylindricBilliardSystem",
     "ValidationReport",
     "validate",
-    "base_space",
-    "generator_space",
     "save_system",
     "load_system",
     "system_to_dict",
@@ -144,14 +142,6 @@ class CylindricBilliardSystem:
 
     def base_spaces(self) -> list[Subspace]:
         return [self.base_space(i) for i in range(self.k)]
-
-
-def generator_space(system: CylindricBilliardSystem, i: int) -> Subspace:
-    return system.generator_space(i)
-
-
-def base_space(system: CylindricBilliardSystem, i: int) -> Subspace:
-    return system.base_space(i)
 
 
 @dataclass

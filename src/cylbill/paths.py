@@ -9,8 +9,8 @@ kernel are the expanding / neutral directions), under independent
 per-cylinder translations, and how large the expanding part can get over
 random paths with the same collision sequence.
 
-Derivatives are central finite differences; ranks of FD matrices use a
-dedicated, looser relative cutoff.
+Derivatives are central finite differences with step ``config.FD_STEP``;
+ranks of FD matrices use the looser cutoff ``config.FD_RANK_REL``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DISC, FD_INCIDENCE, FD_RANK_REL, FD_STEP, T_MIN_GAP
 from .geometry import (
     Subspace,
     column_space,
@@ -130,7 +130,6 @@ class EuclideanPathResult:
     velocities: np.ndarray  # (m+1, d) unit rows, index 0 = initial
     normals: np.ndarray     # (m, d) unit rows, each inside its base space
     min_incidence: float = 1.0
-    status: str = "ok"
 
     @property
     def final_velocity(self) -> np.ndarray:
@@ -172,14 +171,13 @@ def _check_spec(view: _SequenceView, spec: EuclideanPathSpec) -> None:
             )
 
 
-def trace(system, labels, spec: EuclideanPathSpec,
-          tols: Tolerances = DEFAULT_TOLS) -> EuclideanPathResult:
+def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
     """Follow the path through its collision sequence.
 
     Collision j happens at the smaller root of the quadratic for the
     distance to cylinder j's axis; a negative discriminant means the path
     misses, a near-zero one grazes (rejected), and a root not beyond the
-    previous time by ``t_min_gap`` cannot be accepted as a new collision.
+    previous time by ``T_MIN_GAP`` cannot be accepted as a new collision.
     """
     view = _view(system, labels)
     _check_spec(view, spec)
@@ -204,15 +202,15 @@ def trace(system, labels, spec: EuclideanPathSpec,
             raise NoRealRoot(j, "velocity is parallel to the cylinder axis")
         wu = float(w @ u)
         disc = wu * wu - uu * (float(w @ w) - r * r)
-        guard = tols.disc * uu * r * r
+        guard = DISC * uu * r * r
         if disc < -guard:
             raise NoRealRoot(j, "path misses the cylinder")
         if disc < guard:
             raise Tangential(j, "grazing contact (discriminant within guard)")
         s = (-wu - np.sqrt(disc)) / uu
-        if s <= tols.t_min_gap:
+        if s <= T_MIN_GAP:
             raise NonAdvancing(
-                j, f"smaller root advances by {s:.3e} <= t_min_gap"
+                j, f"smaller root advances by {s:.3e} <= T_MIN_GAP"
             )
         t += s
         x = x + s * v
@@ -293,15 +291,15 @@ def apply_reflections(vectors, normals) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _final_velocity(system, labels, spec, tols) -> np.ndarray:
-    return trace(system, labels, spec, tols).final_velocity
+def _final_velocity(system, labels, spec) -> np.ndarray:
+    return trace(system, labels, spec).final_velocity
 
 
-def _require_clear_of_tangency(result, tols) -> None:
-    if result.min_incidence < tols.fd_incidence:
+def _require_clear_of_tangency(result) -> None:
+    if result.min_incidence < FD_INCIDENCE:
         raise PerturbationFailure(
             f"collision incidence {result.min_incidence:.2e} below the "
-            f"finite-difference floor {tols.fd_incidence:.2e}"
+            f"finite-difference floor {FD_INCIDENCE:.2e}"
         )
 
 
@@ -320,25 +318,24 @@ def _check_fd_quality(mat: np.ndarray, v_final: np.ndarray,
         )
 
 
-def dvm_matrix(system, labels, spec: EuclideanPathSpec,
-               tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def dvm_matrix(system, labels, spec: EuclideanPathSpec) -> np.ndarray:
     """d x d matrix of final-velocity derivatives under uniform cylinder
     translations along the coordinate axes (central differences)."""
     view = _view(system, labels)
     d = view.d
-    h = tols.fd_step
+    h = FD_STEP
     cols = np.empty((d, d))
     try:
-        base = trace(system, labels, spec, tols)
-        _require_clear_of_tangency(base, tols)
+        base = trace(system, labels, spec)
+        _require_clear_of_tangency(base)
         base_vm = base.final_velocity
         for i in range(d):
             e = np.zeros(d)
             e[i] = h
             vp = _final_velocity(system, labels,
-                                 translate_all(system, labels, spec, e), tols)
+                                 translate_all(system, labels, spec, e))
             vm = _final_velocity(system, labels,
-                                 translate_all(system, labels, spec, -e), tols)
+                                 translate_all(system, labels, spec, -e))
             cols[:, i] = (vp - vm) / (2.0 * h)
     except TraceError as exc:
         raise PerturbationFailure(
@@ -348,15 +345,15 @@ def dvm_matrix(system, labels, spec: EuclideanPathSpec,
     return cols
 
 
-def _each_matrix(system, labels, spec, tols) -> np.ndarray:
+def _each_matrix(system, labels, spec) -> np.ndarray:
     """d x (sum of base dims) matrix: final-velocity derivatives under
     independent per-cylinder translations along base coordinates."""
     view = _view(system, labels)
-    h = tols.fd_step
+    h = FD_STEP
     cols = []
     try:
-        base = trace(system, labels, spec, tols)
-        _require_clear_of_tangency(base, tols)
+        base = trace(system, labels, spec)
+        _require_clear_of_tangency(base)
         base_vm = base.final_velocity
         for j in range(spec.m):
             for c in range(view.dims[j]):
@@ -364,8 +361,8 @@ def _each_matrix(system, labels, spec, tols) -> np.ndarray:
                 step[c] = h
                 up = replace_offsets(spec, j, spec.offsets[j] + step)
                 dn = replace_offsets(spec, j, spec.offsets[j] - step)
-                vp = _final_velocity(system, labels, up, tols)
-                vm = _final_velocity(system, labels, dn, tols)
+                vp = _final_velocity(system, labels, up)
+                vm = _final_velocity(system, labels, dn)
                 cols.append((vp - vm) / (2.0 * h))
     except TraceError as exc:
         raise PerturbationFailure(
@@ -384,21 +381,19 @@ def replace_offsets(spec: EuclideanPathSpec, j: int, new_offset) -> EuclideanPat
     return EuclideanPathSpec(v0=spec.v0, offsets=tuple(offs))
 
 
-def w_plus(system, labels, spec: EuclideanPathSpec,
-           tols: Tolerances = DEFAULT_TOLS) -> Subspace:
+def w_plus(system, labels, spec: EuclideanPathSpec) -> Subspace:
     """Span of final-velocity derivatives under uniform translations: the
     expanding directions of an initially parallel beam."""
-    return column_space(dvm_matrix(system, labels, spec, tols),
-                        rel_tol=tols.fd_rank_rel)
+    return column_space(dvm_matrix(system, labels, spec),
+                        rel_tol=FD_RANK_REL)
 
 
-def w_plus_tilde(system, labels, spec: EuclideanPathSpec,
-                 tols: Tolerances = DEFAULT_TOLS) -> Subspace:
+def w_plus_tilde(system, labels, spec: EuclideanPathSpec) -> Subspace:
     """Span of final-velocity derivatives under independent per-cylinder
     translations; contains (and in fact equals) the uniform-translation
     span."""
-    return column_space(_each_matrix(system, labels, spec, tols),
-                        rel_tol=tols.fd_rank_rel)
+    return column_space(_each_matrix(system, labels, spec),
+                        rel_tol=FD_RANK_REL)
 
 
 @dataclass(eq=False)
@@ -408,15 +403,15 @@ class NeutralSpaceReport:
     residual: float
 
 
-def neutral_space_detail(system, labels, spec: EuclideanPathSpec,
-                         tols: Tolerances = DEFAULT_TOLS) -> NeutralSpaceReport:
+def neutral_space_detail(system, labels,
+                         spec: EuclideanPathSpec) -> NeutralSpaceReport:
     """Neutral directions two ways: kernel of the derivative matrix, and the
     orthocomplement of the expanding span pulled back through the
     reflections in reverse order.  Their projector distance is reported."""
-    res = trace(system, labels, spec, tols)
-    mat = dvm_matrix(system, labels, spec, tols)
-    kernel = null_space(mat, rel_tol=tols.fd_rank_rel)
-    wp = column_space(mat, rel_tol=tols.fd_rank_rel)
+    res = trace(system, labels, spec)
+    mat = dvm_matrix(system, labels, spec)
+    kernel = null_space(mat, rel_tol=FD_RANK_REL)
+    wp = column_space(mat, rel_tol=FD_RANK_REL)
     comp = complement(wp)
     if comp.dim:
         pulled = apply_reflections(comp.basis, res.normals[::-1])
@@ -430,11 +425,10 @@ def neutral_space_detail(system, labels, spec: EuclideanPathSpec,
     )
 
 
-def neutral_space(system, labels, spec: EuclideanPathSpec,
-                  tols: Tolerances = DEFAULT_TOLS) -> Subspace:
+def neutral_space(system, labels, spec: EuclideanPathSpec) -> Subspace:
     """Directions of uniform cylinder translation that leave the final
     velocity unchanged."""
-    return neutral_space_detail(system, labels, spec, tols).kernel
+    return neutral_space_detail(system, labels, spec).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +449,7 @@ def theta_full_rank(system, labels) -> int:
     return (view.d - 1) + sum(nu - 1 for nu in view.dims)
 
 
-def theta_rank(system, labels, spec: EuclideanPathSpec,
-               tols: Tolerances = DEFAULT_TOLS) -> int:
+def theta_rank(system, labels, spec: EuclideanPathSpec) -> int:
     """FD rank of the map (initial velocity, offsets) -> (initial velocity,
     collision normals), in local charts.  Full value means the collision
     normals can be perturbed independently and arbitrarily."""
@@ -465,8 +458,8 @@ def theta_rank(system, labels, spec: EuclideanPathSpec,
     m = spec.m
     if m == 0:
         return d - 1
-    base = trace(system, labels, spec, tols)
-    _require_clear_of_tangency(base, tols)
+    base = trace(system, labels, spec)
+    _require_clear_of_tangency(base)
     v0_tan = _tangent_basis(spec.v0)
     normal_charts = []
     for j in range(m):
@@ -476,7 +469,7 @@ def theta_rank(system, labels, spec: EuclideanPathSpec,
         loc = complement(Subspace(view.dims[j], n_local.reshape(-1, 1))).basis
         normal_charts.append(b @ loc)   # ambient directions tangent to the normal
 
-    h = tols.fd_step
+    h = FD_STEP
     out_rows = (d - 1) + sum(nu - 1 for nu in view.dims)
 
     def coords(result: EuclideanPathResult, v0: np.ndarray) -> np.ndarray:
@@ -494,9 +487,9 @@ def theta_rank(system, labels, spec: EuclideanPathSpec,
             vm = spec.v0 - h * v0_tan[:, i]
             vm /= np.linalg.norm(vm)
             rp = trace(system, labels,
-                       EuclideanPathSpec(vp, spec.offsets), tols)
+                       EuclideanPathSpec(vp, spec.offsets))
             rm = trace(system, labels,
-                       EuclideanPathSpec(vm, spec.offsets), tols)
+                       EuclideanPathSpec(vm, spec.offsets))
             cols.append((coords(rp, vp) - coords(rm, vm)) / (2.0 * h))
         # offset directions
         for j in range(m):
@@ -504,9 +497,9 @@ def theta_rank(system, labels, spec: EuclideanPathSpec,
                 step = np.zeros(view.dims[j])
                 step[c] = h
                 rp = trace(system, labels,
-                           replace_offsets(spec, j, spec.offsets[j] + step), tols)
+                           replace_offsets(spec, j, spec.offsets[j] + step))
                 rm = trace(system, labels,
-                           replace_offsets(spec, j, spec.offsets[j] - step), tols)
+                           replace_offsets(spec, j, spec.offsets[j] - step))
                 cols.append((coords(rp, spec.v0) - coords(rm, spec.v0)) / (2.0 * h))
     except TraceError as exc:
         raise PerturbationFailure(
@@ -517,7 +510,7 @@ def theta_rank(system, labels, spec: EuclideanPathSpec,
     s = np.linalg.svd(jac, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s >= tols.fd_rank_rel * s[0]))
+    return int(np.sum(s >= FD_RANK_REL * s[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +568,7 @@ class DeltaReport:
 
 
 def _delta_scan(system, labels, n_samples: int, seed: int,
-                make_candidate, tols: Tolerances) -> DeltaReport:
+                make_candidate) -> DeltaReport:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     d = system.dim
@@ -591,7 +584,7 @@ def _delta_scan(system, labels, n_samples: int, seed: int,
         for _ in range(max_attempts):
             spec = make_candidate(rng)
             try:
-                wp = w_plus(system, labels, spec, tols)
+                wp = w_plus(system, labels, spec)
             except (TraceError, PerturbationFailure):
                 continue
             got = wp.dim
@@ -611,32 +604,29 @@ def _delta_scan(system, labels, n_samples: int, seed: int,
 
 
 def delta_sigma_report(system, labels, n_samples: int, seed: int,
-                       box_scale: float | None = None,
-                       tols: Tolerances = DEFAULT_TOLS) -> DeltaReport:
+                       box_scale: float | None = None) -> DeltaReport:
     def make(rng):
         return sample_spec(system, labels, rng, box_scale)
 
-    return _delta_scan(system, labels, n_samples, seed, make, tols)
+    return _delta_scan(system, labels, n_samples, seed, make)
 
 
 def delta_sigma(system, labels, n_samples: int, seed: int,
-                box_scale: float | None = None,
-                tols: Tolerances = DEFAULT_TOLS) -> int:
+                box_scale: float | None = None) -> int:
     """Largest expanding dimension seen over sampled paths with this
     collision sequence.  Deterministic in ``seed``; monotone non-decreasing
     in ``n_samples`` for a fixed seed since samples extend prefix-stably."""
     return delta_sigma_report(system, labels, n_samples, seed,
-                              box_scale, tols).value
+                              box_scale).value
 
 
 def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
                             n_samples: int, seed: int,
-                            box_scale: float | None = None,
-                            tols: Tolerances = DEFAULT_TOLS) -> int:
+                            box_scale: float | None = None) -> int:
     """Largest expanding dimension over paths sharing the base path's
     relative cylinder positions: only the initial velocity and a uniform
     translation are varied."""
-    trace(system, labels, base_spec, tols)   # base path must exist
+    trace(system, labels, base_spec)   # base path must exist
     box = _default_box(system) if box_scale is None else float(box_scale)
     d = system.dim
 
@@ -648,15 +638,14 @@ def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
                               EuclideanPathSpec(v0, base_spec.offsets), a)
         return moved
 
-    return _delta_scan(system, labels, n_samples, seed, make, tols).value
+    return _delta_scan(system, labels, n_samples, seed, make).value
 
 
 def is_rich(system, labels, n_samples: int, seed: int,
-            box_scale: float | None = None,
-            tols: Tolerances = DEFAULT_TOLS) -> bool:
+            box_scale: float | None = None) -> bool:
     """Does the sequence generically expand a beam in every direction
     transverse to the motion (expanding dimension d - 1)?"""
-    return delta_sigma(system, labels, n_samples, seed, box_scale, tols) \
+    return delta_sigma(system, labels, n_samples, seed, box_scale) \
         == system.dim - 1
 
 
@@ -716,13 +705,3 @@ def load_path_spec(path) -> EuclideanPathSpec:
     except (KeyError, ValueError) as exc:
         raise SystemFormatError(f"{path}: {exc}") from exc
 
-
-def result_to_dict(labels, result: EuclideanPathResult) -> dict:
-    return {
-        "labels": [int(x) for x in labels],
-        "times": [float(t) for t in result.times],
-        "points": [[float(x) for x in p] for p in result.points],
-        "velocities": [[float(x) for x in v] for v in result.velocities],
-        "normals": [[float(x) for x in n] for n in result.normals],
-        "status": result.status,
-    }

@@ -9,10 +9,12 @@ of its projected lattice ``B_i^T L W_i``, where ``[K_i | W_i]`` is an exact
 unimodular completion of the saturated axis sublattice ``K_i``.  A contact
 at time ``t <= T`` has its image within ``T + r`` of the start's base-space
 point, so a ball of that radius in the projected lattice lists every
-candidate once.  The window grows geometrically up to the caller's horizon.
+candidate once.  A horizon is searched in windows of fixed length, each
+starting where the previous one ended, so a long free flight costs scans,
+not a larger ball.
 
 Grazing (discriminant inside the guard) and simultaneous (two distinct
-contacts within ``t_min_gap``) encounters abort the computation loudly:
+contacts within ``T_MIN_GAP``) encounters abort the computation loudly:
 records carry flags, estimators discard windows, nothing is fabricated.
 """
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import intlat
 from .classify import SplittingWitness, count_transitive_blocks, is_transitive
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DISC, T_MIN_GAP
 from .geometry import Lattice, Subspace, complement
 from .paths import EuclideanPathSpec
 
@@ -67,7 +69,7 @@ class TangentialCollision(FlowError):
 
 
 class SimultaneousCollision(FlowError):
-    """Two distinct contacts within ``t_min_gap`` of each other."""
+    """Two distinct contacts within ``T_MIN_GAP`` of each other."""
 
 
 @dataclass(eq=False)
@@ -140,13 +142,17 @@ class _AxisImages:
     ``G`` is square and invertible, so a ball of its lattice lists every
     image within reach exactly once.  A cylinder without axis has ``W = I``
     and ``B = I``, and uses the system's own lattice.
+
+    The ball is enumerated once.  It reaches every image a scan window of
+    length ``window`` can hit (``window + r``, plus ``T_MIN_GAP`` so the
+    second contact of a hit at the window's end is seen) and the nearest
+    image of any point (within one cell diameter).
     """
 
-    __slots__ = ("basis", "radius", "translation", "cosets", "lattice",
-                 "red", "red_inv", "red_transform", "half_spread", "diam",
-                 "_balls")
+    __slots__ = ("basis", "radius", "translation", "cosets", "red",
+                 "red_inv", "red_transform", "ints", "pts")
 
-    def __init__(self, system, i: int):
+    def __init__(self, system, i: int, window: float):
         cyl = system.cylinders[i]
         if not cyl.lattice_aligned and cyl.generator_basis.size:
             raise FlowError(
@@ -158,54 +164,51 @@ class _AxisImages:
         self.translation = cyl.translation
         if cyl.n_generators == 0:
             self.cosets = np.eye(system.dim, dtype=np.int64)
-            self.lattice = system.lattice
+            lattice = system.lattice
         else:
             quotient = intlat.lattice_quotient([cyl.generator_coeffs],
                                                system.dim)
             self.cosets = quotient.complement.astype(np.int64)
-            self.lattice = Lattice(
+            lattice = Lattice(
                 self.basis.T @ (system.lattice.basis @ self.cosets))
-        self.red = self.lattice.reduced_basis
+        self.red = lattice.reduced_basis
         self.red_inv = np.linalg.inv(self.red)
-        self.red_transform = self.lattice.reduced_transform
-        self.half_spread = 0.5 * float(np.sum(np.linalg.norm(self.red,
-                                                             axis=0)))
-        self.diam = max(self.lattice.fundamental_diameter, 1e-9)
-        self._balls: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.red_transform = lattice.reduced_transform
+        half_spread = 0.5 * float(np.sum(np.linalg.norm(self.red, axis=0)))
+        reach = max(window + self.radius + T_MIN_GAP,
+                    lattice.fundamental_diameter)
+        self.ints, self.pts = lattice.enumerate_ball(
+            np.zeros(self.red.shape[0]), reach + half_spread + 1e-9)
 
-    def offsets(self, q: np.ndarray, reach: float):
-        """Base-space offsets ``B^T (q - t) - G b`` of at least every image
-        within ``reach`` of ``q``, one row per image.  Returns the offsets,
-        the integer rows of a cached ball and the shift that turns a ball
-        row into the image's ``b``."""
+    def offsets(self, q: np.ndarray):
+        """Base-space offsets ``B^T (q - t) - G b`` of the ball's images
+        around ``q``, one row per image, and the shift that turns a row of
+        ``ints`` into the image's ``b``."""
         y = self.basis.T @ (q - self.translation)
         k_red = np.round(self.red_inv @ y).astype(np.int64)
-        bucket = max(1, math.ceil((reach + self.half_spread) / self.diam))
-        ball = self._balls.get(bucket)
-        if ball is None:
-            ball = self.lattice.enumerate_ball(np.zeros(y.shape[0]),
-                                               bucket * self.diam + 1e-9)
-            self._balls[bucket] = ball
-        ints, pts = ball
-        w = (y - self.red @ k_red)[None, :] - pts
-        return w, ints, self.red_transform @ k_red
+        w = (y - self.red @ k_red)[None, :] - self.pts
+        return w, self.red_transform @ k_red
 
-    def distance(self, q: np.ndarray, reach: float) -> float:
-        """Distance from ``q`` to the nearest image (exact when that image
-        lies within ``reach``)."""
-        w, _, _ = self.offsets(q, reach)
+    def distance(self, q: np.ndarray) -> float:
+        """Distance from ``q`` to the nearest image."""
+        w, _ = self.offsets(q)
         return float(np.min(np.linalg.norm(w, axis=1)))
 
 
 class _FlowView:
-    """Per-system arrays for the collision scan, cached on the system."""
+    """Per-system arrays for the collision scan, cached on the system.
 
-    __slots__ = ("lattice", "diam", "images")
+    ``window`` is the length of one scan window: a horizon longer than it
+    is searched window by window, so no image ball ever grows with it."""
+
+    __slots__ = ("lattice", "diam", "window", "images")
 
     def __init__(self, system):
         self.lattice = system.lattice
         self.diam = self.lattice.fundamental_diameter
-        self.images = [_AxisImages(system, i) for i in range(system.k)]
+        self.window = max(self.diam, 1e-3)
+        self.images = [_AxisImages(system, i, self.window)
+                       for i in range(system.k)]
 
 
 def _flow_view(system) -> _FlowView:
@@ -217,83 +220,101 @@ def _flow_view(system) -> _FlowView:
 def min_axis_distances(system, q) -> np.ndarray:
     """Distance from ``q`` to the nearest axis image, per cylinder."""
     q = np.asarray(q, dtype=float).reshape(-1)
-    return np.array([img.distance(q, img.diam)
-                     for img in _flow_view(system).images])
+    return np.array([img.distance(q) for img in _flow_view(system).images])
 
 
 def _assert_outside(view: _FlowView, q: np.ndarray, tol: float = 1e-9) -> None:
     for i, img in enumerate(view.images):
-        if img.distance(q, img.radius) < img.radius - tol:
+        if img.distance(q) < img.radius - tol:
             raise StartInside(f"start point lies inside cylinder {i}")
 
 
-def _scan(view: _FlowView, q: np.ndarray, v: np.ndarray, horizon: float,
-          tols: Tolerances):
-    """Earliest admissible collision within ``horizon``; None if there is
-    none.  Returns (s, cylinder, image ints, unit normal)."""
-    t_window = min(max(view.diam, 1e-3), horizon)
-    while True:
-        first = second = np.inf     # two earliest contacts over all images
-        best = None                 # (i, b, w_hit) of the first
-        graze_s = np.inf
-        for i, img in enumerate(view.images):
-            r = img.radius
-            u = img.basis.T @ v
-            uu = float(u @ u)
-            if uu < 1e-24:
-                continue
-            w, ints, shift = img.offsets(q, t_window + r)
-            wu = w @ u
-            ww = np.einsum("ij,ij->i", w, w)
-            disc = wu * wu - uu * (ww - r * r)
-            guard = tols.disc * uu * r * r
-            near = np.abs(disc) < guard
-            if np.any(near):
-                s_t = -wu[near] / uu
-                s_t = s_t[s_t > tols.t_min_gap]
-                if s_t.size:
-                    graze_s = min(graze_s, float(s_t.min()))
-            real = disc >= guard
-            if not np.any(real):
-                continue
-            s_all = np.full(disc.shape, np.inf)
-            s_all[real] = (-wu[real] - np.sqrt(disc[real])) / uu
-            s_all[s_all <= tols.t_min_gap] = np.inf
-            jmin = int(np.argmin(s_all))
-            s_min = float(s_all[jmin])
-            if not np.isfinite(s_min):
-                continue
-            if s_min < first:
-                # rows are distinct images, so this cylinder's own second
-                # contact is its second-smallest root
-                s_all[jmin] = np.inf
-                second = min(second, first, float(s_all.min()))
-                first = s_min
-                best = (i, ints[jmin] + shift, w[jmin] + s_min * u)
-            else:
-                second = min(second, s_min)
-        if first <= t_window:
-            i, b, w_hit = best
-            if graze_s <= first + tols.t_min_gap:
-                raise TangentialCollision(
-                    f"grazing contact at t={graze_s:.6g}"
-                )
-            if second - first < tols.t_min_gap:
-                raise SimultaneousCollision(
-                    f"two contacts within t_min_gap at t={first:.6g}"
-                )
-            img = view.images[i]
-            normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
-            return first, i, img.cosets @ b, normal
-        if graze_s <= t_window:
+def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
+                 t_window: float):
+    """Earliest admissible collision within ``t_window`` (at most
+    ``view.window``); None if there is none.  Returns (s, cylinder, image
+    ints, unit normal)."""
+    first = second = np.inf     # two earliest contacts over all images
+    best = None                 # (i, b, w_hit) of the first
+    graze_s = np.inf
+    for i, img in enumerate(view.images):
+        r = img.radius
+        u = img.basis.T @ v
+        uu = float(u @ u)
+        if uu < 1e-24:
+            continue
+        w, shift = img.offsets(q)
+        wu = w @ u
+        ww = np.einsum("ij,ij->i", w, w)
+        disc = wu * wu - uu * (ww - r * r)
+        guard = DISC * uu * r * r
+        near = np.abs(disc) < guard
+        if np.any(near):
+            s_t = -wu[near] / uu
+            s_t = s_t[s_t > T_MIN_GAP]
+            if s_t.size:
+                graze_s = min(graze_s, float(s_t.min()))
+        real = disc >= guard
+        if not np.any(real):
+            continue
+        s_all = np.full(disc.shape, np.inf)
+        s_all[real] = (-wu[real] - np.sqrt(disc[real])) / uu
+        s_all[s_all <= T_MIN_GAP] = np.inf
+        jmin = int(np.argmin(s_all))
+        s_min = float(s_all[jmin])
+        if not np.isfinite(s_min):
+            continue
+        if s_min < first:
+            # rows are distinct images, so this cylinder's own second
+            # contact is its second-smallest root
+            s_all[jmin] = np.inf
+            second = min(second, first, float(s_all.min()))
+            first = s_min
+            best = (i, img.ints[jmin] + shift, w[jmin] + s_min * u)
+        else:
+            second = min(second, s_min)
+    if first <= t_window:
+        i, b, w_hit = best
+        if graze_s <= first + T_MIN_GAP:
             raise TangentialCollision(f"grazing contact at t={graze_s:.6g}")
-        if t_window >= horizon:
+        if second - first < T_MIN_GAP:
+            raise SimultaneousCollision(
+                f"two contacts within T_MIN_GAP at t={first:.6g}"
+            )
+        img = view.images[i]
+        normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
+        return first, i, img.cosets @ b, normal
+    if graze_s <= t_window:
+        raise TangentialCollision(f"grazing contact at t={graze_s:.6g}")
+    return None
+
+
+def _scan(view: _FlowView, q: np.ndarray, v: np.ndarray, horizon: float):
+    """Earliest admissible collision within ``horizon``; None if there is
+    none.  Returns (s, cylinder, image ints, unit normal).
+
+    The horizon is searched in windows of ``view.window``.  After an empty
+    window the start moves forward along ``v`` without wrapping, so image
+    coordinates stay in the frame of ``q``; consecutive windows overlap by
+    ``T_MIN_GAP``, the advance below which a window ignores roots, so no
+    root falls between them.
+    """
+    if not math.isfinite(horizon):
+        raise ValueError("the collision horizon must be finite")
+    start = 0.0
+    while True:
+        rest = horizon - start
+        hit = _scan_window(view, q + start * v, v, min(view.window, rest))
+        if hit is not None:
+            s, i, image, normal = hit
+            return start + s, i, image, normal
+        if rest <= view.window:
             return None
-        t_window = min(2.0 * t_window, horizon)
+        start += view.window - T_MIN_GAP
 
 
-def next_collision(system, phase: PhasePoint, horizon_t: float,
-                   tols: Tolerances = DEFAULT_TOLS) -> CollisionEvent | None:
+def next_collision(system, phase: PhasePoint,
+                   horizon_t: float) -> CollisionEvent | None:
     """First collision after the given phase point, within ``horizon_t``.
 
     The event time is measured from the phase point; the lattice image is
@@ -301,7 +322,7 @@ def next_collision(system, phase: PhasePoint, horizon_t: float,
     """
     view = _flow_view(system)
     _assert_outside(view, phase.q)
-    hit = _scan(view, phase.q, phase.v, horizon_t, tols)
+    hit = _scan(view, phase.q, phase.v, horizon_t)
     if hit is None:
         return None
     s, i, image, normal = hit
@@ -313,8 +334,8 @@ def _reflect(v: np.ndarray, normal: np.ndarray) -> np.ndarray:
 
 
 def flow(system, phase: PhasePoint, max_collisions: int | None = None,
-         max_time: float | None = None, default_horizon: float | None = None,
-         tols: Tolerances = DEFAULT_TOLS) -> TrajectoryRecord:
+         max_time: float | None = None,
+         default_horizon: float | None = None) -> TrajectoryRecord:
     """Run the flow until a stop condition, recording every collision.
 
     The record keeps positions wrapped; the integer ``lattice_image`` of
@@ -354,7 +375,7 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
                 break
             window = min(window, remaining)
         try:
-            hit = _scan(view, q, v, window, tols)
+            hit = _scan(view, q, v, window)
         except TangentialCollision:
             flags["tangential_encountered"] = True
             break
@@ -455,14 +476,14 @@ class LyapunovResult:
         return float(np.std(arr, ddof=1) / np.sqrt(arr.size))
 
 
-def _advance(view: _FlowView, q, v, duration: float, tols: Tolerances):
+def _advance(view: _FlowView, q, v, duration: float):
     """Propagate a state for an exact duration.  Raises on degeneracies."""
     t = 0.0
     q = q.copy()
     v = v.copy()
     while duration - t > 1e-15:
         remaining = duration - t
-        hit = _scan(view, q, v, remaining, tols)
+        hit = _scan(view, q, v, remaining)
         if hit is None:
             q = q + remaining * v
             break
@@ -476,8 +497,7 @@ def _advance(view: _FlowView, q, v, duration: float, tols: Tolerances):
 
 
 def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
-                 d0: float, seed: int,
-                 tols: Tolerances = DEFAULT_TOLS) -> LyapunovResult:
+                 d0: float, seed: int) -> LyapunovResult:
     """Largest Lyapunov exponent by shadow-trajectory renormalization.
 
     A shadow point displaced by ``d0`` orthogonally to the velocity is
@@ -520,8 +540,8 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     discarded = 0
     for _ in range(n_windows):
         try:
-            q_m2, v_m2 = _advance(view, q_m, v_m, renorm_dt, tols)
-            q_s2, v_s2 = _advance(view, q_s, v_s, renorm_dt, tols)
+            q_m2, v_m2 = _advance(view, q_m, v_m, renorm_dt)
+            q_s2, v_s2 = _advance(view, q_s, v_s, renorm_dt)
         except (TangentialCollision, SimultaneousCollision, StartInside):
             discarded += 1
             jig = rng.standard_normal(d)
@@ -596,8 +616,8 @@ class SplittingScanResult:
     n_degenerate: int
 
 
-def splitting_scan(system, n_orbits: int, n_collisions: int, seed: int,
-                   tols: Tolerances = DEFAULT_TOLS) -> SplittingScanResult:
+def splitting_scan(system, n_orbits: int, n_collisions: int,
+                   seed: int) -> SplittingScanResult:
     """Fraction of random orbits (fixed collision count) whose collision
     set respects some orthogonal splitting."""
     children = np.random.SeedSequence(seed).spawn(n_orbits)
@@ -606,7 +626,7 @@ def splitting_scan(system, n_orbits: int, n_collisions: int, seed: int,
     for child in children:
         rng = np.random.default_rng(child)
         phase = random_phase(system, rng)
-        record = flow(system, phase, max_collisions=n_collisions, tols=tols)
+        record = flow(system, phase, max_collisions=n_collisions)
         if record.flags["tangential_encountered"] or \
                 record.flags["simultaneous_encountered"]:
             degenerate += 1

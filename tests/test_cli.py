@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from cylbill import fileio, geometry
+import cylbill
+from cylbill import config, fileio, geometry
 from cylbill.cli import main
 from cylbill.model import load_system, save_system
 from cylbill.paths import save_sigma
@@ -241,3 +245,70 @@ class TestDegeneracyExit:
                            "--seed", "1", "--box-scale", "1e-7")
         assert code == 3
         assert "degeneracy" in err
+
+
+class TestTypedArgumentFailures:
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--system", "{system}", "--sigma", "{sigma}",
+         "--samples", "0", "--seed", "1"),
+        ("lyapunov", "--system", "{system}", "--q", "0,0.5", "--v", "0.6,0.8",
+         "--total-time", "10", "--seed", "1", "--d0", "1e-3"),
+        ("simulate", "--system", "{system}", "--q", "0,0.5", "--v", "1,0,0",
+         "--collisions", "5", "--out", "{out}"),
+    ], ids=["delta-samples-0", "lyapunov-d0", "simulate-wrong-length"])
+    def test_refused_argument_exits_4(self, capsys, tmp_path, argv):
+        system = tmp_path / "sinai.json"
+        save_system(make_sphere_system(2, r=0.3), system)
+        sigma = tmp_path / "sigma.json"
+        save_sigma([0], sigma)
+        argv = [a.format(system=system, sigma=sigma, out=tmp_path / "t.json")
+                for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: ")
+
+
+def report_body(text: str) -> dict:
+    return fileio.loads("\n".join(l for l in text.splitlines()
+                                   if not l.startswith("#")))
+
+
+class TestOneToleranceSource:
+    def test_tolerance_flag_is_gone(self, capsys, hardball_file):
+        code, _, err = run(capsys, "--tol-rank", "0.9", "classify",
+                           "--system", str(hardball_file))
+        assert code == 4
+        assert err.startswith("usage error: ")
+
+    def test_report_records_config_tolerances(self, capsys, hardball_file):
+        code, text, _ = run(capsys, "classify", "--system",
+                            str(hardball_file))
+        assert code == 0
+        assert report_body(text)["run"]["tolerances"] == {
+            "rank_rel": config.RANK_REL,
+            "disc": config.DISC,
+            "t_min_gap": config.T_MIN_GAP,
+            "fd_step": config.FD_STEP,
+        }
+
+
+def package_modules():
+    return [importlib.import_module(f"cylbill.{m.name}")
+            for m in pkgutil.iter_modules(cylbill.__path__)
+            if m.name != "__main__"]
+
+
+def test_tolerances_defined_only_in_config():
+    stray = [f"{mod.__name__}.{name}" for mod in package_modules()
+             if mod is not config
+             for name, value in vars(mod).items()
+             if "TOL" in name and isinstance(value, float)]
+    assert stray == []
+
+
+def test_every_all_name_resolves():
+    missing = [f"{mod.__name__}.{name}" for mod in package_modules()
+               for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert missing == []

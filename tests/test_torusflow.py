@@ -124,6 +124,19 @@ class TestNextCollision:
                                50.0)
         assert ev is None
 
+    def test_long_flight_matches_torus_oracle(self):
+        # a shallow corridor flight whose first hit lies past 4 scan
+        # windows (one window is the cell diameter, sqrt 2 here)
+        system = make_sphere_system(2, r=0.1)
+        v = [np.cos(0.03), np.sin(0.03)]
+        ev = tf.next_collision(system, tf.PhasePoint([0.0, 0.0], v), 50.0)
+        assert ev.time > 4 * np.sqrt(2)
+        oracle = torus_oracle_first_collision(system, [0.0, 0.0], v,
+                                              t_max=20.0)
+        assert abs(ev.time - oracle[0]) < 1e-9
+        assert ev.cylinder == oracle[1]
+        assert list(ev.lattice_image) == list(oracle[2])
+
     def test_start_inside_raises(self, sinai):
         with pytest.raises(tf.StartInside):
             tf.next_collision(sinai, tf.PhasePoint([0.5, 0.45], [1.0, 0.0]),
@@ -267,6 +280,15 @@ class TestFlow:
         system = make_sphere_system(2, r=0.1)
         rec = tf.flow(system, tf.PhasePoint([0.0, 0.1], [1.0, 0.0]),
                       max_collisions=10)
+        assert rec.flags["no_collision_within_horizon"]
+        assert not rec.events
+
+    def test_corridor_with_long_horizon(self):
+        # the scan walks the horizon window by window, so a corridor orbit
+        # never asks for a lattice ball sized by the horizon
+        system = make_sphere_system(2, r=0.1)
+        rec = tf.flow(system, tf.PhasePoint([0.0, 0.1], [1.0, 0.0]),
+                      max_collisions=10, default_horizon=1e4)
         assert rec.flags["no_collision_within_horizon"]
         assert not rec.events
 
