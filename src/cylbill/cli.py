@@ -139,6 +139,31 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _directsum_params(path) -> dict:
+    """Arguments of ``builders.direct_sum_system`` read from a JSON file; a
+    missing key or a malformed value raises ``SystemFormatError``."""
+    doc = model.load_document(path)
+    if not isinstance(doc, dict):
+        raise model.SystemFormatError(f"{path}: parameters must be an object")
+    for key in ("bases", "block_dims", "radii"):
+        if key not in doc:
+            raise model.SystemFormatError(f"{path}: missing key {key!r}")
+    try:
+        return {
+            "block_dims": [int(x) for x in doc["block_dims"]],
+            "bases": [orthonormalize(np.asarray(rows, dtype=float),
+                                     ambient_dim=len(rows[0]))
+                      for rows in doc["bases"]],
+            "radii": [float(x) for x in doc["radii"]],
+            "translations": [np.asarray(t, dtype=float)
+                             for t in doc.get("translations", [])] or None,
+            "lattice_basis": np.asarray(doc["lattice_basis"], dtype=float)
+            if "lattice_basis" in doc else None,
+        }
+    except (IndexError, TypeError, ValueError) as exc:
+        raise model.SystemFormatError(f"{path}: {exc}") from exc
+
+
 def cmd_build(args) -> int:
     if args.kind == "hardball":
         if args.n is None or args.nu is None or args.masses is None \
@@ -159,21 +184,8 @@ def cmd_build(args) -> int:
     elif args.kind == "directsum":
         if args.params is None:
             raise UsageError("directsum needs --params (JSON parameter file)")
-        doc = fileio.load(args.params)
-        bases = [
-            orthonormalize(np.asarray(rows, dtype=float),
-                           ambient_dim=len(rows[0]))
-            for rows in doc["bases"]
-        ]
         system, graph = builders.direct_sum_system(
-            block_dims=doc["block_dims"],
-            bases=bases,
-            radii=doc["radii"],
-            translations=[np.asarray(t, dtype=float)
-                          for t in doc.get("translations", [])] or None,
-            lattice_basis=np.asarray(doc["lattice_basis"], dtype=float)
-            if "lattice_basis" in doc else None,
-        )
+            **_directsum_params(args.params))
         extra = {
             "kind": "directsum",
             "n_cylinders": system.k,
@@ -224,6 +236,8 @@ def _delta_body(args):
         "n_success": report.n_success,
         "n_failed_samples": report.n_failed_samples,
         "sample_dims": report.sample_dims,
+        "n_attempts": report.n_attempts,
+        "rejected": report.rejected,
         "constrained_manifold_dim": paths.constrained_manifold_dim(system,
                                                                    labels),
         "run": _run_info(seed=args.seed),
@@ -233,6 +247,8 @@ def _delta_body(args):
         f"bound {report.bound})",
         f"rich: {'yes' if report.rich else 'no'}",
         f"samples: {report.n_success} ok, {report.n_failed_samples} failed",
+        f"candidates: {report.n_attempts} tried, rejected "
+        + ", ".join(f"{k} {v}" for k, v in report.rejected.items()),
     ]
     return body, summary, report
 

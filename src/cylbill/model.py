@@ -23,6 +23,7 @@ __all__ = [
     "validate",
     "save_system",
     "load_system",
+    "load_document",
     "system_to_dict",
     "system_from_dict",
     "SystemFormatError",
@@ -306,9 +307,13 @@ def save_system(system: CylindricBilliardSystem, path) -> None:
     fileio.dump(system_to_dict(system), path)
 
 
-def load_system(path) -> CylindricBilliardSystem:
+def load_document(path):
+    """Parse a JSON input file; a malformed one raises ``SystemFormatError``."""
     try:
-        doc = fileio.load(path)
+        return fileio.load(path)
     except ValueError as exc:
         raise SystemFormatError(f"cannot parse {path}: {exc}") from exc
-    return system_from_dict(doc)
+
+
+def load_system(path) -> CylindricBilliardSystem:
+    return system_from_dict(load_document(path))

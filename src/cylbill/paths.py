@@ -9,13 +9,23 @@ kernel are the expanding / neutral directions), under independent
 per-cylinder translations, and how large the expanding part can get over
 random paths with the same collision sequence.
 
+The quadratic has one implementation, ``_collide``, which traces a stack
+of N paths (N initial velocities, N rows of concatenated offsets) and
+reports per row how far it got and why it failed.  ``trace`` is its
+one-row case; each finite-difference matrix traces its base path and all
+its probes as one stack; and the δ sampler screens each sample's random
+candidates in stacked blocks, so the derivative runs only on candidates
+that trace clear of the incidence floor.
+
 Derivatives are central finite differences with step ``config.FD_STEP``;
 ranks of FD matrices use the looser cutoff ``config.FD_RANK_REL``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,6 +65,7 @@ __all__ = [
     "delta_sigma_report",
     "is_rich",
     "sample_spec",
+    "REJECTION_REASONS",
     "sequence_generator_intersection",
     "constrained_manifold_dim",
 ]
@@ -137,9 +148,10 @@ class EuclideanPathResult:
 
 
 class _SequenceView:
-    """Per-sequence arrays resolved once: base bases, radii, dims."""
+    """Per-sequence arrays resolved once: base bases, radii, dims, and each
+    collision's columns in a row of concatenated offsets."""
 
-    __slots__ = ("labels", "bases", "radii", "dims", "d")
+    __slots__ = ("labels", "bases", "radii", "dims", "width", "cols", "d")
 
     def __init__(self, system, labels):
         self.labels = [int(x) for x in labels]
@@ -149,6 +161,9 @@ class _SequenceView:
         self.bases = [system.base_space(lab).basis for lab in self.labels]
         self.radii = [system.cylinders[lab].radius for lab in self.labels]
         self.dims = [b.shape[1] for b in self.bases]
+        ends = list(accumulate(self.dims, initial=0))
+        self.width = ends[-1]
+        self.cols = [slice(a, b) for a, b in zip(ends, ends[1:])]
         self.d = system.dim
 
 
@@ -171,60 +186,127 @@ def _check_spec(view: _SequenceView, spec: EuclideanPathSpec) -> None:
             )
 
 
-def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
-    """Follow the path through its collision sequence.
+def _offset_row(offsets) -> np.ndarray:
+    """Per-collision offsets concatenated into one row."""
+    return np.concatenate(offsets) if len(offsets) else np.zeros(0)
+
+
+def _spec(view: _SequenceView, v0, row) -> EuclideanPathSpec:
+    return EuclideanPathSpec(v0=v0, offsets=tuple(row[c] for c in view.cols))
+
+
+# Status of a stacked row, and the error a failed row raises.
+_MISS, _GRAZE, _NON_ADVANCING = 1, 2, 3
+_FAILURES = {
+    _MISS: (NoRealRoot, "path misses the cylinder or runs along its axis"),
+    _GRAZE: (Tangential, "grazing contact (discriminant within guard)"),
+    _NON_ADVANCING: (NonAdvancing,
+                     "smaller root does not advance beyond T_MIN_GAP"),
+}
+
+
+@dataclass(eq=False)
+class _Stack:
+    """N paths traced together.  A failed row is NaN from its failing
+    collision on, and its ``min_incidence`` is NaN."""
+
+    times: np.ndarray          # (N, m)
+    points: np.ndarray         # (N, m, d)
+    velocities: np.ndarray     # (N, m+1, d)
+    normals: np.ndarray        # (N, m, d)
+    min_incidence: np.ndarray  # (N,)
+    status: np.ndarray         # (N,) 0 traced, else _MISS/_GRAZE/_NON_ADVANCING
+    step: np.ndarray           # (N,) failing collision, -1 if traced
+
+    def error(self, i: int) -> TraceError:
+        cls, message = _FAILURES[int(self.status[i])]
+        return cls(int(self.step[i]), message)
+
+
+def _collide(view: _SequenceView, v0s: np.ndarray,
+             offsets: np.ndarray) -> _Stack:
+    """Trace N paths through the sequence at once: row i starts at the
+    origin with unit velocity ``v0s[i]`` and meets cylinders offset by
+    ``offsets[i]`` (the collisions' base-space offsets, concatenated).
 
     Collision j happens at the smaller root of the quadratic for the
-    distance to cylinder j's axis; a negative discriminant means the path
-    misses, a near-zero one grazes (rejected), and a root not beyond the
-    previous time by ``T_MIN_GAP`` cannot be accepted as a new collision.
+    distance to cylinder j's axis.  A row fails at the first collision
+    where the path misses (negative discriminant, or a velocity along the
+    axis), grazes (discriminant within the ``DISC`` guard of zero) or does
+    not advance beyond the previous time by ``T_MIN_GAP``; from there on
+    its state is NaN, which every later step carries along.
     """
+    n, d = v0s.shape
+    m = len(view.labels)
+    times = np.full((n, m), np.nan)
+    points = np.full((n, m, d), np.nan)
+    vels = np.full((n, m + 1, d), np.nan)
+    normals = np.full((n, m, d), np.nan)
+    status = np.zeros(n, dtype=np.intp)
+    step = np.full(n, -1, dtype=np.intp)
+    v = np.array(v0s, dtype=float)
+    vels[:, 0] = v
+    x = np.zeros((n, d))
+    t = np.zeros(n)
+    inc = np.ones(n)
+    alive = n
+    vecdot = np.vecdot
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j, (basis, r, cols) in enumerate(zip(view.bases, view.radii,
+                                                 view.cols)):
+            w = x @ basis
+            w -= offsets[:, cols]
+            u = v @ basis
+            uu = vecdot(u, u)
+            wu = vecdot(w, u)
+            disc = wu * wu - uu * (vecdot(w, w) - r * r)
+            guard = uu * (DISC * r * r)
+            s = (-wu - np.sqrt(disc)) / uu
+            ok = (disc >= guard) & (s > T_MIN_GAP) & (uu >= 1e-24)
+            if np.count_nonzero(ok) < alive:
+                new = ~ok & (step < 0)      # rows failing at this collision
+                # a failing row fails the first of the checks it breaks
+                code = np.where(disc[new] < guard[new], _GRAZE,
+                                _NON_ADVANCING)
+                code[(disc[new] < -guard[new]) | (uu[new] < 1e-24)] = _MISS
+                status[new] = code
+                step[new] = j
+                s[new] = inc[new] = np.nan
+                alive = np.count_nonzero(ok)
+                if not alive:
+                    break
+            sv = s[:, None]
+            t = t + s
+            x = x + sv * v
+            n_local = w + sv * u        # r times the unit normal
+            n_local /= np.sqrt(vecdot(n_local, n_local))[:, None]
+            nrm = n_local @ basis.T
+            vn = vecdot(v, nrm)
+            inc = np.minimum(inc, np.abs(vn))
+            v = v - 2.0 * vn[:, None] * nrm
+            times[:, j] = t
+            points[:, j] = x
+            normals[:, j] = nrm
+            vels[:, j + 1] = v
+    return _Stack(times=times, points=points, velocities=vels,
+                  normals=normals, min_incidence=inc, status=status,
+                  step=step)
+
+
+def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
+    """Follow the path through its collision sequence: the one-row case of
+    the stacked kernel, raising ``NoRealRoot``, ``Tangential`` or
+    ``NonAdvancing`` at the collision where the path fails."""
     view = _view(system, labels)
     _check_spec(view, spec)
-    d = view.d
-    m = spec.m
-    x = np.zeros(d)
-    v = spec.v0.copy()
-    t = 0.0
-    times = np.empty(m)
-    points = np.empty((m, d))
-    vels = np.empty((m + 1, d))
-    normals = np.empty((m, d))
-    vels[0] = v
-    min_inc = 1.0
-    for j in range(m):
-        basis = view.bases[j]
-        r = view.radii[j]
-        w = basis.T @ x - spec.offsets[j]
-        u = basis.T @ v
-        uu = float(u @ u)
-        if uu < 1e-24:
-            raise NoRealRoot(j, "velocity is parallel to the cylinder axis")
-        wu = float(w @ u)
-        disc = wu * wu - uu * (float(w @ w) - r * r)
-        guard = DISC * uu * r * r
-        if disc < -guard:
-            raise NoRealRoot(j, "path misses the cylinder")
-        if disc < guard:
-            raise Tangential(j, "grazing contact (discriminant within guard)")
-        s = (-wu - np.sqrt(disc)) / uu
-        if s <= T_MIN_GAP:
-            raise NonAdvancing(
-                j, f"smaller root advances by {s:.3e} <= T_MIN_GAP"
-            )
-        t += s
-        x = x + s * v
-        n_local = (w + s * u) / r
-        n_local = n_local / np.linalg.norm(n_local)
-        n = basis @ n_local
-        min_inc = min(min_inc, abs(float(v @ n)))
-        v = v - 2.0 * float(v @ n) * n
-        times[j] = t
-        points[j] = x
-        normals[j] = n
-        vels[j + 1] = v
-    return EuclideanPathResult(times=times, points=points, velocities=vels,
-                               normals=normals, min_incidence=min_inc)
+    stack = _collide(view, spec.v0[None, :],
+                     _offset_row(spec.offsets)[None, :])
+    if stack.status[0]:
+        raise stack.error(0)
+    return EuclideanPathResult(
+        times=stack.times[0], points=stack.points[0],
+        velocities=stack.velocities[0], normals=stack.normals[0],
+        min_incidence=float(stack.min_incidence[0]))
 
 
 def translate_all(system, labels, spec: EuclideanPathSpec, a) -> EuclideanPathSpec:
@@ -291,14 +373,10 @@ def apply_reflections(vectors, normals) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _final_velocity(system, labels, spec) -> np.ndarray:
-    return trace(system, labels, spec).final_velocity
-
-
-def _require_clear_of_tangency(result) -> None:
-    if result.min_incidence < FD_INCIDENCE:
+def _require_clear_of_tangency(min_incidence: float) -> None:
+    if min_incidence < FD_INCIDENCE:
         raise PerturbationFailure(
-            f"collision incidence {result.min_incidence:.2e} below the "
+            f"collision incidence {min_incidence:.2e} below the "
             f"finite-difference floor {FD_INCIDENCE:.2e}"
         )
 
@@ -318,67 +396,53 @@ def _check_fd_quality(mat: np.ndarray, v_final: np.ndarray,
         )
 
 
+def _probe(view: _SequenceView, v0s, offsets, what: str) -> _Stack:
+    """Trace a base path (row 0) and its finite-difference probes as one
+    stack.  The base must clear the incidence floor and every row must
+    trace, else ``PerturbationFailure``."""
+    stack = _collide(view, np.asarray(v0s, dtype=float),
+                     np.asarray(offsets, dtype=float))
+    _require_clear_of_tangency(stack.min_incidence[0])   # NaN if it failed
+    failed = np.flatnonzero(stack.status)
+    if failed.size:
+        exc = stack.error(failed[0])
+        raise PerturbationFailure(
+            f"{what} probe failed ({exc}); path too close to tangency"
+        ) from exc
+    return stack
+
+
+def _offset_differences(view: _SequenceView, spec: EuclideanPathSpec,
+                        shift: np.ndarray, what: str) -> np.ndarray:
+    """d x k matrix of central differences of the final velocity, column i
+    for moving the offset row by ``shift[i]`` (one probe step)."""
+    row = _offset_row(spec.offsets)
+    k = shift.shape[0]
+    stack = _probe(view, np.tile(spec.v0, (2 * k + 1, 1)),
+                   np.vstack([row, row + shift, row - shift]), what)
+    vf = stack.velocities[:, -1]
+    mat = (vf[1:k + 1] - vf[k + 1:]).T / (2.0 * FD_STEP)
+    _check_fd_quality(mat, vf[0])
+    return mat
+
+
 def dvm_matrix(system, labels, spec: EuclideanPathSpec) -> np.ndarray:
     """d x d matrix of final-velocity derivatives under uniform cylinder
     translations along the coordinate axes (central differences)."""
     view = _view(system, labels)
-    d = view.d
-    h = FD_STEP
-    cols = np.empty((d, d))
-    try:
-        base = trace(system, labels, spec)
-        _require_clear_of_tangency(base)
-        base_vm = base.final_velocity
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            vp = _final_velocity(system, labels,
-                                 translate_all(system, labels, spec, e))
-            vm = _final_velocity(system, labels,
-                                 translate_all(system, labels, spec, -e))
-            cols[:, i] = (vp - vm) / (2.0 * h)
-    except TraceError as exc:
-        raise PerturbationFailure(
-            f"translation probe failed ({exc}); path too close to tangency"
-        ) from exc
-    _check_fd_quality(cols, base_vm)
-    return cols
+    _check_spec(view, spec)
+    # row i: the offsets of every cylinder moved by h e_i
+    shift = FD_STEP * np.hstack([np.zeros((view.d, 0))] + view.bases)
+    return _offset_differences(view, spec, shift, "translation")
 
 
 def _each_matrix(system, labels, spec) -> np.ndarray:
     """d x (sum of base dims) matrix: final-velocity derivatives under
     independent per-cylinder translations along base coordinates."""
     view = _view(system, labels)
-    h = FD_STEP
-    cols = []
-    try:
-        base = trace(system, labels, spec)
-        _require_clear_of_tangency(base)
-        base_vm = base.final_velocity
-        for j in range(spec.m):
-            for c in range(view.dims[j]):
-                step = np.zeros(view.dims[j])
-                step[c] = h
-                up = replace_offsets(spec, j, spec.offsets[j] + step)
-                dn = replace_offsets(spec, j, spec.offsets[j] - step)
-                vp = _final_velocity(system, labels, up)
-                vm = _final_velocity(system, labels, dn)
-                cols.append((vp - vm) / (2.0 * h))
-    except TraceError as exc:
-        raise PerturbationFailure(
-            f"per-cylinder probe failed ({exc}); path too close to tangency"
-        ) from exc
-    if not cols:
-        return np.zeros((view.d, 0))
-    mat = np.column_stack(cols)
-    _check_fd_quality(mat, base_vm)
-    return mat
-
-
-def replace_offsets(spec: EuclideanPathSpec, j: int, new_offset) -> EuclideanPathSpec:
-    offs = list(spec.offsets)
-    offs[j] = np.asarray(new_offset, dtype=float)
-    return EuclideanPathSpec(v0=spec.v0, offsets=tuple(offs))
+    _check_spec(view, spec)
+    return _offset_differences(view, spec, FD_STEP * np.eye(view.width),
+                               "per-cylinder")
 
 
 def w_plus(system, labels, spec: EuclideanPathSpec) -> Subspace:
@@ -454,59 +518,45 @@ def theta_rank(system, labels, spec: EuclideanPathSpec) -> int:
     collision normals), in local charts.  Full value means the collision
     normals can be perturbed independently and arbitrarily."""
     view = _view(system, labels)
+    _check_spec(view, spec)
     d = view.d
     m = spec.m
     if m == 0:
         return d - 1
-    base = trace(system, labels, spec)
-    _require_clear_of_tangency(base)
+    h = FD_STEP
     v0_tan = _tangent_basis(spec.v0)
+    row = _offset_row(spec.offsets)
+    k = row.shape[0]
+    # rows: the base; the initial velocity moved on the sphere, + then -
+    # along each tangent direction; each offset coordinate moved, + then -
+    v0s = [spec.v0]
+    for i in range(d - 1):
+        for sign in (1.0, -1.0):
+            v = spec.v0 + sign * h * v0_tan[:, i]
+            v0s.append(v / np.linalg.norm(v))
+    v0s.extend([spec.v0] * (2 * k))
+    steps = np.repeat(h * np.eye(k), 2, axis=0)
+    steps[1::2] *= -1.0
+    stack = _probe(view, v0s,
+                   np.vstack([np.tile(row, (2 * d - 1, 1)), row + steps]),
+                   "chart")
+
     normal_charts = []
     for j in range(m):
         b = view.bases[j]
-        n_local = b.T @ base.normals[j]
+        n_local = b.T @ stack.normals[0, j]
         n_local /= np.linalg.norm(n_local)
         loc = complement(Subspace(view.dims[j], n_local.reshape(-1, 1))).basis
         normal_charts.append(b @ loc)   # ambient directions tangent to the normal
 
-    h = FD_STEP
-    out_rows = (d - 1) + sum(nu - 1 for nu in view.dims)
-
-    def coords(result: EuclideanPathResult, v0: np.ndarray) -> np.ndarray:
-        parts = [v0_tan.T @ v0]
-        for j in range(m):
-            parts.append(normal_charts[j].T @ result.normals[j])
-        return np.concatenate(parts)
-
-    cols = []
-    try:
-        # initial-velocity directions, moved on the sphere
-        for i in range(d - 1):
-            vp = spec.v0 + h * v0_tan[:, i]
-            vp /= np.linalg.norm(vp)
-            vm = spec.v0 - h * v0_tan[:, i]
-            vm /= np.linalg.norm(vm)
-            rp = trace(system, labels,
-                       EuclideanPathSpec(vp, spec.offsets))
-            rm = trace(system, labels,
-                       EuclideanPathSpec(vm, spec.offsets))
-            cols.append((coords(rp, vp) - coords(rm, vm)) / (2.0 * h))
-        # offset directions
-        for j in range(m):
-            for c in range(view.dims[j]):
-                step = np.zeros(view.dims[j])
-                step[c] = h
-                rp = trace(system, labels,
-                           replace_offsets(spec, j, spec.offsets[j] + step))
-                rm = trace(system, labels,
-                           replace_offsets(spec, j, spec.offsets[j] - step))
-                cols.append((coords(rp, spec.v0) - coords(rm, spec.v0)) / (2.0 * h))
-    except TraceError as exc:
-        raise PerturbationFailure(
-            f"chart probe failed ({exc}); path too close to tangency"
-        ) from exc
-    jac = np.column_stack(cols)
-    assert jac.shape[0] == out_rows
+    coords = np.array([
+        np.concatenate([v0_tan.T @ v0]
+                       + [normal_charts[j].T @ stack.normals[i, j]
+                          for j in range(m)])
+        for i, v0 in enumerate(v0s)
+    ])
+    jac = (coords[1::2] - coords[2::2]).T / (2.0 * h)
+    assert jac.shape[0] == (d - 1) + sum(nu - 1 for nu in view.dims)
     s = np.linalg.svd(jac, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -533,8 +583,21 @@ def constrained_manifold_dim(system, labels) -> int:
     return 2 * system.dim - 1 - sequence_generator_intersection(system, labels).dim
 
 
-def _default_box(system) -> float:
-    return 3.0 * max(cyl.radius for cyl in system.cylinders)
+def _box(system, box_scale) -> float:
+    """Half-width of the offset box: ``box_scale``, by default three times
+    the largest radius."""
+    if box_scale is None:
+        return 3.0 * max(cyl.radius for cyl in system.cylinders)
+    return float(box_scale)
+
+
+def _draw(rng: np.random.Generator, d: int, width: int,
+          box: float) -> tuple[np.ndarray, np.ndarray]:
+    """One candidate's draws, in stream order: a uniform unit velocity,
+    then ``width`` coordinates uniform in [-box, box]."""
+    v0 = rng.standard_normal(d)
+    v0 /= math.sqrt(v0.dot(v0))    # np.linalg.norm(v0), without its overhead
+    return v0, rng.uniform(-box, box, size=width)
 
 
 def sample_spec(system, labels, rng: np.random.Generator,
@@ -542,18 +605,40 @@ def sample_spec(system, labels, rng: np.random.Generator,
     """Random path data: uniform unit initial velocity, offsets uniform in a
     per-base-space coordinate box."""
     view = _view(system, labels)
-    box = _default_box(system) if box_scale is None else float(box_scale)
-    v0 = rng.standard_normal(view.d)
-    v0 /= np.linalg.norm(v0)
-    offsets = tuple(
-        rng.uniform(-box, box, size=view.dims[j]) for j in range(len(view.labels))
-    )
-    return EuclideanPathSpec(v0=v0, offsets=offsets)
+    v0, row = _draw(rng, view.d, view.width, _box(system, box_scale))
+    return _spec(view, v0, row)
+
+
+REJECTION_REASONS = ("miss", "graze", "non_advancing", "incidence_floor",
+                     "fd_quality")
+"""Why the sampler rejected a candidate, in the order of its checks: the
+path misses a cylinder (or runs along its axis), grazes one, does not
+advance, comes closer to tangency than ``FD_INCIDENCE``, or its
+finite-difference matrix failed (a probe left the valid paths, or the
+columns are not tangent to the velocity sphere)."""
+# Screen codes: 0 accepted, k rejected for REJECTION_REASONS[k - 1]; codes
+# 1-3 are the kernel's own failure statuses.
+_INCIDENCE_FLOOR, _FD_QUALITY = 4, 5
+
+# Candidates a sample screens per stacked kernel call, 64 in all.  A block
+# costs one kernel call plus one draw per candidate, and the draws past a
+# sample's accepted candidate are wasted, so blocks grow: a system that
+# accepts often (a d=2 sphere accepts about one candidate in seven) ends
+# about half of its samples in the first block, and one that rejects
+# almost every candidate (hard-ball sequences of length 3 or more) pays
+# three calls per sample.
+_SCREEN_BLOCKS = (4, 12, 48)
 
 
 @dataclass
 class DeltaReport:
-    """Outcome of the expanding-dimension sampler."""
+    """Outcome of the expanding-dimension sampler.
+
+    ``n_attempts`` counts the candidates examined up to each sample's
+    accepted one (all 64 for a failed sample); ``rejected`` splits the
+    rejected ones by reason, so ``n_attempts == sum(rejected.values()) +
+    n_success``.
+    """
 
     value: int
     d: int
@@ -561,6 +646,8 @@ class DeltaReport:
     n_success: int
     n_failed_samples: int
     sample_dims: list[int]
+    n_attempts: int
+    rejected: dict[str, int]
 
     @property
     def rich(self) -> bool:
@@ -568,47 +655,69 @@ class DeltaReport:
 
 
 def _delta_scan(system, labels, n_samples: int, seed: int,
-                make_candidate) -> DeltaReport:
+                draw) -> DeltaReport:
+    """Sample ``n_samples`` paths, each from its own child stream of
+    ``seed``; ``draw(rng, view)`` gives one candidate as (v0, offset row).
+
+    A sample's candidates are drawn in blocks and traced as one stack;
+    ``w_plus`` runs, in draw order, only on candidates that traced clear of
+    the incidence floor, and the first that succeeds is the sample.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    d = system.dim
+    view = _view(system, labels)
+    d = view.d
     bound = d - 1 - sequence_generator_intersection(system, labels).dim
     children = np.random.SeedSequence(seed).spawn(n_samples)
-    best = -1
     dims: list[int] = []
     failed = 0
-    max_attempts = 64
+    attempts = 0
+    outcomes = np.zeros(len(REJECTION_REASONS) + 1, dtype=np.int64)
     for child in children:
         rng = np.random.default_rng(child)
         got = None
-        for _ in range(max_attempts):
-            spec = make_candidate(rng)
-            try:
-                wp = w_plus(system, labels, spec)
-            except (TraceError, PerturbationFailure):
-                continue
-            got = wp.dim
-            break
+        for size in _SCREEN_BLOCKS:
+            v0s = np.empty((size, d))
+            rows = np.empty((size, view.width))
+            for i in range(size):
+                v0s[i], rows[i] = draw(rng, view)
+            stack = _collide(view, v0s, rows)
+            code = np.where(stack.min_incidence < FD_INCIDENCE,
+                            _INCIDENCE_FLOOR, stack.status)
+            tried = size
+            for i in np.flatnonzero(code == 0):
+                try:
+                    wp = w_plus(system, labels, _spec(view, v0s[i], rows[i]))
+                except (TraceError, PerturbationFailure):
+                    code[i] = _FD_QUALITY
+                    continue
+                got = wp.dim
+                tried = i + 1       # later candidates were never needed
+                break
+            attempts += tried
+            outcomes += np.bincount(code[:tried], minlength=outcomes.size)
+            if got is not None:
+                break
         if got is None:
             failed += 1
-            continue
-        dims.append(got)
-        best = max(best, got)
-    if best < 0:
+        else:
+            dims.append(got)
+    if not dims:
         raise NoValidPath(
             f"all {n_samples} samples failed to produce a valid path"
         )
-    return DeltaReport(value=best, d=d, bound=bound,
+    return DeltaReport(value=max(dims), d=d, bound=bound,
                        n_success=len(dims), n_failed_samples=failed,
-                       sample_dims=dims)
+                       sample_dims=dims, n_attempts=int(attempts),
+                       rejected={reason: int(c) for reason, c
+                                 in zip(REJECTION_REASONS, outcomes[1:])})
 
 
 def delta_sigma_report(system, labels, n_samples: int, seed: int,
                        box_scale: float | None = None) -> DeltaReport:
-    def make(rng):
-        return sample_spec(system, labels, rng, box_scale)
-
-    return _delta_scan(system, labels, n_samples, seed, make)
+    box = _box(system, box_scale)
+    return _delta_scan(system, labels, n_samples, seed,
+                       lambda rng, view: _draw(rng, view.d, view.width, box))
 
 
 def delta_sigma(system, labels, n_samples: int, seed: int,
@@ -627,18 +736,15 @@ def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
     relative cylinder positions: only the initial velocity and a uniform
     translation are varied."""
     trace(system, labels, base_spec)   # base path must exist
-    box = _default_box(system) if box_scale is None else float(box_scale)
-    d = system.dim
+    box = _box(system, box_scale)
 
-    def make(rng):
-        v0 = rng.standard_normal(d)
-        v0 /= np.linalg.norm(v0)
-        a = rng.uniform(-box, box, size=d)
-        moved = translate_all(system, labels,
-                              EuclideanPathSpec(v0, base_spec.offsets), a)
-        return moved
+    def draw(rng, view):
+        v0, a = _draw(rng, view.d, view.d, box)
+        # the offsets of translate_all(base with v0, a)
+        return v0, _offset_row([off + b.T @ a for off, b
+                                in zip(base_spec.offsets, view.bases)])
 
-    return _delta_scan(system, labels, n_samples, seed, make).value
+    return _delta_scan(system, labels, n_samples, seed, draw).value
 
 
 def is_rich(system, labels, n_samples: int, seed: int,
@@ -665,16 +771,18 @@ def save_sigma(labels, path) -> None:
 
 
 def load_sigma(path) -> list[int]:
-    from . import fileio
-    from .model import SystemFormatError
+    from .model import SystemFormatError, load_document
 
-    doc = fileio.load(path)
+    doc = load_document(path)
     if not isinstance(doc, dict) or doc.get("format") != SIGMA_FORMAT:
         raise SystemFormatError(f"{path}: not a collision-sequence file")
     labels = doc.get("labels")
     if not isinstance(labels, list) or not labels:
         raise SystemFormatError(f"{path}: 'labels' must be a nonempty array")
-    return [int(x) for x in labels]
+    try:
+        return [int(x) for x in labels]
+    except (TypeError, ValueError) as exc:
+        raise SystemFormatError(f"{path}: bad label: {exc}") from exc
 
 
 def save_path_spec(spec: EuclideanPathSpec, path) -> None:
@@ -691,10 +799,9 @@ def save_path_spec(spec: EuclideanPathSpec, path) -> None:
 
 
 def load_path_spec(path) -> EuclideanPathSpec:
-    from . import fileio
-    from .model import SystemFormatError
+    from .model import SystemFormatError, load_document
 
-    doc = fileio.load(path)
+    doc = load_document(path)
     if not isinstance(doc, dict) or doc.get("format") != SPEC_FORMAT:
         raise SystemFormatError(f"{path}: not a path-spec file")
     try:
@@ -702,6 +809,6 @@ def load_path_spec(path) -> EuclideanPathSpec:
             v0=np.asarray(doc["v0"], dtype=float),
             offsets=tuple(np.asarray(a, dtype=float) for a in doc["offsets"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemFormatError(f"{path}: {exc}") from exc
 

@@ -116,6 +116,51 @@ def row_reduction_rank(vectors, tol: float = 1e-10) -> int:
     return rank
 
 
+def scalar_trace_oracle(system, labels, spec, x0=None, t0: float = 0.0):
+    """Per-path reference for the stacked collision kernel: the collision
+    quadratic solved one collision at a time in scalar arithmetic, from
+    position ``x0`` (default the origin) at time ``t0``.
+
+    Returns ``(times, normals, min_incidence)`` for a path that traces, or
+    ``(error class, step)`` for the first collision it fails at.
+    """
+    from cylbill.config import DISC, T_MIN_GAP
+    from cylbill.paths import NoRealRoot, NonAdvancing, Tangential
+
+    x = np.zeros(system.dim) if x0 is None else np.asarray(x0, dtype=float)
+    v = np.asarray(spec.v0, dtype=float).copy()
+    t = t0
+    times, normals = [], []
+    min_inc = 1.0
+    for j, lab in enumerate(labels):
+        basis = system.base_space(lab).basis
+        r = system.cylinders[lab].radius
+        w = basis.T @ x - spec.offsets[j]
+        u = basis.T @ v
+        uu = float(u @ u)
+        if uu < 1e-24:
+            return NoRealRoot, j
+        wu = float(w @ u)
+        disc = wu * wu - uu * (float(w @ w) - r * r)
+        guard = DISC * uu * r * r
+        if disc < -guard:
+            return NoRealRoot, j
+        if disc < guard:
+            return Tangential, j
+        s = (-wu - np.sqrt(disc)) / uu
+        if s <= T_MIN_GAP:
+            return NonAdvancing, j
+        t += s
+        x = x + s * v
+        n_local = (w + s * u) / r
+        n = basis @ (n_local / np.linalg.norm(n_local))
+        min_inc = min(min_inc, abs(float(v @ n)))
+        v = v - 2.0 * float(v @ n) * n
+        times.append(t)
+        normals.append(n)
+    return np.array(times), np.array(normals).reshape(-1, system.dim), min_inc
+
+
 def oracle_path_times(system, labels, spec, n_grid: int = 1_000_000,
                       chunk: float = 1.0, max_chunks: int = 64):
     """Independent collision-time oracle: dense time stepping + bisection.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cylbill
-from cylbill import config, fileio, geometry
+from cylbill import config, fileio, geometry, paths
 from cylbill.cli import main
 from cylbill.model import load_system, save_system
 from cylbill.paths import save_sigma
@@ -58,6 +58,34 @@ class TestBuild:
         assert code == 0
         assert '"transitive": false' in text
         assert "splitting_witness" in text
+
+    @pytest.mark.parametrize("missing", ["bases", "block_dims", "radii"])
+    def test_directsum_missing_key_validation_error(self, tmp_path, capsys,
+                                                    missing):
+        params = {
+            "block_dims": [2, 2],
+            "bases": [[[1.0, 0, 0, 0], [0, 1.0, 0, 0]],
+                      [[0, 0, 1.0, 0], [0, 0, 0, 1.0]]],
+            "radii": [0.3, 0.3],
+        }
+        del params[missing]
+        path = tmp_path / "params.json"
+        fileio.dump(params, path)
+        code, _, err = run(capsys, "build", "directsum", "--params",
+                           str(path), "--out", str(tmp_path / "ds.json"))
+        assert code == 2
+        assert err.startswith("validation failure:")
+        assert repr(missing) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_directsum_malformed_params_validation_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "params.json"
+        path.write_text("{broken")
+        code, _, err = run(capsys, "build", "directsum", "--params",
+                           str(path), "--out", str(tmp_path / "ds.json"))
+        assert code == 2
+        assert err.startswith("validation failure:")
 
     def test_subbilliard(self, tmp_path, capsys, hardball_file):
         out = tmp_path / "sub.json"
@@ -157,6 +185,32 @@ class TestDeltaRich:
         assert code1 == code2 == 0
         assert strip_timestamp(text1) == strip_timestamp(text2)
         assert text1.splitlines()[1].startswith("# generated:")
+
+    def test_delta_reports_rejected_work(self, capsys, tmp_path,
+                                         sphere_file):
+        sig = tmp_path / "sigma.json"
+        save_sigma([0], sig)
+        code, text, _ = run(capsys, "delta", "--system", str(sphere_file),
+                            "--sigma", str(sig), "--samples", "20",
+                            "--seed", "11")
+        assert code == 0
+        body = fileio.loads("".join(line for line in text.splitlines(True)
+                                    if not line.startswith("#")))
+        assert tuple(sorted(body["rejected"])) == tuple(sorted(
+            paths.REJECTION_REASONS))
+        assert body["n_attempts"] == \
+            sum(body["rejected"].values()) + body["n_success"]
+        assert "# summary: candidates:" in text
+
+    def test_malformed_sigma_validation_error(self, capsys, tmp_path,
+                                              sphere_file):
+        sig = tmp_path / "sigma.json"
+        sig.write_text("{broken")
+        code, _, err = run(capsys, "delta", "--system", str(sphere_file),
+                           "--sigma", str(sig), "--samples", "5",
+                           "--seed", "1")
+        assert code == 2
+        assert err.startswith("validation failure:")
 
     def test_empty_sigma_usage_error(self, capsys, tmp_path, sphere_file):
         sig = tmp_path / "sigma.json"

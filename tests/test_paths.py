@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cylbill import paths
+from cylbill import builders, paths
+from cylbill.config import FD_INCIDENCE
 from cylbill.geometry import (
     Subspace,
     containment_residual,
@@ -13,10 +14,13 @@ from cylbill.paths import (
     NoRealRoot,
     NonAdvancing,
     NoValidPath,
+    PerturbationFailure,
+    REJECTION_REASONS,
     Tangential,
     TraceError,
     delta_sigma,
     delta_sigma_constrained,
+    delta_sigma_report,
     dvm_matrix,
     is_rich,
     load_path_spec,
@@ -41,6 +45,7 @@ from conftest import (
     oracle_path_times,
     random_int_system,
     sample_traceable_spec,
+    scalar_trace_oracle,
 )
 
 
@@ -396,6 +401,225 @@ class TestDelta:
             delta_sigma(system, [0], 3, seed=1, box_scale=1e-7)
 
 
+def hard_balls(n: int, r: float):
+    return builders.hard_ball_system(
+        builders.HardBallParams(n, 2, (1.0,) * n, r))[0]
+
+
+class TestStackedKernel:
+    """The stacked collision kernel against the scalar per-path oracle."""
+
+    @staticmethod
+    def grazing_spec(system, labels, rng):
+        """A path tangent to its first cylinder: the offset puts the axis
+        at distance exactly r from the line of flight, at time 1."""
+        basis = system.base_space(labels[0]).basis
+        r = system.cylinders[labels[0]].radius
+        v0 = unit(rng.standard_normal(system.dim))
+        u = basis.T @ v0
+        perp = np.array([-u[1], u[0]]) / np.linalg.norm(u)
+        offsets = [u + r * perp] + [np.zeros(basis.shape[1])
+                                    for _ in labels[1:]]
+        return EuclideanPathSpec(v0, offsets)
+
+    @staticmethod
+    def axial_spec(system, labels):
+        """A velocity along the first cylinder's axis (no root)."""
+        axis = system.generator_space(labels[0]).basis[:, 0]
+        return EuclideanPathSpec(
+            unit(axis), [np.ones(system.base_space(lab).dim)
+                         for lab in labels])
+
+    @pytest.mark.parametrize("n_balls,r,seed", [
+        (3, 0.15, 1), (3, 0.15, 2), (5, 0.05, 3), (5, 0.05, 4),
+    ])
+    def test_matches_scalar_oracle(self, n_balls, r, seed):
+        from cylbill import torusflow
+
+        system = hard_balls(n_balls, r)
+        rng = np.random.default_rng(seed)
+        # a real collision sequence and its path, unfolded from the flow
+        record = torusflow.flow(system, torusflow.random_phase(system, rng),
+                                max_collisions=4)
+        labels, base = torusflow.unfold_to_path(record, system)
+        specs = [base]
+        for scale in np.geomspace(1e-6, 1.0, 150):
+            v0 = unit(base.v0 + scale * rng.standard_normal(system.dim))
+            specs.append(EuclideanPathSpec(v0, [
+                a + scale * rng.standard_normal(a.shape[0])
+                for a in base.offsets]))
+        specs += [sample_spec(system, labels, rng) for _ in range(100)]
+        specs += [self.grazing_spec(system, labels, rng) for _ in range(5)]
+        specs.append(self.axial_spec(system, labels))
+        stack = paths._collide(
+            paths._view(system, labels), np.array([s.v0 for s in specs]),
+            np.array([np.concatenate(s.offsets) for s in specs]))
+        seen = set()
+        for i, spec in enumerate(specs):
+            want = scalar_trace_oracle(system, labels, spec)
+            if len(want) == 2:
+                cls, step = want
+                seen.add(cls)
+                got = stack.error(i) if stack.status[i] else None
+                assert type(got) is cls and got.step == step, (i, got)
+                with pytest.raises(cls) as info:
+                    trace(system, labels, spec)
+                assert info.value.step == step
+                continue
+            times, normals, min_inc = want
+            seen.add("traced")
+            assert stack.status[i] == 0 and stack.step[i] == -1
+            # Each collision agrees with the scalar quadratic restarted from
+            # the kernel's own state before it.
+            for j, lab in enumerate(labels):
+                x = stack.points[i, j - 1] if j else np.zeros(system.dim)
+                t = stack.times[i, j - 1] if j else 0.0
+                one = EuclideanPathSpec(stack.velocities[i, j],
+                                        [spec.offsets[j]])
+                t1, n1, _ = scalar_trace_oracle(system, [lab], one, x, t)
+                assert abs(stack.times[i, j] - t1[0]) <= 1e-12
+                assert np.max(np.abs(stack.normals[i, j] - n1[0])) <= 1e-12
+            # Whole paths: the sums are ordered differently, and each
+            # dispersing collision amplifies the last-bit differences.
+            assert np.max(np.abs(stack.times[i] - times)) <= 1e-9
+            assert np.max(np.abs(stack.normals[i] - normals)) <= 1e-9
+            assert abs(stack.min_incidence[i] - min_inc) <= 1e-9
+            # the one-row case may round differently from a tall stack
+            res = trace(system, labels, spec)
+            assert np.max(np.abs(res.times - stack.times[i])) <= 1e-9
+            assert np.max(np.abs(res.final_velocity
+                                 - stack.velocities[i, -1])) <= 1e-9
+        assert seen == {"traced", NoRealRoot, Tangential, NonAdvancing}
+
+
+def one_candidate_delta(system, labels, n_samples, seed):
+    """Reference sampler: one candidate at a time, at most 64 per sample,
+    each rejected candidate classified by the scalar oracle."""
+    reasons = {NoRealRoot: "miss", Tangential: "graze",
+               NonAdvancing: "non_advancing"}
+    rejected = dict.fromkeys(REJECTION_REASONS, 0)
+    dims, failed = [], 0
+    for child in np.random.SeedSequence(seed).spawn(n_samples):
+        rng = np.random.default_rng(child)
+        for _ in range(64):
+            spec = sample_spec(system, labels, rng)
+            traced = scalar_trace_oracle(system, labels, spec)
+            if len(traced) == 2:
+                rejected[reasons[traced[0]]] += 1
+                continue
+            if traced[2] < FD_INCIDENCE:
+                rejected["incidence_floor"] += 1
+                continue
+            try:
+                dims.append(w_plus(system, labels, spec).dim)
+            except (TraceError, PerturbationFailure):
+                rejected["fd_quality"] += 1
+                continue
+            break
+        else:
+            failed += 1
+    return dims, failed, rejected
+
+
+class TestBlockScreening:
+    @pytest.mark.parametrize("name,labels,seed,reasons", [
+        ("sphere2", [0], 3, {"miss", "non_advancing"}),
+        ("sphere3", [0], 4, {"miss", "non_advancing"}),
+        ("blocks", [0, 0], 5, {"miss", "non_advancing", "incidence_floor",
+                               "fd_quality"}),
+        ("hb3", [0, 1], 6, {"miss", "non_advancing", "incidence_floor"}),
+    ])
+    def test_matches_one_candidate_sampler(self, name, labels, seed,
+                                           reasons):
+        system = {
+            "sphere2": lambda: make_sphere_system(2, 0.5, np.zeros(2)),
+            "sphere3": lambda: make_sphere_system(3, 0.5, np.zeros(3)),
+            "blocks": make_two_block_system,
+            "hb3": lambda: hard_balls(3, 0.15),
+        }[name]()
+        report = delta_sigma_report(system, labels, 30, seed)
+        dims, failed, rejected = one_candidate_delta(system, labels, 30, seed)
+        assert report.sample_dims == dims
+        assert report.n_failed_samples == failed
+        assert report.rejected == rejected
+        assert report.n_attempts == sum(rejected.values()) + len(dims)
+        assert {k for k, v in rejected.items() if v} == reasons
+
+    def test_sample_spec_draws_match_per_collision_calls(self):
+        system = hard_balls(3, 0.15)
+        labels = [0, 1, 2, 0]
+        box = 3.0 * max(c.radius for c in system.cylinders)
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(20):
+            spec = sample_spec(system, labels, a)
+            v0 = b.standard_normal(system.dim)
+            v0 /= np.linalg.norm(v0)
+            assert np.array_equal(spec.v0, v0)
+            for off, lab in zip(spec.offsets, labels):
+                want = b.uniform(-box, box, size=system.base_space(lab).dim)
+                assert np.array_equal(off, want)
+
+    def test_block_draws_equal_sample_spec_draws(self):
+        system = hard_balls(3, 0.15)
+        labels = [0, 1]
+        box = 3.0 * max(c.radius for c in system.cylinders)
+        drawn = []
+
+        def draw(rng, view):
+            v0, row = paths._draw(rng, view.d, view.width, box)
+            drawn.append((v0.copy(), row.copy()))
+            return v0, row
+
+        report = paths._delta_scan(system, labels, 12, 21, draw)
+        assert report.n_success > 0 and report.n_failed_samples > 0
+        ends = set(np.cumsum(paths._SCREEN_BLOCKS).tolist())
+        pos = 0
+        for child in np.random.SeedSequence(21).spawn(12):
+            rng = np.random.default_rng(child)
+            count = 0
+            while pos < len(drawn):
+                spec = sample_spec(system, labels, rng)
+                v0, row = drawn[pos]
+                if not np.array_equal(spec.v0, v0):
+                    break
+                assert np.array_equal(np.concatenate(spec.offsets), row)
+                pos += 1
+                count += 1
+            assert count in ends
+        assert pos == len(drawn)
+
+    @pytest.mark.parametrize("labels,seed,value,n_success,failed", [
+        ([0, 1, 2], 3, 3, 10, 90),
+        ([0, 1, 2], 8, 3, 2, 98),
+        ([0, 1, 2, 0], 6, 3, 1, 99),
+        ([0, 1, 2, 0], 8, 3, 2, 98),
+    ])
+    def test_reports_pinned_from_one_candidate_sampler(
+            self, labels, seed, value, n_success, failed):
+        # recorded from the sampler that traced one candidate at a time
+        report = delta_sigma_report(hard_balls(3, 0.15), labels, 100, seed)
+        assert report.value == value
+        assert report.n_success == n_success
+        assert report.n_failed_samples == failed
+        assert report.sample_dims == [3] * n_success
+        assert report.n_attempts == \
+            sum(report.rejected.values()) + report.n_success
+        assert report.n_attempts >= 64 * failed + n_success
+
+    def test_pinned_no_valid_path(self):
+        with pytest.raises(NoValidPath):
+            delta_sigma_report(hard_balls(3, 0.15), [0, 1, 2, 0], 100, 0)
+
+    def test_attempts_are_rejections_plus_successes(self):
+        system = hard_balls(3, 0.15)
+        for labels in ([0, 1], [0, 1, 2]):
+            report = delta_sigma_report(system, labels, 40, seed=5)
+            assert tuple(report.rejected) == REJECTION_REASONS
+            assert report.n_attempts == \
+                sum(report.rejected.values()) + report.n_success
+            assert report.n_attempts <= 64 * 40
+
+
 class TestReachabilityMatch:
     """Small translations of all cylinders and independent per-cylinder
     translations reach the same nearby final velocities."""
@@ -475,6 +699,18 @@ class TestFiles:
         assert np.array_equal(back.v0, spec.v0)
         assert all(np.array_equal(a, b)
                    for a, b in zip(back.offsets, spec.offsets))
+
+    def test_malformed_files_are_format_errors(self, tmp_path):
+        from cylbill.model import SystemFormatError
+
+        p = tmp_path / "bad.json"
+        p.write_text("{broken")
+        for load in (load_sigma, load_path_spec):
+            with pytest.raises(SystemFormatError):
+                load(p)
+        p.write_text('{"format": "cylbill-sigma", "labels": [[1]]}\n')
+        with pytest.raises(SystemFormatError):
+            load_sigma(p)
 
     def test_sigma_rejects_junk(self, tmp_path):
         p = tmp_path / "bad.json"
