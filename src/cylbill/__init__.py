@@ -56,17 +56,14 @@ from .paths import (
     EuclideanPathSpec,
     delta_sigma,
     delta_sigma_constrained,
-    dvm_matrix,
     is_rich,
     neutral_space,
     phi_map,
     sample_spec,
-    theta_rank,
     trace,
     translate_all,
     translate_each,
     w_plus,
-    w_plus_tilde,
 )
 
 __version__ = "0.1.0"

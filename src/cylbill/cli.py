@@ -45,7 +45,6 @@ def _run_info(seed=None) -> dict:
             "rank_rel": config.RANK_REL,
             "disc": config.DISC,
             "t_min_gap": config.T_MIN_GAP,
-            "fd_step": config.FD_STEP,
         },
     }
     if seed is not None:
@@ -222,9 +221,7 @@ def _delta_body(args):
     system = _load_valid_system(args.system)
     labels = paths.load_sigma(args.sigma)
     report = paths.delta_sigma_report(
-        system, labels, n_samples=args.samples, seed=args.seed,
-        box_scale=args.box_scale,
-    )
+        system, labels, n_samples=args.samples, seed=args.seed)
     body = {
         "system": args.system,
         "sigma": args.sigma,
@@ -238,6 +235,7 @@ def _delta_body(args):
         "sample_dims": report.sample_dims,
         "n_attempts": report.n_attempts,
         "rejected": report.rejected,
+        "advance_range": list(report.advance_range),
         "constrained_manifold_dim": paths.constrained_manifold_dim(system,
                                                                    labels),
         "run": _run_info(seed=args.seed),
@@ -412,7 +410,6 @@ def build_parser() -> _Parser:
         p.add_argument("--sigma", required=True)
         p.add_argument("--samples", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--box-scale", type=float, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=fn)
 
@@ -461,7 +458,7 @@ def main(argv=None) -> int:
             builders.BuilderError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (paths.NoValidPath, paths.PerturbationFailure, paths.TraceError,
+    except (paths.NoValidPath, paths.TraceError,
             builders.FactorLatticeError, flow.FlowError) as exc:
         print(f"numerical-degeneracy abort: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY

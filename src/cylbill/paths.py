@@ -1,24 +1,22 @@
-"""Straight-line collision paths and their perturbation diagnostics.
+"""Straight-line collision paths and their expanding and neutral spaces.
 
 A path starts at the origin with a unit velocity and reflects off a
 prescribed sequence of translated cylinders; each collision time is the
-smaller root of a quadratic in the base-space coordinates.  Everything
-else in this module differentiates that map: how the final velocity moves
-under uniform cylinder translations (one matrix whose column space /
-kernel are the expanding / neutral directions), under independent
-per-cylinder translations, and how large the expanding part can get over
-random paths with the same collision sequence.
+smaller root of a quadratic in the base-space coordinates.  The rest of the
+module asks how a parallel beam around such a path spreads: which uniform
+cylinder translations leave every collision normal unchanged (the neutral
+space), which final-velocity directions the others reach (the expanding
+space), and how large the expanding part gets over random paths with the
+same collision sequence.
 
 The quadratic has one implementation, ``_collide``, which traces a stack
 of N paths (N initial velocities, N rows of concatenated offsets) and
-reports per row how far it got and why it failed.  ``trace`` is its
-one-row case; each finite-difference matrix traces its base path and all
-its probes as one stack; and the δ sampler screens each sample's random
-candidates in stacked blocks, so the derivative runs only on candidates
-that trace clear of the incidence floor.
-
-Derivatives are central finite differences with step ``config.FD_STEP``;
-ranks of FD matrices use the looser cutoff ``config.FD_RANK_REL``.
+reports per row how far it got and why it failed; ``trace`` is its
+one-row case.  The neutral space is exact: a chain of linear constraints
+built from the path's own velocities, one block per collision, decided by
+one SVD with the package's ``RANK_REL`` cutoff.  The δ sampler builds each
+path forward from random velocities, advances and normals, so every draw
+that clears the kernel's guards is a valid path, and nothing is traced.
 """
 
 from __future__ import annotations
@@ -29,15 +27,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import DISC, FD_INCIDENCE, FD_RANK_REL, FD_STEP, T_MIN_GAP
+from .config import DISC, RANK_REL, T_MIN_GAP
 from .geometry import (
     Subspace,
-    column_space,
     complement,
     intersect,
     null_space,
     orthonormalize,
-    projector_distance,
 )
 
 __all__ = [
@@ -47,25 +43,21 @@ __all__ = [
     "NoRealRoot",
     "Tangential",
     "NonAdvancing",
-    "PerturbationFailure",
     "NoValidPath",
     "trace",
     "translate_all",
     "translate_each",
     "phi_map",
-    "dvm_matrix",
+    "apply_reflections",
     "w_plus",
-    "w_plus_tilde",
     "neutral_space",
-    "neutral_space_detail",
-    "theta_rank",
-    "theta_full_rank",
     "delta_sigma",
     "delta_sigma_constrained",
     "delta_sigma_report",
     "is_rich",
     "sample_spec",
     "REJECTION_REASONS",
+    "ADVANCE_RANGE",
     "sequence_generator_intersection",
     "constrained_manifold_dim",
 ]
@@ -91,12 +83,8 @@ class NonAdvancing(TraceError):
     pass
 
 
-class PerturbationFailure(RuntimeError):
-    """A finite-difference probe left the set of valid paths."""
-
-
 class NoValidPath(RuntimeError):
-    """No sampled path traced successfully."""
+    """Every sample of a δ sampler failed to give a valid path."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +118,13 @@ class EuclideanPathSpec:
 
 @dataclass(eq=False)
 class EuclideanPathResult:
-    """Collision times, points, velocity history, and unit normals.
+    """Collision times, velocity history, and unit normals.
 
     ``min_incidence`` is the smallest |<v, n>| over the collisions: how far
     the path stays from grazing.
     """
 
     times: np.ndarray        # (m,) strictly increasing, positive
-    points: np.ndarray      # (m, d)
     velocities: np.ndarray  # (m+1, d) unit rows, index 0 = initial
     normals: np.ndarray     # (m, d) unit rows, each inside its base space
     min_incidence: float = 1.0
@@ -207,11 +194,11 @@ _FAILURES = {
 
 @dataclass(eq=False)
 class _Stack:
-    """N paths traced together.  A failed row is NaN from its failing
-    collision on, and its ``min_incidence`` is NaN."""
+    """N paths traced (or built) together.  A failed row's
+    ``min_incidence`` is NaN; in a traced stack the whole row is NaN from
+    its failing collision on."""
 
     times: np.ndarray          # (N, m)
-    points: np.ndarray         # (N, m, d)
     velocities: np.ndarray     # (N, m+1, d)
     normals: np.ndarray        # (N, m, d)
     min_incidence: np.ndarray  # (N,)
@@ -239,7 +226,6 @@ def _collide(view: _SequenceView, v0s: np.ndarray,
     n, d = v0s.shape
     m = len(view.labels)
     times = np.full((n, m), np.nan)
-    points = np.full((n, m, d), np.nan)
     vels = np.full((n, m + 1, d), np.nan)
     normals = np.full((n, m, d), np.nan)
     status = np.zeros(n, dtype=np.intp)
@@ -285,10 +271,9 @@ def _collide(view: _SequenceView, v0s: np.ndarray,
             inc = np.minimum(inc, np.abs(vn))
             v = v - 2.0 * vn[:, None] * nrm
             times[:, j] = t
-            points[:, j] = x
             normals[:, j] = nrm
             vels[:, j + 1] = v
-    return _Stack(times=times, points=points, velocities=vels,
+    return _Stack(times=times, velocities=vels,
                   normals=normals, min_incidence=inc, status=status,
                   step=step)
 
@@ -304,8 +289,8 @@ def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
     if stack.status[0]:
         raise stack.error(0)
     return EuclideanPathResult(
-        times=stack.times[0], points=stack.points[0],
-        velocities=stack.velocities[0], normals=stack.normals[0],
+        times=stack.times[0], velocities=stack.velocities[0],
+        normals=stack.normals[0],
         min_incidence=float(stack.min_incidence[0]))
 
 
@@ -369,198 +354,74 @@ def apply_reflections(vectors, normals) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference derivatives of the final velocity
+# The neutral space: an exact chain of constraints
 # ---------------------------------------------------------------------------
 
 
-def _require_clear_of_tangency(min_incidence: float) -> None:
-    if min_incidence < FD_INCIDENCE:
-        raise PerturbationFailure(
-            f"collision incidence {min_incidence:.2e} below the "
-            f"finite-difference floor {FD_INCIDENCE:.2e}"
-        )
+def _constraint_stack(view: _SequenceView,
+                      velocities: np.ndarray) -> np.ndarray:
+    """(N, Σν, d) stack of neutrality constraints on a uniform displacement
+    ``w`` of N paths, given their velocity histories (N, m+1, d).
+
+    Displace a path by ``w``.  It meets cylinder j with the same normal iff
+    ``B_jᵀ w_{j-1}`` lies in ``span(u_j)``, ``u_j = B_jᵀ v_{j-1}``: the
+    displaced path then reaches the same base-space point
+    ``μ_j = ⟨u_j, B_jᵀ w_{j-1}⟩ / |u_j|²`` time units earlier, and, up to a
+    shift along the flow, carries on the displacement
+    ``w_j = w_{j-1} − μ_j v_{j-1}``, which lies in cylinder j's axis space
+    and so is fixed by the reflection.  With ``w_{j-1} = M_{j-1} w``, block
+    j holds the rows ``(I − û_j û_jᵀ) B_jᵀ M_{j-1}``; the neutral space is
+    the kernel of the whole stack, and it depends on the velocities alone.
+    """
+    n, _, d = velocities.shape
+    rows = np.empty((n, view.width, d))
+    chain = np.broadcast_to(np.eye(d), (n, d, d))     # M_{j-1}
+    for j, (basis, cols) in enumerate(zip(view.bases, view.cols)):
+        v = velocities[:, j]
+        u = v @ basis
+        norm = np.sqrt(np.vecdot(u, u))[:, None, None]
+        u_hat = u[:, :, None] / norm                  # (N, ν, 1)
+        projected = basis.T @ chain                   # B_jᵀ M_{j-1}
+        along = u_hat.transpose(0, 2, 1) @ projected  # û_jᵀ B_jᵀ M_{j-1}
+        rows[:, cols] = projected - u_hat * along
+        chain = chain - v[:, :, None] * (along / norm)
+    return rows
 
 
-def _check_fd_quality(mat: np.ndarray, v_final: np.ndarray,
-                      tol: float = 1e-6) -> None:
-    """Columns of a final-velocity derivative must be tangent to the unit
-    sphere at the final velocity.  A violation means the finite differences
-    straddled a tangency and the matrix is garbage."""
-    if mat.size == 0:
-        return
-    scale = np.maximum(1.0, np.linalg.norm(mat, axis=0))
-    if np.max(np.abs(v_final @ mat) / scale) > tol:
-        raise PerturbationFailure(
-            "derivative columns are not tangent to the velocity sphere; "
-            "path too close to tangency for finite differences"
-        )
+def _expanding_dims(view: _SequenceView,
+                    velocities: np.ndarray) -> np.ndarray:
+    """dim W⁺ = d − dim N per path: the rank of its constraint stack, all
+    paths decided by one SVD with the ``RANK_REL`` cutoff."""
+    if not view.width:
+        return np.zeros(velocities.shape[0], dtype=np.intp)
+    s = np.linalg.svd(_constraint_stack(view, velocities), compute_uv=False)
+    return np.count_nonzero(s >= RANK_REL * s[:, :1], axis=1) * (s[:, 0] > 0)
 
 
-def _probe(view: _SequenceView, v0s, offsets, what: str) -> _Stack:
-    """Trace a base path (row 0) and its finite-difference probes as one
-    stack.  The base must clear the incidence floor and every row must
-    trace, else ``PerturbationFailure``."""
-    stack = _collide(view, np.asarray(v0s, dtype=float),
-                     np.asarray(offsets, dtype=float))
-    _require_clear_of_tangency(stack.min_incidence[0])   # NaN if it failed
-    failed = np.flatnonzero(stack.status)
-    if failed.size:
-        exc = stack.error(failed[0])
-        raise PerturbationFailure(
-            f"{what} probe failed ({exc}); path too close to tangency"
-        ) from exc
-    return stack
-
-
-def _offset_differences(view: _SequenceView, spec: EuclideanPathSpec,
-                        shift: np.ndarray, what: str) -> np.ndarray:
-    """d x k matrix of central differences of the final velocity, column i
-    for moving the offset row by ``shift[i]`` (one probe step)."""
-    row = _offset_row(spec.offsets)
-    k = shift.shape[0]
-    stack = _probe(view, np.tile(spec.v0, (2 * k + 1, 1)),
-                   np.vstack([row, row + shift, row - shift]), what)
-    vf = stack.velocities[:, -1]
-    mat = (vf[1:k + 1] - vf[k + 1:]).T / (2.0 * FD_STEP)
-    _check_fd_quality(mat, vf[0])
-    return mat
-
-
-def dvm_matrix(system, labels, spec: EuclideanPathSpec) -> np.ndarray:
-    """d x d matrix of final-velocity derivatives under uniform cylinder
-    translations along the coordinate axes (central differences)."""
-    view = _view(system, labels)
-    _check_spec(view, spec)
-    # row i: the offsets of every cylinder moved by h e_i
-    shift = FD_STEP * np.hstack([np.zeros((view.d, 0))] + view.bases)
-    return _offset_differences(view, spec, shift, "translation")
-
-
-def _each_matrix(system, labels, spec) -> np.ndarray:
-    """d x (sum of base dims) matrix: final-velocity derivatives under
-    independent per-cylinder translations along base coordinates."""
-    view = _view(system, labels)
-    _check_spec(view, spec)
-    return _offset_differences(view, spec, FD_STEP * np.eye(view.width),
-                               "per-cylinder")
-
-
-def w_plus(system, labels, spec: EuclideanPathSpec) -> Subspace:
-    """Span of final-velocity derivatives under uniform translations: the
-    expanding directions of an initially parallel beam."""
-    return column_space(dvm_matrix(system, labels, spec),
-                        rel_tol=FD_RANK_REL)
-
-
-def w_plus_tilde(system, labels, spec: EuclideanPathSpec) -> Subspace:
-    """Span of final-velocity derivatives under independent per-cylinder
-    translations; contains (and in fact equals) the uniform-translation
-    span."""
-    return column_space(_each_matrix(system, labels, spec),
-                        rel_tol=FD_RANK_REL)
-
-
-@dataclass(eq=False)
-class NeutralSpaceReport:
-    kernel: Subspace
-    pushed_complement: Subspace
-    residual: float
-
-
-def neutral_space_detail(system, labels,
-                         spec: EuclideanPathSpec) -> NeutralSpaceReport:
-    """Neutral directions two ways: kernel of the derivative matrix, and the
-    orthocomplement of the expanding span pulled back through the
-    reflections in reverse order.  Their projector distance is reported."""
+def _neutral(system, labels, spec: EuclideanPathSpec):
+    """The exact neutral space of a path that traces, and its normals."""
     res = trace(system, labels, spec)
-    mat = dvm_matrix(system, labels, spec)
-    kernel = null_space(mat, rel_tol=FD_RANK_REL)
-    wp = column_space(mat, rel_tol=FD_RANK_REL)
-    comp = complement(wp)
-    if comp.dim:
-        pulled = apply_reflections(comp.basis, res.normals[::-1])
-        pushed = orthonormalize(pulled.T, ambient_dim=comp.ambient_dim)
-    else:
-        pushed = comp
-    return NeutralSpaceReport(
-        kernel=kernel,
-        pushed_complement=pushed,
-        residual=projector_distance(kernel, pushed),
-    )
+    view = _view(system, labels)
+    if not view.width:
+        return Subspace.full(view.d), res.normals
+    stack = _constraint_stack(view, res.velocities[None])
+    return null_space(stack[0]), res.normals
 
 
 def neutral_space(system, labels, spec: EuclideanPathSpec) -> Subspace:
-    """Directions of uniform cylinder translation that leave the final
-    velocity unchanged."""
-    return neutral_space_detail(system, labels, spec).kernel
+    """Directions of uniform cylinder translation that leave every
+    collision normal, and so the final velocity, unchanged."""
+    return _neutral(system, labels, spec)[0]
 
 
-# ---------------------------------------------------------------------------
-# Rank of the path -> (velocity; normals) map
-# ---------------------------------------------------------------------------
-
-
-def _tangent_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit vector v."""
-    d = v.shape[0]
-    return complement(Subspace(d, v.reshape(d, 1))).basis
-
-
-def theta_full_rank(system, labels) -> int:
-    """Target rank: sphere dimension plus one projective dimension per
-    collision."""
-    view = _view(system, labels)
-    return (view.d - 1) + sum(nu - 1 for nu in view.dims)
-
-
-def theta_rank(system, labels, spec: EuclideanPathSpec) -> int:
-    """FD rank of the map (initial velocity, offsets) -> (initial velocity,
-    collision normals), in local charts.  Full value means the collision
-    normals can be perturbed independently and arbitrarily."""
-    view = _view(system, labels)
-    _check_spec(view, spec)
-    d = view.d
-    m = spec.m
-    if m == 0:
-        return d - 1
-    h = FD_STEP
-    v0_tan = _tangent_basis(spec.v0)
-    row = _offset_row(spec.offsets)
-    k = row.shape[0]
-    # rows: the base; the initial velocity moved on the sphere, + then -
-    # along each tangent direction; each offset coordinate moved, + then -
-    v0s = [spec.v0]
-    for i in range(d - 1):
-        for sign in (1.0, -1.0):
-            v = spec.v0 + sign * h * v0_tan[:, i]
-            v0s.append(v / np.linalg.norm(v))
-    v0s.extend([spec.v0] * (2 * k))
-    steps = np.repeat(h * np.eye(k), 2, axis=0)
-    steps[1::2] *= -1.0
-    stack = _probe(view, v0s,
-                   np.vstack([np.tile(row, (2 * d - 1, 1)), row + steps]),
-                   "chart")
-
-    normal_charts = []
-    for j in range(m):
-        b = view.bases[j]
-        n_local = b.T @ stack.normals[0, j]
-        n_local /= np.linalg.norm(n_local)
-        loc = complement(Subspace(view.dims[j], n_local.reshape(-1, 1))).basis
-        normal_charts.append(b @ loc)   # ambient directions tangent to the normal
-
-    coords = np.array([
-        np.concatenate([v0_tan.T @ v0]
-                       + [normal_charts[j].T @ stack.normals[i, j]
-                          for j in range(m)])
-        for i, v0 in enumerate(v0s)
-    ])
-    jac = (coords[1::2] - coords[2::2]).T / (2.0 * h)
-    assert jac.shape[0] == (d - 1) + sum(nu - 1 for nu in view.dims)
-    s = np.linalg.svd(jac, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= FD_RANK_REL * s[0]))
+def w_plus(system, labels, spec: EuclideanPathSpec) -> Subspace:
+    """Expanding directions of an initially parallel beam: the orthogonal
+    complement of the neutral space carried through the path's
+    reflections, of dimension d - dim N."""
+    neutral, normals = _neutral(system, labels, spec)
+    reflected = apply_reflections(neutral.basis, normals)
+    return complement(orthonormalize(reflected.T,
+                                     ambient_dim=neutral.ambient_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -603,41 +464,42 @@ def _draw(rng: np.random.Generator, d: int, width: int,
 def sample_spec(system, labels, rng: np.random.Generator,
                 box_scale: float | None = None) -> EuclideanPathSpec:
     """Random path data: uniform unit initial velocity, offsets uniform in a
-    per-base-space coordinate box."""
+    per-base-space coordinate box.  Most such paths do not trace."""
     view = _view(system, labels)
     v0, row = _draw(rng, view.d, view.width, _box(system, box_scale))
     return _spec(view, v0, row)
 
 
-REJECTION_REASONS = ("miss", "graze", "non_advancing", "incidence_floor",
-                     "fd_quality")
-"""Why the sampler rejected a candidate, in the order of its checks: the
-path misses a cylinder (or runs along its axis), grazes one, does not
-advance, comes closer to tangency than ``FD_INCIDENCE``, or its
-finite-difference matrix failed (a probe left the valid paths, or the
-columns are not tangent to the velocity sphere)."""
-# Screen codes: 0 accepted, k rejected for REJECTION_REASONS[k - 1]; codes
-# 1-3 are the kernel's own failure statuses.
-_INCIDENCE_FLOOR, _FD_QUALITY = 4, 5
+REJECTION_REASONS = ("miss", "graze", "non_advancing")
+"""Why a sampled path failed, in the order of the collision kernel's
+checks: it misses a cylinder or runs along its axis, grazes one (its
+discriminant within the ``DISC`` guard), or does not advance beyond
+``T_MIN_GAP``.  Index k is the failure status k + 1."""
 
-# Candidates a sample screens per stacked kernel call, 64 in all.  A block
-# costs one kernel call plus one draw per candidate, and the draws past a
-# sample's accepted candidate are wasted, so blocks grow: a system that
-# accepts often (a d=2 sphere accepts about one candidate in seven) ends
-# about half of its samples in the first block, and one that rejects
-# almost every candidate (hard-ball sequences of length 3 or more) pays
-# three calls per sample.
+ADVANCE_RANGE = (T_MIN_GAP, 1.0)
+"""Interval of the uniform advance before each collision of a path the δ
+sampler builds; reports record it.  The neutral space depends on the
+velocities alone, so the advances only place the cylinders."""
+
+# Candidates a constrained sample screens per stacked kernel call, 64 in
+# all.  A block costs one kernel call plus one draw per candidate, and the
+# draws past a sample's first traced candidate are wasted, so blocks grow:
+# a system that traces often ends most samples in the first block, and one
+# that rarely does pays three calls per sample.
 _SCREEN_BLOCKS = (4, 12, 48)
 
 
 @dataclass
 class DeltaReport:
-    """Outcome of the expanding-dimension sampler.
+    """Outcome of an expanding-dimension sampler.
 
-    ``n_attempts`` counts the candidates examined up to each sample's
-    accepted one (all 64 for a failed sample); ``rejected`` splits the
-    rejected ones by reason, so ``n_attempts == sum(rejected.values()) +
-    n_success``.
+    ``n_attempts`` counts the candidate paths examined: one per sample for
+    the constructive sampler, and for the constrained screen the
+    candidates up to each sample's first traced one (all 64 for a failed
+    sample).  ``rejected`` splits the failed candidates by reason, so
+    ``n_attempts == sum(rejected.values()) + n_success``.
+    ``advance_range`` is the constructive sampler's ``ADVANCE_RANGE``
+    (None for the constrained screen, which draws no advances).
     """
 
     value: int
@@ -648,85 +510,156 @@ class DeltaReport:
     sample_dims: list[int]
     n_attempts: int
     rejected: dict[str, int]
+    advance_range: tuple[float, float] | None = None
 
     @property
     def rich(self) -> bool:
         return self.value == self.d - 1
 
 
-def _delta_scan(system, labels, n_samples: int, seed: int,
-                draw) -> DeltaReport:
-    """Sample ``n_samples`` paths, each from its own child stream of
-    ``seed``; ``draw(rng, view)`` gives one candidate as (v0, offset row).
-
-    A sample's candidates are drawn in blocks and traced as one stack;
-    ``w_plus`` runs, in draw order, only on candidates that traced clear of
-    the incidence floor, and the first that succeeds is the sample.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    view = _view(system, labels)
-    d = view.d
-    bound = d - 1 - sequence_generator_intersection(system, labels).dim
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-    dims: list[int] = []
-    failed = 0
-    attempts = 0
-    outcomes = np.zeros(len(REJECTION_REASONS) + 1, dtype=np.int64)
-    for child in children:
-        rng = np.random.default_rng(child)
-        got = None
-        for size in _SCREEN_BLOCKS:
-            v0s = np.empty((size, d))
-            rows = np.empty((size, view.width))
-            for i in range(size):
-                v0s[i], rows[i] = draw(rng, view)
-            stack = _collide(view, v0s, rows)
-            code = np.where(stack.min_incidence < FD_INCIDENCE,
-                            _INCIDENCE_FLOOR, stack.status)
-            tried = size
-            for i in np.flatnonzero(code == 0):
-                try:
-                    wp = w_plus(system, labels, _spec(view, v0s[i], rows[i]))
-                except (TraceError, PerturbationFailure):
-                    code[i] = _FD_QUALITY
-                    continue
-                got = wp.dim
-                tried = i + 1       # later candidates were never needed
-                break
-            attempts += tried
-            outcomes += np.bincount(code[:tried], minlength=outcomes.size)
-            if got is not None:
-                break
-        if got is None:
-            failed += 1
-        else:
-            dims.append(got)
-    if not dims:
+def _report(system, labels, view: _SequenceView, velocities: np.ndarray,
+            n_samples: int, codes: np.ndarray,
+            advance_range=None) -> DeltaReport:
+    """Report over the accepted paths' velocity histories; ``codes`` holds
+    the status of every candidate examined."""
+    if not len(velocities):
         raise NoValidPath(
             f"all {n_samples} samples failed to produce a valid path"
         )
-    return DeltaReport(value=max(dims), d=d, bound=bound,
-                       n_success=len(dims), n_failed_samples=failed,
-                       sample_dims=dims, n_attempts=int(attempts),
+    dims = _expanding_dims(view, velocities).tolist()
+    counts = np.bincount(codes, minlength=len(REJECTION_REASONS) + 1)
+    bound = view.d - 1 - sequence_generator_intersection(system, labels).dim
+    return DeltaReport(value=max(dims), d=view.d, bound=bound,
+                       n_success=len(dims),
+                       n_failed_samples=n_samples - len(dims),
+                       sample_dims=dims, n_attempts=int(codes.size),
                        rejected={reason: int(c) for reason, c
-                                 in zip(REJECTION_REASONS, outcomes[1:])})
+                                 in zip(REJECTION_REASONS, counts[1:])},
+                       advance_range=advance_range)
 
 
-def delta_sigma_report(system, labels, n_samples: int, seed: int,
-                       box_scale: float | None = None) -> DeltaReport:
-    box = _box(system, box_scale)
-    return _delta_scan(system, labels, n_samples, seed,
-                       lambda rng, view: _draw(rng, view.d, view.width, box))
+def _construct(view: _SequenceView, v0s: np.ndarray, advances: np.ndarray,
+               normals: np.ndarray) -> tuple[_Stack, np.ndarray]:
+    """Build N paths forward: row i starts at the origin with unit velocity
+    ``v0s[i]``, flies ``advances[i, j]`` to collision j and meets cylinder j
+    there with the unit base normal along ``normals[i]``'s columns for j,
+    turned to face the incoming velocity.  Returns the paths as a stack
+    and the offset rows that place the cylinders, ``B_jᵀ x_j − r_j n_j``.
+
+    An inward normal makes the contact the smaller root of the collision
+    quadratic, whose discriminant is ``r²(u·n)²``, so the kernel's guards
+    become checks on the drawn values: a row fails at the first collision
+    where ``|u|² < 1e-24`` (miss), ``(u·n)² < DISC |u|²`` (graze) or the
+    advance is not above ``T_MIN_GAP`` (non_advancing).
+    """
+    n, d = v0s.shape
+    m = len(view.labels)
+    vels = np.empty((n, m + 1, d))
+    nrms = np.empty((n, m, d))
+    offsets = np.empty((n, view.width))
+    status = np.zeros(n, dtype=np.intp)
+    step = np.full(n, -1, dtype=np.intp)
+    inc = np.ones(n)
+    v = vels[:, 0] = v0s
+    x = np.zeros((n, d))
+    vecdot = np.vecdot
+    for j, (basis, r, cols) in enumerate(zip(view.bases, view.radii,
+                                             view.cols)):
+        u = v @ basis
+        n_local = normals[:, cols]
+        n_local = n_local / np.sqrt(vecdot(n_local, n_local))[:, None]
+        un = vecdot(u, n_local)
+        n_local[un > 0] *= -1.0         # face the incoming velocity
+        un = -np.abs(un)
+        uu = vecdot(u, u)
+        s = advances[:, j]
+        code = np.select([uu < 1e-24, un * un < DISC * uu, ~(s > T_MIN_GAP)],
+                         [_MISS, _GRAZE, _NON_ADVANCING], 0)
+        new = (code != 0) & (step < 0)
+        status[new] = code[new]
+        step[new] = j
+        x = x + s[:, None] * v
+        offsets[:, cols] = x @ basis - r * n_local
+        nrm = n_local @ basis.T
+        inc = np.minimum(inc, -un)
+        v = v - 2.0 * un[:, None] * nrm
+        nrms[:, j] = nrm
+        vels[:, j + 1] = v
+    inc[status != 0] = np.nan
+    return _Stack(times=np.cumsum(advances, axis=1), velocities=vels,
+                  normals=nrms, min_incidence=inc, status=status,
+                  step=step), offsets
 
 
-def delta_sigma(system, labels, n_samples: int, seed: int,
-                box_scale: float | None = None) -> int:
+def _free_draws(view: _SequenceView, n_samples: int, seed: int):
+    """The constructive sampler's draws: unit initial velocities, advances
+    uniform in ``ADVANCE_RANGE`` and unnormalized base normals, each
+    quantity one array from its own child stream of ``seed``, so that the
+    draws of k samples are a prefix of the draws of more."""
+    v_rng, s_rng, n_rng = (np.random.default_rng(child) for child
+                           in np.random.SeedSequence(seed).spawn(3))
+    v0s = v_rng.standard_normal((n_samples, view.d))
+    v0s /= np.sqrt(np.vecdot(v0s, v0s))[:, None]
+    advances = s_rng.uniform(*ADVANCE_RANGE,
+                             size=(n_samples, len(view.labels)))
+    return v0s, advances, n_rng.standard_normal((n_samples, view.width))
+
+
+def delta_sigma_report(system, labels, n_samples: int,
+                       seed: int) -> DeltaReport:
+    """Expanding dimension over ``n_samples`` paths with this collision
+    sequence, each built forward from random draws, so that every sample
+    is a valid path unless a draw breaks one of the kernel's guards."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    view = _view(system, labels)
+    stack, _ = _construct(view, *_free_draws(view, n_samples, seed))
+    return _report(system, labels, view,
+                   stack.velocities[stack.status == 0], n_samples,
+                   stack.status, ADVANCE_RANGE)
+
+
+def delta_sigma(system, labels, n_samples: int, seed: int) -> int:
     """Largest expanding dimension seen over sampled paths with this
     collision sequence.  Deterministic in ``seed``; monotone non-decreasing
     in ``n_samples`` for a fixed seed since samples extend prefix-stably."""
-    return delta_sigma_report(system, labels, n_samples, seed,
-                              box_scale).value
+    return delta_sigma_report(system, labels, n_samples, seed).value
+
+
+def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
+                        n_samples: int, seed: int,
+                        box_scale: float | None) -> DeltaReport:
+    """The sampler of ``delta_sigma_constrained``.  Each sample draws up to
+    64 candidates (a unit velocity and a translation uniform in the box)
+    from its own child stream of ``seed``, traces them in stacked blocks of
+    ``_SCREEN_BLOCKS`` and keeps the first that traces."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    trace(system, labels, base_spec)   # base path must exist
+    view = _view(system, labels)
+    box = _box(system, box_scale)
+    accepted, codes = [], []
+    for child in np.random.SeedSequence(seed).spawn(n_samples):
+        rng = np.random.default_rng(child)
+        for size in _SCREEN_BLOCKS:
+            v0s = np.empty((size, view.d))
+            rows = np.empty((size, view.width))
+            for i in range(size):
+                v0s[i], a = _draw(rng, view.d, view.d, box)
+                # the offsets of translate_all(base with v0, a)
+                rows[i] = _offset_row([off + b.T @ a for off, b
+                                       in zip(base_spec.offsets, view.bases)])
+            stack = _collide(view, v0s, rows)
+            traced = np.flatnonzero(stack.status == 0)
+            if traced.size:
+                codes.append(stack.status[:traced[0] + 1])
+                accepted.append(stack.velocities[traced[0]])
+                break
+            codes.append(stack.status)
+    return _report(system, labels, view,
+                   np.array(accepted).reshape(-1, len(view.labels) + 1,
+                                              view.d),
+                   n_samples, np.concatenate(codes))
 
 
 def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
@@ -735,24 +668,14 @@ def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
     """Largest expanding dimension over paths sharing the base path's
     relative cylinder positions: only the initial velocity and a uniform
     translation are varied."""
-    trace(system, labels, base_spec)   # base path must exist
-    box = _box(system, box_scale)
-
-    def draw(rng, view):
-        v0, a = _draw(rng, view.d, view.d, box)
-        # the offsets of translate_all(base with v0, a)
-        return v0, _offset_row([off + b.T @ a for off, b
-                                in zip(base_spec.offsets, view.bases)])
-
-    return _delta_scan(system, labels, n_samples, seed, draw).value
+    return _constrained_report(system, labels, base_spec, n_samples, seed,
+                               box_scale).value
 
 
-def is_rich(system, labels, n_samples: int, seed: int,
-            box_scale: float | None = None) -> bool:
+def is_rich(system, labels, n_samples: int, seed: int) -> bool:
     """Does the sequence generically expand a beam in every direction
     transverse to the motion (expanding dimension d - 1)?"""
-    return delta_sigma(system, labels, n_samples, seed, box_scale) \
-        == system.dim - 1
+    return delta_sigma(system, labels, n_samples, seed) == system.dim - 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import fd_oracle as fd
 from cylbill import builders, paths
 from cylbill import torusflow as tf
 from cylbill.classify import (
@@ -17,21 +18,22 @@ from cylbill.classify import (
     is_transitive,
     is_transverse,
 )
-from cylbill.geometry import Subspace, containment_residual, random_subspace
+from cylbill.geometry import (
+    Subspace,
+    containment_residual,
+    null_space,
+    random_subspace,
+)
 from cylbill.model import validate
 from cylbill.paths import (
     EuclideanPathSpec,
     NoValidPath,
-    PerturbationFailure,
-    TraceError,
     delta_sigma,
     delta_sigma_constrained,
-    neutral_space_detail,
-    sample_spec,
+    neutral_space,
     sequence_generator_intersection,
     trace,
     w_plus,
-    w_plus_tilde,
 )
 from conftest import (
     make_sphere_system,
@@ -108,8 +110,8 @@ def triple_stream(seed, kinds=("random", "sphere", "hardball2", "blocks"),
             continue
         if require_fd:
             try:
-                paths.dvm_matrix(system, labels, spec)
-            except (TraceError, PerturbationFailure):
+                fd.dvm_matrix(system, labels, spec)
+            except fd.PerturbationFailure:
                 continue
         yield system, labels, spec
 
@@ -276,9 +278,11 @@ def test_criterion_04_path_engine_vs_oracle():
 
 def test_criterion_05_expanding_span_two_routes():
     """Uniform-translation and per-cylinder-translation derivative spans
-    have equal dimension on 100 seeded triples.  Projector containment at
-    1e-8 is additionally asserted wherever the derivative magnitude keeps
-    finite-difference angular noise below that scale."""
+    (finite differences, from the test oracle) have equal dimension on 100
+    seeded triples, and the exact expanding span has that dimension too.
+    Projector containment at 1e-8 is additionally asserted between the two
+    finite-difference spans wherever the derivative magnitude keeps their
+    angular noise below that scale."""
     t0 = time.time()
     stream = triple_stream(505, require_fd=True)
     agree = 0
@@ -287,10 +291,10 @@ def test_criterion_05_expanding_span_two_routes():
     total = 100
     for _ in range(total):
         system, labels, spec = next(stream)
-        mat = paths.dvm_matrix(system, labels, spec)
-        wp = w_plus(system, labels, spec)
-        wpt = w_plus_tilde(system, labels, spec)
-        if wp.dim == wpt.dim:
+        mat = fd.dvm_matrix(system, labels, spec)
+        wp = fd.w_plus(system, labels, spec)
+        wpt = fd.w_plus_tilde(system, labels, spec)
+        if wp.dim == wpt.dim == w_plus(system, labels, spec).dim:
             agree += 1
         if np.linalg.norm(mat, 2) <= 100.0:
             containment_checked += 1
@@ -299,7 +303,7 @@ def test_criterion_05_expanding_span_two_routes():
     elapsed = time.time() - t0
     ok = agree == total and contained == containment_checked
     report(5, "expanding span, two derivative routes", ok,
-           f"{agree}/{total} equal dims; containment < 1e-8 on "
+           f"{agree}/{total} equal dims (exact too); containment < 1e-8 on "
            f"{contained}/{containment_checked} moderate-amplification "
            f"samples, {elapsed:.1f}s")
     assert ok
@@ -308,7 +312,8 @@ def test_criterion_05_expanding_span_two_routes():
 def test_criterion_06_neutral_space_complement():
     """Neutral directions pushed through the reflections are orthogonal to
     the expanding span (residual < 1e-6) and dimensions add to d, on 50
-    seeded triples."""
+    seeded triples (finite differences, from the test oracle); the exact
+    neutral space and expanding span have the oracle's dimensions."""
     t0 = time.time()
     stream = triple_stream(606, require_fd=True)
     checked = 0
@@ -316,11 +321,13 @@ def test_criterion_06_neutral_space_complement():
     while checked < 50:
         system, labels, spec = next(stream)
         try:
-            rep = neutral_space_detail(system, labels, spec)
-            wp = w_plus(system, labels, spec)
-        except PerturbationFailure:
+            rep = fd.neutral_space_detail(system, labels, spec)
+            wp = fd.w_plus(system, labels, spec)
+        except fd.PerturbationFailure:
             continue
         assert rep.kernel.dim + wp.dim == system.dim
+        assert neutral_space(system, labels, spec).dim == rep.kernel.dim
+        assert w_plus(system, labels, spec).dim == wp.dim
         res = trace(system, labels, spec)
         if rep.kernel.dim and wp.dim:
             pushed = paths.apply_reflections(rep.kernel.basis, res.normals)
@@ -329,9 +336,31 @@ def test_criterion_06_neutral_space_complement():
     elapsed = time.time() - t0
     ok = worst < 1e-6
     report(6, "neutral space complements expanding span", ok,
-           f"50 triples: dim split exact, max pushed-overlap {worst:.2e} "
-           f"(< 1e-6), {elapsed:.1f}s")
+           f"50 triples: dim split exact, exact dims equal, max "
+           f"pushed-overlap {worst:.2e} (< 1e-6), {elapsed:.1f}s")
     assert ok
+
+
+@pytest.mark.parametrize("seed,count,require_fd", [
+    (505, 100, True), (606, 50, True), (808, 100, False),
+], ids=["criterion05", "criterion06", "criterion08"])
+def test_exact_chain_dims_equal_fd_oracle(seed, count, require_fd):
+    """On the first triples of the criterion 05, 06 and 08 streams, the
+    exact neutral space and expanding span have the dimensions of the
+    finite-difference oracle's kernel and column space."""
+    stream = triple_stream(seed, require_fd=require_fd)
+    compared = 0
+    for _ in range(count):
+        system, labels, spec = next(stream)
+        try:
+            mat = fd.dvm_matrix(system, labels, spec)
+        except fd.PerturbationFailure:
+            continue
+        fd_kernel = null_space(mat, rel_tol=fd.FD_RANK_REL)
+        assert neutral_space(system, labels, spec).dim == fd_kernel.dim
+        assert w_plus(system, labels, spec).dim == system.dim - fd_kernel.dim
+        compared += 1
+    assert compared >= 0.9 * count
 
 
 def test_criterion_07_constrained_dimension_equality():

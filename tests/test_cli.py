@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +202,34 @@ class TestDeltaRich:
             paths.REJECTION_REASONS))
         assert body["n_attempts"] == \
             sum(body["rejected"].values()) + body["n_success"]
+        assert body["advance_range"] == list(paths.ADVANCE_RANGE)
         assert "# summary: candidates:" in text
+
+    def test_box_scale_flag_is_gone(self, capsys, tmp_path, sphere_file):
+        sig = tmp_path / "sigma.json"
+        save_sigma([0], sig)
+        code, _, err = run(capsys, "delta", "--system", str(sphere_file),
+                           "--sigma", str(sig), "--samples", "5",
+                           "--seed", "1", "--box-scale", "1.0")
+        assert code == 4
+        assert err.startswith("usage error: ")
+
+    def test_rich_long_hard_ball_sequence(self, capsys, tmp_path):
+        # every cylinder of 5 hard balls in the 2-torus, d = 8
+        system = tmp_path / "hb5.json"
+        code, _, err = run(capsys, "build", "hardball", "--n", "5",
+                           "--nu", "2", "--masses", "1,1,1,1,1",
+                           "--r", "0.05", "--out", str(system))
+        assert code == 0, err
+        sig = tmp_path / "sigma.json"
+        save_sigma(list(range(10)) + [0, 4], sig)
+        code, text, _ = run(capsys, "rich", "--system", str(system),
+                            "--sigma", str(sig), "--samples", "20",
+                            "--seed", "5")
+        assert code == 0
+        body = report_body(text)
+        assert body["delta"] == body["full_target"] == 7
+        assert body["n_success"] == body["n_attempts"] == 20
 
     def test_malformed_sigma_validation_error(self, capsys, tmp_path,
                                               sphere_file):
@@ -289,16 +318,16 @@ class TestSizeLimitExit:
 
 
 class TestDegeneracyExit:
-    def test_no_valid_path_exits_3(self, capsys, tmp_path):
-        p = tmp_path / "micro.json"
-        save_system(make_sphere_system(2, r=1e-6, center=np.zeros(2)), p)
-        sig = tmp_path / "sigma.json"
-        save_sigma([0], sig)
-        code, _, err = run(capsys, "delta", "--system", str(p),
-                           "--sigma", str(sig), "--samples", "3",
-                           "--seed", "1", "--box-scale", "1e-7")
+    def test_grazing_flow_exits_3(self, capsys, tmp_path):
+        # the line x = 0.2 touches the scatterer of radius 0.3 at (0.5, 0.5)
+        p = tmp_path / "sinai.json"
+        save_system(make_sphere_system(2, r=0.3), p)
+        code, text, _ = run(capsys, "simulate", "--system", str(p),
+                            "--q", "0.2,0", "--v", "0,1",
+                            "--collisions", "5",
+                            "--out", str(tmp_path / "traj.json"))
         assert code == 3
-        assert "degeneracy" in err
+        assert report_body(text)["flags"]["tangential_encountered"]
 
 
 class TestTypedArgumentFailures:
@@ -343,7 +372,6 @@ class TestOneToleranceSource:
             "rank_rel": config.RANK_REL,
             "disc": config.DISC,
             "t_min_gap": config.T_MIN_GAP,
-            "fd_step": config.FD_STEP,
         }
 
 
@@ -358,6 +386,18 @@ def test_tolerances_defined_only_in_config():
              if mod is not config
              for name, value in vars(mod).items()
              if "TOL" in name and isinstance(value, float)]
+    assert stray == []
+
+
+def test_no_finite_difference_names_in_package():
+    # derivatives are exact; the finite-difference route is a test oracle
+    stray = []
+    for mod in package_modules():
+        source = Path(mod.__file__).read_text()
+        stray += [f"{mod.__name__}: {name}"
+                  for name in sorted(set(re.findall(r"\bFD_\w*", source)))]
+    stray += [f"{mod.__name__}.{name}" for mod in package_modules()
+              for name in vars(mod) if name.startswith("FD_")]
     assert stray == []
 
 
