@@ -11,6 +11,7 @@ from .builders import (
     project_zero_momentum,
     sub_billiard,
 )
+from .errors import DegeneracyError, InputError, UsageError
 from .classify import (
     SplittingWitness,
     commutant_dimension,

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 import numpy as np
 
 from . import intlat
 from .classify import non_orthogonality_graph
+from .errors import DegeneracyError, InputError
 from .geometry import (
     Lattice,
     Subspace,
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-class BuilderError(ValueError):
+class BuilderError(InputError, ValueError):
     pass
 
 
@@ -59,7 +60,7 @@ class NotDirectSumError(BuilderError):
     """Supplied base spaces do not decompose the space as a direct sum."""
 
 
-class FactorLatticeError(RuntimeError):
+class FactorLatticeError(DegeneracyError, RuntimeError):
     """The shared axis directions failed the lattice-subspace verification."""
 
 
@@ -85,10 +86,10 @@ class HardBallParams:
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if len(self.masses) != self.n_balls:
             raise BuilderError("one mass per ball required")
-        if any(m <= 0 for m in self.masses):
-            raise BuilderError("masses must be positive")
-        if self.radius <= 0:
-            raise BuilderError("ball radius must be positive")
+        if not all(isfinite(m) and m > 0 for m in self.masses):
+            raise BuilderError("masses must be finite and positive")
+        if not (isfinite(self.radius) and self.radius > 0):
+            raise BuilderError("ball radius must be finite and positive")
 
 
 def pair_radius(m_i: float, m_j: float, r: float) -> float:

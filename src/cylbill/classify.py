@@ -23,6 +23,7 @@ import networkx as nx
 import numpy as np
 
 from .config import OVERLAP
+from .errors import UsageError
 from .geometry import (
     Subspace,
     complement,
@@ -31,6 +32,8 @@ from .geometry import (
     span_of,
     subspace_overlap,
 )
+
+MAX_TRANSVERSE_CYLINDERS = 24
 
 __all__ = [
     "SplittingWitness",
@@ -45,7 +48,7 @@ __all__ = [
 ]
 
 
-class EnumerationGuardError(RuntimeError):
+class EnumerationGuardError(UsageError, RuntimeError):
     """Subset enumeration refused: too many cylinders for an exact answer."""
 
 
@@ -193,7 +196,7 @@ def _subset_spans_lex(k: int):
     yield from rec((), 0)
 
 
-def is_transverse(system, max_enumeration: int = 24):
+def is_transverse(system):
     """Check every splittable sub-collection for a transversal cylinder.
 
     For each subset of cylinder indices whose base spaces admit a
@@ -201,13 +204,14 @@ def is_transverse(system, max_enumeration: int = 24):
     at the origin.  Returns ``(True, None)`` or ``(False, subset)`` with
     the lexicographically smallest violating subset.  The per-span test is
     memoized on a rounded projector fingerprint, since it depends on the
-    subset only through its span.
+    subset only through its span.  More than ``MAX_TRANSVERSE_CYLINDERS``
+    cylinders (2^k subsets) raise ``EnumerationGuardError``.
     """
     k = system.k
-    if k > max_enumeration:
+    if k > MAX_TRANSVERSE_CYLINDERS:
         raise EnumerationGuardError(
-            f"{k} cylinders exceed the enumeration guard ({max_enumeration}); "
-            "refusing a partial answer"
+            f"{k} cylinders exceed the enumeration guard "
+            f"({MAX_TRANSVERSE_CYLINDERS}); refusing a partial answer"
         )
     d = system.dim
     bases = [system.base_space(i) for i in range(k)]

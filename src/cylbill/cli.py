@@ -4,7 +4,8 @@ Reports are machine-readable JSON bodies between a header (whose timestamp
 line is the only nondeterministic byte) and human summary footer lines.
 Exit codes: 0 success, 1 negative verdict (``rich`` only), 2 validation
 failure, 3 numerical-degeneracy abort, 4 usage error (including a system
-too large for a stated size limit).
+too large for a stated size limit).  A failure's exit code is that of its
+base in ``cylbill.errors``.
 """
 
 from __future__ import annotations
@@ -17,21 +18,14 @@ import numpy as np
 
 from . import builders, classify, config, fileio, model, paths
 from . import torusflow as flow
-from .geometry import LatticeLimitError, orthonormalize
+from .errors import DegeneracyError, InputError, UsageError
+from .geometry import orthonormalize
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_VALIDATION = 2
 EXIT_DEGENERACY = 3
 EXIT_USAGE = 4
-
-
-class UsageError(Exception):
-    pass
-
-
-class ValidationFailure(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,15 +66,18 @@ def _load_valid_system(path):
     system = model.load_system(path)
     report = model.validate(system)
     if not report.ok:
-        raise ValidationFailure(f"{path}:\n{report}")
+        raise InputError(f"{path}:\n{report}")
     return system
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        vec = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UsageError(f"cannot parse vector {text!r}") from exc
+    if not np.isfinite(vec).all():
+        raise UsageError(f"vector {text!r} has a non-finite component")
+    return vec
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -101,9 +98,7 @@ def cmd_classify(args) -> int:
     transitive, witness = classify.is_transitive(bases, ambient_dim=system.dim)
     commutant = classify.commutant_dimension(bases) \
         if all(b.dim >= 2 for b in bases) else None
-    transverse, counterexample = classify.is_transverse(
-        system, max_enumeration=args.max_subsets
-    )
+    transverse, counterexample = classify.is_transverse(system)
     graph = classify.non_orthogonality_graph(bases)
     import networkx as nx
 
@@ -208,7 +203,7 @@ def cmd_build(args) -> int:
         raise UsageError(f"unknown build kind {args.kind!r}")
     report = model.validate(system)
     if not report.ok:
-        raise ValidationFailure(f"built system failed validation:\n{report}")
+        raise InputError(f"built system failed validation:\n{report}")
     model.save_system(system, args.out)
     body = {"out": args.out, "dim": system.dim, "run": _run_info()}
     body.update(extra)
@@ -386,7 +381,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="transitivity / transverseness report")
     p.add_argument("--system", required=True)
-    p.add_argument("--max-subsets", type=int, default=24)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
@@ -454,18 +448,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (model.SystemFormatError, ValidationFailure,
-            builders.BuilderError) as exc:
+    except InputError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (paths.NoValidPath, paths.TraceError,
-            builders.FactorLatticeError, flow.FlowError) as exc:
+    except DegeneracyError as exc:
         print(f"numerical-degeneracy abort: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except (UsageError, classify.EnumerationGuardError, LatticeLimitError,
-            ValueError, OSError) as exc:
-        # a ValueError here is an argument the library refused; the file
-        # errors, also ValueErrors, are caught above
+    except (UsageError, ValueError, OSError) as exc:
+        # a bare ValueError is an argument the library refused, an
+        # OSError an unreadable path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

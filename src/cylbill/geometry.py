@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DROP, RANK_REL
+from .errors import UsageError
 
 MAX_BALL_CANDIDATES = 4_000_000
 MAX_LLL_STEPS = 100_000
@@ -39,11 +40,11 @@ __all__ = [
 ]
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(UsageError, ValueError):
     """Inputs do not share one ambient dimension."""
 
 
-class LatticeLimitError(RuntimeError):
+class LatticeLimitError(UsageError, RuntimeError):
     """A lattice computation would exceed one of its stated size limits
     (``MAX_BALL_CANDIDATES``, ``MAX_LLL_STEPS``)."""
 

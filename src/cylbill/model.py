@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio, intlat
+from .errors import InputError
 from .geometry import Lattice, Subspace, complement, orthonormalize
 
 __all__ = [
@@ -33,7 +34,7 @@ FORMAT_NAME = "cylbill-system"
 FORMAT_VERSION = 1
 
 
-class SystemFormatError(ValueError):
+class SystemFormatError(InputError, ValueError):
     """A system file failed to parse or carry the required fields."""
 
 

@@ -28,6 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import DISC, RANK_REL, T_MIN_GAP
+from .errors import DegeneracyError
 from .geometry import (
     Subspace,
     complement,
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 
-class TraceError(RuntimeError):
+class TraceError(DegeneracyError, RuntimeError):
     """A path with the requested collision sequence does not exist here."""
 
     def __init__(self, step: int, message: str):
@@ -83,7 +84,7 @@ class NonAdvancing(TraceError):
     pass
 
 
-class NoValidPath(RuntimeError):
+class NoValidPath(DegeneracyError, RuntimeError):
     """Every sample of a δ sampler failed to give a valid path."""
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from . import intlat
 from .classify import SplittingWitness, count_transitive_blocks, is_transitive
 from .config import DISC, T_MIN_GAP
+from .errors import DegeneracyError
 from .geometry import Lattice, Subspace, complement
 from .paths import EuclideanPathSpec
 
@@ -56,7 +57,7 @@ __all__ = [
 CASCADE_CAP = 1_000_000
 
 
-class FlowError(RuntimeError):
+class FlowError(DegeneracyError, RuntimeError):
     pass
 
 
@@ -346,6 +347,11 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
     """
     if max_collisions is None and max_time is None:
         raise ValueError("need a stop condition (max_collisions or max_time)")
+    # NaN fails every comparison, so it is refused here too
+    if max_time is not None and not 0 <= max_time < math.inf:
+        raise ValueError(f"max_time must be finite and >= 0, not {max_time}")
+    if max_collisions is not None and max_collisions < 0:
+        raise ValueError(f"max_collisions must be >= 0, not {max_collisions}")
     view = _flow_view(system)
     q0, _ = system.lattice.wrap(phase.q)
     initial = PhasePoint(q0.copy(), phase.v.copy())
@@ -507,8 +513,11 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     discarded and the shadow is re-seeded; more than 20% discarded windows
     marks the estimate unreliable.
     """
-    if total_t <= 0 or renorm_dt <= 0:
-        raise ValueError("total_t and renorm_dt must be positive")
+    # NaN fails every comparison, so it is refused here too
+    if not (0 < total_t < math.inf and 0 < renorm_dt < math.inf
+            and total_t / renorm_dt < math.inf):
+        raise ValueError("total_t and renorm_dt must be finite and positive, "
+                         "with a finite ratio")
     if not 0 < d0 <= 1e-8:
         raise ValueError("d0 must lie in (0, 1e-8]")
     view = _flow_view(system)
@@ -620,6 +629,8 @@ def splitting_scan(system, n_orbits: int, n_collisions: int,
                    seed: int) -> SplittingScanResult:
     """Fraction of random orbits (fixed collision count) whose collision
     set respects some orthogonal splitting."""
+    if n_orbits < 1 or n_collisions < 1:
+        raise ValueError("n_orbits and n_collisions must be >= 1")
     children = np.random.SeedSequence(seed).spawn(n_orbits)
     hits = 0
     degenerate = 0
@@ -633,7 +644,7 @@ def splitting_scan(system, n_orbits: int, n_collisions: int,
         if detect_splitting(record, system) is not None:
             hits += 1
     return SplittingScanResult(
-        fraction=hits / n_orbits if n_orbits else 0.0,
+        fraction=hits / n_orbits,
         n_orbits=n_orbits,
         n_with_witness=hits,
         n_degenerate=degenerate,

@@ -1,14 +1,19 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cylbill
-from cylbill import config, fileio, geometry, paths
+from cylbill import builders, classify, cli, config, fileio, geometry, paths
+from cylbill import torusflow as tf
 from cylbill.cli import main
+from cylbill.errors import DegeneracyError, InputError, UsageError
 from cylbill.model import load_system, save_system
 from cylbill.paths import save_sigma
 from conftest import make_sphere_system, make_two_block_system
@@ -350,6 +355,168 @@ class TestTypedArgumentFailures:
         assert code == 4
         assert err.count("\n") == 1
         assert err.startswith("usage error: ")
+
+
+EXIT_OF_BASE = {InputError: 2, DegeneracyError: 3, UsageError: 4}
+STDERR_PREFIX = {2: "validation failure: ", 3: "numerical-degeneracy abort: ",
+                 4: "usage error: "}
+
+
+def documented_exit(exc: BaseException) -> int:
+    """The exit code of a library error: its base's, or 4 for a bare
+    ``ValueError`` (a refused argument) or ``OSError`` (an unreadable path)."""
+    codes = [code for base, code in EXIT_OF_BASE.items()
+             if isinstance(exc, base)]
+    if not codes and isinstance(exc, (ValueError, OSError)):
+        codes = [4]
+    assert len(codes) == 1, f"{type(exc).__name__}: exit codes {codes}"
+    return codes[0]
+
+
+def _sinai(files):
+    return cylbill.load_system(files["sinai"])
+
+
+def _phase(q, v):
+    return tf.PhasePoint(cli._parse_vector(q), cli._parse_vector(v))
+
+
+def _flow(files, q="0,0.5", v="0.6,0.8", **stop):
+    return tf.flow(_sinai(files), _phase(q, v), **stop)
+
+
+def _lyapunov(files, q="0,0.5", v="0.6,0.8", total_t=10.0, renorm_dt=1.0):
+    return tf.lyapunov_max(_sinai(files), _phase(q, v), total_t=total_t,
+                           renorm_dt=renorm_dt, d0=1e-9, seed=1)
+
+
+HARDBALL = ("build", "hardball", "--n", "3", "--nu", "2", "--out", "{out}")
+SIMULATE = ("simulate", "--system", "{sinai}", "--out", "{out}")
+LYAPUNOV = ("lyapunov", "--system", "{sinai}", "--seed", "1")
+SCAN = ("splitting-scan", "--system", "{sinai}", "--seed", "1")
+NAN, INF = float("nan"), float("inf")
+
+# (argv, the library call that the command makes for that input)
+FAILING_COMMANDS = {
+    "classify-max-subsets-flag": (
+        ("classify", "--system", "{sinai}", "--max-subsets", "24"),
+        lambda f: cli.build_parser().parse_args(
+            ["classify", "--system", "x", "--max-subsets", "24"])),
+    "classify-enumeration-guard": (
+        ("classify", "--system", "{crowd}"),
+        lambda f: classify.is_transverse(cylbill.load_system(f["crowd"]))),
+    "classify-malformed-file": (
+        ("classify", "--system", "{broken}"),
+        lambda f: cylbill.load_system(f["broken"])),
+    "build-nan-mass": (
+        HARDBALL + ("--masses", "1,1,nan", "--r", "0.1"),
+        lambda f: builders.HardBallParams(3, 2, (1, 1, NAN), 0.1)),
+    "build-inf-mass": (
+        HARDBALL + ("--masses", "1,1,inf", "--r", "0.1"),
+        lambda f: builders.HardBallParams(3, 2, (1, 1, INF), 0.1)),
+    "build-nan-radius": (
+        HARDBALL + ("--masses", "1,1,1", "--r", "nan"),
+        lambda f: builders.HardBallParams(3, 2, (1, 1, 1), NAN)),
+    "delta-label-out-of-range": (
+        ("delta", "--system", "{sinai}", "--sigma", "{sigma5}",
+         "--samples", "5", "--seed", "1"),
+        lambda f: paths.delta_sigma_report(_sinai(f), [5], 5, 1)),
+    "rich-malformed-sigma": (
+        ("rich", "--system", "{sinai}", "--sigma", "{broken}",
+         "--samples", "5", "--seed", "1"),
+        lambda f: paths.load_sigma(f["broken"])),
+    "simulate-time-nan": (
+        SIMULATE + ("--q", "0,0.5", "--v", "0.6,0.8", "--time", "nan"),
+        lambda f: _flow(f, max_time=NAN)),
+    "simulate-time-inf": (
+        SIMULATE + ("--q", "0,0.5", "--v", "0.6,0.8", "--time", "inf"),
+        lambda f: _flow(f, max_time=INF)),
+    "simulate-negative-collisions": (
+        SIMULATE + ("--q", "0,0.5", "--v", "0.6,0.8", "--collisions", "-1"),
+        lambda f: _flow(f, max_collisions=-1)),
+    "simulate-nan-position": (
+        SIMULATE + ("--q", "nan,0.5", "--v", "0.6,0.8", "--collisions", "5"),
+        lambda f: _flow(f, q="nan,0.5", max_collisions=5)),
+    "simulate-start-inside": (
+        SIMULATE + ("--q", "0.5,0.5", "--v", "1,0", "--collisions", "5"),
+        lambda f: _flow(f, q="0.5,0.5", v="1,0", max_collisions=5)),
+    "lyapunov-total-time-inf": (
+        LYAPUNOV + ("--q", "0,0.5", "--v", "0.6,0.8", "--total-time", "inf"),
+        lambda f: _lyapunov(f, total_t=INF)),
+    "lyapunov-renorm-dt-nan": (
+        LYAPUNOV + ("--q", "0,0.5", "--v", "0.6,0.8", "--total-time", "10",
+                    "--renorm-dt", "nan"),
+        lambda f: _lyapunov(f, renorm_dt=NAN)),
+    "lyapunov-start-inside": (
+        LYAPUNOV + ("--q", "0.5,0.5", "--v", "1,0", "--total-time", "10"),
+        lambda f: _lyapunov(f, q="0.5,0.5", v="1,0")),
+    "splitting-scan-collisions-0": (
+        SCAN + ("--orbits", "3", "--collisions", "0"),
+        lambda f: tf.splitting_scan(_sinai(f), 3, 0, 1)),
+    "splitting-scan-orbits-0": (
+        SCAN + ("--orbits", "0", "--collisions", "5"),
+        lambda f: tf.splitting_scan(_sinai(f), 0, 5, 1)),
+}
+
+
+class TestFailureExitCodes:
+    @pytest.fixture
+    def files(self, tmp_path):
+        files = {name: tmp_path / f"{name}.json"
+                 for name in ("sinai", "crowd", "broken", "sigma5", "out")}
+        save_system(make_sphere_system(2, r=0.3), files["sinai"])
+        crowd = make_sphere_system(2, r=0.3)
+        crowd.cylinders = crowd.cylinders * 30
+        save_system(crowd, files["crowd"])
+        files["broken"].write_text("{broken")
+        save_sigma([5], files["sigma5"])
+        return files
+
+    def test_every_command_has_a_failing_case(self):
+        commands = next(action.choices for action
+                        in cli.build_parser()._actions
+                        if action.dest == "command")
+        assert {argv[0] for argv, _ in FAILING_COMMANDS.values()} \
+            == set(commands)
+
+    @pytest.mark.parametrize("case", sorted(FAILING_COMMANDS))
+    def test_exit_code_is_the_library_errors_base(self, capsys, files, case):
+        argv, library_call = FAILING_COMMANDS[case]
+        with pytest.raises(Exception) as raised:
+            library_call(files)
+        expected = documented_exit(raised.value)
+        argv = [a.format(**files) for a in argv]
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == expected
+        assert err.count("\n") == 1
+        assert err.startswith(STDERR_PREFIX[code])
+
+
+def test_every_package_error_has_exactly_one_base():
+    errors = [cls for mod in package_modules()
+              for _, cls in inspect.getmembers(mod, inspect.isclass)
+              if issubclass(cls, Exception) and cls.__module__ == mod.__name__]
+    assert {cls.__name__ for cls in errors} >= {
+        "SystemFormatError", "BuilderError", "TraceError", "NoValidPath",
+        "FlowError", "FactorLatticeError", "LatticeLimitError",
+        "EnumerationGuardError", "DimensionMismatch"}
+    stray = [f"{cls.__module__}.{cls.__name__}" for cls in errors
+             if sum(issubclass(cls, base) for base in EXIT_OF_BASE) != 1]
+    assert stray == []
+
+
+def test_cli_catches_only_the_three_bases():
+    assert not [name for name, value in vars(cli).items()
+                if inspect.isclass(value) and issubclass(value, Exception)
+                and value.__module__ == cli.__name__]
+    caught = {node.id for handler in ast.walk(ast.parse(
+                  inspect.getsource(cli.main)))
+              if isinstance(handler, ast.ExceptHandler)
+              for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+    assert caught == {"InputError", "DegeneracyError", "UsageError",
+                      "ValueError", "OSError"}
 
 
 def report_body(text: str) -> dict:
