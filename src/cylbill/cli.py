@@ -317,17 +317,20 @@ def cmd_lyapunov(args) -> int:
         system, phase,
         total_t=args.total_time,
         renorm_dt=args.renorm_dt,
-        d0=args.d0,
         seed=args.seed,
     )
     body = {
         "system": args.system,
         "estimate": result.estimate,
         "stderr": result.stderr if np.isfinite(result.stderr) else None,
+        "spectrum": result.spectrum,
         "n_windows": result.n_windows,
         "n_kept": len(result.window_logs),
         "discarded": result.discarded,
+        "discarded_by_reason": result.discarded_by_reason,
         "unreliable": result.unreliable,
+        "n_collisions": result.n_collisions,
+        "n_scans": result.n_scans,
         "window_logs": result.window_logs if args.dump_windows else None,
         "run": _run_info(seed=args.seed),
     }
@@ -335,6 +338,8 @@ def cmd_lyapunov(args) -> int:
         f"lyapunov estimate {result.estimate:.6g} "
         f"(stderr {result.stderr:.3g}, {len(result.window_logs)} windows, "
         f"{result.discarded} discarded)",
+        f"spectrum sum {sum(result.spectrum):.3g}, pairing residual "
+        f"{result.pairing_residual:.3g}",
         "UNRELIABLE (too many discarded windows)" if result.unreliable
         else "reliability: ok",
     ]
@@ -419,7 +424,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", default=None, help="also write a flat TSV")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("lyapunov", help="largest Lyapunov exponent estimate")
+    p = sub.add_parser("lyapunov", help="Lyapunov spectrum estimate")
     p.add_argument("--system", required=True)
     p.add_argument("--q", default=None)
     p.add_argument("--v", default=None)
@@ -427,7 +432,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--total-time", type=float, required=True)
     p.add_argument("--renorm-dt", type=float, default=1.0)
-    p.add_argument("--d0", type=float, default=1e-9)
     p.add_argument("--dump-windows", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lyapunov)

@@ -1,8 +1,8 @@
-"""Package-wide numerical tolerances, each defined once.
+"""Package-wide numerical tolerances, each defined once, and one work size.
 
-Every module reads these constants directly, and CLI reports record them
-under ``run.tolerances``, so a report states the values its computation
-used.
+Every module reads these constants directly, and CLI reports record the
+tolerances under ``run.tolerances``, so a report states the values its
+computation used.  The work size changes no result.
 """
 
 RANK_REL = 1e-8
@@ -24,3 +24,7 @@ OVERLAP = 1e-9
 """Subspace overlap (largest principal-angle cosine) and containment
 residual above which two subspaces count as non-orthogonal, or one as
 leaking out of the other."""
+
+SAMPLE_CHUNK = 1024
+"""Samples the constructive δ sampler builds and ranks at once, which
+bounds its memory; reports do not depend on it."""

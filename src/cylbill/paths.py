@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import DISC, RANK_REL, T_MIN_GAP
+from .config import DISC, RANK_REL, SAMPLE_CHUNK, T_MIN_GAP
 from .errors import DegeneracyError
 from .geometry import (
     Subspace,
@@ -518,16 +518,15 @@ class DeltaReport:
         return self.value == self.d - 1
 
 
-def _report(system, labels, view: _SequenceView, velocities: np.ndarray,
+def _report(system, labels, view: _SequenceView, dims: list[int],
             n_samples: int, codes: np.ndarray,
             advance_range=None) -> DeltaReport:
-    """Report over the accepted paths' velocity histories; ``codes`` holds
-    the status of every candidate examined."""
-    if not len(velocities):
+    """Report over the accepted paths' expanding dimensions; ``codes``
+    holds the status of every candidate examined."""
+    if not dims:
         raise NoValidPath(
             f"all {n_samples} samples failed to produce a valid path"
         )
-    dims = _expanding_dims(view, velocities).tolist()
     counts = np.bincount(codes, minlength=len(REJECTION_REASONS) + 1)
     bound = view.d - 1 - sequence_generator_intersection(system, labels).dim
     return DeltaReport(value=max(dims), d=view.d, bound=bound,
@@ -593,31 +592,40 @@ def _construct(view: _SequenceView, v0s: np.ndarray, advances: np.ndarray,
 
 
 def _free_draws(view: _SequenceView, n_samples: int, seed: int):
-    """The constructive sampler's draws: unit initial velocities, advances
-    uniform in ``ADVANCE_RANGE`` and unnormalized base normals, each
-    quantity one array from its own child stream of ``seed``, so that the
-    draws of k samples are a prefix of the draws of more."""
+    """The constructive sampler's draws, in chunks of ``SAMPLE_CHUNK``
+    samples: unit initial velocities, advances uniform in
+    ``ADVANCE_RANGE`` and unnormalized base normals.  Each quantity comes
+    from its own child stream of ``seed``, drawn chunk after chunk, so that
+    the draws of k samples are a prefix of the draws of more."""
     v_rng, s_rng, n_rng = (np.random.default_rng(child) for child
                            in np.random.SeedSequence(seed).spawn(3))
-    v0s = v_rng.standard_normal((n_samples, view.d))
-    v0s /= np.sqrt(np.vecdot(v0s, v0s))[:, None]
-    advances = s_rng.uniform(*ADVANCE_RANGE,
-                             size=(n_samples, len(view.labels)))
-    return v0s, advances, n_rng.standard_normal((n_samples, view.width))
+    for done in range(0, n_samples, SAMPLE_CHUNK):
+        n = min(SAMPLE_CHUNK, n_samples - done)
+        v0s = v_rng.standard_normal((n, view.d))
+        v0s /= np.sqrt(np.vecdot(v0s, v0s))[:, None]
+        advances = s_rng.uniform(*ADVANCE_RANGE, size=(n, len(view.labels)))
+        yield v0s, advances, n_rng.standard_normal((n, view.width))
 
 
 def delta_sigma_report(system, labels, n_samples: int,
                        seed: int) -> DeltaReport:
     """Expanding dimension over ``n_samples`` paths with this collision
     sequence, each built forward from random draws, so that every sample
-    is a valid path unless a draw breaks one of the kernel's guards."""
+    is a valid path unless a draw breaks one of the kernel's guards.  The
+    samples are built and ranked one chunk at a time, so only one chunk's
+    paths and constraint stacks are held at once."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     view = _view(system, labels)
-    stack, _ = _construct(view, *_free_draws(view, n_samples, seed))
-    return _report(system, labels, view,
-                   stack.velocities[stack.status == 0], n_samples,
-                   stack.status, ADVANCE_RANGE)
+    dims: list[int] = []
+    codes = []
+    for draws in _free_draws(view, n_samples, seed):
+        stack, _ = _construct(view, *draws)
+        dims += _expanding_dims(view,
+                                stack.velocities[stack.status == 0]).tolist()
+        codes.append(stack.status)
+    return _report(system, labels, view, dims, n_samples,
+                   np.concatenate(codes), ADVANCE_RANGE)
 
 
 def delta_sigma(system, labels, n_samples: int, seed: int) -> int:
@@ -657,10 +665,10 @@ def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
                 accepted.append(stack.velocities[traced[0]])
                 break
             codes.append(stack.status)
-    return _report(system, labels, view,
-                   np.array(accepted).reshape(-1, len(view.labels) + 1,
-                                              view.d),
-                   n_samples, np.concatenate(codes))
+    dims = _expanding_dims(view, np.array(accepted).reshape(
+        -1, len(view.labels) + 1, view.d)).tolist()
+    return _report(system, labels, view, dims, n_samples,
+                   np.concatenate(codes))
 
 
 def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,

@@ -29,7 +29,7 @@ import numpy as np
 from . import intlat
 from .classify import SplittingWitness, count_transitive_blocks, is_transitive
 from .config import DISC, T_MIN_GAP
-from .errors import DegeneracyError
+from .errors import DegeneracyError, UsageError
 from .geometry import Lattice, Subspace, complement
 from .paths import EuclideanPathSpec
 
@@ -41,12 +41,15 @@ __all__ = [
     "StartInside",
     "TangentialCollision",
     "SimultaneousCollision",
+    "WindowLimitError",
+    "MAX_LYAPUNOV_WINDOWS",
     "next_collision",
     "flow",
     "detect_splitting",
     "richness_certificate",
     "lyapunov_max",
     "LyapunovResult",
+    "DISCARD_REASONS",
     "splitting_scan",
     "SplittingScanResult",
     "random_phase",
@@ -55,6 +58,9 @@ __all__ = [
 ]
 
 CASCADE_CAP = 1_000_000
+MAX_LYAPUNOV_WINDOWS = 10**6
+"""Most renormalization windows one ``lyapunov_max`` call runs; a larger
+``round(total_t / renorm_dt)`` is refused before anything is flowed."""
 
 
 class FlowError(DegeneracyError, RuntimeError):
@@ -65,12 +71,29 @@ class StartInside(FlowError):
     """The phase point starts inside a scatterer."""
 
 
-class TangentialCollision(FlowError):
+class _SingularContact(FlowError):
+    """A singular encounter ``time`` after the scanned phase point;
+    ``reason`` names its kind among ``DISCARD_REASONS``."""
+
+    def __init__(self, message: str, time: float):
+        super().__init__(f"{message} at t={time:.6g}")
+        self.time = time
+
+
+class TangentialCollision(_SingularContact):
     """A grazing contact occurred before the first clean collision."""
 
+    reason = "tangential"
 
-class SimultaneousCollision(FlowError):
+
+class SimultaneousCollision(_SingularContact):
     """Two distinct contacts within ``T_MIN_GAP`` of each other."""
+
+    reason = "simultaneous"
+
+
+class WindowLimitError(UsageError, ValueError):
+    """A Lyapunov run asks for more than ``MAX_LYAPUNOV_WINDOWS`` windows."""
 
 
 @dataclass(eq=False)
@@ -231,20 +254,23 @@ def _assert_outside(view: _FlowView, q: np.ndarray, tol: float = 1e-9) -> None:
 
 
 def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
-                 t_window: float):
-    """Earliest admissible collision within ``t_window`` (at most
-    ``view.window``); None if there is none.  Returns (s, cylinder, image
-    ints, unit normal)."""
+                 start: float, t_window: float):
+    """Earliest admissible collision of the ray from ``q + start v`` within
+    ``t_window`` of that point (at most ``view.window``); None if there is
+    none.  Returns (s, cylinder, image ints, unit normal), with ``s`` and
+    the time of a singular contact measured from ``q`` and the image in
+    the frame of ``q``."""
     first = second = np.inf     # two earliest contacts over all images
     best = None                 # (i, b, w_hit) of the first
     graze_s = np.inf
+    origin = q + start * v
     for i, img in enumerate(view.images):
         r = img.radius
         u = img.basis.T @ v
         uu = float(u @ u)
         if uu < 1e-24:
             continue
-        w, shift = img.offsets(q)
+        w, shift = img.offsets(origin)
         wu = w @ u
         ww = np.einsum("ij,ij->i", w, w)
         disc = wu * wu - uu * (ww - r * r)
@@ -277,16 +303,15 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     if first <= t_window:
         i, b, w_hit = best
         if graze_s <= first + T_MIN_GAP:
-            raise TangentialCollision(f"grazing contact at t={graze_s:.6g}")
+            raise TangentialCollision("grazing contact", start + graze_s)
         if second - first < T_MIN_GAP:
-            raise SimultaneousCollision(
-                f"two contacts within T_MIN_GAP at t={first:.6g}"
-            )
+            raise SimultaneousCollision("two contacts within T_MIN_GAP",
+                                        start + first)
         img = view.images[i]
         normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
-        return first, i, img.cosets @ b, normal
+        return start + first, i, img.cosets @ b, normal
     if graze_s <= t_window:
-        raise TangentialCollision(f"grazing contact at t={graze_s:.6g}")
+        raise TangentialCollision("grazing contact", start + graze_s)
     return None
 
 
@@ -305,12 +330,9 @@ def _scan(view: _FlowView, q: np.ndarray, v: np.ndarray, horizon: float):
     start = 0.0
     while True:
         rest = horizon - start
-        hit = _scan_window(view, q + start * v, v, min(view.window, rest))
-        if hit is not None:
-            s, i, image, normal = hit
-            return start + s, i, image, normal
-        if rest <= view.window:
-            return None
+        hit = _scan_window(view, q, v, start, min(view.window, rest))
+        if hit is not None or rest <= view.window:
+            return hit
         start += view.window - T_MIN_GAP
 
 
@@ -462,17 +484,36 @@ def richness_certificate(record: TrajectoryRecord, system,
 
 
 # ---------------------------------------------------------------------------
-# Largest Lyapunov exponent, two-trajectory method
+# Lyapunov exponents by the billiard tangent map
 # ---------------------------------------------------------------------------
+
+DISCARD_REASONS = ("tangential", "simultaneous")
+"""Why ``lyapunov_max`` discards a window: it holds a grazing contact, or
+two distinct contacts within ``T_MIN_GAP`` of each other."""
 
 
 @dataclass
 class LyapunovResult:
+    """Outcome of ``lyapunov_max``.
+
+    ``window_logs`` holds one entry per kept window, the log growth of the
+    frame's leading vector (``log R[0, 0]`` of the window's QR step), and
+    ``estimate`` is their mean per unit time.  ``spectrum`` holds all
+    ``2d`` exponents, largest first.  ``n_collisions`` counts the
+    reflections applied, those of discarded windows included, and
+    ``n_scans`` the collision-scan windows searched.
+    ``discarded_by_reason`` splits ``discarded`` by ``DISCARD_REASONS``.
+    """
+
     estimate: float
     window_logs: list[float]
     n_windows: int
     discarded: int
     unreliable: bool
+    spectrum: list[float]
+    n_collisions: int
+    n_scans: int
+    discarded_by_reason: dict[str, int]
 
     @property
     def stderr(self) -> float:
@@ -481,37 +522,175 @@ class LyapunovResult:
         arr = np.asarray(self.window_logs)
         return float(np.std(arr, ddof=1) / np.sqrt(arr.size))
 
+    @property
+    def pairing_residual(self) -> float:
+        """``max_i |λ_i + λ_{2d+1-i}|``: zero for the exact spectrum of a
+        billiard, whose exponents come in ± pairs."""
+        spec = self.spectrum
+        return max(abs(a + b) for a, b in zip(spec, reversed(spec)))
 
-def _advance(view: _FlowView, q, v, duration: float):
-    """Propagate a state for an exact duration.  Raises on degeneracies."""
-    t = 0.0
-    q = q.copy()
-    v = v.copy()
-    while duration - t > 1e-15:
-        remaining = duration - t
-        hit = _scan(view, q, v, remaining)
-        if hit is None:
-            q = q + remaining * v
-            break
-        s, _, _, normal = hit
-        q = q + s * v
-        v = _reflect(v, normal)
-        q, _ = view.lattice.wrap(q)
-        t += s
-    q, _ = view.lattice.wrap(q)
-    return q, v
+
+def _across(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
+    """A random unit vector orthogonal to ``v`` (zero if none was drawn)."""
+    w = rng.standard_normal(v.size)
+    w -= (w @ v) * v
+    nw = np.linalg.norm(w)
+    return w / nw if nw > 0 else w
+
+
+_FRAME_CAP = 1e4
+"""Entry size at which a reflection re-orthonormalizes the frame inside its
+window, so that a long window neither overflows it nor loses its lower
+directions to roundoff; QR steps telescope, so the growth sums are the
+same."""
+
+
+class _TangentOrbit:
+    """The reference orbit of ``lyapunov_max``, its tangent frame and the
+    renormalization windows closed so far.
+
+    The orbit stands at ``q``, its last collision (or restart), and the
+    frame ``t`` later along the free flight from there: only a collision
+    moves ``q``, so the orbit does not depend on where windows end.  The
+    frame's columns are tangent vectors ``(δq, δv)``.  A free flight of
+    ``s`` maps each by ``δq += s δv``, a reflection by the billiard tangent
+    map, and a QR step re-orthonormalizes them at the end of each window;
+    its ``log |R_ii|`` are the window's growths (Dellago, Posch and Hoover,
+    PRE 53, 1485 (1996); Chernov and Markarian, *Chaotic Billiards*,
+    ch. 3).
+    """
+
+    def __init__(self, view: _FlowView, q, v, frame, renorm_dt: float,
+                 n_windows: int, rng: np.random.Generator):
+        self.view = view
+        self.q, self.v, self.frame = q, v, frame
+        self.t = 0.0
+        self.renorm_dt = renorm_dt
+        self.n_windows = n_windows
+        self.rng = rng
+        self.closed = 0             # windows closed, kept or discarded
+        self.logs: list[float] = []
+        self.log_sums = np.zeros(len(frame))
+        self.by_reason = dict.fromkeys(DISCARD_REASONS, 0)
+        self._open()
+
+    def _open(self) -> None:
+        """Start a window here, saving the state it starts from."""
+        self.left = self.renorm_dt  # time to the open window's end
+        self.growth = 0.0           # logs of QR steps inside the window
+        self.saved = (self.q + self.t * self.v, self.v, self.frame.copy())
+
+    def _shear(self, s: float) -> None:
+        d = self.v.size
+        self.frame[:d] += s * self.frame[d:]
+        self.t += s
+        self.left -= s
+
+    def _orthonormalize(self) -> np.ndarray:
+        self.frame, r = np.linalg.qr(self.frame)
+        return np.log(np.abs(np.diagonal(r)))
+
+    def _close(self) -> None:
+        growth = self.growth + self._orthonormalize()
+        self.logs.append(float(growth[0]))
+        self.log_sums += growth
+        self.closed += 1
+        self._open()
+
+    @property
+    def remaining(self) -> float:
+        """Time from ``q`` to the end of the last window."""
+        return self.t + self.left \
+            + (self.n_windows - self.closed - 1) * self.renorm_dt
+
+    def fly(self, s: float) -> bool:
+        """Free flight of the frame to time ``s`` after ``q``, closing each
+        window that ends on the way; False once the last has closed."""
+        while self.t + self.left <= s:
+            self._shear(self.left)
+            self._close()
+            if self.closed == self.n_windows:
+                return False
+        self._shear(s - self.t)
+        self.t = s                  # exactly, so q moves as in ``flow``
+        return True
+
+    def finish(self) -> None:
+        """Free flight to the end of the last window."""
+        while self.closed < self.n_windows:
+            self._shear(self.left)
+            self._close()
+
+    def reflect(self, img: _AxisImages, normal: np.ndarray) -> None:
+        """Move the orbit to its collision, ``t`` after ``q``, with the wall
+        of ``img`` (unit normal ``normal``); reflect it and map the frame,
+        which is there already, by the tangent map.
+
+        A tangent vector meets the wall ``τ = −(n·δq)/(v·n)`` after the
+        orbit, displaced along it by ``δq_c = δq + τ v``, where the normal
+        has turned by ``δn = K δq_c`` with the curvature operator
+        ``K = (P_B − n nᵀ)/r``; ``δq_c ⟂ n``, so ``δn = P_B δq_c / r``.
+        Then ``δq' = R δq`` and ``δv' = R δv − 2[(v·δn) n + (v·n) δn]``,
+        with ``R = I − 2 n nᵀ``.
+        """
+        d = self.v.size
+        v = self.v
+        dq, dv = self.frame[:d], self.frame[d:]
+        vn = float(v @ normal)
+        nq = normal @ dq
+        wall = dq - v[:, None] * (nq / vn)
+        dn = img.basis @ (img.basis.T @ wall) / img.radius
+        twice_n = 2.0 * normal[:, None]
+        frame = np.empty_like(self.frame)
+        frame[:d] = dq - twice_n * nq
+        frame[d:] = dv - twice_n * (normal @ dv + v @ dn) - (2.0 * vn) * dn
+        self.frame = frame
+        if np.abs(frame).max() > _FRAME_CAP:
+            self.growth = self.growth + self._orthonormalize()
+        self.q, _ = self.view.lattice.wrap(self.q + self.t * v)
+        self.v = _reflect(v, normal)
+        self.t = 0.0
+
+    def discard(self, contact: _SingularContact) -> None:
+        """Discard the window holding a singular contact ``contact.time``
+        after ``q``: restore the state saved at its start, there step the
+        point 1e-10 across the velocity, in a random direction, and go on
+        from it."""
+        if not self.fly(contact.time):
+            return
+        self.by_reason[contact.reason] += 1
+        q, v, frame = self.saved
+        q_try = q + 1e-10 * _across(self.rng, v)
+        try:
+            _assert_outside(self.view, q_try)
+            q = q_try
+        except StartInside:
+            pass
+        self.q, self.v, self.frame, self.t = q, v, frame, 0.0
+        self.closed += 1
+        self._open()
 
 
 def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
-                 d0: float, seed: int) -> LyapunovResult:
-    """Largest Lyapunov exponent by shadow-trajectory renormalization.
+                 d0: float = 1e-9, *, seed: int) -> LyapunovResult:
+    """Lyapunov exponents of an orbit by the billiard tangent map.
 
-    A shadow point displaced by ``d0`` orthogonally to the velocity is
-    flowed alongside the reference; the phase-space separation is
-    renormalized to ``d0`` every ``renorm_dt`` and the growth logs are
-    averaged.  Windows hitting grazing or simultaneous encounters are
-    discarded and the shadow is re-seeded; more than 20% discarded windows
-    marks the estimate unreliable.
+    Only the orbit of ``phase`` is flowed, in one event loop over
+    ``round(total_t / renorm_dt)`` windows of length ``renorm_dt``: each
+    collision costs one scan (and a free flight one more per
+    ``view.window`` it spans).  The orbit moves from collision to
+    collision as in ``flow``; a window's end inside a free flight advances
+    only the tangent frame, linearly.  A random orthonormal frame of all
+    ``2d`` tangent vectors, drawn from ``seed``, goes through the tangent
+    map and is re-orthonormalized at the end of every window (and inside
+    one if it grows large); the growth logs give every exponent.  A window holding a
+    grazing or simultaneous contact is discarded: the state saved at its
+    start is restored and the point stepped 1e-10 across the velocity in a
+    direction drawn from ``seed``.  More than 20% discarded windows marks
+    the estimate unreliable.
+
+    ``d0`` must lie in (0, 1e-8] and has no effect on the result.  More
+    than ``MAX_LYAPUNOV_WINDOWS`` windows raise ``WindowLimitError``.
     """
     # NaN fails every comparison, so it is refused here too
     if not (0 < total_t < math.inf and 0 < renorm_dt < math.inf
@@ -520,75 +699,64 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
                          "with a finite ratio")
     if not 0 < d0 <= 1e-8:
         raise ValueError("d0 must lie in (0, 1e-8]")
+    n_windows = int(round(total_t / renorm_dt))
+    if n_windows > MAX_LYAPUNOV_WINDOWS:
+        raise WindowLimitError(
+            f"total_t / renorm_dt asks for {n_windows:.3g} windows, above "
+            f"MAX_LYAPUNOV_WINDOWS = {MAX_LYAPUNOV_WINDOWS}")
     view = _flow_view(system)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = system.dim
-
-    def fresh_shadow(q, v):
-        for _ in range(128):
-            w = rng.standard_normal(d)
-            w -= (w @ v) * v
-            nw = np.linalg.norm(w)
-            if nw < 1e-12:
-                continue
-            cand = q + (d0 / nw) * w
-            try:
-                _assert_outside(view, cand)
-            except StartInside:
-                continue
-            return cand, v.copy()
-        raise FlowError("could not place a shadow point outside the scatterers")
-
-    q_m, _ = system.lattice.wrap(phase.q)
-    v_m = phase.v.copy()
-    _assert_outside(view, q_m)
-    q_s, v_s = fresh_shadow(q_m, v_m)
-
-    n_windows = int(round(total_t / renorm_dt))
-    logs: list[float] = []
-    discarded = 0
-    for _ in range(n_windows):
+    q, _ = system.lattice.wrap(phase.q)
+    _assert_outside(view, q)
+    # the leading vector starts across the velocity, in position only, so
+    # that a free flight leaves it unstretched
+    frame = rng.standard_normal((2 * d, 2 * d))
+    frame[:, 0] = 0.0
+    frame[:d, 0] = _across(rng, phase.v)
+    frame = np.linalg.qr(frame)[0]
+    orbit = _TangentOrbit(view, q, phase.v.copy(), frame, renorm_dt,
+                          n_windows, rng)
+    n_scans = n_collisions = 0
+    start = 0.0                 # stretch ahead of the point scanned empty
+    while orbit.closed < n_windows:
+        rest = orbit.remaining - start
+        n_scans += 1
         try:
-            q_m2, v_m2 = _advance(view, q_m, v_m, renorm_dt)
-            q_s2, v_s2 = _advance(view, q_s, v_s, renorm_dt)
-        except (TangentialCollision, SimultaneousCollision, StartInside):
-            discarded += 1
-            jig = rng.standard_normal(d)
-            jig -= (jig @ v_m) * v_m
-            nj = np.linalg.norm(jig)
-            if nj > 0:
-                q_try = q_m + (1e-10 / nj) * jig
-                try:
-                    _assert_outside(view, q_try)
-                    q_m = q_try
-                except StartInside:
-                    pass
-            q_s, v_s = fresh_shadow(q_m, v_m)
+            hit = _scan_window(view, orbit.q, orbit.v, start,
+                               min(view.window, rest))
+        except _SingularContact as contact:
+            orbit.discard(contact)
+            start = 0.0
             continue
-        q_m, v_m = q_m2, v_m2
-        dq = system.lattice.nearest_image_delta(q_s2 - q_m)
-        dv = v_s2 - v_m
-        sep = float(np.sqrt(dq @ dq + dv @ dv))
-        if sep < 1e-300:
-            discarded += 1
-            q_s, v_s = fresh_shadow(q_m, v_m)
+        if hit is None:
+            if rest <= view.window:
+                orbit.finish()
+            start += view.window - T_MIN_GAP
             continue
-        logs.append(float(np.log(sep / d0)))
-        scale = d0 / sep
-        q_s = q_m + scale * dq
-        v_s = v_m + scale * dv
-        v_s /= np.linalg.norm(v_s)
-        try:
-            _assert_outside(view, q_s)
-        except StartInside:
-            q_s, v_s = fresh_shadow(q_m, v_m)
-    estimate = (sum(logs) / (len(logs) * renorm_dt)) if logs else 0.0
+        s, i, _, normal = hit
+        start = 0.0
+        if orbit.fly(s):
+            orbit.reflect(view.images[i], normal)
+            n_collisions += 1
+    logs = orbit.logs
+    discarded = sum(orbit.by_reason.values())
+    if logs:
+        estimate = sum(logs) / (len(logs) * renorm_dt)
+        spectrum = sorted(orbit.log_sums / (len(logs) * renorm_dt),
+                          reverse=True)
+    else:
+        estimate, spectrum = 0.0, np.zeros(2 * d)
     return LyapunovResult(
         estimate=estimate,
         window_logs=logs,
         n_windows=n_windows,
         discarded=discarded,
         unreliable=(discarded > 0.2 * n_windows) or not logs,
+        spectrum=[float(x) for x in spectrum],
+        n_collisions=n_collisions,
+        n_scans=n_scans,
+        discarded_by_reason=orbit.by_reason,
     )
 
 

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -288,11 +289,18 @@ class TestSimulateAndScans:
         assert code == 4
 
     def test_lyapunov_report(self, capsys, sinai_file):
-        code, text, _ = run(capsys, "lyapunov", "--system", str(sinai_file),
-                            "--q", "0,0.5", "--v", "0.6,0.8",
-                            "--total-time", "100", "--seed", "5")
+        argv = ("lyapunov", "--system", str(sinai_file), "--q", "0,0.5",
+                "--v", "0.6,0.8", "--total-time", "100", "--seed", "5")
+        code, text, _ = run(capsys, *argv)
         assert code == 0
-        assert '"estimate":' in text
+        body = report_body(text)
+        assert len(body["spectrum"]) == 4
+        assert body["spectrum"][0] == body["estimate"]
+        assert body["n_collisions"] > 0
+        assert body["n_scans"] >= body["n_collisions"]
+        assert sum(body["discarded_by_reason"].values()) == body["discarded"]
+        assert "# summary: spectrum sum " in text
+        assert strip_timestamp(run(capsys, *argv)[1]) == strip_timestamp(text)
 
     def test_splitting_scan_product_system(self, capsys, tmp_path):
         p = tmp_path / "blocks.json"
@@ -339,8 +347,9 @@ class TestTypedArgumentFailures:
     @pytest.mark.parametrize("argv", [
         ("delta", "--system", "{system}", "--sigma", "{sigma}",
          "--samples", "0", "--seed", "1"),
+        # the tangent map uses no shadow separation, so the flag is gone
         ("lyapunov", "--system", "{system}", "--q", "0,0.5", "--v", "0.6,0.8",
-         "--total-time", "10", "--seed", "1", "--d0", "1e-3"),
+         "--total-time", "10", "--seed", "1", "--d0", "1e-9"),
         ("simulate", "--system", "{system}", "--q", "0,0.5", "--v", "1,0,0",
          "--collisions", "5", "--out", "{out}"),
     ], ids=["delta-samples-0", "lyapunov-d0", "simulate-wrong-length"])
@@ -387,7 +396,7 @@ def _flow(files, q="0,0.5", v="0.6,0.8", **stop):
 
 def _lyapunov(files, q="0,0.5", v="0.6,0.8", total_t=10.0, renorm_dt=1.0):
     return tf.lyapunov_max(_sinai(files), _phase(q, v), total_t=total_t,
-                           renorm_dt=renorm_dt, d0=1e-9, seed=1)
+                           renorm_dt=renorm_dt, seed=1)
 
 
 HARDBALL = ("build", "hardball", "--n", "3", "--nu", "2", "--out", "{out}")
@@ -447,6 +456,10 @@ FAILING_COMMANDS = {
         LYAPUNOV + ("--q", "0,0.5", "--v", "0.6,0.8", "--total-time", "10",
                     "--renorm-dt", "nan"),
         lambda f: _lyapunov(f, renorm_dt=NAN)),
+    "lyapunov-window-cap": (
+        LYAPUNOV + ("--q", "0,0.5", "--v", "0.6,0.8", "--total-time", "1e300",
+                    "--renorm-dt", "1"),
+        lambda f: _lyapunov(f, total_t=1e300)),
     "lyapunov-start-inside": (
         LYAPUNOV + ("--q", "0.5,0.5", "--v", "1,0", "--total-time", "10"),
         lambda f: _lyapunov(f, q="0.5,0.5", v="1,0")),
@@ -573,3 +586,22 @@ def test_every_all_name_resolves():
                for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert missing == []
+
+
+def readme_cli_lines() -> list[str]:
+    """Every ``cylbill ...`` command of README's CLI block, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", text,
+                      re.MULTILINE | re.DOTALL).group(1)
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines()
+            if line.strip().startswith("cylbill ")]
+
+
+def test_readme_cli_block_parses():
+    lines = readme_cli_lines()
+    assert len(lines) >= 9
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

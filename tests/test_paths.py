@@ -297,7 +297,7 @@ class TestNeutralSpace:
         labels = list(range(system.k))
         view = paths._view(system, labels)
         stack, _ = paths._construct(
-            view, *paths._free_draws(view, 20, seed=4))
+            view, *next(paths._free_draws(view, 20, seed=4)))
         dims = paths._expanding_dims(view, stack.velocities)
         for i in range(20):
             one = paths._constraint_stack(view, stack.velocities[i:i + 1])
@@ -689,7 +689,8 @@ class TestConstructiveSampler:
             for m in (1, 2, 3):
                 labels = [int(x) for x in rng.integers(0, system.k, size=m)]
                 view = paths._view(system, labels)
-                draws = paths._free_draws(view, 40, int(rng.integers(1000)))
+                draws = next(paths._free_draws(view, 40,
+                                               int(rng.integers(1000))))
                 stack, offsets = paths._construct(view, *draws)
                 for i in np.flatnonzero(stack.status == 0):
                     res = trace(system, labels,
@@ -728,10 +729,23 @@ class TestConstructiveSampler:
 
     def test_draws_are_prefix_stable(self):
         view = paths._view(hard_balls(3, 0.15), [0, 1, 2, 0])
-        few = paths._free_draws(view, 7, seed=12)
-        many = paths._free_draws(view, 30, seed=12)
+        few = next(paths._free_draws(view, 7, seed=12))
+        many = next(paths._free_draws(view, 30, seed=12))
         for a, b in zip(few, many):
             assert np.array_equal(a, b[:7])
+
+    def test_chunked_run_equals_unchunked(self, monkeypatch):
+        system = hard_balls(3, 0.15)
+        labels = [0, 1, 2, 0]
+        view = paths._view(system, labels)
+        whole = delta_sigma_report(system, labels, 40, 9)
+        (unchunked,) = paths._free_draws(view, 40, 9)
+        monkeypatch.setattr(paths, "SAMPLE_CHUNK", 7)
+        chunks = list(paths._free_draws(view, 40, 9))
+        assert [len(c[0]) for c in chunks] == [7] * 5 + [5]
+        for a, parts in zip(unchunked, zip(*chunks)):
+            assert np.array_equal(a, np.concatenate(parts))
+        assert delta_sigma_report(system, labels, 40, 9) == whole
 
 
 class TestReachabilityMatch:

@@ -9,6 +9,7 @@ from cylbill import torusflow as tf
 from cylbill.geometry import Lattice, complement, projector_distance
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from conftest import make_sphere_system, make_two_block_system
+from shadow_oracle import shadow_lyapunov_max
 
 
 @pytest.fixture
@@ -374,6 +375,44 @@ class TestRichnessCertificate:
         assert counts == sorted(counts)
 
 
+def _flow_map(system, x: np.ndarray, t: float) -> np.ndarray:
+    """The billiard flow over time ``t`` of the phase ``x = (q, v)``, ``v``
+    of any speed, built from two ``next_collision`` steps: the first finds
+    the one collision, the second checks that no other follows within
+    ``t``.  A speed ``c`` flows like a unit velocity over time ``c t``."""
+    d = system.dim
+    q, v = x[:d], x[d:]
+    c = np.linalg.norm(v)
+    u = v / c
+    hit = tf.next_collision(system, tf.PhasePoint(q, u), c * t)
+    assert hit is not None
+    q1 = q + hit.time * u
+    u1 = u - 2.0 * (u @ hit.normal) * hit.normal
+    rest = c * t - hit.time
+    assert tf.next_collision(system, tf.PhasePoint(q1, u1), rest) is None
+    return np.concatenate((q1 + rest * u1, c * u1))
+
+
+def _tangent_jacobian(system, phase: tf.PhasePoint, t: float):
+    """The tangent map over ``t`` (one collision) applied to the identity
+    frame; returns it and the flow map's central-difference Jacobian."""
+    d = system.dim
+    view = tf._flow_view(system)
+    hit = tf.next_collision(system, phase, t)
+    orbit = tf._TangentOrbit(view, phase.q, phase.v, np.eye(2 * d),
+                             renorm_dt=2 * t, n_windows=1,
+                             rng=np.random.default_rng(0))
+    assert orbit.fly(hit.time)
+    orbit.reflect(view.images[hit.cylinder], hit.normal)
+    assert orbit.fly(t - hit.time)
+    x = np.concatenate((phase.q, phase.v))
+    h = 1e-6
+    fd = np.column_stack([
+        (_flow_map(system, x + h * e, t) - _flow_map(system, x - h * e, t))
+        / (2 * h) for e in np.eye(2 * d)])
+    return orbit.frame, fd
+
+
 class TestLyapunov:
     def test_free_flight_zero(self):
         empty = CylindricBilliardSystem(dim=2, lattice=Lattice(np.eye(2)),
@@ -401,6 +440,115 @@ class TestLyapunov:
                             total_t=50.0, renorm_dt=1.0, d0=1e-9, seed=9)
         assert a.estimate == b.estimate
         assert a.window_logs == b.window_logs
+        assert a.spectrum == b.spectrum
+
+    def test_window_cap_refused_before_flowing(self, sinai):
+        # the start lies inside the scatterer: the cap is checked first
+        with pytest.raises(tf.WindowLimitError):
+            tf.lyapunov_max(sinai, tf.PhasePoint([0.5, 0.5], [1.0, 0.0]),
+                            total_t=1.0 + tf.MAX_LYAPUNOV_WINDOWS,
+                            renorm_dt=1.0, d0=1e-9, seed=3)
+
+    @pytest.mark.parametrize("balls", [None, (2, 0.1), (3, 0.2)],
+                             ids=["sinai", "hb22", "hb32"])
+    def test_tangent_map_matches_flow_jacobian(self, balls):
+        if balls is None:
+            system = make_sphere_system(2, r=0.3)
+        else:
+            n, r = balls
+            system, _ = builders.hard_ball_system(
+                builders.HardBallParams(n, 2, (1.0,) * n, r))
+        # hb(3,2)'s cylinders have axes, so its curvature operator is not
+        # (I - n n^T) / r
+        assert balls != (3, 0.2) or system.base_space(0).dim < system.dim
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            phase = tf.random_phase(system, rng)
+            first = tf.next_collision(system, phase, 100.0)
+            q1 = phase.q + first.time * phase.v
+            v1 = phase.v - 2.0 * (phase.v @ first.normal) * first.normal
+            second = tf.next_collision(system, tf.PhasePoint(q1, v1), 100.0)
+            t = first.time + 0.5 * second.time
+            tangent, fd = _tangent_jacobian(system, phase, t)
+            assert np.max(np.abs(tangent - fd)) \
+                < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("orbit", ["sinai", "hb22"])
+    def test_agrees_with_shadow_oracle(self, orbit):
+        """Criterion 10's orbits, over a fifth of its time."""
+        if orbit == "sinai":
+            system = make_sphere_system(2, r=0.3)
+            phase, seed = tf.PhasePoint([0.0, 0.5], [0.6, 0.8]), 1001
+        else:
+            system, _ = builders.hard_ball_system(
+                builders.HardBallParams(2, 2, (1.0, 1.0), 0.1))
+            phase = tf.random_phase(system, np.random.default_rng(1002))
+            seed = 1003
+        tangent = tf.lyapunov_max(system, phase, total_t=2000.0,
+                                  renorm_dt=1.0, d0=1e-9, seed=seed)
+        shadow = shadow_lyapunov_max(system, phase, total_t=2000.0,
+                                     renorm_dt=1.0, d0=1e-9, seed=seed)
+        combined = np.hypot(tangent.stderr, shadow.stderr)
+        assert abs(tangent.estimate - shadow.estimate) < 4 * combined
+
+    @pytest.mark.parametrize("orbit", ["sinai", "hb32"])
+    def test_spectrum_self_checks(self, orbit):
+        """The exponents pair up to ±, sum to zero, and exactly two vanish:
+        the flow direction and the speed direction."""
+        if orbit == "sinai":
+            system = make_sphere_system(2, r=0.3)
+            phase, total_t = tf.PhasePoint([0.0, 0.5], [0.6, 0.8]), 2000.0
+        else:
+            system, _ = builders.hard_ball_system(
+                builders.HardBallParams(3, 2, (1.0, 1.0, 1.0), 0.2))
+            phase = tf.random_phase(system, np.random.default_rng(1))
+            total_t = 300.0
+        res = tf.lyapunov_max(system, phase, total_t=total_t, renorm_dt=1.0,
+                              d0=1e-9, seed=4)
+        spectrum = np.array(res.spectrum)
+        lam1 = spectrum[0]
+        assert spectrum.size == 2 * system.dim
+        assert np.all(np.diff(spectrum) <= 0)
+        assert np.isclose(lam1, res.estimate)
+        assert res.pairing_residual < 0.01 * lam1
+        assert abs(spectrum.sum()) < 0.01 * lam1
+        assert np.count_nonzero(np.abs(spectrum) < 0.01 * lam1) == 2
+
+    def test_window_length_changes_no_exponent(self):
+        """Window ends move neither the orbit, which is ``flow``'s, nor the
+        frame's growth sums: QR steps telescope, and a frame grown large
+        inside a long window is re-orthonormalized before it loses its
+        lower directions."""
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(3, 2, (1.0, 1.0, 1.0), 0.2))
+        phase = tf.random_phase(system, np.random.default_rng(1))
+        short, long = (tf.lyapunov_max(system, phase, total_t=600.0,
+                                       renorm_dt=dt, d0=1e-9, seed=3)
+                       for dt in (1.0, 300.0))
+        record = tf.flow(system, phase, max_time=600.0, default_horizon=600.0)
+        assert short.n_collisions == long.n_collisions == len(record.events)
+        assert len(long.window_logs) == 2
+        assert np.allclose(short.spectrum, long.spectrum, rtol=0, atol=1e-7)
+        assert np.isclose(sum(short.window_logs), sum(long.window_logs),
+                          rtol=0, atol=1e-7)
+
+    def test_work_counts(self, sinai):
+        res = tf.lyapunov_max(sinai, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
+                              total_t=500.0, renorm_dt=1.0, d0=1e-9, seed=2)
+        window = tf._flow_view(sinai).window
+        assert res.n_collisions > 0
+        assert res.n_scans <= res.n_collisions + np.ceil(500.0 / window) \
+            + res.discarded
+
+    def test_discarded_window_accounting(self, sinai):
+        # the line x = 0.2 touches the scatterer of radius 0.3 at (0.5, 0.5)
+        res = tf.lyapunov_max(sinai, tf.PhasePoint([0.2, 0.0], [0.0, 1.0]),
+                              total_t=50.0, renorm_dt=1.0, d0=1e-9, seed=5)
+        assert res.discarded_by_reason["tangential"] >= 1
+        assert sum(res.discarded_by_reason.values()) == res.discarded
+        assert len(res.window_logs) + res.discarded == res.n_windows
+        assert res.n_scans <= res.n_collisions \
+            + np.ceil(50.0 / tf._flow_view(sinai).window) + res.discarded
 
 
 class TestSplittingScan:
