@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .config import OVERLAP
+from .config import DROP, OVERLAP
 from .errors import UsageError
 from .geometry import (
     Subspace,
@@ -49,7 +49,7 @@ __all__ = [
 
 
 class EnumerationGuardError(UsageError, RuntimeError):
-    """Subset enumeration refused: too many cylinders for an exact answer."""
+    """Flat enumeration refused: too many cylinders for an exact answer."""
 
 
 @dataclass(eq=False)
@@ -133,15 +133,25 @@ def is_transitive(bases, ambient_dim: int | None = None):
     return True, None
 
 
-def _rotation_generators(base: Subspace) -> list[np.ndarray]:
+def _rotation_generators(base: Subspace) -> np.ndarray:
     """Elementary antisymmetric generators of rotations acting inside
-    ``base`` and fixing its complement pointwise."""
-    b = base.basis
-    gens = []
-    for p in range(base.dim):
-        for q in range(p + 1, base.dim):
-            gens.append(np.outer(b[:, p], b[:, q]) - np.outer(b[:, q], b[:, p]))
-    return gens
+    ``base`` and fixing its complement pointwise, stacked ``(n, d, d)``."""
+    p, q = np.triu_indices(base.dim, 1)
+    u = base.basis[:, p].T[:, :, None]
+    v = base.basis[:, q].T[:, :, None]
+    return u * v.transpose(0, 2, 1) - v * u.transpose(0, 2, 1)
+
+
+def _symmetric_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric d x d matrices, stacked: the
+    diagonal units, then ``(E_ab + E_ba) / sqrt 2`` for ``a < b``."""
+    a, b = np.triu_indices(d, 1)
+    n_off = a.size
+    sym = np.zeros((d + n_off, d, d))
+    sym[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    off = np.arange(d, d + n_off)
+    sym[off, a, b] = sym[off, b, a] = 1.0 / np.sqrt(2.0)
+    return sym
 
 
 def commutant_dimension(bases) -> int:
@@ -149,7 +159,11 @@ def commutant_dimension(bases) -> int:
 
     Value 1 (scalars only) is equivalent to the absence of any invariant
     orthogonal splitting; requires every base space to have dim >= 2 so the
-    per-cylinder rotation groups are non-trivial.
+    per-cylinder rotation groups are non-trivial.  The constraints
+    ``[E_s, G_g] = 0`` over all generators ``G_g`` and symmetric basis
+    matrices ``E_s`` form one matrix with a column per ``E_s``; a QR step
+    shrinks it to a square one with the same singular values before its
+    null space is taken.
     """
     bases = list(bases)
     if not bases:
@@ -158,42 +172,72 @@ def commutant_dimension(bases) -> int:
     for b in bases:
         if b.dim < 2:
             raise ValueError("commutant oracle needs base spaces of dim >= 2")
-    # symmetric matrix basis
-    sym_basis: list[np.ndarray] = []
-    for a in range(d):
-        e = np.zeros((d, d))
-        e[a, a] = 1.0
-        sym_basis.append(e)
-    for a in range(d):
-        for b_ in range(a + 1, d):
-            e = np.zeros((d, d))
-            e[a, b_] = e[b_, a] = 1.0 / np.sqrt(2.0)
-            sym_basis.append(e)
-    gens: list[np.ndarray] = []
-    for b in bases:
-        gens.extend(_rotation_generators(b))
-    rows = []
-    for g in gens:
-        for e in sym_basis:
-            rows.append((e @ g - g @ e).reshape(-1))
-    if not rows:
-        raise ValueError("no rotation generators (all base spaces trivial)")
-    n_sym = len(sym_basis)
-    constraint = np.array(rows).reshape(len(gens), n_sym, d * d)
-    constraint = np.transpose(constraint, (0, 2, 1)).reshape(-1, n_sym)
-    return null_space(constraint).dim
+    sym = _symmetric_basis(d)
+    gens = np.concatenate([_rotation_generators(b) for b in bases])
+    constraint = (np.einsum("sab,gbc->gacs", sym, gens)
+                  - np.einsum("gab,sbc->gacs", gens, sym))
+    constraint = constraint.reshape(-1, len(sym))
+    return null_space(np.linalg.qr(constraint, mode="r")).dim
 
 
-def _subset_spans_lex(k: int):
-    """Yield (subset tuple, index path) in lexicographic tuple order."""
+def _flats(bases: list[Subspace]) -> dict[int, np.ndarray]:
+    """Every flat of the collection, the closed span of a non-empty set of
+    its base spaces, as ``{member bitmask: orthonormal basis}``.
 
-    def rec(prefix: tuple[int, ...], start: int):
-        for i in range(start, k):
-            sub = prefix + (i,)
-            yield sub
-            yield from rec(sub, i + 1)
+    Flats are found depth first: each single base space is closed, and each
+    flat is extended by every non-member at once and each extension closed
+    again, with the basis grown by the new member's directions only.  A
+    base space is a member of a span iff none of its vectors keeps a
+    residual of norm ``DROP`` or more after two projection passes, the rule
+    by which ``orthonormalize`` drops a vector, so a flat's dimension is
+    the ``span_of`` rank of its members.
+    """
+    k, d = len(bases), bases[0].ambient_dim
+    width = max(b.dim for b in bases)
+    # base i's basis, padded with zero vectors (which add no direction)
+    padded = np.zeros((k, d, width))
+    for i, b in enumerate(bases):
+        padded[i, :, :b.dim] = b.basis
+    bits = 1 << np.arange(k, dtype=np.int64)
 
-    yield from rec((), 0)
+    def residual(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        for _ in range(2):
+            x = x - w @ (np.swapaxes(w, -1, -2) @ x)
+        return x
+
+    def members(res: np.ndarray) -> np.ndarray:
+        inside = np.sum(res * res, axis=-2) < DROP * DROP
+        return inside.all(axis=-1) @ bits
+
+    flats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    todo = []
+    for i, b in enumerate(bases):
+        res = residual(b.basis, padded)
+        mask = int(members(res)) | 1 << i
+        if mask not in flats:
+            flats[mask] = b.basis, res
+            todo.append(mask)
+    while todo:
+        mask = todo.pop()
+        q, res = flats[mask]
+        outside = np.flatnonzero((mask & bits) == 0)
+        # new directions of each non-member j: its residuals, already
+        # orthogonal to q, orthonormalized among themselves
+        new = np.zeros((outside.size, d, width))
+        kept = np.zeros((outside.size, width), dtype=bool)
+        for c in range(width):
+            w = residual(new, res[outside, :, c:c + 1])[:, :, 0]
+            nrm = np.sqrt(np.sum(w * w, axis=1))
+            kept[:, c] = nrm >= DROP
+            new[kept[:, c], :, c] = w[kept[:, c]] / nrm[kept[:, c], None]
+        wider_res = residual(new[:, None], res[None])
+        wider = members(wider_res) | mask | bits[outside]
+        for n in range(outside.size):
+            key = int(wider[n])
+            if key not in flats:
+                flats[key] = np.hstack([q, new[n][:, kept[n]]]), wider_res[n]
+                todo.append(key)
+    return {mask: q for mask, (q, _) in flats.items()}
 
 
 def is_transverse(system):
@@ -202,10 +246,19 @@ def is_transverse(system):
     For each subset of cylinder indices whose base spaces admit a
     splitting, some cylinder's base space must meet the subset's span only
     at the origin.  Returns ``(True, None)`` or ``(False, subset)`` with
-    the lexicographically smallest violating subset.  The per-span test is
-    memoized on a rounded projector fingerprint, since it depends on the
-    subset only through its span.  More than ``MAX_TRANSVERSE_CYLINDERS``
-    cylinders (2^k subsets) raise ``EnumerationGuardError``.
+    the lexicographically smallest violating subset.
+
+    The test depends on a subset only through its closed span, a flat
+    (:func:`_flats`), so the flats are checked, not the 2^k subsets.  A
+    subset of proper span violates iff its flat ``F`` has no escape, a base
+    space whose residual against ``F`` keeps full rank.  A subset of full
+    span is disconnected iff it lies in the members of a flat ``F`` and of
+    the base spaces orthogonal to ``F``, and those orthogonal ones span
+    ``F``'s complement.  Each violation is thus a member mask with a target
+    rank, and a subset violates iff it lies in a mask and reaches its rank;
+    the smallest subset is found by descending in lexicographic order into
+    the first prefix that can still be completed to one.  More than
+    ``MAX_TRANSVERSE_CYLINDERS`` cylinders raise ``EnumerationGuardError``.
     """
     k = system.k
     if k > MAX_TRANSVERSE_CYLINDERS:
@@ -215,50 +268,50 @@ def is_transverse(system):
         )
     d = system.dim
     bases = [system.base_space(i) for i in range(k)]
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            adj[i, j] = adj[j, i] = subspace_overlap(bases[i], bases[j]) > OVERLAP
+    flats = _flats(bases)
+    masks = list(flats)
+    dims = np.array([q.shape[1] for q in flats.values()])
+    proj = np.stack([q @ q.T for q in flats.values()])
+    escape = np.zeros(len(masks), dtype=bool)
+    orthogonal = np.zeros(len(masks), dtype=np.int64)
+    for m in sorted({b.dim for b in bases}):
+        idx = [j for j, b in enumerate(bases) if b.dim == m]
+        stacked = np.stack([bases[j].basis for j in idx])
+        inner = proj[:, None] @ stacked[None]
+        cosines = np.linalg.svd(inner, compute_uv=False)
+        sines = np.linalg.svd(stacked[None] - inner, compute_uv=False)
+        escape |= np.any(sines[..., -1] >= DROP, axis=1)
+        orthogonal |= (cosines[..., 0] <= OVERLAP) @ (1 << np.array(idx))
 
-    span_ok: dict[bytes, bool] = {}
+    rank = {mask: int(r) for mask, r in zip(masks, dims)}
 
-    def proper_span_has_escape(span: Subspace) -> bool:
-        key = np.round(span.projector(), 9).tobytes()
-        if key not in span_ok:
-            ok = False
-            for j in range(k):
-                inter_dim = (
-                    bases[j].dim + span.dim - span_of([bases[j], span]).dim
-                )
-                if inter_dim == 0:
-                    ok = True
-                    break
-            span_ok[key] = ok
-        return span_ok[key]
+    def span_dim(mask: int) -> int:
+        if mask not in rank:
+            rank[mask] = span_of(
+                [bases[i] for i in range(k) if mask >> i & 1]).dim
+        return rank[mask]
 
-    def connected(sub: tuple[int, ...]) -> bool:
-        if len(sub) <= 1:
-            return True
-        seen = {sub[0]}
-        stack = [sub[0]]
-        inset = set(sub)
-        while stack:
-            u = stack.pop()
-            for v in inset:
-                if v not in seen and adj[u, v]:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(sub)
+    bad = [(mask, int(r)) for mask, r, ok in zip(masks, dims, escape)
+           if r < d and not ok]
+    bad += [(mask | int(o), d) for mask, r, o in zip(masks, dims, orthogonal)
+            if r < d and o and span_dim(int(o)) == d - r]
+    if not bad:
+        return True, None
 
-    for sub in _subset_spans_lex(k):
-        span = span_of([bases[i] for i in sub])
-        if span.dim == d:
-            if not connected(sub):
-                return False, sub
-        else:
-            if not proper_span_has_escape(span):
-                return False, sub
-    return True, None
+    def completes(chosen: int, later: int) -> bool:
+        return any((chosen & ~mask) == 0
+                   and span_dim(chosen | mask & later) == r
+                   for mask, r in bad)
+
+    sub: tuple[int, ...] = ()
+    chosen = 0
+    while not sub or not completes(chosen, 0):
+        start = sub[-1] + 1 if sub else 0
+        i = next(i for i in range(start, k)
+                 if completes(chosen | 1 << i, -1 << (i + 1)))
+        sub += (i,)
+        chosen |= 1 << i
+    return False, sub
 
 
 def is_transitive_sequence(labels, system) -> bool:

@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import DISC, RANK_REL, SAMPLE_CHUNK, T_MIN_GAP
-from .errors import DegeneracyError
+from .errors import DegeneracyError, UsageError
 from .geometry import (
     Subspace,
     complement,
@@ -45,6 +45,8 @@ __all__ = [
     "Tangential",
     "NonAdvancing",
     "NoValidPath",
+    "SampleLimitError",
+    "MAX_DELTA_SAMPLES",
     "trace",
     "translate_all",
     "translate_each",
@@ -62,6 +64,11 @@ __all__ = [
     "sequence_generator_intersection",
     "constrained_manifold_dim",
 ]
+
+
+MAX_DELTA_SAMPLES = 10**6
+"""Most samples one δ sampler call takes: a report keeps one dimension per
+sample, and ``delta_sigma_constrained`` one child stream."""
 
 
 class TraceError(DegeneracyError, RuntimeError):
@@ -86,6 +93,10 @@ class NonAdvancing(TraceError):
 
 class NoValidPath(DegeneracyError, RuntimeError):
     """Every sample of a δ sampler failed to give a valid path."""
+
+
+class SampleLimitError(UsageError, ValueError):
+    """A δ sampler asks for more than ``MAX_DELTA_SAMPLES`` samples."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,15 +618,25 @@ def _free_draws(view: _SequenceView, n_samples: int, seed: int):
         yield v0s, advances, n_rng.standard_normal((n, view.width))
 
 
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if n_samples > MAX_DELTA_SAMPLES:
+        raise SampleLimitError(
+            f"{n_samples} samples exceed MAX_DELTA_SAMPLES = "
+            f"{MAX_DELTA_SAMPLES}")
+
+
 def delta_sigma_report(system, labels, n_samples: int,
                        seed: int) -> DeltaReport:
     """Expanding dimension over ``n_samples`` paths with this collision
     sequence, each built forward from random draws, so that every sample
     is a valid path unless a draw breaks one of the kernel's guards.  The
     samples are built and ranked one chunk at a time, so only one chunk's
-    paths and constraint stacks are held at once."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    paths and constraint stacks are held at once.  More than
+    ``MAX_DELTA_SAMPLES`` samples raise ``SampleLimitError`` before any
+    path is built."""
+    _check_samples(n_samples)
     view = _view(system, labels)
     dims: list[int] = []
     codes = []
@@ -642,8 +663,7 @@ def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
     64 candidates (a unit velocity and a translation uniform in the box)
     from its own child stream of ``seed``, traces them in stacked blocks of
     ``_SCREEN_BLOCKS`` and keeps the first that traces."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_samples(n_samples)
     trace(system, labels, base_spec)   # base path must exist
     view = _view(system, labels)
     box = _box(system, box_scale)
@@ -676,7 +696,8 @@ def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
                             box_scale: float | None = None) -> int:
     """Largest expanding dimension over paths sharing the base path's
     relative cylinder positions: only the initial velocity and a uniform
-    translation are varied."""
+    translation are varied.  More than ``MAX_DELTA_SAMPLES`` samples raise
+    ``SampleLimitError`` before any path is traced."""
     return _constrained_report(system, labels, base_spec, n_samples, seed,
                                box_scale).value
 

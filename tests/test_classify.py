@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+import test_acceptance as acceptance
 from cylbill import builders
 from cylbill.classify import (
     EnumerationGuardError,
@@ -13,8 +16,15 @@ from cylbill.classify import (
     non_orthogonality_graph,
     splits_according_to,
 )
-from cylbill.geometry import Subspace, complement, random_subspace, span_of
+from cylbill.geometry import (
+    Subspace,
+    complement,
+    null_space,
+    random_subspace,
+    span_of,
+)
 from conftest import make_sphere_system, make_two_block_system
+from transverse_oracle import is_transverse_by_subsets
 
 
 def _span(*vecs):
@@ -122,6 +132,154 @@ class TestTransitive:
         assert agree == total
 
 
+def _hard_ball(n: int, nu: int, masses=None, r: float = 0.05):
+    masses = tuple([1.0] * n) if masses is None else masses
+    return builders.hard_ball_system(builders.HardBallParams(n, nu, masses, r))[0]
+
+
+def _commutant_dimension_loop(bases) -> int:
+    """The commutant constraint built entry by entry, one generator and one
+    symmetric basis matrix at a time, with the null space of the full
+    matrix."""
+    d = bases[0].ambient_dim
+    sym_basis = []
+    for a in range(d):
+        e = np.zeros((d, d))
+        e[a, a] = 1.0
+        sym_basis.append(e)
+    for a in range(d):
+        for b in range(a + 1, d):
+            e = np.zeros((d, d))
+            e[a, b] = e[b, a] = 1.0 / np.sqrt(2.0)
+            sym_basis.append(e)
+    gens = []
+    for base in bases:
+        u = base.basis
+        for p in range(base.dim):
+            for q in range(p + 1, base.dim):
+                gens.append(np.outer(u[:, p], u[:, q]) - np.outer(u[:, q], u[:, p]))
+    rows = [(e @ g - g @ e).reshape(-1) for g in gens for e in sym_basis]
+    n_sym = len(sym_basis)
+    constraint = np.array(rows).reshape(len(gens), n_sym, d * d)
+    constraint = np.transpose(constraint, (0, 2, 1)).reshape(-1, n_sym)
+    return null_space(constraint).dim
+
+
+class TestCommutantAgainstLoops:
+    def test_criterion_01_collections(self):
+        rng = np.random.default_rng(np.random.SeedSequence(101))
+        for _ in range(300):
+            bases = acceptance.random_base_collection(rng)
+            assert commutant_dimension(bases) == _commutant_dimension_loop(bases)
+
+    @pytest.mark.parametrize("n, nu", [(2, 2), (3, 2), (4, 2), (5, 2),
+                                       (2, 3), (3, 3), (4, 3)])
+    def test_hard_balls(self, n, nu):
+        bases = _hard_ball(n, nu).base_spaces()
+        assert commutant_dimension(bases) == _commutant_dimension_loop(bases)
+
+    def test_two_blocks(self):
+        bases = make_two_block_system().base_spaces()
+        assert commutant_dimension(bases) == _commutant_dimension_loop(bases) == 2
+
+
+class _Collection:
+    """Base spaces standing in for a system: ``is_transverse`` reads only
+    ``k``, ``dim`` and ``base_space``."""
+
+    def __init__(self, bases):
+        self.bases = list(bases)
+        self.k = len(self.bases)
+        self.dim = self.bases[0].ambient_dim
+
+    def base_space(self, i):
+        return self.bases[i]
+
+
+def _inside(rng, outer: Subspace, m: int) -> Subspace:
+    mix = np.linalg.qr(rng.standard_normal((outer.dim, m)))[0]
+    return Subspace(outer.ambient_dim, outer.basis @ mix)
+
+
+DEFECTS = ("repeat", "nested", "lines", "orthogonal")
+
+
+def _defective_collection(rng, kind: str) -> _Collection:
+    """Random base spaces with a defect that tends to break transverseness:
+    a repeated base, a base nested in another, 1-dim bases inside a common
+    proper subspace, or two mutually orthogonal groups."""
+    d = int(rng.integers(3, 7))
+    if kind == "orthogonal":
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        d1 = int(rng.integers(1, d))
+        bases = [_inside(rng, group, int(rng.integers(1, group.dim + 1)))
+                 for group in (Subspace(d, q[:, :d1]), Subspace(d, q[:, d1:]))
+                 for _ in range(int(rng.integers(1, 3)))]
+        bases += [random_subspace(rng, d, int(rng.integers(1, d)))
+                  for _ in range(int(rng.integers(0, 2)))]
+    else:
+        bases = [random_subspace(rng, d, int(rng.integers(1, d)))
+                 for _ in range(int(rng.integers(2, 5)))]
+        if kind == "repeat":
+            bases.append(bases[int(rng.integers(len(bases)))])
+        elif kind == "nested":
+            outer = bases[int(rng.integers(len(bases)))]
+            if outer.dim > 1:
+                bases.append(_inside(rng, outer, int(rng.integers(1, outer.dim))))
+        else:
+            host = random_subspace(rng, d, int(rng.integers(2, d)))
+            bases += [_inside(rng, host, 1) for _ in range(host.dim + 1)]
+    return _Collection([bases[i] for i in rng.permutation(len(bases))])
+
+
+class TestTransverseAgainstSubsets:
+    @pytest.mark.parametrize("n, nu", [(n, nu) for n in (2, 3, 4, 5)
+                                       for nu in (2, 3)])
+    def test_hard_balls(self, n, nu):
+        system = _hard_ball(n, nu, tuple(np.linspace(1.0, 2.0, n)))
+        assert is_transverse(system) == is_transverse_by_subsets(system) \
+            == (True, None)
+
+    def test_criterion_02_systems(self):
+        rng = np.random.default_rng(np.random.SeedSequence(202))
+        for n in (2, 3, 4):
+            for nu in (2, 3):
+                for _ in range(5):
+                    masses = tuple(float(m) for m in rng.uniform(0.2, 5.0, size=n))
+                    system = _hard_ball(n, nu, masses, float(rng.uniform(0.02, 0.2)))
+                    assert is_transverse(system) == is_transverse_by_subsets(system)
+
+    def test_criterion_03_systems(self):
+        rng = np.random.default_rng(np.random.SeedSequence(303))
+        systems = [acceptance._connected_direct_sum(rng) for _ in range(20)]
+        systems += [acceptance._disconnected_direct_sum(rng) for _ in range(20)]
+        verdicts = [is_transverse(s) for s in systems]
+        assert verdicts == [is_transverse_by_subsets(s) for s in systems]
+        assert [ok for ok, _ in verdicts] == [True] * 20 + [False] * 20
+
+    @pytest.mark.parametrize("kind", DEFECTS)
+    def test_defective_collections(self, kind):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [909, DEFECTS.index(kind)]))
+        sizes = set()
+        for _ in range(40):
+            collection = _defective_collection(rng, kind)
+            ok, counter = is_transverse(collection)
+            assert (ok, counter) == is_transverse_by_subsets(collection)
+            sizes.add(0 if ok else len(counter))
+        # failures occur, and not only at single cylinders
+        assert len(sizes - {0, 1}) >= 2
+
+
+class TestTransverseReach:
+    @pytest.mark.parametrize("n, limit", [(6, 2.0), (7, 60.0)])
+    def test_hard_balls_answer_in_time(self, n, limit):
+        system = _hard_ball(n, 2)
+        start = time.perf_counter()
+        assert is_transverse(system) == (True, None)
+        assert time.perf_counter() - start < limit
+
+
 class TestTransverse:
     def test_hard_ball_transverse(self):
         system, _ = builders.hard_ball_system(
@@ -136,6 +294,7 @@ class TestTransverse:
         assert not ok
         # {0} alone escapes via the orthogonal L_1; the full pair does not
         assert counter == (0, 1)
+        assert is_transverse_by_subsets(system) == (ok, counter)
 
     def test_transverse_implies_transitive(self, rng):
         for n in (2, 3):

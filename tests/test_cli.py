@@ -430,6 +430,11 @@ FAILING_COMMANDS = {
         ("delta", "--system", "{sinai}", "--sigma", "{sigma5}",
          "--samples", "5", "--seed", "1"),
         lambda f: paths.delta_sigma_report(_sinai(f), [5], 5, 1)),
+    "delta-sample-cap": (
+        ("delta", "--system", "{sinai}", "--sigma", "{sigma0}",
+         "--samples", str(paths.MAX_DELTA_SAMPLES + 1), "--seed", "1"),
+        lambda f: paths.delta_sigma_report(
+            _sinai(f), [0], paths.MAX_DELTA_SAMPLES + 1, 1)),
     "rich-malformed-sigma": (
         ("rich", "--system", "{sinai}", "--sigma", "{broken}",
          "--samples", "5", "--seed", "1"),
@@ -476,12 +481,14 @@ class TestFailureExitCodes:
     @pytest.fixture
     def files(self, tmp_path):
         files = {name: tmp_path / f"{name}.json"
-                 for name in ("sinai", "crowd", "broken", "sigma5", "out")}
+                 for name in ("sinai", "crowd", "broken", "sigma0", "sigma5",
+                              "out")}
         save_system(make_sphere_system(2, r=0.3), files["sinai"])
         crowd = make_sphere_system(2, r=0.3)
         crowd.cylinders = crowd.cylinders * 30
         save_system(crowd, files["crowd"])
         files["broken"].write_text("{broken")
+        save_sigma([0], files["sigma0"])
         save_sigma([5], files["sigma5"])
         return files
 

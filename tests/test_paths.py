@@ -421,6 +421,16 @@ class TestDelta:
             delta_sigma_constrained(system, [0], base, 3, seed=1,
                                     box_scale=1e-7)
 
+    def test_sample_cap_refused_before_any_work(self):
+        system = make_sphere_system(2, r=0.5, center=np.zeros(2))
+        base = EuclideanPathSpec([1.0, 0.0], [np.array([2.0, 0.0])])
+        too_many = paths.MAX_DELTA_SAMPLES + 1
+        for call in (lambda: delta_sigma_report(system, [0], too_many, 1),
+                     lambda: delta_sigma_constrained(system, [0], base,
+                                                     too_many, 1)):
+            with pytest.raises(paths.SampleLimitError):
+                call()
+
     def test_box_scale_only_on_constrained(self):
         system = make_sphere_system(2, r=0.5, center=np.zeros(2))
         for fn in (delta_sigma, delta_sigma_report, is_rich):
