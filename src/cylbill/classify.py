@@ -95,14 +95,17 @@ def non_orthogonality_graph(bases) -> nx.Graph:
     return g
 
 
-def is_transitive(bases, ambient_dim: int | None = None):
+def is_transitive(bases, ambient_dim: int | None = None,
+                  graph: nx.Graph | None = None):
     """Decide whether the collection admits no orthogonal splitting.
 
     Returns ``(True, None)`` or ``(False, witness)``.  The structural
     criterion: the non-orthogonality graph is connected and the joint span
     is the full space.  Graph components span mutually orthogonal
     subspaces, and a deficient span leaves its complement untouched, so
-    each failure mode produces a witness directly.
+    each failure mode produces a witness directly.  ``graph`` is the
+    collection's ``non_orthogonality_graph`` if the caller has built it;
+    otherwise it is built here when needed.
     """
     bases = list(bases)
     if not bases:
@@ -120,7 +123,8 @@ def is_transitive(bases, ambient_dim: int | None = None):
         )
         w.check({i: b for i, b in enumerate(bases)})
         return False, w
-    graph = non_orthogonality_graph(bases)
+    if graph is None:
+        graph = non_orthogonality_graph(bases)
     comps = sorted(nx.connected_components(graph), key=min)
     if len(comps) > 1:
         first = sorted(comps[0])

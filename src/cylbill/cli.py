@@ -11,6 +11,7 @@ base in ``cylbill.errors``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -95,11 +96,12 @@ def _parse_ints(text: str) -> list[int]:
 def cmd_classify(args) -> int:
     system = _load_valid_system(args.system)
     bases = system.base_spaces()
-    transitive, witness = classify.is_transitive(bases, ambient_dim=system.dim)
+    graph = classify.non_orthogonality_graph(bases)
+    transitive, witness = classify.is_transitive(bases, ambient_dim=system.dim,
+                                                 graph=graph)
     commutant = classify.commutant_dimension(bases) \
         if all(b.dim >= 2 for b in bases) else None
     transverse, counterexample = classify.is_transverse(system)
-    graph = classify.non_orthogonality_graph(bases)
     import networkx as nx
 
     components = [sorted(c) for c in
@@ -378,7 +380,10 @@ def cmd_splitting_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves a parser unchanged, so every call can share it."""
     parser = _Parser(prog="cylbill",
                      description="Cylindric billiards: build, classify, "
                                  "simulate, and diagnose hyperbolicity.")

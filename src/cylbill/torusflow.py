@@ -204,28 +204,28 @@ class _AxisImages:
         self.ints, self.pts = lattice.enumerate_ball(
             np.zeros(self.red.shape[0]), reach + half_spread + 1e-9)
 
-    def offsets(self, q: np.ndarray):
-        """Base-space offsets ``B^T (q - t) - G b`` of the ball's images
-        around ``q``, one row per image, and the shift that turns a row of
-        ``ints`` into the image's ``b``."""
-        y = self.basis.T @ (q - self.translation)
-        k_red = np.round(self.red_inv @ y).astype(np.int64)
-        w = (y - self.red @ k_red)[None, :] - self.pts
-        return w, self.red_transform @ k_red
-
-    def distance(self, q: np.ndarray) -> float:
-        """Distance from ``q`` to the nearest image."""
-        w, _ = self.offsets(q)
-        return float(np.min(np.linalg.norm(w, axis=1)))
-
 
 class _FlowView:
     """Per-system arrays for the collision scan, cached on the system.
 
     ``window`` is the length of one scan window: a horizon longer than it
-    is searched window by window, so no image ball ever grows with it."""
+    is searched window by window, so no image ball ever grows with it.
 
-    __slots__ = ("lattice", "diam", "window", "images")
+    The scan treats every cylinder at once.  Each base space gets a block
+    of ``n`` rows, ``n`` the largest base dimension, padded with zeros:
+    ``bt`` (``k n x d``) stacks the transposed bases ``B_i^T`` and ``bt_t``
+    the translations' coordinates ``B_i^T t_i``; ``red`` and ``red_inv``
+    are block diagonal.  ``pts`` (``k x n x m``) holds each image ball,
+    padded to the largest, one coordinate per row so that every array pass
+    runs along the images; ``real`` (``k x m``) marks the columns that are
+    images, so that a padding column never yields a root or a graze.
+    ``rr`` is the column of squared radii and ``disc_rr`` its multiple by
+    ``DISC``, the discriminant guard per unit ``|B^T v|^2``.
+    """
+
+    __slots__ = ("lattice", "diam", "window", "images", "k", "n", "bt",
+                 "bt_t", "red", "red_inv", "pts", "real", "radius", "rr",
+                 "disc_rr")
 
     def __init__(self, system):
         self.lattice = system.lattice
@@ -233,6 +233,42 @@ class _FlowView:
         self.window = max(self.diam, 1e-3)
         self.images = [_AxisImages(system, i, self.window)
                        for i in range(system.k)]
+        k = self.k = system.k
+        n = self.n = max((img.red.shape[0] for img in self.images), default=0)
+        m = max((len(img.pts) for img in self.images), default=0)
+        self.bt = np.zeros((k * n, system.dim))
+        self.bt_t = np.zeros(k * n)
+        self.red = np.zeros((k * n, k * n))
+        self.red_inv = np.zeros((k * n, k * n))
+        self.pts = np.zeros((k, n, m))
+        self.real = np.zeros((k, m), dtype=bool)
+        for i, img in enumerate(self.images):
+            rows = slice(i * n, i * n + img.red.shape[0])
+            self.bt[rows] = img.basis.T
+            self.bt_t[rows] = img.basis.T @ img.translation
+            self.red[rows, rows] = img.red
+            self.red_inv[rows, rows] = img.red_inv
+            self.pts[i, :img.red.shape[0], :len(img.pts)] = img.pts.T
+            self.real[i, :len(img.pts)] = True
+        self.radius = np.array([img.radius for img in self.images])
+        self.rr = (self.radius ** 2)[:, None]
+        self.disc_rr = DISC * self.rr
+
+    def offsets(self, x: np.ndarray):
+        """Base-space offsets ``B_i^T (x - t_i) - G_i b`` of every image
+        around ``x``, stacked ``k x n x m``, and the stacked reduced
+        coordinates ``k_red`` of the nearest lattice point, which shift a
+        row of ``images[i].ints`` to that image's ``b``."""
+        y = self.bt @ x - self.bt_t
+        k_red = np.round(self.red_inv @ y)
+        c = (y - self.red @ k_red).reshape(self.k, self.n, 1)
+        return c - self.pts, k_red
+
+    def distances(self, x: np.ndarray) -> np.ndarray:
+        """Distance from ``x`` to the nearest image, per cylinder."""
+        w, _ = self.offsets(x)
+        return np.sqrt(np.min(np.square(w).sum(axis=1), axis=1,
+                              initial=np.inf, where=self.real))
 
 
 def _flow_view(system) -> _FlowView:
@@ -244,13 +280,13 @@ def _flow_view(system) -> _FlowView:
 def min_axis_distances(system, q) -> np.ndarray:
     """Distance from ``q`` to the nearest axis image, per cylinder."""
     q = np.asarray(q, dtype=float).reshape(-1)
-    return np.array([img.distance(q) for img in _flow_view(system).images])
+    return _flow_view(system).distances(q)
 
 
 def _assert_outside(view: _FlowView, q: np.ndarray, tol: float = 1e-9) -> None:
-    for i, img in enumerate(view.images):
-        if img.distance(q) < img.radius - tol:
-            raise StartInside(f"start point lies inside cylinder {i}")
+    inside = np.flatnonzero(view.distances(q) < view.radius - tol)
+    if inside.size:
+        raise StartInside(f"start point lies inside cylinder {inside[0]}")
 
 
 def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
@@ -259,55 +295,49 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     ``t_window`` of that point (at most ``view.window``); None if there is
     none.  Returns (s, cylinder, image ints, unit normal), with ``s`` and
     the time of a singular contact measured from ``q`` and the image in
-    the frame of ``q``."""
-    first = second = np.inf     # two earliest contacts over all images
-    best = None                 # (i, b, w_hit) of the first
-    graze_s = np.inf
+    the frame of ``q``.
+
+    One array pass solves the collision quadratic on every image of every
+    cylinder.  Only the images whose discriminant clears ``-guard`` go on
+    to roots and grazes, and only the first contact's image and normal are
+    built.  A cylinder with ``|B^T v|^2 < 1e-24`` is never hit.
+    """
     origin = q + start * v
-    for i, img in enumerate(view.images):
-        r = img.radius
-        u = img.basis.T @ v
-        uu = float(u @ u)
-        if uu < 1e-24:
-            continue
-        w, shift = img.offsets(origin)
-        wu = w @ u
-        ww = np.einsum("ij,ij->i", w, w)
-        disc = wu * wu - uu * (ww - r * r)
-        guard = DISC * uu * r * r
-        near = np.abs(disc) < guard
-        if np.any(near):
-            s_t = -wu[near] / uu
-            s_t = s_t[s_t > T_MIN_GAP]
-            if s_t.size:
-                graze_s = min(graze_s, float(s_t.min()))
-        real = disc >= guard
-        if not np.any(real):
-            continue
-        s_all = np.full(disc.shape, np.inf)
-        s_all[real] = (-wu[real] - np.sqrt(disc[real])) / uu
-        s_all[s_all <= T_MIN_GAP] = np.inf
-        jmin = int(np.argmin(s_all))
-        s_min = float(s_all[jmin])
-        if not np.isfinite(s_min):
-            continue
-        if s_min < first:
-            # rows are distinct images, so this cylinder's own second
-            # contact is its second-smallest root
-            s_all[jmin] = np.inf
-            second = min(second, first, float(s_all.min()))
-            first = s_min
-            best = (i, img.ints[jmin] + shift, w[jmin] + s_min * u)
-        else:
-            second = min(second, s_min)
+    u = (view.bt @ v).reshape(view.k, 1, view.n)
+    uu = np.vecdot(u, u)                            # k x 1
+    w, k_red = view.offsets(origin)
+    wu = (u @ w)[:, 0]                              # k x m
+    disc = wu * wu - uu * (np.square(w).sum(axis=1) - view.rr)
+    guard = uu * view.disc_rr
+    floor = np.where(uu < 1e-24, np.inf, -guard)
+    screened = np.flatnonzero((disc > floor) & view.real)
+    if not screened.size:
+        return None
+    cyl = screened // disc.shape[1]
+    disc, wu, uu, guard = (disc.take(screened), wu.take(screened),
+                           uu.take(cyl), guard.take(cyl))
+    near = disc < guard         # |disc| < guard, as disc > -guard here
+    s_t = -wu / uu
+    graze_s = float(np.min(s_t, initial=np.inf,
+                           where=near & (s_t > T_MIN_GAP)))
+    s_all = (-wu - np.sqrt(np.maximum(disc, 0.0))) / uu
+    s_all[near | (s_all <= T_MIN_GAP)] = np.inf
+    j = int(np.argmin(s_all))
+    first = float(s_all[j])     # two earliest contacts over all images
+    s_all[j] = np.inf
+    second = float(s_all.min())
     if first <= t_window:
-        i, b, w_hit = best
         if graze_s <= first + T_MIN_GAP:
             raise TangentialCollision("grazing contact", start + graze_s)
         if second - first < T_MIN_GAP:
             raise SimultaneousCollision("two contacts within T_MIN_GAP",
                                         start + first)
+        i, col = divmod(int(screened[j]), w.shape[2])
         img = view.images[i]
+        dim = img.red.shape[0]
+        k_i = k_red[i * view.n:i * view.n + dim].astype(np.int64)
+        b = img.ints[col] + img.red_transform @ k_i
+        w_hit = w[i, :dim, col] + first * u[i, 0, :dim]
         normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
         return start + first, i, img.cosets @ b, normal
     if graze_s <= t_window:

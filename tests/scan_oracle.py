@@ -1,0 +1,96 @@
+"""Per-cylinder oracle for the stacked collision scan of
+``cylbill.torusflow``.
+
+Each cylinder is scanned on its own: its image ball is shifted to the
+nearest image of the window's start, the collision quadratic is solved row
+by row, and the earliest root, the second contact and the earliest graze
+are folded across cylinders in index order.  It reads the same per-cylinder
+image data (``view.images``) as the stacked scan but none of its stacked
+arrays, and pays about thirty numpy calls per cylinder, so it serves as a
+reference only.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cylbill.config import DISC, T_MIN_GAP
+from cylbill.torusflow import SimultaneousCollision, TangentialCollision
+
+
+def _offsets(img, q: np.ndarray):
+    """Base-space offsets ``B^T (q - t) - G b`` of the ball's images
+    around ``q``, one row per image, and the shift that turns a row of
+    ``ints`` into the image's ``b``."""
+    y = img.basis.T @ (q - img.translation)
+    k_red = np.round(img.red_inv @ y).astype(np.int64)
+    w = (y - img.red @ k_red)[None, :] - img.pts
+    return w, img.red_transform @ k_red
+
+
+def scan_window(view, q: np.ndarray, v: np.ndarray, start: float,
+                t_window: float):
+    """Earliest admissible collision of the ray from ``q + start v`` within
+    ``t_window`` of that point (at most ``view.window``); None if there is
+    none.  Returns (s, cylinder, image ints, unit normal), with ``s`` and
+    the time of a singular contact measured from ``q`` and the image in
+    the frame of ``q``."""
+    first = second = np.inf     # two earliest contacts over all images
+    best = None                 # (i, b, w_hit) of the first
+    graze_s = np.inf
+    origin = q + start * v
+    for i, img in enumerate(view.images):
+        r = img.radius
+        u = img.basis.T @ v
+        uu = float(u @ u)
+        if uu < 1e-24:
+            continue
+        w, shift = _offsets(img, origin)
+        wu = w @ u
+        ww = np.einsum("ij,ij->i", w, w)
+        disc = wu * wu - uu * (ww - r * r)
+        guard = DISC * uu * r * r
+        near = np.abs(disc) < guard
+        if np.any(near):
+            s_t = -wu[near] / uu
+            s_t = s_t[s_t > T_MIN_GAP]
+            if s_t.size:
+                graze_s = min(graze_s, float(s_t.min()))
+        real = disc >= guard
+        if not np.any(real):
+            continue
+        s_all = np.full(disc.shape, np.inf)
+        s_all[real] = (-wu[real] - np.sqrt(disc[real])) / uu
+        s_all[s_all <= T_MIN_GAP] = np.inf
+        jmin = int(np.argmin(s_all))
+        s_min = float(s_all[jmin])
+        if not np.isfinite(s_min):
+            continue
+        if s_min < first:
+            # rows are distinct images, so this cylinder's own second
+            # contact is its second-smallest root
+            s_all[jmin] = np.inf
+            second = min(second, first, float(s_all.min()))
+            first = s_min
+            best = (i, img.ints[jmin] + shift, w[jmin] + s_min * u)
+        else:
+            second = min(second, s_min)
+    if first <= t_window:
+        i, b, w_hit = best
+        if graze_s <= first + T_MIN_GAP:
+            raise TangentialCollision("grazing contact", start + graze_s)
+        if second - first < T_MIN_GAP:
+            raise SimultaneousCollision("two contacts within T_MIN_GAP",
+                                        start + first)
+        img = view.images[i]
+        normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
+        return start + first, i, img.cosets @ b, normal
+    if graze_s <= t_window:
+        raise TangentialCollision("grazing contact", start + graze_s)
+    return None
+
+
+def min_axis_distances(view, q: np.ndarray) -> np.ndarray:
+    """Distance from ``q`` to the nearest axis image, per cylinder."""
+    return np.array([float(np.min(np.linalg.norm(_offsets(img, q)[0], axis=1)))
+                     for img in view.images])

@@ -125,6 +125,18 @@ class TestClassify:
         assert '"commutant_dimension": 1' in text
         assert "# summary: transitive: yes" in text
 
+    def test_graph_built_once(self, capsys, hardball_file, monkeypatch):
+        # the transitivity verdict and graph_components share one graph
+        built = []
+        original = classify.non_orthogonality_graph
+        monkeypatch.setattr(classify, "non_orthogonality_graph",
+                            lambda bases: built.append(1) or original(bases))
+        code, text, _ = run(capsys, "classify", "--system",
+                            str(hardball_file))
+        assert code == 0
+        assert "# summary: graph components: 1" in text
+        assert len(built) == 1
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -604,6 +616,10 @@ def readme_cli_lines() -> list[str]:
     joined = block.replace("\\\n", " ")
     return [line.strip() for line in joined.splitlines()
             if line.strip().startswith("cylbill ")]
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_readme_cli_block_parses():

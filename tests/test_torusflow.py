@@ -9,6 +9,8 @@ from cylbill import torusflow as tf
 from cylbill.geometry import Lattice, complement, projector_distance
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from conftest import make_sphere_system, make_two_block_system
+from scan_oracle import min_axis_distances as oracle_min_axis_distances
+from scan_oracle import scan_window as oracle_scan_window
 from shadow_oracle import shadow_lyapunov_max
 
 
@@ -150,6 +152,169 @@ class TestNextCollision:
         assert tf.next_collision(sinai, phase, 10.0) is None
         oracle = torus_oracle_first_collision(sinai, phase.q, phase.v)
         assert oracle is None
+
+
+def _hard_balls(n, nu, r):
+    return lambda: builders.hard_ball_system(
+        builders.HardBallParams(n, nu, (1.0,) * n, r))[0]
+
+
+def _cylinder(r, translation, axes=()):
+    """A cylinder on the unit 3-torus whose axis spans the coordinate
+    directions ``axes``."""
+    coeffs = np.zeros((3, len(axes)), np.int64)
+    for j, a in enumerate(axes):
+        coeffs[a, j] = 1
+    return CylinderSpec(radius=r, translation=np.asarray(translation, float),
+                        generator_coeffs=coeffs)
+
+
+def _mixed_dims():
+    """Base dimensions 3, 2 and 1 on the unit 3-torus (a ball, a rod along
+    e3 and a slab across e3), so every stacked array is padded."""
+    return CylindricBilliardSystem(
+        dim=3, lattice=Lattice(np.eye(3)), cylinders=[
+            _cylinder(0.2, [0.5, 0.5, 0.5]),
+            _cylinder(0.15, [0.1, 0.2, 0.0], axes=(2,)),
+            _cylinder(0.05, [0.0, 0.0, 0.8], axes=(0, 1)),
+        ])
+
+
+SCAN_SYSTEMS = {
+    "sinai": lambda: make_sphere_system(2, r=0.3),
+    "hb22": _hard_balls(2, 2, 0.1),
+    "hb32": _hard_balls(3, 2, 0.2),
+    "hb43": _hard_balls(4, 3, 0.1),
+    "hb62": _hard_balls(6, 2, 0.1),
+    "mixed": _mixed_dims,
+}
+
+
+def _scan_both(system, q, v, start=0.0):
+    """The stacked scan's and the oracle's outcome (a hit, None or the
+    raised singular contact) for one window."""
+    view = tf._flow_view(system)
+    outcomes = []
+    for scan in (tf._scan_window, oracle_scan_window):
+        try:
+            outcomes.append(scan(view, q, v, start, view.window))
+        except tf._SingularContact as contact:
+            outcomes.append(contact)
+    return outcomes
+
+
+def assert_same_scan(system, new, old):
+    """Same None or hit, cylinder and axis coset; time and normal within
+    1e-12.  Singular contacts: same type and time within 1e-12."""
+    if isinstance(old, tf._SingularContact):
+        assert type(new) is type(old)
+        assert abs(new.time - old.time) <= 1e-12
+        return
+    assert (new is None) == (old is None)
+    if old is None:
+        return
+    (s, i, image, normal), (s_o, i_o, image_o, normal_o) = new, old
+    assert i == i_o
+    assert np.linalg.norm(base_offset(system, i, image)
+                          - base_offset(system, i, image_o)) < 1e-9
+    assert abs(s - s_o) <= 1e-12
+    assert np.abs(normal - normal_o).max() <= 1e-12
+
+
+class TestStackedScan:
+    """The one-pass scan over all cylinders against the per-cylinder
+    oracle ``scan_oracle.scan_window``."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
+    def test_matches_oracle_along_orbits(self, name):
+        system = SCAN_SYSTEMS[name]()
+        view = tf._flow_view(system)
+        rng = np.random.default_rng(1301)
+        hits = 0
+        for _ in range(12):
+            phase = tf.random_phase(system, rng)
+            q, v = phase.q, phase.v
+            np.testing.assert_allclose(
+                tf.min_axis_distances(system, q),
+                oracle_min_axis_distances(view, q), rtol=0, atol=1e-12)
+            for _ in range(8):
+                # a later window too, whose start lies off the cell
+                for start in (0.0, view.window - tf.T_MIN_GAP):
+                    new, old = _scan_both(system, q, v, start)
+                    assert_same_scan(system, new, old)
+                if not isinstance(old, tuple):
+                    break
+                hits += 1
+                s, _, _, normal = old
+                q, _ = system.lattice.wrap(q + s * v)
+                v = v - 2.0 * (v @ normal) * normal
+        assert hits >= 12
+
+    @pytest.mark.parametrize("name,v", [
+        ("sinai", [1.0, 0.0]),
+        ("mixed", [0.0, 0.0, 1.0]),     # the rod's |B^T v|^2 is 0
+        ("mixed", [1.0, 0.0, 0.0]),     # the slab's |B^T v|^2 is 0
+    ])
+    def test_velocity_along_an_axis(self, name, v):
+        system = SCAN_SYSTEMS[name]()
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            q = tf.random_phase(system, rng).q
+            assert_same_scan(system, *_scan_both(system, q, np.array(v)))
+
+    def test_empty_system(self):
+        empty = CylindricBilliardSystem(dim=2, lattice=Lattice(np.eye(2)),
+                                        cylinders=[])
+        q, v = np.array([0.2, 0.3]), np.array([0.6, 0.8])
+        assert _scan_both(empty, q, v) == [None, None]
+        assert tf.min_axis_distances(empty, q).shape == (0,)
+
+    @pytest.mark.parametrize("name", ["sinai", "hb32", "mixed"])
+    def test_forced_grazing(self, name):
+        # shift a hitting ray across itself, inside the hit cylinder's
+        # base space, until its closest approach to the axis is r
+        system = SCAN_SYSTEMS[name]()
+        rng = np.random.default_rng(5)
+        grazes = 0
+        for _ in range(30):
+            phase = tf.random_phase(system, rng)
+            hit = tf.next_collision(system, phase, 10.0)
+            if hit is None:
+                continue
+            basis = system.base_space(hit.cylinder).basis
+            if basis.shape[1] < 2:
+                continue        # a ray grazes a slab only along it
+            r = system.cylinders[hit.cylinder].radius
+            u = basis.T @ phase.v
+            w_hit = r * (basis.T @ hit.normal)
+            closest = w_hit - (w_hit @ u) / (u @ u) * u
+            dmin = np.linalg.norm(closest)
+            q = phase.q + (r - dmin) * (basis @ (closest / dmin))
+            new, old = _scan_both(system, q, phase.v)
+            assert_same_scan(system, new, old)
+            grazes += isinstance(old, tf.TangentialCollision)
+        assert grazes >= 5
+
+    @pytest.mark.parametrize("second", [
+        # a concentric ball 1e-11 wider: both are met within T_MIN_GAP
+        _cylinder(0.2 + 1e-11, [0.5, 0.5, 0.5]),
+        # a rod through the ball's centre: the ray in the plane z = 0.5
+        # meets both on the ball's equator at once
+        _cylinder(0.2, [0.5, 0.5, 0.0], axes=(2,)),
+    ], ids=["concentric-ball", "rod-through-ball"])
+    def test_forced_simultaneous(self, second):
+        system = CylindricBilliardSystem(
+            dim=3, lattice=Lattice(np.eye(3)),
+            cylinders=[_cylinder(0.2, [0.5, 0.5, 0.5]), second])
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            angle = rng.uniform(0, 2 * np.pi)
+            v = np.array([np.cos(angle), np.sin(angle), 0.0])
+            q = np.array([0.5, 0.5, 0.5]) - 0.45 * v \
+                + rng.uniform(-0.1, 0.1) * np.array([-v[1], v[0], 0.0])
+            new, old = _scan_both(system, q, v)
+            assert isinstance(old, tf.SimultaneousCollision)
+            assert_same_scan(system, new, old)
 
 
 class TestFlow:
