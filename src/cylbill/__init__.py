@@ -57,9 +57,7 @@ from .paths import (
     EuclideanPathSpec,
     delta_sigma,
     delta_sigma_constrained,
-    is_rich,
     neutral_space,
-    phi_map,
     sample_spec,
     trace,
     translate_all,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, lcm
+from math import isfinite, lcm, sqrt
 
 import numpy as np
 
@@ -71,7 +71,14 @@ class FactorLatticeError(DegeneracyError, RuntimeError):
 
 @dataclass(frozen=True)
 class HardBallParams:
-    """N hard balls of one radius with positive masses on the unit torus."""
+    """N hard balls of one radius with positive masses on the unit torus.
+
+    Two balls overlap wherever they stand once ``2 r`` reaches ``√ν / 2``,
+    the largest distance on the unit ν-torus, so ``4 r ≥ √ν`` is refused.
+    That limit is sufficient, not necessary: a smaller radius can still
+    leave too little free space for a start point to be sampled (two balls
+    with ν = 3 and r = 0.42 do).
+    """
 
     n_balls: int
     torus_dim: int
@@ -90,6 +97,11 @@ class HardBallParams:
             raise BuilderError("masses must be finite and positive")
         if not (isfinite(self.radius) and self.radius > 0):
             raise BuilderError("ball radius must be finite and positive")
+        if 4.0 * self.radius >= sqrt(self.torus_dim):
+            raise BuilderError(
+                f"ball radius {self.radius:g} is at least sqrt({self.torus_dim})"
+                f"/4 = {sqrt(self.torus_dim) / 4:.4g}: any two balls overlap "
+                "wherever they stand")
 
 
 def pair_radius(m_i: float, m_j: float, r: float) -> float:

@@ -50,14 +50,12 @@ __all__ = [
     "trace",
     "translate_all",
     "translate_each",
-    "phi_map",
     "apply_reflections",
     "w_plus",
     "neutral_space",
     "delta_sigma",
     "delta_sigma_constrained",
     "delta_sigma_report",
-    "is_rich",
     "sample_spec",
     "REJECTION_REASONS",
     "ADVANCE_RANGE",
@@ -343,15 +341,6 @@ def translate_each(system, labels, spec: EuclideanPathSpec, b_list,
             )
         new_offsets.append(spec.offsets[j] + coords)
     return EuclideanPathSpec(v0=spec.v0, offsets=tuple(new_offsets))
-
-
-def phi_map(v0, normals) -> np.ndarray:
-    """Apply the reflections with the given unit normals, first one first."""
-    v = np.asarray(v0, dtype=float).reshape(-1).copy()
-    for n in normals:
-        n = np.asarray(n, dtype=float).reshape(-1)
-        v = v - 2.0 * float(v @ n) * n
-    return v
 
 
 def apply_reflections(vectors, normals) -> np.ndarray:
@@ -700,12 +689,6 @@ def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
     ``SampleLimitError`` before any path is traced."""
     return _constrained_report(system, labels, base_spec, n_samples, seed,
                                box_scale).value
-
-
-def is_rich(system, labels, n_samples: int, seed: int) -> bool:
-    """Does the sequence generically expand a beam in every direction
-    transverse to the motion (expanding dimension d - 1)?"""
-    return delta_sigma(system, labels, n_samples, seed) == system.dim - 1
 
 
 # ---------------------------------------------------------------------------

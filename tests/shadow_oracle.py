@@ -25,8 +25,7 @@ from cylbill.torusflow import (
     TangentialCollision,
     _assert_outside,
     _flow_view,
-    _reflect,
-    _scan,
+    _Orbit,
 )
 
 
@@ -48,22 +47,18 @@ class ShadowResult:
 
 def _advance(view, q, v, duration: float):
     """Propagate a state for an exact duration.  Raises on degeneracies."""
+    orbit = _Orbit(view, q, v)
     t = 0.0
-    q = q.copy()
-    v = v.copy()
     while duration - t > 1e-15:
         remaining = duration - t
-        hit = _scan(view, q, v, remaining)
+        hit = orbit.scan(remaining)
         if hit is None:
-            q = q + remaining * v
+            orbit.move(remaining)
             break
         s, _, _, normal = hit
-        q = q + s * v
-        v = _reflect(v, normal)
-        q, _ = view.lattice.wrap(q)
+        orbit.move(s, normal)
         t += s
-    q, _ = view.lattice.wrap(q)
-    return q, v
+    return orbit.q, orbit.v
 
 
 def shadow_lyapunov_max(system, phase, total_t: float, renorm_dt: float,

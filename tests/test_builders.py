@@ -20,6 +20,7 @@ from cylbill.geometry import (
     subspace_overlap,
 )
 from cylbill.model import validate
+from cylbill.torusflow import random_phase
 from conftest import make_two_block_system
 
 
@@ -54,6 +55,18 @@ class TestHardBallParams:
         with pytest.raises(BuilderError):
             HardBallParams(2, 2, (1.0,), 0.1)
 
+    def test_radius_that_leaves_no_free_point(self):
+        # 2 r against sqrt(nu)/2, the largest distance on the unit torus
+        for nu in (2, 3):
+            with pytest.raises(BuilderError, match="overlap"):
+                HardBallParams(2, nu, (1.0, 1.0), np.sqrt(nu) / 4)
+        with pytest.raises(BuilderError):
+            HardBallParams(2, 2, (1.0, 1.0), 0.36)
+        # just below the limit a free start is still found (random_phase
+        # raises FlowError after 1,000 tries otherwise)
+        system, _ = hard_ball_system(HardBallParams(2, 2, (1.0, 1.0), 0.35))
+        random_phase(system, np.random.default_rng(0))
+
 
 class TestHardBall:
     def test_two_balls_unit_masses(self):
@@ -64,8 +77,8 @@ class TestHardBall:
         assert validate(system).ok
 
     def test_mass_ratio_radius(self):
-        system, _ = hard_ball_system(HardBallParams(2, 2, (1.0, 3.0), 1.0))
-        assert abs(system.cylinders[0].radius - np.sqrt(3.0)) < 1e-15
+        system, _ = hard_ball_system(HardBallParams(2, 2, (1.0, 3.0), 0.25))
+        assert abs(system.cylinders[0].radius - 0.25 * np.sqrt(3.0)) < 1e-15
 
     def test_radius_formula_exact(self, rng):
         for n in (2, 3, 4):

@@ -438,6 +438,9 @@ FAILING_COMMANDS = {
     "build-nan-radius": (
         HARDBALL + ("--masses", "1,1,1", "--r", "nan"),
         lambda f: builders.HardBallParams(3, 2, (1, 1, 1), NAN)),
+    "build-radius-no-free-point": (
+        HARDBALL + ("--masses", "1,1,1", "--r", "0.7"),
+        lambda f: builders.HardBallParams(3, 2, (1, 1, 1), 0.7)),
     "delta-label-out-of-range": (
         ("delta", "--system", "{sinai}", "--sigma", "{sigma5}",
          "--samples", "5", "--seed", "1"),

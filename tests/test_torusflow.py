@@ -235,7 +235,7 @@ class TestStackedScan:
             phase = tf.random_phase(system, rng)
             q, v = phase.q, phase.v
             np.testing.assert_allclose(
-                tf.min_axis_distances(system, q),
+                view.distances(q),
                 oracle_min_axis_distances(view, q), rtol=0, atol=1e-12)
             for _ in range(8):
                 # a later window too, whose start lies off the cell
@@ -267,7 +267,7 @@ class TestStackedScan:
                                         cylinders=[])
         q, v = np.array([0.2, 0.3]), np.array([0.6, 0.8])
         assert _scan_both(empty, q, v) == [None, None]
-        assert tf.min_axis_distances(empty, q).shape == (0,)
+        assert tf._flow_view(empty).distances(q).shape == (0,)
 
     @pytest.mark.parametrize("name", ["sinai", "hb32", "mixed"])
     def test_forced_grazing(self, name):
@@ -350,7 +350,7 @@ class TestFlow:
                 t_s = t_prev + frac * (ev.time - t_prev)
                 pos = q + (t_s - t_prev) * v
                 wrapped, _ = sinai.lattice.wrap(pos)
-                dmin = tf.min_axis_distances(sinai, wrapped)[0]
+                dmin = tf._flow_view(sinai).distances(wrapped)[0]
                 assert dmin >= 0.3 - 1e-9
                 checked += 1
             q = q + (ev.time - t_prev) * v
