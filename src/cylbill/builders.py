@@ -401,24 +401,14 @@ def sub_billiard(
     q = active.basis                                   # (d, p)
     factor_lattice = q.T @ (lat_basis @ quotient.complement.astype(float))
 
+    to_quotient = quotient.inverse[nu0:].astype(object)
     cylinders = []
     for i in idx:
         cyl = system.cylinders[i]
-        c = np.asarray(cyl.generator_coeffs)
-        quotient_cols = []
-        for jcol in range(c.shape[1]):
-            y = quotient.inverse @ c[:, jcol].astype(object)
-            quotient_cols.append(np.asarray(y[nu0:], dtype=np.int64))
+        y = to_quotient @ np.asarray(cyl.generator_coeffs, dtype=object)
         # drop columns that add no rank (axis directions inside the drift space)
-        chosen: list[np.ndarray] = []
-        for col in quotient_cols:
-            trial = np.column_stack(chosen + [col])
-            if intlat.integer_rank(trial) == len(chosen) + 1:
-                chosen.append(col)
-        p = d - nu0
-        coeffs = (
-            np.column_stack(chosen) if chosen else np.zeros((p, 0), np.int64)
-        )
+        coeffs = np.array(y[:, intlat.pivot_columns(y)], dtype=np.int64,
+                          order="C")
         cylinders.append(
             CylinderSpec(
                 radius=cyl.radius,

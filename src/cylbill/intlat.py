@@ -1,25 +1,29 @@
 """Exact integer linear algebra: HNF, integer kernels, unimodular completion.
 
-Everything here runs on Python integers, so results are exact.  These
-routines back the factor-system construction and the flow's image search:
-quotients of an integer lattice by a primitive sublattice need a unimodular
-change of basis, which floating point cannot certify.
+Everything here runs on Python integers in one fraction-free row-HNF
+elimination, so results are exact and no rational arithmetic is needed.
+The elimination can carry, beside the unimodular transform ``t``, its
+inverse: each row operation on ``t`` is mirrored as the inverse column
+operation on ``t⁻¹``.  For a primitive ``K`` the pass ends with
+``t K = [I; 0]``, so ``t⁻¹`` is a unimodular completion ``[K | W]`` and
+``t`` is its inverse.  These routines back the factor-system construction
+and the flow's image search: quotients of an integer lattice by a primitive
+sublattice need a unimodular change of basis, which floating point cannot
+certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "row_hnf",
+    "pivot_columns",
     "integer_kernel",
     "integer_rank",
     "unimodular_completion",
-    "int_det",
-    "int_inverse",
     "LatticeQuotient",
     "lattice_quotient",
 ]
@@ -29,43 +33,66 @@ def _to_pylist(a) -> list[list[int]]:
     m = np.asarray(a)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
-    if m.size and m.dtype != object and not np.issubdtype(m.dtype, np.integer):
-        if not np.all(m == np.round(m)):
-            raise ValueError("matrix is not integral")
+    if np.issubdtype(m.dtype, np.integer):
+        return m.tolist()
+    if m.size and m.dtype != object and not np.all(m == np.round(m)):
+        raise ValueError("matrix is not integral")
     return [[int(x) for x in row] for row in m]
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _obj_matrix(rows: list[list[int]], ncols: int) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, ncols), dtype=object)
     out = np.empty((len(rows), ncols), dtype=object)
     for i, row in enumerate(rows):
-        for j in range(ncols):
-            out[i, j] = row[j]
+        out[i, :] = row
     return out
 
 
-def _shrink_dtype(m: np.ndarray) -> np.ndarray:
+def _to_array(rows: list[list[int]], ncols: int) -> np.ndarray:
+    """Integer rows as an int64 matrix, or as an object matrix of Python
+    integers when an entry does not fit in int64."""
+    if not rows:
+        return np.zeros((0, ncols), dtype=np.int64)
     try:
-        out = m.astype(np.int64)
-        if np.array_equal(out.astype(object), np.asarray(m, dtype=object)):
-            return out
-    except (OverflowError, TypeError, ValueError):
-        pass
-    return m
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return _obj_matrix(rows, ncols)
 
 
-def row_hnf(a) -> tuple[np.ndarray, np.ndarray]:
-    """Row-style Hermite normal form with transform.
+def _eliminate(aa: list[list[int]], t=None, tinv=None) -> list[int]:
+    """Bring the rows ``aa`` to row Hermite normal form in place and return
+    the pivot columns.
 
-    Returns ``(h, t)`` with ``t`` unimodular and ``t @ a = h``; ``h`` is in
-    row echelon form with positive pivots, entries above each pivot reduced,
-    and zero rows last.
+    The form has positive pivots, entries above each pivot reduced into
+    ``[0, pivot)`` and zero rows last.  Each row operation is applied to the
+    rows of ``t`` too, and its inverse column operation to ``tinv``, which
+    holds the *columns* of ``t⁻¹``: a swap swaps, a negation negates, and
+    ``row_i -= q row_j`` becomes ``col_j += q col_i``.  Starting both from
+    the identity gives ``t @ a = h`` and ``t @ t⁻¹ = I``.
     """
-    aa = _to_pylist(a)
     rows = len(aa)
-    cols = len(aa[0]) if rows else np.asarray(a).shape[1]
-    t = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    cols = len(aa[0]) if rows else 0
+    by_rows = [m for m in (aa, t) if m is not None]
+    every = by_rows + ([tinv] if tinv is not None else [])
+
+    def swap(i, j):
+        for m in every:
+            m[i], m[j] = m[j], m[i]
+
+    def negate(i):
+        for m in every:
+            m[i] = [-x for x in m[i]]
+
+    def subtract(i, j, q):
+        for m in by_rows:
+            m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        if tinv is not None:
+            tinv[j] = [x + q * y for x, y in zip(tinv[j], tinv[i])]
+
+    pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
@@ -73,34 +100,50 @@ def row_hnf(a) -> tuple[np.ndarray, np.ndarray]:
         piv = next((i for i in range(r, rows) if aa[i][c] != 0), None)
         if piv is None:
             continue
-        aa[r], aa[piv] = aa[piv], aa[r]
-        t[r], t[piv] = t[piv], t[r]
+        if piv != r:
+            swap(r, piv)
         for i in range(r + 1, rows):
             while aa[i][c] != 0:
-                q = aa[r][c] // aa[i][c]
-                aa[r] = [x - q * y for x, y in zip(aa[r], aa[i])]
-                t[r] = [x - q * y for x, y in zip(t[r], t[i])]
-                aa[r], aa[i] = aa[i], aa[r]
-                t[r], t[i] = t[i], t[r]
+                subtract(r, i, aa[r][c] // aa[i][c])
+                swap(r, i)
         if aa[r][c] < 0:
-            aa[r] = [-x for x in aa[r]]
-            t[r] = [-x for x in t[r]]
+            negate(r)
         for i in range(r):
             q = aa[i][c] // aa[r][c]
             if q:
-                aa[i] = [x - q * y for x, y in zip(aa[i], aa[r])]
-                t[i] = [x - q * y for x, y in zip(t[i], t[r])]
+                subtract(i, r, q)
+        pivots.append(c)
         r += 1
+    return pivots
+
+
+def row_hnf(a) -> tuple[np.ndarray, np.ndarray]:
+    """Row-style Hermite normal form with transform.
+
+    Returns ``(h, t)`` with ``t`` unimodular and ``t @ a = h``; ``h`` is in
+    row echelon form with positive pivots, entries above each pivot reduced,
+    and zero rows last.  Both are object matrices of Python integers.
+    """
+    aa = _to_pylist(a)
+    rows = len(aa)
+    cols = len(aa[0]) if rows else np.asarray(a).shape[1]
+    t = _identity(rows)
+    _eliminate(aa, t)
     return _obj_matrix(aa, cols), _obj_matrix(t, rows)
+
+
+def pivot_columns(a) -> list[int]:
+    """Indices of the columns of an integer matrix that raise the rank of
+    the columns before them: the pivot columns of its row HNF."""
+    m = np.asarray(a)
+    if m.size == 0:
+        return []
+    return _eliminate(_to_pylist(m))
 
 
 def integer_rank(a) -> int:
     """Rank of an integer matrix, exact."""
-    m = np.asarray(a)
-    if m.size == 0:
-        return 0
-    h, _ = row_hnf(m)
-    return int(sum(1 for row in h if any(x != 0 for x in row)))
+    return len(pivot_columns(a))
 
 
 def integer_kernel(a) -> np.ndarray:
@@ -118,58 +161,33 @@ def integer_kernel(a) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
-    h, t = row_hnf(m.T)
-    kernel_rows = [list(t[i]) for i in range(cols) if all(x == 0 for x in h[i])]
-    if not kernel_rows:
+    t = _identity(cols)
+    rank = len(_eliminate(_to_pylist(m.T), t))
+    if rank == cols:
         return np.zeros((cols, 0), dtype=np.int64)
-    return _shrink_dtype(_obj_matrix(kernel_rows, cols).T)
+    return _to_array(t[rank:], cols).T
 
 
-def int_det(a) -> int:
-    """Exact determinant of an integer matrix."""
-    m = [[Fraction(x) for x in row] for row in _to_pylist(a)]
-    n = len(m)
-    if n == 0:
-        return 1
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    assert det.denominator == 1
-    return int(det)
-
-
-def int_inverse(a) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix."""
-    aa = _to_pylist(a)
-    n = len(aa)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(aa)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    out = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("matrix is not unimodular (non-integer inverse)")
-    return _shrink_dtype(_obj_matrix([[int(x) for x in row] for row in out], n))
+def _complete(k) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows of the unimodular completion ``[k | w]`` of a primitive ``k``
+    (d x r), and the rows of its inverse, from one elimination."""
+    h = _to_pylist(k)
+    d = len(h)
+    r = len(h[0]) if d else 0
+    k_cols = [list(col) for col in zip(*h)]
+    t, tinv = _identity(d), _identity(d)
+    if len(_eliminate(h, t, tinv)) != r:
+        raise ValueError("columns are not linearly independent")
+    # t k = [h; 0] with h upper triangular, positive pivots and reduced
+    # entries above them: k is primitive exactly when h is the identity
+    if any(h[i][j] != int(i == j) for i in range(r) for j in range(r)):
+        raise ValueError("matrix is not primitive; no unimodular completion")
+    # the exact self-check: t⁻¹ starts with k and inverts t
+    if tinv[:r] != k_cols or any(
+            sum(x * y for x, y in zip(row, col)) != int(i == j)
+            for i, row in enumerate(t) for j, col in enumerate(tinv)):
+        raise AssertionError("completion failed to be unimodular")
+    return [list(row) for row in zip(*tinv)], t
 
 
 def unimodular_completion(k) -> np.ndarray:
@@ -182,22 +200,8 @@ def unimodular_completion(k) -> np.ndarray:
     km = np.asarray(k)
     if km.ndim != 2:
         raise ValueError("expected a matrix")
-    d, r = km.shape
-    if r == 0:
-        return np.eye(d, dtype=np.int64)
-    h, t = row_hnf(km)
-    nonzero = sum(1 for i in range(d) if any(x != 0 for x in h[i]))
-    if nonzero != r:
-        raise ValueError("columns are not linearly independent")
-    top = _obj_matrix([[h[i][j] for j in range(r)] for i in range(r)], r)
-    if abs(int_det(top)) != 1:
-        raise ValueError("matrix is not primitive; no unimodular completion")
-    tinv = np.asarray(int_inverse(t), dtype=object)
-    w = tinv[:, r:]
-    full = np.concatenate([np.asarray(km, dtype=object), w], axis=1)
-    if abs(int_det(full)) != 1:
-        raise AssertionError("completion failed to be unimodular")
-    return _shrink_dtype(full)
+    completion, _ = _complete(km)
+    return _to_array(completion, km.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +241,7 @@ def lattice_quotient(blocks, dim: int) -> LatticeQuotient:
     stack = [a for a in annihilators if a.shape[0]]
     kernel = (integer_kernel(np.concatenate(stack, axis=0)) if stack
               else np.eye(dim, dtype=np.int64))
-    completion = unimodular_completion(kernel)
+    completion, inverse = _complete(kernel)
     return LatticeQuotient(kernel=np.asarray(kernel),
-                           completion=np.asarray(completion),
-                           inverse=np.asarray(int_inverse(completion)))
+                           completion=_to_array(completion, dim),
+                           inverse=_to_array(inverse, dim))

@@ -38,14 +38,38 @@ class SystemFormatError(InputError, ValueError):
     """A system file failed to parse or carry the required fields."""
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_coeffs(c: np.ndarray) -> np.ndarray:
+    """``c`` as int64, refusing an entry that is not a finite integer
+    within the int64 range."""
+    out = np.empty(c.shape, dtype=np.int64)
+    for pos, x in np.ndenumerate(c):
+        try:
+            n = int(x)
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(
+                f"generator_coeffs entry {x} is not a finite integer"
+            ) from None
+        if n != x:
+            raise ValueError(f"generator_coeffs must be integral, not {x}")
+        if not _INT64.min <= n <= _INT64.max:
+            raise ValueError(f"generator_coeffs entry {n} is outside int64")
+        out[pos] = n
+    return out
+
+
 @dataclass(eq=False)
 class CylinderSpec:
     """One spherical cylinder.
 
     Exactly one of ``generator_coeffs`` (integer columns of lattice-basis
     coefficients) or ``generator_basis`` (real ambient columns) must be
-    present.  ``translation`` positions the cylinder in the torus and is
-    stored as a fundamental-domain representative by the owning system.
+    present.  ``generator_coeffs`` is stored as int64; an entry that is not
+    a finite integer within int64 is refused.  ``translation`` positions
+    the cylinder in the torus and is stored as a fundamental-domain
+    representative by the owning system.
     """
 
     radius: float
@@ -65,11 +89,8 @@ class CylinderSpec:
             c = np.asarray(self.generator_coeffs)
             if c.ndim != 2:
                 raise ValueError("generator_coeffs must be a matrix (d x n_gen)")
-            if c.size and c.dtype != object and not np.issubdtype(c.dtype, np.integer):
-                if not np.all(c == np.round(c)):
-                    raise ValueError("generator_coeffs must be integral")
-                c = c.astype(np.int64)
-            self.generator_coeffs = c
+            self.generator_coeffs = (c if c.dtype == np.int64
+                                     else _int64_coeffs(c))
         else:
             b = np.asarray(self.generator_basis, dtype=float)
             if b.ndim != 2:
@@ -260,6 +281,8 @@ def system_from_dict(doc: dict) -> CylindricBilliardSystem:
         cyl_docs = doc["cylinders"]
     except KeyError as exc:
         raise SystemFormatError(f"missing field {exc.args[0]!r}") from exc
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise SystemFormatError(str(exc)) from exc
     if basis.shape != (d, d):
         raise SystemFormatError(f"lattice_basis shape {basis.shape} != ({d}, {d})")
     cylinders = []
@@ -271,6 +294,8 @@ def system_from_dict(doc: dict) -> CylindricBilliardSystem:
             raise SystemFormatError(
                 f"cylinder {j}: missing field {exc.args[0]!r}"
             ) from exc
+        except (ValueError, OverflowError, TypeError) as exc:
+            raise SystemFormatError(f"cylinder {j}: {exc}") from exc
         coeffs = entry.get("generator_coeffs")
         gen_basis = entry.get("generator_basis")
         if (coeffs is None) == (gen_basis is None):
@@ -282,14 +307,16 @@ def system_from_dict(doc: dict) -> CylindricBilliardSystem:
                 CylinderSpec(
                     radius=radius,
                     translation=translation,
+                    # no cast here: CylinderSpec refuses non-integral,
+                    # non-finite and out-of-int64 coefficients
                     generator_coeffs=None if coeffs is None
-                    else np.asarray(coeffs, dtype=np.int64).reshape(d, -1),
+                    else np.asarray(coeffs).reshape(d, -1),
                     generator_basis=None if gen_basis is None
                     else np.asarray(gen_basis, dtype=float).reshape(d, -1),
                     provenance=entry.get("provenance", ""),
                 )
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError, TypeError) as exc:
             raise SystemFormatError(f"cylinder {j}: {exc}") from exc
     try:
         return CylindricBilliardSystem(

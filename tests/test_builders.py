@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cylbill import builders
+from cylbill import builders, fileio
 from cylbill.builders import (
     BuilderError,
     HardBallParams,
@@ -19,7 +21,7 @@ from cylbill.geometry import (
     random_subspace,
     subspace_overlap,
 )
-from cylbill.model import validate
+from cylbill.model import system_to_dict, validate
 from cylbill.torusflow import random_phase
 from conftest import make_two_block_system
 
@@ -259,3 +261,21 @@ class TestSubBilliard:
         system = make_two_block_system()
         with pytest.raises(BuilderError):
             sub_billiard(system, [])
+
+
+# Written by ``system_to_dict`` when the lattice quotient still used
+# Fraction inverses and determinants and the greedy rank loop.
+BUILT_SYSTEMS = {
+    "hb_2_2": HardBallParams(2, 2, (1.0, 1.0), 0.15),
+    "hb_3_2": HardBallParams(3, 2, (1.0, 1.2, 0.9), 0.1),
+    "hb_5_2": HardBallParams(5, 2, (1.0,) * 5, 0.05),
+    "hb_4_3": HardBallParams(4, 3, (1.0, 2.0, 1.5, 0.7), 0.1),
+    "hb_5_3": HardBallParams(5, 3, (1.0,) * 5, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_SYSTEMS))
+def test_built_system_is_byte_identical_to_its_file(name):
+    system, _ = hard_ball_system(BUILT_SYSTEMS[name])
+    expected = (Path(__file__).parent / "data" / f"{name}.json").read_bytes()
+    assert fileio.dumps(system_to_dict(system)).encode() == expected

@@ -15,7 +15,7 @@ from cylbill import builders, classify, cli, config, fileio, geometry, paths
 from cylbill import torusflow as tf
 from cylbill.cli import main
 from cylbill.errors import DegeneracyError, InputError, UsageError
-from cylbill.model import load_system, save_system
+from cylbill.model import load_system, save_system, system_to_dict
 from cylbill.paths import save_sigma
 from conftest import make_sphere_system, make_two_block_system
 
@@ -429,6 +429,15 @@ FAILING_COMMANDS = {
     "classify-malformed-file": (
         ("classify", "--system", "{broken}"),
         lambda f: cylbill.load_system(f["broken"])),
+    "classify-fractional-coeff": (
+        ("classify", "--system", "{fractional}"),
+        lambda f: cylbill.load_system(f["fractional"])),
+    "classify-infinite-coeff": (
+        ("classify", "--system", "{infinite}"),
+        lambda f: cylbill.load_system(f["infinite"])),
+    "classify-huge-coeff": (
+        ("classify", "--system", "{huge}"),
+        lambda f: cylbill.load_system(f["huge"])),
     "build-nan-mass": (
         HARDBALL + ("--masses", "1,1,nan", "--r", "0.1"),
         lambda f: builders.HardBallParams(3, 2, (1, 1, NAN), 0.1)),
@@ -497,12 +506,20 @@ class TestFailureExitCodes:
     def files(self, tmp_path):
         files = {name: tmp_path / f"{name}.json"
                  for name in ("sinai", "crowd", "broken", "sigma0", "sigma5",
-                              "out")}
+                              "out", "fractional", "infinite", "huge")}
         save_system(make_sphere_system(2, r=0.3), files["sinai"])
         crowd = make_sphere_system(2, r=0.3)
         crowd.cylinders = crowd.cylinders * 30
         save_system(crowd, files["crowd"])
         files["broken"].write_text("{broken")
+        # a hard-ball file with one generator coefficient edited in the text
+        doc = system_to_dict(builders.hard_ball_system(
+            builders.HardBallParams(3, 2, (1, 1, 1), 0.1))[0])
+        doc["cylinders"][0]["generator_coeffs"][2][0] = "COEFF"
+        text = fileio.dumps(doc)
+        for name, coeff in (("fractional", "1.5"), ("infinite", "1e400"),
+                            ("huge", str(10**30))):
+            files[name].write_text(text.replace('"COEFF"', coeff))
         save_sigma([0], files["sigma0"])
         save_sigma([5], files["sigma5"])
         return files

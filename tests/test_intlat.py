@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cylbill import intlat
+import intlat_oracle as oracle
+from cylbill import builders, intlat
 
 
 def _as_obj(m):
@@ -14,7 +17,7 @@ class TestRowHNF:
             a = rng.integers(-5, 6, size=(4, 5))
             h, t = intlat.row_hnf(a)
             assert (_as_obj(t) @ _as_obj(a) == _as_obj(h)).all()
-            assert abs(intlat.int_det(t)) == 1
+            assert abs(oracle.int_det(t)) == 1
 
     def test_echelon_shape(self, rng):
         a = rng.integers(-3, 4, size=(5, 3))
@@ -56,7 +59,7 @@ class TestIntegerKernel:
 class TestCompletion:
     def test_known_primitive(self):
         u = intlat.unimodular_completion(np.array([[2], [3]]))
-        assert abs(intlat.int_det(u)) == 1
+        assert abs(oracle.int_det(u)) == 1
 
     def test_non_primitive_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +72,7 @@ class TestCompletion:
             if k.shape[1] == 0:
                 continue
             u = intlat.unimodular_completion(k)
-            assert abs(intlat.int_det(u)) == 1
+            assert abs(oracle.int_det(u)) == 1
             assert (np.asarray(u, dtype=object)[:, :k.shape[1]]
                     == _as_obj(k)).all()
 
@@ -80,7 +83,7 @@ class TestCompletion:
             if k.shape[1] == 0:
                 continue
             u = intlat.unimodular_completion(k)
-            uinv = intlat.int_inverse(u)
+            uinv = oracle.int_inverse(u)
             prod = _as_obj(u) @ _as_obj(uinv)
             assert (prod == np.eye(u.shape[0], dtype=object)).all()
 
@@ -91,7 +94,7 @@ class TestLatticeQuotient:
         quot = intlat.lattice_quotient([np.array([[2], [0], [0]])], 3)
         assert quot.rank == 1
         assert sorted(abs(int(x)) for x in quot.kernel[:, 0]) == [0, 0, 1]
-        assert abs(intlat.int_det(quot.completion)) == 1
+        assert abs(oracle.int_det(quot.completion)) == 1
         assert (_as_obj(quot.inverse) @ _as_obj(quot.completion)
                 == np.eye(3, dtype=object)).all()
         assert quot.complement.shape == (3, 2)
@@ -114,8 +117,96 @@ class TestDet:
     def test_matches_numpy(self, rng):
         for _ in range(20):
             a = rng.integers(-6, 7, size=(4, 4))
-            assert intlat.int_det(a) == round(np.linalg.det(a.astype(float)))
+            assert oracle.int_det(a) == round(np.linalg.det(a.astype(float)))
 
     def test_rank(self, rng):
         a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert intlat.integer_rank(a) == 2
+
+
+def _random_kernel(rng, d, r):
+    """A primitive d x r kernel basis of a random (d - r) x d matrix."""
+    while True:
+        k = intlat.integer_kernel(rng.integers(-3, 4, size=(d - r, d)))
+        if k.shape[1] == r:
+            return k
+
+
+def _assert_exactly_equal(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert (_as_obj(got) == _as_obj(want)).all()
+
+
+def _assert_oracle_quotient(blocks, dim):
+    got = intlat.lattice_quotient(blocks, dim)
+    want = oracle.lattice_quotient(blocks, dim)
+    for name in ("kernel", "completion", "inverse"):
+        _assert_exactly_equal(getattr(got, name), getattr(want, name))
+
+
+class TestRationalOracle:
+    """The one-pass completion and inverse equal the Fraction route's."""
+
+    def test_random_primitive_kernels(self, rng):
+        cases = 0
+        for d in range(1, 13):
+            ranks = [0, d - 1, d] + [int(r) for r in rng.integers(0, d + 1, 14)]
+            for r in ranks:
+                k = _random_kernel(rng, d, r)
+                _assert_exactly_equal(intlat.unimodular_completion(k),
+                                      oracle.unimodular_completion(k))
+                _assert_oracle_quotient([k], d)
+                cases += 1
+        assert cases >= 200
+
+    @pytest.mark.parametrize("n, nu, masses", [
+        (3, 2, (1.0, 1.2, 0.9)),
+        (5, 2, (1.0,) * 5),
+        (4, 3, (1.0, 2.0, 1.5, 0.7)),
+        (8, 2, (1.0,) * 8),
+    ])
+    def test_hard_ball_cylinders(self, n, nu, masses):
+        system, emb = builders.hard_ball_system(
+            builders.HardBallParams(n, nu, masses, 0.05))
+        full = emb.full_system
+        for sys_ in (system, full):
+            for cyl in sys_.cylinders:
+                _assert_oracle_quotient([cyl.generator_coeffs], sys_.dim)
+        _assert_oracle_quotient([c.generator_coeffs for c in full.cylinders],
+                                full.dim)
+
+    def test_pivot_columns_are_the_greedy_choice(self, rng):
+        for _ in range(150):
+            p = int(rng.integers(1, 7))
+            cols = []
+            for _ in range(int(rng.integers(0, 9))):
+                kind = rng.integers(0, 4)
+                if kind == 0 or not cols:
+                    cols.append(rng.integers(-3, 4, size=p))
+                elif kind == 1:
+                    cols.append(np.zeros(p, dtype=np.int64))
+                else:
+                    # an integer combination of columns already drawn
+                    w = rng.integers(-2, 3, size=len(cols))
+                    cols.append(np.column_stack(cols) @ w)
+            a = (np.column_stack(cols) if cols
+                 else np.zeros((p, 0), dtype=np.int64))
+            assert intlat.pivot_columns(a) == oracle.greedy_columns(a)
+            assert intlat.integer_rank(a) == oracle.integer_rank(a)
+
+
+_small_ints = st.integers(-9, 9)
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_tracks_the_transform_and_its_inverse(rows, cols, data):
+    a = data.draw(st.lists(st.lists(_small_ints, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    h = [list(row) for row in a]
+    t, tinv_cols = intlat._identity(rows), intlat._identity(rows)
+    intlat._eliminate(h, t, tinv_cols)
+    assert (_as_obj(t) @ _as_obj(a) == _as_obj(h)).all()
+    assert (_as_obj(t) @ _as_obj(tinv_cols).T
+            == np.eye(rows, dtype=np.int64).astype(object)).all()

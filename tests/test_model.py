@@ -149,6 +149,25 @@ class TestSerialization:
         with pytest.raises(SystemFormatError):
             system_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("coeff", None),
+        ("radius", "abc"),
+        ("radius", None),
+        ("dim", [4]),
+    ])
+    def test_malformed_value_is_a_format_error(self, field, value):
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(3, 2, (1, 1, 1), 0.1))
+        doc = system_to_dict(system)
+        if field == "coeff":
+            doc["cylinders"][0]["generator_coeffs"][2][0] = value
+        elif field == "radius":
+            doc["cylinders"][0]["radius"] = value
+        else:
+            doc[field] = value
+        with pytest.raises(SystemFormatError):
+            system_from_dict(doc)
+
     def test_unparsable_file(self, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{not json")
