@@ -8,7 +8,6 @@ from .builders import (
     direct_sum_system,
     hard_ball_system,
     pair_radius,
-    project_zero_momentum,
     sub_billiard,
 )
 from .errors import DegeneracyError, InputError, UsageError
@@ -17,10 +16,8 @@ from .classify import (
     commutant_dimension,
     count_transitive_blocks,
     is_transitive,
-    is_transitive_sequence,
     is_transverse,
     non_orthogonality_graph,
-    splits_according_to,
 )
 from .torusflow import (
     CollisionEvent,
@@ -31,7 +28,6 @@ from .torusflow import (
     lyapunov_max,
     next_collision,
     random_phase,
-    richness_certificate,
     splitting_scan,
     unfold_to_path,
 )
@@ -41,7 +37,6 @@ from .geometry import (
     complement,
     intersect,
     orthonormalize,
-    project,
     span_of,
 )
 from .model import (
@@ -55,13 +50,9 @@ from .model import (
 from .paths import (
     EuclideanPathResult,
     EuclideanPathSpec,
-    delta_sigma,
     delta_sigma_constrained,
     neutral_space,
-    sample_spec,
     trace,
-    translate_all,
-    translate_each,
     w_plus,
 )
 

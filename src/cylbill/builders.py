@@ -45,7 +45,6 @@ __all__ = [
     "pair_radius",
     "direct_sum_system",
     "sub_billiard",
-    "project_zero_momentum",
     "BuilderError",
     "NotDirectSumError",
     "FactorLatticeError",
@@ -156,14 +155,6 @@ class HardBallEmbedding:
         p = self.params
         flat = (self.reduced_basis @ np.asarray(reduced, dtype=float)) / self.scale
         return flat.reshape(p.n_balls, p.torus_dim)
-
-
-def project_zero_momentum(masses, velocities) -> np.ndarray:
-    """Remove the center-of-mass drift from ball velocities."""
-    m = np.asarray(masses, dtype=float)
-    v = np.asarray(velocities, dtype=float)
-    drift = np.sum(m[:, None] * v, axis=0) / np.sum(m)
-    return v - drift[None, :]
 
 
 def hard_ball_system(

@@ -41,9 +41,7 @@ __all__ = [
     "is_transitive",
     "commutant_dimension",
     "is_transverse",
-    "is_transitive_sequence",
     "count_transitive_blocks",
-    "splits_according_to",
     "EnumerationGuardError",
 ]
 
@@ -318,20 +316,6 @@ def is_transverse(system):
     return False, sub
 
 
-def is_transitive_sequence(labels, system) -> bool:
-    """Transitivity of the distinct base spaces touched by a sequence."""
-    distinct = sorted(set(int(x) for x in labels))
-    for lab in distinct:
-        if not 0 <= lab < system.k:
-            raise ValueError(f"label {lab} out of range for k={system.k}")
-    if not distinct:
-        return False
-    ok, _ = is_transitive(
-        [system.base_space(i) for i in distinct], ambient_dim=system.dim
-    )
-    return ok
-
-
 def count_transitive_blocks(labels, system) -> int:
     """Greedy left-to-right partition into minimal transitive blocks.
 
@@ -362,23 +346,3 @@ def count_transitive_blocks(labels, system) -> int:
             count += 1
             current = set()
     return count
-
-
-def splits_according_to(collided_labels, b1: Subspace, b2: Subspace, system) -> bool:
-    """Do all collided base spaces respect the given orthogonal splitting?"""
-    d = system.dim
-    if b1.ambient_dim != d or b2.ambient_dim != d:
-        raise ValueError("splitting parts live in the wrong space")
-    if b1.dim < 1 or b2.dim < 1 or b1.dim + b2.dim != d:
-        raise ValueError("not a non-trivial orthogonal decomposition")
-    if subspace_overlap(b1, b2) > OVERLAP:
-        raise ValueError("splitting parts are not orthogonal")
-    for lab in set(int(x) for x in collided_labels):
-        base = system.base_space(lab)
-        if (
-            containment_residual(base, b1) > OVERLAP
-            and containment_residual(base, b2) > OVERLAP
-        ):
-            return False
-    return True
-

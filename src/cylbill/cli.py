@@ -67,7 +67,7 @@ def _load_valid_system(path):
     system = model.load_system(path)
     report = model.validate(system)
     if not report.ok:
-        raise InputError(f"{path}:\n{report}")
+        raise InputError(f"{path}: {report}")
     return system
 
 
@@ -205,7 +205,7 @@ def cmd_build(args) -> int:
         raise UsageError(f"unknown build kind {args.kind!r}")
     report = model.validate(system)
     if not report.ok:
-        raise InputError(f"built system failed validation:\n{report}")
+        raise InputError(f"built system failed validation: {report}")
     model.save_system(system, args.out)
     body = {"out": args.out, "dim": system.dim, "run": _run_info()}
     body.update(extra)

@@ -1,8 +1,9 @@
 """Package-wide numerical tolerances, each defined once, and one work size.
 
 Every module reads these constants directly, and CLI reports record the
-tolerances under ``run.tolerances``, so a report states the values its
-computation used.  The work size changes no result.
+rank, discriminant and time-gap tolerances under ``run.tolerances``, so a
+report states the values its computation used.  The work size changes no
+result.
 """
 
 RANK_REL = 1e-8
@@ -19,6 +20,14 @@ of the collision problem: a discriminant this close to zero is grazing."""
 T_MIN_GAP = 1e-9
 """Minimal admissible advance between collisions; two distinct contacts
 closer than this are simultaneous."""
+
+AXIS_PARALLEL = 1e-24
+"""Cutoff on ``|Bᵀ v|²``, the squared base-space speed toward a cylinder,
+below which a path runs parallel to its axis and never meets it."""
+
+UNIT_NORM = 1e-12
+"""Largest deviation of a velocity's norm from 1 that still counts as a
+unit vector."""
 
 OVERLAP = 1e-9
 """Subspace overlap (largest principal-angle cosine) and containment

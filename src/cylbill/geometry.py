@@ -26,17 +26,14 @@ __all__ = [
     "Lattice",
     "LatticeLimitError",
     "orthonormalize",
-    "project",
     "complement",
     "span_of",
     "intersect",
-    "column_space",
     "null_space",
     "matrix_rank",
     "subspace_overlap",
     "containment_residual",
     "projector_distance",
-    "random_subspace",
 ]
 
 
@@ -138,16 +135,6 @@ def orthonormalize(vectors, ambient_dim=None) -> Subspace:
     return Subspace(d, _as_columns(basis, ambient_dim=d))
 
 
-def project(s: Subspace, v) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto ``s``."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != s.ambient_dim:
-        raise DimensionMismatch(
-            f"vector of length {v.shape[0]} in {s.ambient_dim}-space"
-        )
-    return s.basis @ (s.basis.T @ v)
-
-
 def complement(s: Subspace) -> Subspace:
     """Orthogonal complement of ``s``."""
     if s.dim == 0:
@@ -196,20 +183,6 @@ def matrix_rank(m, rel_tol: float = RANK_REL) -> int:
     return int(np.sum(s >= rel_tol * smax))
 
 
-def column_space(m, rel_tol: float = RANK_REL) -> Subspace:
-    """Column space of a matrix at the given relative rank tolerance."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    d = m.shape[0]
-    if m.shape[1] == 0:
-        return Subspace.zero(d)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return Subspace.zero(d)
-    r = int(np.sum(s >= rel_tol * smax))
-    return Subspace(d, u[:, :r])
-
-
 def null_space(m, rel_tol: float = RANK_REL) -> Subspace:
     """Kernel of a matrix at the given relative rank tolerance."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -247,15 +220,6 @@ def containment_residual(inner: Subspace, outer: Subspace) -> float:
 def projector_distance(a: Subspace, b: Subspace) -> float:
     """Operator-norm distance between the projectors of two subspaces."""
     return float(np.linalg.norm(a.projector() - b.projector(), 2))
-
-
-def random_subspace(rng: np.random.Generator, ambient_dim: int, dim: int) -> Subspace:
-    """Haar-ish random subspace via QR of a Gaussian matrix."""
-    if dim == 0:
-        return Subspace.zero(ambient_dim)
-    g = rng.standard_normal((ambient_dim, dim))
-    q, _ = np.linalg.qr(g)
-    return Subspace(ambient_dim, q[:, :dim])
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +289,8 @@ class Lattice:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("lattice basis must be square")
+        if not np.isfinite(b).all():
+            raise ValueError("lattice basis has a non-finite entry")
         if abs(np.linalg.det(b)) <= 1e-12:
             raise ValueError("lattice basis is singular (|det| <= 1e-12)")
         b = b.copy()

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "row_hnf",
     "pivot_columns",
     "integer_kernel",
     "integer_rank",
-    "unimodular_completion",
     "LatticeQuotient",
     "lattice_quotient",
 ]
@@ -117,21 +115,6 @@ def _eliminate(aa: list[list[int]], t=None, tinv=None) -> list[int]:
     return pivots
 
 
-def row_hnf(a) -> tuple[np.ndarray, np.ndarray]:
-    """Row-style Hermite normal form with transform.
-
-    Returns ``(h, t)`` with ``t`` unimodular and ``t @ a = h``; ``h`` is in
-    row echelon form with positive pivots, entries above each pivot reduced,
-    and zero rows last.  Both are object matrices of Python integers.
-    """
-    aa = _to_pylist(a)
-    rows = len(aa)
-    cols = len(aa[0]) if rows else np.asarray(a).shape[1]
-    t = _identity(rows)
-    _eliminate(aa, t)
-    return _obj_matrix(aa, cols), _obj_matrix(t, rows)
-
-
 def pivot_columns(a) -> list[int]:
     """Indices of the columns of an integer matrix that raise the rank of
     the columns before them: the pivot columns of its row HNF."""
@@ -170,7 +153,9 @@ def integer_kernel(a) -> np.ndarray:
 
 def _complete(k) -> tuple[list[list[int]], list[list[int]]]:
     """Rows of the unimodular completion ``[k | w]`` of a primitive ``k``
-    (d x r), and the rows of its inverse, from one elimination."""
+    (d x r), and the rows of its inverse, from one elimination.  Raises
+    ``ValueError`` when the columns of ``k`` are dependent or generate only
+    a proper finite-index sublattice of the integer points of their span."""
     h = _to_pylist(k)
     d = len(h)
     r = len(h[0]) if d else 0
@@ -188,20 +173,6 @@ def _complete(k) -> tuple[list[list[int]], list[list[int]]]:
             for i, row in enumerate(t) for j, col in enumerate(tinv)):
         raise AssertionError("completion failed to be unimodular")
     return [list(row) for row in zip(*tinv)], t
-
-
-def unimodular_completion(k) -> np.ndarray:
-    """Complete a primitive integer matrix ``k`` (d x r, full column rank)
-    to a unimodular d x d matrix ``[k | w]``.
-
-    Raises if the columns of ``k`` generate only a proper finite-index
-    sublattice of (span k) intersected with the integer lattice.
-    """
-    km = np.asarray(k)
-    if km.ndim != 2:
-        raise ValueError("expected a matrix")
-    completion, _ = _complete(km)
-    return _to_array(completion, km.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,7 +128,9 @@ class CylindricBilliardSystem:
             t = np.asarray(cyl.translation, dtype=float).reshape(-1)
             if t.shape[0] != self.dim:
                 raise ValueError("cylinder translation has wrong dimension")
-            tw, _ = self.lattice.wrap(t)
+            # a non-finite translation has no cell representative; it is
+            # kept as given for validate to refuse
+            tw = self.lattice.wrap(t)[0] if np.isfinite(t).all() else t
             wrapped.append(
                 CylinderSpec(
                     radius=cyl.radius,
@@ -171,7 +173,7 @@ class CylindricBilliardSystem:
 class ValidationReport:
     """Diagnostic result of :func:`validate`; empty ``violations`` is a pass."""
 
-    violations: list[tuple[int | None, str]] = field(default_factory=list)
+    violations: list[tuple[int, str]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -179,27 +181,25 @@ class ValidationReport:
         return not self.violations
 
     def __str__(self):
-        lines = []
-        for idx, msg in self.violations:
-            where = "system" if idx is None else f"cylinder {idx}"
-            lines.append(f"VIOLATION [{where}]: {msg}")
-        lines.extend(f"note: {n}" for n in self.notes)
-        return "\n".join(lines) if lines else "valid"
+        lines = [f"VIOLATION [cylinder {i}]: {msg}"
+                 for i, msg in self.violations]
+        lines += [f"note: {n}" for n in self.notes]
+        return "; ".join(lines) if lines else "valid"
 
 
 def validate(system: CylindricBilliardSystem) -> ValidationReport:
     """Check every structural invariant; reports rather than raises."""
     rep = ValidationReport()
     d = system.dim
-    if abs(np.linalg.det(system.lattice.basis)) <= 1e-12:
-        rep.violations.append((None, "lattice basis is singular"))
-        return rep
     for i, cyl in enumerate(system.cylinders):
-        if cyl.radius <= 0:
-            rep.violations.append((i, f"radius {cyl.radius} is not positive"))
+        if not 0 < cyl.radius < np.inf:
+            rep.violations.append(
+                (i, f"radius {cyl.radius} is not finite and positive"))
         if cyl.translation.shape[0] != d:
             rep.violations.append((i, "translation dimension mismatch"))
             continue
+        if not np.isfinite(cyl.translation).all():
+            rep.violations.append((i, "translation is not finite"))
         if cyl.generator_coeffs is not None:
             c = cyl.generator_coeffs
             if c.shape[0] != d:

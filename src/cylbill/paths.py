@@ -27,7 +27,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import DISC, RANK_REL, SAMPLE_CHUNK, T_MIN_GAP
+from .config import (
+    AXIS_PARALLEL,
+    DISC,
+    RANK_REL,
+    SAMPLE_CHUNK,
+    T_MIN_GAP,
+    UNIT_NORM,
+)
 from .errors import DegeneracyError, UsageError
 from .geometry import (
     Subspace,
@@ -48,15 +55,11 @@ __all__ = [
     "SampleLimitError",
     "MAX_DELTA_SAMPLES",
     "trace",
-    "translate_all",
-    "translate_each",
     "apply_reflections",
     "w_plus",
     "neutral_space",
-    "delta_sigma",
     "delta_sigma_constrained",
     "delta_sigma_report",
-    "sample_spec",
     "REJECTION_REASONS",
     "ADVANCE_RANGE",
     "sequence_generator_intersection",
@@ -111,7 +114,7 @@ class EuclideanPathSpec:
 
     def __post_init__(self):
         v = np.asarray(self.v0, dtype=float).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM:
             raise ValueError("initial velocity must be a unit vector")
         v = v.copy()
         v.setflags(write=False)
@@ -164,10 +167,6 @@ class _SequenceView:
         self.d = system.dim
 
 
-def _view(system, labels) -> _SequenceView:
-    return _SequenceView(system, labels)
-
-
 def _check_spec(view: _SequenceView, spec: EuclideanPathSpec) -> None:
     if spec.v0.shape[0] != view.d:
         raise ValueError("initial velocity has the wrong dimension")
@@ -186,10 +185,6 @@ def _check_spec(view: _SequenceView, spec: EuclideanPathSpec) -> None:
 def _offset_row(offsets) -> np.ndarray:
     """Per-collision offsets concatenated into one row."""
     return np.concatenate(offsets) if len(offsets) else np.zeros(0)
-
-
-def _spec(view: _SequenceView, v0, row) -> EuclideanPathSpec:
-    return EuclideanPathSpec(v0=v0, offsets=tuple(row[c] for c in view.cols))
 
 
 # Status of a stacked row, and the error a failed row raises.
@@ -258,13 +253,14 @@ def _collide(view: _SequenceView, v0s: np.ndarray,
             disc = wu * wu - uu * (vecdot(w, w) - r * r)
             guard = uu * (DISC * r * r)
             s = (-wu - np.sqrt(disc)) / uu
-            ok = (disc >= guard) & (s > T_MIN_GAP) & (uu >= 1e-24)
+            ok = (disc >= guard) & (s > T_MIN_GAP) & (uu >= AXIS_PARALLEL)
             if np.count_nonzero(ok) < alive:
                 new = ~ok & (step < 0)      # rows failing at this collision
                 # a failing row fails the first of the checks it breaks
                 code = np.where(disc[new] < guard[new], _GRAZE,
                                 _NON_ADVANCING)
-                code[(disc[new] < -guard[new]) | (uu[new] < 1e-24)] = _MISS
+                code[(disc[new] < -guard[new])
+                     | (uu[new] < AXIS_PARALLEL)] = _MISS
                 status[new] = code
                 step[new] = j
                 s[new] = inc[new] = np.nan
@@ -292,7 +288,7 @@ def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
     """Follow the path through its collision sequence: the one-row case of
     the stacked kernel, raising ``NoRealRoot``, ``Tangential`` or
     ``NonAdvancing`` at the collision where the path fails."""
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     _check_spec(view, spec)
     stack = _collide(view, spec.v0[None, :],
                      _offset_row(spec.offsets)[None, :])
@@ -302,45 +298,6 @@ def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
         times=stack.times[0], velocities=stack.velocities[0],
         normals=stack.normals[0],
         min_incidence=float(stack.min_incidence[0]))
-
-
-def translate_all(system, labels, spec: EuclideanPathSpec, a) -> EuclideanPathSpec:
-    """Translate every cylinder by the same ambient vector ``a``.
-
-    Each offset moves by the base-space projection of ``a``; the initial
-    velocity is untouched.  Equivalent to translating the start point by
-    ``-a``.
-    """
-    view = _view(system, labels)
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if a.shape[0] != view.d:
-        raise ValueError("translation vector has the wrong dimension")
-    new_offsets = tuple(
-        spec.offsets[j] + view.bases[j].T @ a for j in range(spec.m)
-    )
-    return EuclideanPathSpec(v0=spec.v0, offsets=new_offsets)
-
-
-def translate_each(system, labels, spec: EuclideanPathSpec, b_list,
-                   tol: float = 1e-10) -> EuclideanPathSpec:
-    """Translate cylinder j by its own ambient vector ``b_list[j]``, which
-    must lie in that cylinder's base space."""
-    view = _view(system, labels)
-    b_list = [np.asarray(b, dtype=float).reshape(-1) for b in b_list]
-    if len(b_list) != spec.m:
-        raise ValueError("need one translation per collision")
-    new_offsets = []
-    for j, b in enumerate(b_list):
-        if b.shape[0] != view.d:
-            raise ValueError(f"translation {j} has the wrong dimension")
-        coords = view.bases[j].T @ b
-        residual = np.linalg.norm(b - view.bases[j] @ coords)
-        if residual > tol:
-            raise ValueError(
-                f"translation {j} leaves its base space (residual {residual:.2e})"
-            )
-        new_offsets.append(spec.offsets[j] + coords)
-    return EuclideanPathSpec(v0=spec.v0, offsets=tuple(new_offsets))
 
 
 def apply_reflections(vectors, normals) -> np.ndarray:
@@ -402,7 +359,7 @@ def _expanding_dims(view: _SequenceView,
 def _neutral(system, labels, spec: EuclideanPathSpec):
     """The exact neutral space of a path that traces, and its normals."""
     res = trace(system, labels, spec)
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     if not view.width:
         return Subspace.full(view.d), res.normals
     stack = _constraint_stack(view, res.velocities[None])
@@ -460,15 +417,6 @@ def _draw(rng: np.random.Generator, d: int, width: int,
     v0 = rng.standard_normal(d)
     v0 /= math.sqrt(v0.dot(v0))    # np.linalg.norm(v0), without its overhead
     return v0, rng.uniform(-box, box, size=width)
-
-
-def sample_spec(system, labels, rng: np.random.Generator,
-                box_scale: float | None = None) -> EuclideanPathSpec:
-    """Random path data: uniform unit initial velocity, offsets uniform in a
-    per-base-space coordinate box.  Most such paths do not trace."""
-    view = _view(system, labels)
-    v0, row = _draw(rng, view.d, view.width, _box(system, box_scale))
-    return _spec(view, v0, row)
 
 
 REJECTION_REASONS = ("miss", "graze", "non_advancing")
@@ -549,8 +497,8 @@ def _construct(view: _SequenceView, v0s: np.ndarray, advances: np.ndarray,
     An inward normal makes the contact the smaller root of the collision
     quadratic, whose discriminant is ``r²(u·n)²``, so the kernel's guards
     become checks on the drawn values: a row fails at the first collision
-    where ``|u|² < 1e-24`` (miss), ``(u·n)² < DISC |u|²`` (graze) or the
-    advance is not above ``T_MIN_GAP`` (non_advancing).
+    where ``|u|² < AXIS_PARALLEL`` (miss), ``(u·n)² < DISC |u|²`` (graze)
+    or the advance is not above ``T_MIN_GAP`` (non_advancing).
     """
     n, d = v0s.shape
     m = len(view.labels)
@@ -573,7 +521,8 @@ def _construct(view: _SequenceView, v0s: np.ndarray, advances: np.ndarray,
         un = -np.abs(un)
         uu = vecdot(u, u)
         s = advances[:, j]
-        code = np.select([uu < 1e-24, un * un < DISC * uu, ~(s > T_MIN_GAP)],
+        code = np.select([uu < AXIS_PARALLEL, un * un < DISC * uu,
+                          ~(s > T_MIN_GAP)],
                          [_MISS, _GRAZE, _NON_ADVANCING], 0)
         new = (code != 0) & (step < 0)
         status[new] = code[new]
@@ -626,7 +575,7 @@ def delta_sigma_report(system, labels, n_samples: int,
     ``MAX_DELTA_SAMPLES`` samples raise ``SampleLimitError`` before any
     path is built."""
     _check_samples(n_samples)
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     dims: list[int] = []
     codes = []
     for draws in _free_draws(view, n_samples, seed):
@@ -638,13 +587,6 @@ def delta_sigma_report(system, labels, n_samples: int,
                    np.concatenate(codes), ADVANCE_RANGE)
 
 
-def delta_sigma(system, labels, n_samples: int, seed: int) -> int:
-    """Largest expanding dimension seen over sampled paths with this
-    collision sequence.  Deterministic in ``seed``; monotone non-decreasing
-    in ``n_samples`` for a fixed seed since samples extend prefix-stably."""
-    return delta_sigma_report(system, labels, n_samples, seed).value
-
-
 def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
                         n_samples: int, seed: int,
                         box_scale: float | None) -> DeltaReport:
@@ -654,7 +596,7 @@ def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
     ``_SCREEN_BLOCKS`` and keeps the first that traces."""
     _check_samples(n_samples)
     trace(system, labels, base_spec)   # base path must exist
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     box = _box(system, box_scale)
     accepted, codes = [], []
     for child in np.random.SeedSequence(seed).spawn(n_samples):
@@ -664,7 +606,7 @@ def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
             rows = np.empty((size, view.width))
             for i in range(size):
                 v0s[i], a = _draw(rng, view.d, view.d, box)
-                # the offsets of translate_all(base with v0, a)
+                # every offset moved by the base projection of a
                 rows[i] = _offset_row([off + b.T @ a for off, b
                                        in zip(base_spec.offsets, view.bases)])
             stack = _collide(view, v0s, rows)
@@ -696,7 +638,6 @@ def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
 # ---------------------------------------------------------------------------
 
 SIGMA_FORMAT = "cylbill-sigma"
-SPEC_FORMAT = "cylbill-path-spec"
 
 
 def save_sigma(labels, path) -> None:
@@ -719,32 +660,3 @@ def load_sigma(path) -> list[int]:
         return [int(x) for x in labels]
     except (TypeError, ValueError) as exc:
         raise SystemFormatError(f"{path}: bad label: {exc}") from exc
-
-
-def save_path_spec(spec: EuclideanPathSpec, path) -> None:
-    from . import fileio
-
-    fileio.dump(
-        {
-            "format": SPEC_FORMAT,
-            "v0": [float(x) for x in spec.v0],
-            "offsets": [[float(x) for x in a] for a in spec.offsets],
-        },
-        path,
-    )
-
-
-def load_path_spec(path) -> EuclideanPathSpec:
-    from .model import SystemFormatError, load_document
-
-    doc = load_document(path)
-    if not isinstance(doc, dict) or doc.get("format") != SPEC_FORMAT:
-        raise SystemFormatError(f"{path}: not a path-spec file")
-    try:
-        return EuclideanPathSpec(
-            v0=np.asarray(doc["v0"], dtype=float),
-            offsets=tuple(np.asarray(a, dtype=float) for a in doc["offsets"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemFormatError(f"{path}: {exc}") from exc
-

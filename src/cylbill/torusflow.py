@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intlat
-from .classify import SplittingWitness, count_transitive_blocks, is_transitive
-from .config import DISC, T_MIN_GAP
+from .classify import SplittingWitness, is_transitive
+from .config import AXIS_PARALLEL, DISC, T_MIN_GAP, UNIT_NORM
 from .errors import DegeneracyError, UsageError
 from .geometry import Lattice, Subspace, complement
 from .paths import EuclideanPathSpec
@@ -49,7 +49,6 @@ __all__ = [
     "next_collision",
     "flow",
     "detect_splitting",
-    "richness_certificate",
     "lyapunov_max",
     "LyapunovResult",
     "DISCARD_REASONS",
@@ -111,7 +110,7 @@ class PhasePoint:
         self.v = np.asarray(self.v, dtype=float).reshape(-1)
         if self.q.shape != self.v.shape:
             raise ValueError("position and velocity dimensions differ")
-        if abs(np.linalg.norm(self.v) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(self.v) - 1.0) > UNIT_NORM:
             raise ValueError("velocity must be a unit vector")
 
 
@@ -296,7 +295,7 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     One array pass solves the collision quadratic on every image of every
     cylinder.  Only the images whose discriminant clears ``-guard`` go on
     to roots and grazes, and only the first contact's image and normal are
-    built.  A cylinder with ``|B^T v|^2 < 1e-24`` is never hit.
+    built.  A cylinder with ``|B^T v|^2 < AXIS_PARALLEL`` is never hit.
     """
     origin = q + start * v
     u = (view.bt @ v).reshape(view.k, 1, view.n)
@@ -305,7 +304,7 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     wu = (u @ w)[:, 0]                              # k x m
     disc = wu * wu - uu * (np.square(w).sum(axis=1) - view.rr)
     guard = uu * view.disc_rr
-    floor = np.where(uu < 1e-24, np.inf, -guard)
+    floor = np.where(uu < AXIS_PARALLEL, np.inf, -guard)
     screened = np.flatnonzero((disc > floor) & view.real)
     if not screened.size:
         return None
@@ -507,16 +506,6 @@ def detect_splitting(record: TrajectoryRecord, system) -> SplittingWitness | Non
                            degenerate=witness.degenerate)
     out.check({i: system.base_space(i) for i in rekeyed})
     return out
-
-
-def richness_certificate(record: TrajectoryRecord, system,
-                         c_required: int) -> tuple[bool, int]:
-    """Does the record contain at least ``c_required`` consecutive
-    transitive blocks?  Returns (verdict, greedy block count)."""
-    if c_required < 1:
-        raise ValueError("the block requirement must be >= 1")
-    count = count_transitive_blocks(record.symbolic, system)
-    return count >= c_required, count
 
 
 # ---------------------------------------------------------------------------

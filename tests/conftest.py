@@ -7,7 +7,14 @@ import pytest
 
 from cylbill.geometry import Lattice, Subspace
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
-from cylbill.paths import EuclideanPathSpec, TraceError, sample_spec, trace
+from cylbill.paths import (
+    EuclideanPathSpec,
+    TraceError,
+    _box,
+    _draw,
+    _SequenceView,
+    trace,
+)
 
 
 def make_sphere_system(d: int, r: float = 0.3, center=None,
@@ -79,6 +86,82 @@ def random_int_system(rng: np.random.Generator, d: int,
         )
     return CylindricBilliardSystem(dim=d, lattice=Lattice(basis),
                                    cylinders=cylinders)
+
+
+def random_subspace(rng: np.random.Generator, ambient_dim: int,
+                    dim: int) -> Subspace:
+    """Haar-ish random subspace via QR of a Gaussian matrix."""
+    if dim == 0:
+        return Subspace.zero(ambient_dim)
+    g = rng.standard_normal((ambient_dim, dim))
+    q, _ = np.linalg.qr(g)
+    return Subspace(ambient_dim, q[:, :dim])
+
+
+def project_zero_momentum(masses, velocities) -> np.ndarray:
+    """Remove the center-of-mass drift from ball velocities."""
+    m = np.asarray(masses, dtype=float)
+    v = np.asarray(velocities, dtype=float)
+    drift = np.sum(m[:, None] * v, axis=0) / np.sum(m)
+    return v - drift[None, :]
+
+
+def spec_from_row(view: _SequenceView, v0, row) -> EuclideanPathSpec:
+    """The path spec of a stacked row: ``row`` holds the concatenated
+    per-collision offsets."""
+    return EuclideanPathSpec(v0=v0, offsets=tuple(row[c] for c in view.cols))
+
+
+def sample_spec(system, labels, rng: np.random.Generator,
+                box_scale: float | None = None) -> EuclideanPathSpec:
+    """Random path data: uniform unit initial velocity, offsets uniform in a
+    per-base-space coordinate box.  Most such paths do not trace.  The
+    reference for the draw order of the constrained δ sampler, which makes
+    the same ``_draw`` calls one candidate at a time."""
+    view = _SequenceView(system, labels)
+    v0, row = _draw(rng, view.d, view.width, _box(system, box_scale))
+    return spec_from_row(view, v0, row)
+
+
+def translate_all(system, labels, spec: EuclideanPathSpec,
+                  a) -> EuclideanPathSpec:
+    """Translate every cylinder by the same ambient vector ``a``.
+
+    Each offset moves by the base-space projection of ``a``; the initial
+    velocity is untouched.  Equivalent to translating the start point by
+    ``-a``.  The reference for the offsets the constrained δ sampler
+    computes inline.
+    """
+    view = _SequenceView(system, labels)
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if a.shape[0] != view.d:
+        raise ValueError("translation vector has the wrong dimension")
+    new_offsets = tuple(
+        spec.offsets[j] + view.bases[j].T @ a for j in range(spec.m)
+    )
+    return EuclideanPathSpec(v0=spec.v0, offsets=new_offsets)
+
+
+def translate_each(system, labels, spec: EuclideanPathSpec, b_list,
+                   tol: float = 1e-10) -> EuclideanPathSpec:
+    """Translate cylinder j by its own ambient vector ``b_list[j]``, which
+    must lie in that cylinder's base space."""
+    view = _SequenceView(system, labels)
+    b_list = [np.asarray(b, dtype=float).reshape(-1) for b in b_list]
+    if len(b_list) != spec.m:
+        raise ValueError("need one translation per collision")
+    new_offsets = []
+    for j, b in enumerate(b_list):
+        if b.shape[0] != view.d:
+            raise ValueError(f"translation {j} has the wrong dimension")
+        coords = view.bases[j].T @ b
+        residual = np.linalg.norm(b - view.bases[j] @ coords)
+        if residual > tol:
+            raise ValueError(
+                f"translation {j} leaves its base space (residual {residual:.2e})"
+            )
+        new_offsets.append(spec.offsets[j] + coords)
+    return EuclideanPathSpec(v0=spec.v0, offsets=tuple(new_offsets))
 
 
 def sample_traceable_spec(system, labels, rng, tries: int = 200,

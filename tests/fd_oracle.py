@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cylbill.config import RANK_REL
 from cylbill.geometry import (
     Subspace,
-    column_space,
     complement,
     null_space,
     orthonormalize,
@@ -34,7 +34,6 @@ from cylbill.paths import (
     _offset_row,
     _SequenceView,
     _Stack,
-    _view,
     apply_reflections,
     trace,
 )
@@ -47,6 +46,20 @@ FD_RANK_REL = 1e-6
 
 FD_INCIDENCE = 0.03
 """Smallest collision incidence |<v, n>| a probed path may have."""
+
+
+def column_space(m, rel_tol: float = RANK_REL) -> Subspace:
+    """Column space of a matrix at the given relative rank tolerance."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    d = m.shape[0]
+    if m.shape[1] == 0:
+        return Subspace.zero(d)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    smax = s[0] if len(s) else 0.0
+    if smax == 0.0:
+        return Subspace.zero(d)
+    r = int(np.sum(s >= rel_tol * smax))
+    return Subspace(d, u[:, :r])
 
 
 class PerturbationFailure(RuntimeError):
@@ -109,7 +122,7 @@ def _offset_differences(view: _SequenceView, spec: EuclideanPathSpec,
 def dvm_matrix(system, labels, spec: EuclideanPathSpec) -> np.ndarray:
     """d x d matrix of final-velocity derivatives under uniform cylinder
     translations along the coordinate axes (central differences)."""
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     _check_spec(view, spec)
     # row i: the offsets of every cylinder moved by h e_i
     shift = FD_STEP * np.hstack([np.zeros((view.d, 0))] + view.bases)
@@ -119,7 +132,7 @@ def dvm_matrix(system, labels, spec: EuclideanPathSpec) -> np.ndarray:
 def _each_matrix(system, labels, spec) -> np.ndarray:
     """d x (sum of base dims) matrix: final-velocity derivatives under
     independent per-cylinder translations along base coordinates."""
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     _check_spec(view, spec)
     return _offset_differences(view, spec, FD_STEP * np.eye(view.width),
                                "per-cylinder")
@@ -176,7 +189,7 @@ def _tangent_basis(v: np.ndarray) -> np.ndarray:
 def theta_full_rank(system, labels) -> int:
     """Target rank: sphere dimension plus one projective dimension per
     collision."""
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     return (view.d - 1) + sum(nu - 1 for nu in view.dims)
 
 
@@ -184,7 +197,7 @@ def theta_rank(system, labels, spec: EuclideanPathSpec) -> int:
     """FD rank of the map (initial velocity, offsets) -> (initial velocity,
     collision normals), in local charts.  Full value means the collision
     normals can be perturbed independently and arbitrarily."""
-    view = _view(system, labels)
+    view = _SequenceView(system, labels)
     _check_spec(view, spec)
     d = view.d
     m = spec.m

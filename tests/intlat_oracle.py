@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cylbill.intlat import LatticeQuotient, row_hnf
+from cylbill.intlat import LatticeQuotient, _eliminate, _identity
 
 
 def _to_pylist(a) -> list[list[int]]:
@@ -40,6 +40,18 @@ def _shrink_dtype(m: np.ndarray) -> np.ndarray:
     except (OverflowError, TypeError, ValueError):
         pass
     return m
+
+
+def row_hnf(a) -> tuple[np.ndarray, np.ndarray]:
+    """Row Hermite normal form ``h`` and unimodular ``t`` with
+    ``t @ a = h``, both object matrices, from ``intlat``'s elimination:
+    the two routes share the HNF and differ in what they read off it."""
+    aa = _to_pylist(a)
+    rows = len(aa)
+    cols = np.asarray(a).shape[1]
+    t = _identity(rows)
+    _eliminate(aa, t)
+    return _obj_matrix(aa, cols), _obj_matrix(t, rows)
 
 
 def int_det(a) -> int:

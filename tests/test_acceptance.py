@@ -22,14 +22,13 @@ from cylbill.geometry import (
     Subspace,
     containment_residual,
     null_space,
-    random_subspace,
 )
 from cylbill.model import validate
 from cylbill.paths import (
     EuclideanPathSpec,
     NoValidPath,
-    delta_sigma,
     delta_sigma_constrained,
+    delta_sigma_report,
     neutral_space,
     sequence_generator_intersection,
     trace,
@@ -39,7 +38,9 @@ from conftest import (
     make_sphere_system,
     make_two_block_system,
     oracle_path_times,
+    project_zero_momentum,
     random_int_system,
+    random_subspace,
     sample_traceable_spec,
 )
 
@@ -391,7 +392,7 @@ def test_criterion_07_constrained_dimension_equality():
             continue
         seed = 9000 + 31 * pairs
         try:
-            un = delta_sigma(system, labels, 200, seed=seed)
+            un = delta_sigma_report(system, labels, 200, seed=seed).value
             con = delta_sigma_constrained(system, labels, base, 200,
                                           seed=seed + 1)
         except NoValidPath:
@@ -416,11 +417,11 @@ def test_criterion_08_richness():
     t0 = time.time()
     for d in (2, 3, 4):
         system = make_sphere_system(d, r=0.5, center=np.zeros(d))
-        val = delta_sigma(system, [0], 40, seed=800 + d)
+        val = delta_sigma_report(system, [0], 40, seed=800 + d).value
         assert val == d - 1, f"sphere d={d}: delta {val}"
     blocks = make_two_block_system()
     for labels in ([0, 0], [1, 1, 1]):
-        val = delta_sigma(blocks, labels, 40, seed=850)
+        val = delta_sigma_report(blocks, labels, 40, seed=850).value
         block_dim = blocks.base_space(labels[0]).dim
         assert val <= block_dim - 1
     stream = triple_stream(808)
@@ -430,7 +431,8 @@ def test_criterion_08_richness():
         bound = system.dim - 1 - \
             sequence_generator_intersection(system, labels).dim
         try:
-            val = delta_sigma(system, labels, 8, seed=860 + checked)
+            val = delta_sigma_report(system, labels, 8,
+                                     seed=860 + checked).value
         except NoValidPath:
             continue
         assert val <= bound, f"delta {val} > bound {bound} for {labels}"
@@ -581,7 +583,7 @@ def test_criterion_11_splitting_diagnostics():
                       [0.0, 0.0]])
         q = q + eps * rng.standard_normal((3, 2))
         v = v + eps * rng.standard_normal((3, 2))
-        v = builders.project_zero_momentum(masses, v)
+        v = project_zero_momentum(masses, v)
         vr = emb.reduce_velocities(v)
         return tf.PhasePoint(emb.reduce_positions(q),
                              vr / np.linalg.norm(vr))

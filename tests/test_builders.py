@@ -11,19 +11,21 @@ from cylbill.builders import (
     direct_sum_system,
     hard_ball_system,
     pair_radius,
-    project_zero_momentum,
     sub_billiard,
 )
 from cylbill.classify import commutant_dimension, is_transitive, is_transverse
 from cylbill.geometry import (
     Subspace,
     projector_distance,
-    random_subspace,
     subspace_overlap,
 )
 from cylbill.model import system_to_dict, validate
 from cylbill.torusflow import random_phase
-from conftest import make_two_block_system
+from conftest import (
+    make_two_block_system,
+    project_zero_momentum,
+    random_subspace,
+)
 
 
 def lagrange_reduced_gram(basis2d: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -11,19 +12,20 @@ from cylbill.classify import (
     commutant_dimension,
     count_transitive_blocks,
     is_transitive,
-    is_transitive_sequence,
     is_transverse,
     non_orthogonality_graph,
-    splits_according_to,
 )
 from cylbill.geometry import (
     Subspace,
     complement,
     null_space,
-    random_subspace,
     span_of,
 )
-from conftest import make_sphere_system, make_two_block_system
+from conftest import (
+    make_sphere_system,
+    make_two_block_system,
+    random_subspace,
+)
 from transverse_oracle import is_transverse_by_subsets
 
 
@@ -315,20 +317,22 @@ class TestTransverse:
         assert is_transverse(make_sphere_system(3))[0]
 
 
+def touched_transitive(labels, system) -> bool:
+    """``is_transitive`` on the distinct base spaces a sequence touches."""
+    return is_transitive([system.base_space(i) for i in sorted(set(labels))],
+                         ambient_dim=system.dim)[0]
+
+
 class TestSequences:
     def test_single_sphere_sequence(self):
         system = make_sphere_system(3)
-        assert is_transitive_sequence([0, 0, 0], system)
+        assert touched_transitive([0, 0, 0], system)
 
     def test_one_block_not_transitive(self):
         system = make_two_block_system()
-        assert not is_transitive_sequence([0, 0], system)
-        assert is_transitive_sequence([0, 1], system) == \
+        assert not touched_transitive([0, 0], system)
+        assert touched_transitive([0, 1], system) == \
             is_transitive(system.base_spaces())[0]
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            is_transitive_sequence([5], make_sphere_system(2))
 
     def test_block_counting_no_transitive_prefix(self):
         system = make_two_block_system()
@@ -355,43 +359,55 @@ class TestSequences:
             pieces = np.split(np.array(labels), cuts)
             complete = sum(
                 1 for p in pieces if p.size
-                and is_transitive_sequence(list(p), system)
+                and touched_transitive(p, system)
             )
             assert greedy >= complete
 
 
 class TestSplitsAccordingTo:
+    """``SplittingWitness.check`` decides whether collided base spaces
+    respect a given splitting: each must lie in its assigned part."""
+
     def test_one_block_respects_natural_splitting(self):
         system = make_two_block_system()
         b1 = system.base_space(0)
         b2 = complement(b1)
-        assert splits_according_to({0}, b1, b2, system)
-        assert splits_according_to({0, 1}, b1, b2, system)
+        bases = dict(enumerate(system.base_spaces()))
+        SplittingWitness(b1, b2, {0: 1}).check(bases)
+        SplittingWitness(b1, b2, {0: 1, 1: 2}).check(bases)
 
     def test_straddling_base_fails(self):
         system = make_two_block_system()
         q, _ = np.linalg.qr(np.array([[1.0, 0], [0, 1], [1, 0], [0, 1]]))
         b1 = Subspace(4, q[:, :2])
         b2 = complement(b1)
-        assert not splits_according_to({0}, b1, b2, system)
+        for side in (1, 2):
+            with pytest.raises(ValueError, match="leaks out"):
+                SplittingWitness(b1, b2, {0: side}).check(
+                    {0: system.base_space(0)})
 
     def test_invalid_splitting_rejected(self):
         system = make_two_block_system()
         b1 = system.base_space(0)
         with pytest.raises(ValueError):
-            splits_according_to({0}, b1, b1, system)
+            SplittingWitness(b1, b1, {0: 1}).check({0: b1})
 
     def test_consistency_with_transitivity(self, rng):
         system, _ = builders.hard_ball_system(
             builders.HardBallParams(3, 2, (1.0, 1.0, 1.0), 0.1)
         )
-        labels = {0, 1, 2}
-        assert is_transitive_sequence(sorted(labels), system)
-        # a transitive collided set admits no splitting at all: probe a few
+        labels = [0, 1, 2]
+        assert touched_transitive(labels, system)
+        bases = {i: system.base_space(i) for i in labels}
+        # a transitive collided set admits no splitting at all: probe a
+        # few, each with every assignment of the labels to its two parts
         for _ in range(20):
             b1 = random_subspace(rng, 4, int(rng.integers(1, 4)))
             b2 = complement(b1)
-            assert not splits_according_to(labels, b1, b2, system)
+            for sides in itertools.product((1, 2), repeat=len(labels)):
+                with pytest.raises(ValueError, match="leaks out"):
+                    SplittingWitness(b1, b2, dict(zip(labels, sides))).check(
+                        bases)
 
 
 class TestWitnessInvariants:

@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import inspect
 import pkgutil
@@ -438,6 +439,15 @@ FAILING_COMMANDS = {
     "classify-huge-coeff": (
         ("classify", "--system", "{huge}"),
         lambda f: cylbill.load_system(f["huge"])),
+    "classify-nan-basis": (
+        ("classify", "--system", "{nan_basis}"),
+        lambda f: cylbill.load_system(f["nan_basis"])),
+    "classify-inf-translation": (
+        ("classify", "--system", "{inf_translation}"),
+        lambda f: cli._load_valid_system(f["inf_translation"])),
+    "classify-nan-radius": (
+        ("classify", "--system", "{nan_radius}"),
+        lambda f: cli._load_valid_system(f["nan_radius"])),
     "build-nan-mass": (
         HARDBALL + ("--masses", "1,1,nan", "--r", "0.1"),
         lambda f: builders.HardBallParams(3, 2, (1, 1, NAN), 0.1)),
@@ -506,20 +516,35 @@ class TestFailureExitCodes:
     def files(self, tmp_path):
         files = {name: tmp_path / f"{name}.json"
                  for name in ("sinai", "crowd", "broken", "sigma0", "sigma5",
-                              "out", "fractional", "infinite", "huge")}
+                              "out", "fractional", "infinite", "huge",
+                              "nan_basis", "inf_translation", "nan_radius")}
         save_system(make_sphere_system(2, r=0.3), files["sinai"])
         crowd = make_sphere_system(2, r=0.3)
         crowd.cylinders = crowd.cylinders * 30
         save_system(crowd, files["crowd"])
         files["broken"].write_text("{broken")
-        # a hard-ball file with one generator coefficient edited in the text
+        # a hard-ball file with one generator coefficient, lattice basis
+        # entry, translation entry or radius edited in the text
         doc = system_to_dict(builders.hard_ball_system(
             builders.HardBallParams(3, 2, (1, 1, 1), 0.1))[0])
-        doc["cylinders"][0]["generator_coeffs"][2][0] = "COEFF"
-        text = fileio.dumps(doc)
-        for name, coeff in (("fractional", "1.5"), ("infinite", "1e400"),
-                            ("huge", str(10**30))):
-            files[name].write_text(text.replace('"COEFF"', coeff))
+        edits = {
+            "fractional": (("cylinders", 0, "generator_coeffs", 2, 0), "1.5"),
+            "infinite": (("cylinders", 0, "generator_coeffs", 2, 0), "1e400"),
+            "huge": (("cylinders", 0, "generator_coeffs", 2, 0),
+                     str(10**30)),
+            "nan_basis": (("lattice_basis", 0, 0), "NaN"),
+            "inf_translation": (("cylinders", 0, "translation", 0),
+                                "Infinity"),
+            "nan_radius": (("cylinders", 0, "radius"), "NaN"),
+        }
+        for name, ((*parents, last), value) in edits.items():
+            edited = copy.deepcopy(doc)
+            node = edited
+            for key in parents:
+                node = node[key]
+            node[last] = "VALUE"
+            files[name].write_text(
+                fileio.dumps(edited).replace('"VALUE"', value))
         save_sigma([0], files["sigma0"])
         save_sigma([5], files["sigma5"])
         return files

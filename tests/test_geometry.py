@@ -14,13 +14,11 @@ from cylbill.geometry import (
     intersect,
     matrix_rank,
     orthonormalize,
-    project,
     projector_distance,
-    random_subspace,
     span_of,
     subspace_overlap,
 )
-from conftest import row_reduction_rank
+from conftest import random_subspace, row_reduction_rank
 
 
 class TestOrthonormalize:
@@ -63,24 +61,20 @@ class TestOrthonormalize:
 class TestProject:
     def test_axis(self):
         s = Subspace.span([[1, 0]])
-        assert np.allclose(project(s, [3, 4]), [3, 0])
+        assert np.allclose(s.projector() @ [3, 4], [3, 0])
 
     def test_full_space_identity(self, rng):
         s = Subspace.full(5)
         v = rng.standard_normal(5)
-        assert np.allclose(project(s, v), v)
+        assert np.allclose(s.projector() @ v, v)
 
     def test_idempotent(self, rng):
         for _ in range(25):
             s = random_subspace(rng, 6, int(rng.integers(0, 7)))
             v = rng.standard_normal(6)
-            once = project(s, v)
-            assert np.linalg.norm(project(s, once) - once) < 1e-12
+            once = s.projector() @ v
+            assert np.linalg.norm(s.projector() @ once - once) < 1e-12
             assert np.linalg.norm(once) <= np.linalg.norm(v) + 1e-12
-
-    def test_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            project(Subspace.full(3), [1, 2])
 
 
 class TestComplement:
@@ -103,7 +97,8 @@ class TestComplement:
         c = complement(s)
         for _ in range(100):
             v = rng.standard_normal(6)
-            assert np.linalg.norm(project(s, v) + project(c, v) - v) < 1e-10
+            assert np.linalg.norm(s.projector() @ v + c.projector() @ v
+                                  - v) < 1e-10
 
 
 class TestSpanIntersect:

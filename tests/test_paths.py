@@ -19,19 +19,13 @@ from cylbill.paths import (
     Tangential,
     TraceError,
     apply_reflections,
-    delta_sigma,
     delta_sigma_constrained,
     delta_sigma_report,
-    load_path_spec,
     load_sigma,
     neutral_space,
-    sample_spec,
-    save_path_spec,
     save_sigma,
     sequence_generator_intersection,
     trace,
-    translate_all,
-    translate_each,
     w_plus,
 )
 from conftest import (
@@ -39,8 +33,12 @@ from conftest import (
     make_two_block_system,
     oracle_path_times,
     random_int_system,
+    sample_spec,
     sample_traceable_spec,
     scalar_trace_oracle,
+    spec_from_row,
+    translate_all,
+    translate_each,
 )
 
 
@@ -294,7 +292,7 @@ class TestNeutralSpace:
     def test_stacked_chain_equals_one_path_chains(self):
         system = hard_balls(5, 0.05)
         labels = list(range(system.k))
-        view = paths._view(system, labels)
+        view = paths._SequenceView(system, labels)
         stack, _ = paths._construct(
             view, *next(paths._free_draws(view, 20, seed=4)))
         dims = paths._expanding_dims(view, stack.velocities)
@@ -375,12 +373,12 @@ class TestDelta:
     def test_single_sphere_rich(self):
         for d in (2, 3):
             system = make_sphere_system(d, r=0.4, center=np.zeros(d))
-            assert delta_sigma(system, [0], 30, seed=101) == d - 1
+            assert delta_sigma_report(system, [0], 30, seed=101).value == d - 1
             assert delta_sigma_report(system, [0], 30, seed=101).rich
 
     def test_block_confined_not_rich(self):
         system = make_two_block_system()
-        val = delta_sigma(system, [0, 0], 40, seed=5)
+        val = delta_sigma_report(system, [0, 0], 40, seed=5).value
         assert val <= system.base_space(0).dim - 1
         assert not delta_sigma_report(system, [0, 0], 40, seed=5).rich
 
@@ -392,28 +390,28 @@ class TestDelta:
             bound = system.dim - 1 - \
                 sequence_generator_intersection(system, labels).dim
             try:
-                val = delta_sigma(system, labels, 25,
-                                  seed=int(rng.integers(1 << 30)))
+                val = delta_sigma_report(
+                    system, labels, 25, seed=int(rng.integers(1 << 30))).value
             except NoValidPath:
                 continue
             assert val <= bound
 
     def test_monotone_in_samples(self):
         system = make_sphere_system(3, r=0.4, center=np.zeros(3))
-        v10 = delta_sigma(system, [0], 10, seed=42)
-        v30 = delta_sigma(system, [0], 30, seed=42)
+        v10 = delta_sigma_report(system, [0], 10, seed=42).value
+        v30 = delta_sigma_report(system, [0], 30, seed=42).value
         assert v30 >= v10
 
     def test_deterministic(self):
         system = make_sphere_system(3, r=0.4, center=np.zeros(3))
-        a = delta_sigma(system, [0], 20, seed=7)
-        b = delta_sigma(system, [0], 20, seed=7)
+        a = delta_sigma_report(system, [0], 20, seed=7).value
+        b = delta_sigma_report(system, [0], 20, seed=7).value
         assert a == b
 
     def test_constrained_leq_unconstrained_and_equal_generic(self, rng):
         system = make_sphere_system(3, r=0.5, center=np.zeros(3))
         base = sample_traceable_spec(system, [0], rng)
-        un = delta_sigma(system, [0], 40, seed=9)
+        un = delta_sigma_report(system, [0], 40, seed=9).value
         con = delta_sigma_constrained(system, [0], base, 40, seed=9)
         assert con <= un
         assert con == un
@@ -439,9 +437,8 @@ class TestDelta:
 
     def test_box_scale_only_on_constrained(self):
         system = make_sphere_system(2, r=0.5, center=np.zeros(2))
-        for fn in (delta_sigma, delta_sigma_report):
-            with pytest.raises(TypeError):
-                fn(system, [0], 3, seed=1, box_scale=1.0)
+        with pytest.raises(TypeError):
+            delta_sigma_report(system, [0], 3, seed=1, box_scale=1.0)
 
 
 def hard_balls(n: int, r: float):
@@ -495,7 +492,7 @@ class TestStackedKernel:
         specs += [self.grazing_spec(system, labels, rng) for _ in range(5)]
         specs.append(self.axial_spec(system, labels))
         stack = paths._collide(
-            paths._view(system, labels), np.array([s.v0 for s in specs]),
+            paths._SequenceView(system, labels), np.array([s.v0 for s in specs]),
             np.array([np.concatenate(s.offsets) for s in specs]))
         seen = set()
         for i, spec in enumerate(specs):
@@ -704,13 +701,13 @@ class TestConstructiveSampler:
         for system in systems:
             for m in (1, 2, 3):
                 labels = [int(x) for x in rng.integers(0, system.k, size=m)]
-                view = paths._view(system, labels)
+                view = paths._SequenceView(system, labels)
                 draws = next(paths._free_draws(view, 40,
                                                int(rng.integers(1000))))
                 stack, offsets = paths._construct(view, *draws)
                 for i in np.flatnonzero(stack.status == 0):
                     res = trace(system, labels,
-                                paths._spec(view, draws[0][i], offsets[i]))
+                                spec_from_row(view, draws[0][i], offsets[i]))
                     assert np.max(np.abs(res.times - stack.times[i])) <= 1e-9
                     assert np.max(np.abs(res.velocities
                                          - stack.velocities[i])) <= 1e-9
@@ -724,7 +721,7 @@ class TestConstructiveSampler:
         # constructed path, for the same reason
         system = make_two_block_system()
         labels = [0, 1]
-        view = paths._view(system, labels)
+        view = paths._SequenceView(system, labels)
         v0s = np.array([unit([1, 1, 1, 1]), unit([0, 0, 1, 1]),
                         unit([1, 1, 1, 1]), unit([1, 1, 1, 1]),
                         unit([1, 2, 1, 1])])
@@ -744,7 +741,7 @@ class TestConstructiveSampler:
         assert traced.step.tolist() == stack.step.tolist()
 
     def test_draws_are_prefix_stable(self):
-        view = paths._view(hard_balls(3, 0.15), [0, 1, 2, 0])
+        view = paths._SequenceView(hard_balls(3, 0.15), [0, 1, 2, 0])
         few = next(paths._free_draws(view, 7, seed=12))
         many = next(paths._free_draws(view, 30, seed=12))
         for a, b in zip(few, many):
@@ -753,7 +750,7 @@ class TestConstructiveSampler:
     def test_chunked_run_equals_unchunked(self, monkeypatch):
         system = hard_balls(3, 0.15)
         labels = [0, 1, 2, 0]
-        view = paths._view(system, labels)
+        view = paths._SequenceView(system, labels)
         whole = delta_sigma_report(system, labels, 40, 9)
         (unchunked,) = paths._free_draws(view, 40, 9)
         monkeypatch.setattr(paths, "SAMPLE_CHUNK", 7)
@@ -835,23 +832,13 @@ class TestFiles:
         save_sigma([0, 1, 0, 2], p)
         assert load_sigma(p) == [0, 1, 0, 2]
 
-    def test_spec_roundtrip(self, tmp_path, sphere3, rng):
-        spec = sample_traceable_spec(sphere3, [0], rng)
-        p = tmp_path / "spec.json"
-        save_path_spec(spec, p)
-        back = load_path_spec(p)
-        assert np.array_equal(back.v0, spec.v0)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(back.offsets, spec.offsets))
-
     def test_malformed_files_are_format_errors(self, tmp_path):
         from cylbill.model import SystemFormatError
 
         p = tmp_path / "bad.json"
         p.write_text("{broken")
-        for load in (load_sigma, load_path_spec):
-            with pytest.raises(SystemFormatError):
-                load(p)
+        with pytest.raises(SystemFormatError):
+            load_sigma(p)
         p.write_text('{"format": "cylbill-sigma", "labels": [[1]]}\n')
         with pytest.raises(SystemFormatError):
             load_sigma(p)

@@ -6,6 +6,7 @@ import pytest
 
 from cylbill import builders, paths
 from cylbill import torusflow as tf
+from cylbill.classify import count_transitive_blocks
 from cylbill.geometry import Lattice, complement, projector_distance
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from conftest import make_sphere_system, make_two_block_system
@@ -513,21 +514,22 @@ class TestDetectSplitting:
 
 
 class TestRichnessCertificate:
+    """A record's richness certificate: ``count_transitive_blocks`` on its
+    symbolic sequence."""
+
     def test_single_cylinder_every_collision_is_a_block(self):
         system, _ = builders.hard_ball_system(
             builders.HardBallParams(2, 2, (1.0, 1.0), 0.1))
         rng = np.random.default_rng(4)
         phase = tf.random_phase(system, rng)
         rec = tf.flow(system, phase, max_collisions=10, default_horizon=1e4)
-        ok, count = tf.richness_certificate(rec, system, 10)
-        assert ok and count == 10
+        assert count_transitive_blocks(rec.symbolic, system) == 10
 
     def test_free_flight_false(self, sinai):
         rec = tf.TrajectoryRecord(
             initial=tf.PhasePoint([0.0, 0.5], [1.0, 0.0]),
             events=[], symbolic=[], flags={})
-        ok, count = tf.richness_certificate(rec, sinai, 1)
-        assert not ok and count == 0
+        assert count_transitive_blocks(rec.symbolic, sinai) == 0
 
     def test_monotone_in_prefix(self):
         system, _ = builders.hard_ball_system(
@@ -535,7 +537,7 @@ class TestRichnessCertificate:
         rng = np.random.default_rng(6)
         phase = tf.random_phase(system, rng)
         rec = tf.flow(system, phase, max_collisions=120, default_horizon=1e4)
-        counts = [tf.richness_certificate(rec.prefix(n), system, 1)[1]
+        counts = [count_transitive_blocks(rec.prefix(n).symbolic, system)
                   for n in (20, 60, 120)]
         assert counts == sorted(counts)
 
