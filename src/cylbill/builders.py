@@ -247,7 +247,7 @@ def direct_sum_system(
     radii,
     translations=None,
     lattice_basis=None,
-) -> tuple[CylindricBilliardSystem, "nx.Graph"]:
+) -> tuple[CylindricBilliardSystem, np.ndarray]:
     """System whose base spaces are the given direct-sum blocks.
 
     The generator of each cylinder is the orthocomplement of its base
@@ -255,8 +255,8 @@ def direct_sum_system(
     coordinates are stored exactly as integer coefficient matrices; others
     fall back to a real axis basis with a provenance note (such systems are
     classification-grade, since no lattice is certified to align with
-    their axes).  The non-orthogonality graph of the blocks is returned
-    alongside the system.
+    their axes).  The non-orthogonality graph of the blocks, a boolean
+    adjacency matrix, is returned alongside the system.
     """
     bases = list(bases)
     block_dims = [int(x) for x in block_dims]

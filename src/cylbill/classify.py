@@ -3,8 +3,8 @@
 Two independent routes decide whether a collection of base spaces admits a
 non-trivial orthogonal splitting:
 
-* the structural test — the non-orthogonality graph must be connected and
-  the bases must span the whole space;
+* the structural test — the non-orthogonality graph, a boolean adjacency
+  matrix, must be connected and the bases must span the whole space;
 * the commutant oracle — the space of symmetric matrices commuting with
   every elementary rotation generator supported on the base spaces is
   one-dimensional exactly when no invariant splitting exists (a symmetric
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .config import DROP, OVERLAP
 from .errors import UsageError
 from .geometry import (
+    DimensionMismatch,
     Subspace,
     complement,
     containment_residual,
@@ -38,6 +38,7 @@ MAX_TRANSVERSE_CYLINDERS = 24
 __all__ = [
     "SplittingWitness",
     "non_orthogonality_graph",
+    "graph_components",
     "is_transitive",
     "commutant_dimension",
     "is_transverse",
@@ -81,20 +82,52 @@ class SplittingWitness:
                     raise ValueError(f"base space {i} leaks out of part {side}")
 
 
-def non_orthogonality_graph(bases) -> nx.Graph:
-    """Graph on base-space indices; an edge joins non-orthogonal pairs."""
+def _padded(bases: list[Subspace]) -> np.ndarray:
+    """The bases stacked ``(k, d, width)``, each padded with zero vectors
+    (which add no direction) to the largest base dimension."""
+    d = bases[0].ambient_dim
+    if any(b.ambient_dim != d for b in bases):
+        raise DimensionMismatch("subspaces live in different ambient spaces")
+    padded = np.zeros((len(bases), d, max(b.dim for b in bases)))
+    for i, b in enumerate(bases):
+        padded[i, :, :b.dim] = b.basis
+    return padded
+
+
+def non_orthogonality_graph(bases) -> np.ndarray:
+    """Adjacency matrix of the non-orthogonality graph on base-space
+    indices: ``k x k`` boolean, symmetric, zero diagonal.  An edge is set
+    where ``subspace_overlap`` exceeds ``OVERLAP``, by one batched SVD of
+    the blocks ``B_i^T B_j`` of the padded bases' Gram matrix (zero padding
+    keeps the largest singular value)."""
     bases = list(bases)
-    g = nx.Graph()
-    g.add_nodes_from(range(len(bases)))
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            if subspace_overlap(bases[i], bases[j]) > OVERLAP:
-                g.add_edge(i, j)
-    return g
+    k = len(bases)
+    adjacency = np.zeros((k, k), dtype=bool)
+    if k:
+        padded = _padded(bases)
+        _, d, w = padded.shape
+        flat = padded.transpose(1, 0, 2).reshape(d, k * w)
+        gram = (flat.T @ flat).reshape(k, w, k, w).transpose(0, 2, 1, 3)
+        i, j = np.triu_indices(k, 1)
+        s = np.linalg.svd(gram[i, j], compute_uv=False)
+        adjacency[i, j] = adjacency[j, i] = s.max(axis=-1, initial=0.0) > OVERLAP
+    return adjacency
+
+
+def graph_components(adjacency: np.ndarray) -> list[list[int]]:
+    """Connected components of a boolean adjacency matrix, each a sorted
+    index list, ordered by their smallest member."""
+    reach = np.asarray(adjacency, dtype=bool) | np.eye(len(adjacency), dtype=bool)
+    # squaring doubles the path length reached; 2^bit_length(k) > k - 1
+    for _ in range(len(reach).bit_length()):
+        reach = reach.astype(float) @ reach > 0
+    # the distinct rows of the closure are the components; in descending
+    # row order their smallest members ascend
+    return [np.flatnonzero(row).tolist() for row in np.unique(reach, axis=0)[::-1]]
 
 
 def is_transitive(bases, ambient_dim: int | None = None,
-                  graph: nx.Graph | None = None):
+                  graph: np.ndarray | None = None):
     """Decide whether the collection admits no orthogonal splitting.
 
     Returns ``(True, None)`` or ``(False, witness)``.  The structural
@@ -123,12 +156,12 @@ def is_transitive(bases, ambient_dim: int | None = None,
         return False, w
     if graph is None:
         graph = non_orthogonality_graph(bases)
-    comps = sorted(nx.connected_components(graph), key=min)
+    comps = graph_components(graph)
     if len(comps) > 1:
-        first = sorted(comps[0])
+        first = comps[0]
         b1 = span_of([bases[i] for i in first])
         b2 = complement(b1)
-        assignment = {i: (1 if i in comps[0] else 2) for i in range(len(bases))}
+        assignment = {i: (1 if i in first else 2) for i in range(len(bases))}
         w = SplittingWitness(b1, b2, assignment)
         w.check({i: b for i, b in enumerate(bases)})
         return False, w
@@ -194,12 +227,8 @@ def _flats(bases: list[Subspace]) -> dict[int, np.ndarray]:
     by which ``orthonormalize`` drops a vector, so a flat's dimension is
     the ``span_of`` rank of its members.
     """
-    k, d = len(bases), bases[0].ambient_dim
-    width = max(b.dim for b in bases)
-    # base i's basis, padded with zero vectors (which add no direction)
-    padded = np.zeros((k, d, width))
-    for i, b in enumerate(bases):
-        padded[i, :, :b.dim] = b.basis
+    padded = _padded(bases)
+    k, d, width = padded.shape
     bits = 1 << np.arange(k, dtype=np.int64)
 
     def residual(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -102,10 +102,7 @@ def cmd_classify(args) -> int:
     commutant = classify.commutant_dimension(bases) \
         if all(b.dim >= 2 for b in bases) else None
     transverse, counterexample = classify.is_transverse(system)
-    import networkx as nx
-
-    components = [sorted(c) for c in
-                  sorted(nx.connected_components(graph), key=min)]
+    components = classify.graph_components(graph)
     body = {
         "system": args.system,
         "dim": system.dim,
@@ -185,7 +182,7 @@ def cmd_build(args) -> int:
         extra = {
             "kind": "directsum",
             "n_cylinders": system.k,
-            "graph_edges": sorted([sorted(e) for e in graph.edges]),
+            "graph_edges": np.argwhere(np.triu(graph)).tolist(),
         }
     elif args.kind == "subbilliard":
         if args.system is None or args.indices is None:

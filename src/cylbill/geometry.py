@@ -11,7 +11,8 @@ yardstick.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -280,10 +281,6 @@ class Lattice:
     """
 
     basis: np.ndarray
-    _reduced: np.ndarray | None = field(default=None, repr=False)
-    _transform: np.ndarray | None = field(default=None, repr=False)
-    _inv: np.ndarray | None = field(default=None, repr=False)
-    _diameter: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -305,43 +302,34 @@ class Lattice:
     def covolume(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
-    def _ensure_reduced(self):
-        if self._reduced is None:
-            red, u = _lll(self.basis)
-            self._reduced = red
-            self._transform = u
+    @cached_property
+    def _reduction(self) -> tuple[np.ndarray, np.ndarray]:
+        return _lll(self.basis)
 
     @property
     def reduced_basis(self) -> np.ndarray:
-        self._ensure_reduced()
-        return self._reduced
+        return self._reduction[0]
 
     @property
     def reduced_transform(self) -> np.ndarray:
         """Integer U with ``reduced_basis = basis @ U``."""
-        self._ensure_reduced()
-        return self._transform
+        return self._reduction[1]
 
-    @property
+    @cached_property
     def inv_basis(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.basis)
-        return self._inv
+        return np.linalg.inv(self.basis)
 
-    @property
+    @cached_property
     def fundamental_diameter(self) -> float:
         """Diameter of the fundamental cell of the reduced basis."""
-        if self._diameter is None:
-            red = self.reduced_basis
-            d = red.shape[0]
-            if d <= 12:
-                best = 0.0
-                for signs in itertools.product((-1.0, 1.0), repeat=d):
-                    best = max(best, float(np.linalg.norm(red @ np.array(signs))))
-                self._diameter = best / 1.0
-            else:
-                self._diameter = float(np.sum(np.linalg.norm(red, axis=0)))
-        return self._diameter
+        red = self.reduced_basis
+        d = red.shape[0]
+        if d <= 12:
+            best = 0.0
+            for signs in itertools.product((-1.0, 1.0), repeat=d):
+                best = max(best, float(np.linalg.norm(red @ np.array(signs))))
+            return best
+        return float(np.sum(np.linalg.norm(red, axis=0)))
 
     def wrap(self, q) -> tuple[np.ndarray, np.ndarray]:
         """Representative of ``q`` in the fundamental cell.
@@ -358,14 +346,6 @@ class Lattice:
         if not shift.any():
             return q.copy(), shift
         return self.basis @ (y - shift), shift
-
-    def nearest_image_delta(self, v) -> np.ndarray:
-        """Shift ``v`` by a lattice vector so its lattice coordinates lie in
-        [-1/2, 1/2).  Exact nearest image for separations small against the
-        cell; used for tiny phase-space displacements."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        y = self.inv_basis @ v
-        return self.basis @ (y - np.round(y))
 
     def enumerate_ball(self, center, radius):
         """All lattice points within ``radius`` of ``center``.

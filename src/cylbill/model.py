@@ -115,8 +115,8 @@ class CylindricBilliardSystem:
     lattice: Lattice
     cylinders: list[CylinderSpec]
     interior_connected_asserted: bool = True
-    _gen_cache: dict = field(default_factory=dict, repr=False)
-    _base_cache: dict = field(default_factory=dict, repr=False)
+    _gen_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _base_cache: dict = field(default_factory=dict, init=False, repr=False)
     # the flow's collision-scan arrays, built on first use by torusflow
     _flow_cache: object = field(default=None, init=False, repr=False)
 
@@ -195,9 +195,6 @@ def validate(system: CylindricBilliardSystem) -> ValidationReport:
         if not 0 < cyl.radius < np.inf:
             rep.violations.append(
                 (i, f"radius {cyl.radius} is not finite and positive"))
-        if cyl.translation.shape[0] != d:
-            rep.violations.append((i, "translation dimension mismatch"))
-            continue
         if not np.isfinite(cyl.translation).all():
             rep.violations.append((i, "translation is not finite"))
         if cyl.generator_coeffs is not None:

@@ -105,8 +105,9 @@ class EuclideanPathSpec:
     """Initial unit velocity plus one offset per collision.
 
     Offsets are stored in the coordinates of the corresponding base space
-    (so they are confined to it by construction); ``offset_ambient`` maps
-    one back to the ambient frame.
+    (so they are confined to it by construction): offset ``a`` of a
+    collision with cylinder ``i`` is the ambient vector
+    ``system.base_space(i).basis @ a``.
     """
 
     v0: np.ndarray

@@ -33,7 +33,7 @@ from . import intlat
 from .classify import SplittingWitness, is_transitive
 from .config import AXIS_PARALLEL, DISC, T_MIN_GAP, UNIT_NORM
 from .errors import DegeneracyError, UsageError
-from .geometry import Lattice, Subspace, complement
+from .geometry import Lattice
 from .paths import EuclideanPathSpec
 
 __all__ = [
@@ -490,14 +490,8 @@ def detect_splitting(record: TrajectoryRecord, system) -> SplittingWitness | Non
     """Coarsest orthogonal splitting respected by every collision in the
     record; None exactly when the collided base spaces are transitive."""
     labels = sorted(record.collided_labels())
-    d = system.dim
-    if not labels:
-        e1 = Subspace.span([np.eye(d)[:, 0]])
-        w = SplittingWitness(e1, complement(e1), {}, degenerate=True)
-        w.check()
-        return w
     ok, witness = is_transitive(
-        [system.base_space(i) for i in labels], ambient_dim=d
+        [system.base_space(i) for i in labels], ambient_dim=system.dim
     )
     if ok:
         return None

@@ -29,6 +29,15 @@ from cylbill.torusflow import (
 )
 
 
+def nearest_image_delta(lattice, v) -> np.ndarray:
+    """Shift ``v`` by a lattice vector so its lattice coordinates lie in
+    [-1/2, 1/2).  Exact nearest image for separations small against the
+    cell; used for tiny phase-space displacements."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    y = lattice.inv_basis @ v
+    return lattice.basis @ (y - np.round(y))
+
+
 @dataclass
 class ShadowResult:
     estimate: float
@@ -116,7 +125,7 @@ def shadow_lyapunov_max(system, phase, total_t: float, renorm_dt: float,
             q_s, v_s = fresh_shadow(q_m, v_m)
             continue
         q_m, v_m = q_m2, v_m2
-        dq = system.lattice.nearest_image_delta(q_s2 - q_m)
+        dq = nearest_image_delta(system.lattice, q_s2 - q_m)
         dv = v_s2 - v_m
         sep = float(np.sqrt(dq @ dq + dv @ dv))
         if sep < 1e-300:

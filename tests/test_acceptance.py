@@ -15,6 +15,7 @@ from cylbill import builders, paths
 from cylbill import torusflow as tf
 from cylbill.classify import (
     commutant_dimension,
+    graph_components,
     is_transitive,
     is_transverse,
 )
@@ -187,9 +188,7 @@ def _connected_direct_sum(rng):
             at += dd
         system, graph = builders.direct_sum_system(dims, bases,
                                                    [0.2] * len(dims))
-        import networkx as nx
-
-        if nx.is_connected(graph):
+        if len(graph_components(graph)) == 1:
             return system
 
 

