@@ -171,9 +171,10 @@ class CylindricBilliardSystem:
 
 @dataclass
 class ValidationReport:
-    """Diagnostic result of :func:`validate`; empty ``violations`` is a pass."""
+    """Diagnostic result of :func:`validate`; empty ``violations`` is a pass.
+    A violation names its cylinder's index, or None for the whole system."""
 
-    violations: list[tuple[int, str]] = field(default_factory=list)
+    violations: list[tuple[int | None, str]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -181,8 +182,8 @@ class ValidationReport:
         return not self.violations
 
     def __str__(self):
-        lines = [f"VIOLATION [cylinder {i}]: {msg}"
-                 for i, msg in self.violations]
+        lines = [f"VIOLATION [{'system' if i is None else f'cylinder {i}'}]"
+                 f": {msg}" for i, msg in self.violations]
         lines += [f"note: {n}" for n in self.notes]
         return "; ".join(lines) if lines else "valid"
 
@@ -191,6 +192,8 @@ def validate(system: CylindricBilliardSystem) -> ValidationReport:
     """Check every structural invariant; reports rather than raises."""
     rep = ValidationReport()
     d = system.dim
+    if not system.cylinders:
+        rep.violations.append((None, "the system has no cylinders"))
     for i, cyl in enumerate(system.cylinders):
         if not 0 < cyl.radius < np.inf:
             rep.violations.append(

@@ -11,10 +11,12 @@ at time ``t <= T`` has its image within ``T + r`` of the start's base-space
 point, so a ball of that radius in the projected lattice lists every
 candidate once.  A horizon is searched in windows of fixed length, each
 starting where the previous one ended, so a long free flight costs scans,
-not a larger ball.  One stepper carries every orbit: ``flow``,
-``next_collision`` and ``lyapunov_max`` scan through its window loop and
-fly, reflect and wrap through its one move, and ``n_scans`` counts its
-windows.
+not a larger ball; the length is two fundamental diameters of the widest
+projected lattice, which stays about 1 on hard-ball systems of any size,
+while the system's own cell grows with the number of balls.  One stepper
+carries every orbit: ``flow``, ``next_collision`` and ``lyapunov_max`` scan
+through its window loop and fly, reflect and wrap through its one move, and
+``n_scans`` counts its windows.
 
 Grazing (discriminant inside the guard) and simultaneous (two distinct
 contacts within ``T_MIN_GAP``) encounters abort the computation loudly:
@@ -168,16 +170,18 @@ class _AxisImages:
     image within reach exactly once.  A cylinder without axis has ``W = I``
     and ``B = I``, and uses the system's own lattice.
 
-    The ball is enumerated once.  It reaches every image a scan window of
-    length ``window`` can hit (``window + r``, plus ``T_MIN_GAP`` so the
-    second contact of a hit at the window's end is seen) and the nearest
-    image of any point (within one cell diameter).
+    The ball is enumerated once, by :meth:`enumerate`, after the view has
+    set its window from every cylinder's projected ``lattice``.  It reaches
+    every image a scan window of length ``window`` can hit (``window + r``,
+    plus ``T_MIN_GAP`` so the second contact of a hit at the window's end
+    is seen); the window is at least the lattice's fundamental diameter, so
+    the ball also holds the nearest image of any point.
     """
 
-    __slots__ = ("basis", "radius", "translation", "cosets", "red",
-                 "red_inv", "red_transform", "ints", "pts")
+    __slots__ = ("basis", "radius", "translation", "cosets", "lattice",
+                 "red", "red_inv", "red_transform", "ints", "pts")
 
-    def __init__(self, system, i: int, window: float):
+    def __init__(self, system, i: int):
         cyl = system.cylinders[i]
         if not cyl.lattice_aligned and cyl.generator_basis.size:
             raise FlowError(
@@ -189,28 +193,44 @@ class _AxisImages:
         self.translation = cyl.translation
         if cyl.n_generators == 0:
             self.cosets = np.eye(system.dim, dtype=np.int64)
-            lattice = system.lattice
+            self.lattice = system.lattice
         else:
             quotient = intlat.lattice_quotient([cyl.generator_coeffs],
                                                system.dim)
             self.cosets = quotient.complement.astype(np.int64)
-            lattice = Lattice(
+            self.lattice = Lattice(
                 self.basis.T @ (system.lattice.basis @ self.cosets))
-        self.red = lattice.reduced_basis
+        self.red = self.lattice.reduced_basis
         self.red_inv = np.linalg.inv(self.red)
-        self.red_transform = lattice.reduced_transform
+        self.red_transform = self.lattice.reduced_transform
+
+    def enumerate(self, window: float) -> None:
+        """List the images a scan window of length ``window`` can reach."""
         half_spread = 0.5 * float(np.sum(np.linalg.norm(self.red, axis=0)))
-        reach = max(window + self.radius + T_MIN_GAP,
-                    lattice.fundamental_diameter)
-        self.ints, self.pts = lattice.enumerate_ball(
+        reach = window + self.radius + T_MIN_GAP
+        self.ints, self.pts = self.lattice.enumerate_ball(
             np.zeros(self.red.shape[0]), reach + half_spread + 1e-9)
+
+
+_WINDOW_DIAMETERS = 2.0
+"""Scan window length in fundamental diameters of the widest projected
+lattice.  A shorter window spends more scans, most of them empty, on a long
+free flight; a longer one scans a larger image ball every time.  Against 2,
+two-orbit Lyapunov runs in d = 2 cost 16% more at 1 and the same at 4, and
+hard-ball flows in d = 4 to 18 cost from 24% less to 3% more at 1, and
+from 14% to 7 times more at 4."""
 
 
 class _FlowView:
     """Per-system arrays for the collision scan, cached on the system.
 
     ``window`` is the length of one scan window: a horizon longer than it
-    is searched window by window, so no image ball ever grows with it.
+    is searched window by window, so no image ball ever grows with it.  It
+    is ``_WINDOW_DIAMETERS`` times the largest fundamental diameter of the
+    cylinders' projected lattices (at least 1e-3), which stays about 1
+    however many balls a hard-ball system has; ``diam``, the diameter of
+    the system's own cell, grows with them and sets ``flow``'s default
+    horizon.  A system without cylinders scans windows of ``diam``.
 
     The scan treats every cylinder at once.  Each base space gets a block
     of ``n`` rows, ``n`` the largest base dimension, padded with zeros:
@@ -231,9 +251,13 @@ class _FlowView:
     def __init__(self, system):
         self.lattice = system.lattice
         self.diam = self.lattice.fundamental_diameter
-        self.window = max(self.diam, 1e-3)
-        self.images = [_AxisImages(system, i, self.window)
-                       for i in range(system.k)]
+        self.images = [_AxisImages(system, i) for i in range(system.k)]
+        widest = max((img.lattice.fundamental_diameter
+                      for img in self.images), default=None)
+        self.window = max(self.diam if widest is None
+                          else _WINDOW_DIAMETERS * widest, 1e-3)
+        for img in self.images:
+            img.enumerate(self.window)
         k = self.k = system.k
         n = self.n = max((img.red.shape[0] for img in self.images), default=0)
         m = max((len(img.pts) for img in self.images), default=0)
@@ -293,9 +317,11 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     the frame of ``q``.
 
     One array pass solves the collision quadratic on every image of every
-    cylinder.  Only the images whose discriminant clears ``-guard`` go on
-    to roots and grazes, and only the first contact's image and normal are
-    built.  A cylinder with ``|B^T v|^2 < AXIS_PARALLEL`` is never hit.
+    cylinder.  Only the images whose discriminant clears ``-guard``, a few
+    per window, go on to roots and grazes, in one scalar loop: on arrays
+    that short each numpy call costs more than the arithmetic.  Only the
+    first contact's image and normal are built.  A cylinder with
+    ``|B^T v|^2 < AXIS_PARALLEL`` is never hit.
     """
     origin = q + start * v
     u = (view.bt @ v).reshape(view.k, 1, view.n)
@@ -308,26 +334,32 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     screened = np.flatnonzero((disc > floor) & view.real)
     if not screened.size:
         return None
-    cyl = screened // disc.shape[1]
-    disc, wu, uu, guard = (disc.take(screened), wu.take(screened),
-                           uu.take(cyl), guard.take(cyl))
-    near = disc < guard         # |disc| < guard, as disc > -guard here
-    s_t = -wu / uu
-    graze_s = float(np.min(s_t, initial=np.inf,
-                           where=near & (s_t > T_MIN_GAP)))
-    s_all = (-wu - np.sqrt(np.maximum(disc, 0.0))) / uu
-    s_all[near | (s_all <= T_MIN_GAP)] = np.inf
-    j = int(np.argmin(s_all))
-    first = float(s_all[j])     # two earliest contacts over all images
-    s_all[j] = np.inf
-    second = float(s_all.min())
+    m = disc.shape[1]
+    uu, guard = uu[:, 0].tolist(), guard[:, 0].tolist()
+    graze_s = first = second = math.inf     # earliest graze and contacts
+    j = 0
+    for flat, d_s, wu_s in zip(screened.tolist(), disc.take(screened).tolist(),
+                               wu.take(screened).tolist()):
+        c = flat // m
+        if d_s < guard[c]:      # |disc| < guard, as disc > -guard here
+            s = -wu_s / uu[c]
+            if T_MIN_GAP < s < graze_s:
+                graze_s = s
+            continue
+        s = (-wu_s - math.sqrt(d_s)) / uu[c]
+        if s <= T_MIN_GAP:
+            continue
+        if s < first:
+            first, second, j = s, first, flat
+        elif s < second:
+            second = s
     if first <= t_window:
         if graze_s <= first + T_MIN_GAP:
             raise TangentialCollision("grazing contact", start + graze_s)
         if second - first < T_MIN_GAP:
             raise SimultaneousCollision("two contacts within T_MIN_GAP",
                                         start + first)
-        i, col = divmod(int(screened[j]), w.shape[2])
+        i, col = divmod(j, m)
         img = view.images[i]
         dim = img.red.shape[0]
         k_i = k_red[i * view.n:i * view.n + dim].astype(np.int64)
@@ -516,9 +548,9 @@ class LyapunovResult:
     """Outcome of ``lyapunov_max``.
 
     ``window_logs`` holds one entry per kept window, the log growth of the
-    frame's leading vector (``log R[0, 0]`` of the window's QR step), and
-    ``estimate`` is their mean per unit time.  ``spectrum`` holds all
-    ``2d`` exponents, largest first.  ``n_collisions`` counts the
+    frame's leading vector over the window (``log R[0, 0]`` of a QR step at
+    its end), and ``estimate`` is their mean per unit time.  ``spectrum``
+    holds all ``2d`` exponents, largest first.  ``n_collisions`` counts the
     reflections applied, those of discarded windows included, and
     ``n_scans`` the collision-scan windows searched.
     ``discarded_by_reason`` splits ``discarded`` by ``DISCARD_REASONS``.
@@ -557,11 +589,16 @@ def _across(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
     return w / nw if nw > 0 else w
 
 
-_FRAME_CAP = 1e4
-"""Entry size at which a reflection re-orthonormalizes the frame inside its
-window, so that a long window neither overflows it nor loses its lower
-directions to roundoff; QR steps telescope, so the growth sums are the
-same."""
+_FRAME_CAP = 1e3
+"""Entry size at which a reflection re-orthonormalizes the frame by a QR
+step.  A window's end rescales only the leading vector, so the others grow
+from window to window until this cap, or the end of the run, takes the
+step.  QR steps telescope, so the growth sums do not depend on where the
+steps fall; but the lower directions keep only the precision that the
+frame's spread of scales leaves them, so the cap trades QR steps for
+roundoff in the smallest exponent: against a QR step after every
+reflection, it was off by up to 1.1e-7 at 1e3, and 3.3e-5 at 1e4, on Sinai
+and two-ball orbits of 500 time units."""
 
 
 class _TangentOrbit(_Orbit):
@@ -573,10 +610,13 @@ class _TangentOrbit(_Orbit):
     moves ``q``, so the orbit does not depend on where windows end.  The
     frame's columns are tangent vectors ``(δq, δv)``.  A free flight of
     ``s`` maps each by ``δq += s δv``, a reflection by the billiard tangent
-    map, and a QR step re-orthonormalizes them at the end of each window;
-    its ``log |R_ii|`` are the window's growths (Dellago, Posch and Hoover,
-    PRE 53, 1485 (1996); Chernov and Markarian, *Chaotic Billiards*,
-    ch. 3).
+    map.  A QR step re-orthonormalizes them only when the frame grows past
+    ``_FRAME_CAP`` and once at the end of the run, and its ``log |R_ii|``
+    go to the growth sums (Dellago, Posch and Hoover, PRE 53, 1485 (1996);
+    Chernov and Markarian, *Chaotic Billiards*, ch. 3).  A window's end
+    costs only the leading vector's norm, which is ``R_00`` of a QR step
+    there: dividing that vector by it is a diagonal, so upper-triangular,
+    step of its own, and the steps still telescope.
     """
 
     def __init__(self, view: _FlowView, q, v, frame, renorm_dt: float,
@@ -596,7 +636,7 @@ class _TangentOrbit(_Orbit):
     def _open(self) -> None:
         """Start a window here, saving the state it starts from."""
         self.left = self.renorm_dt  # time to the open window's end
-        self.growth = 0.0           # logs of QR steps inside the window
+        self.growth = np.zeros(len(self.frame))  # QR logs in the window
         self.saved = (self.q + self.t * self.v, self.v, self.frame.copy())
 
     def _shear(self, s: float) -> None:
@@ -610,9 +650,12 @@ class _TangentOrbit(_Orbit):
         return np.log(np.abs(np.diagonal(r)))
 
     def _close(self) -> None:
-        growth = self.growth + self._orthonormalize()
-        self.logs.append(float(growth[0]))
-        self.log_sums += growth
+        lead = self.frame[:, 0]
+        norm = math.sqrt(lead @ lead)
+        lead /= norm
+        self.growth[0] += math.log(norm)
+        self.logs.append(float(self.growth[0]))
+        self.log_sums += self.growth
         self.closed += 1
         self._open()
 
@@ -665,7 +708,7 @@ class _TangentOrbit(_Orbit):
         frame[d:] = dv - twice_n * (normal @ dv + v @ dn) - (2.0 * vn) * dn
         self.frame = frame
         if np.abs(frame).max() > _FRAME_CAP:
-            self.growth = self.growth + self._orthonormalize()
+            self.growth += self._orthonormalize()
         self.move(self.t, normal)
         self.t = 0.0
 
@@ -699,8 +742,10 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     ``view.window`` it spans), and a window's end inside a free flight
     advances only the tangent frame, linearly.  A random orthonormal frame
     of all ``2d`` tangent vectors, drawn from ``seed``, goes through the
-    tangent map and is re-orthonormalized at the end of every window (and
-    inside one if it grows large); the growth logs give every exponent.  A
+    tangent map.  Each window's end rescales its leading vector to unit
+    length, which gives the window's log; a QR step re-orthonormalizes the
+    whole frame when it grows past ``_FRAME_CAP`` and at the end of the
+    run.  The logs of the rescalings and QR steps give every exponent.  A
     window holding a grazing or simultaneous contact is discarded: the
     state saved at its start is restored and the point stepped 1e-10
     across the velocity in a direction drawn from ``seed``.  More than 20%
@@ -750,6 +795,8 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
         if orbit.fly(s):
             orbit.reflect(view.images[i], normal)
             n_collisions += 1
+    # the growth of the lower vectors since the last QR step
+    orbit.log_sums += orbit._orthonormalize()
     logs = orbit.logs
     discarded = sum(orbit.by_reason.values())
     if logs:

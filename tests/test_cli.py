@@ -19,7 +19,8 @@ from cylbill import builders, classify, cli, config, fileio, geometry, paths
 from cylbill import torusflow as tf
 from cylbill.cli import main
 from cylbill.errors import DegeneracyError, InputError, UsageError
-from cylbill.model import load_system, save_system, system_to_dict
+from cylbill.model import (CylindricBilliardSystem, load_system, save_system,
+                           system_to_dict)
 from cylbill.paths import save_sigma
 from conftest import make_sphere_system, make_two_block_system
 
@@ -465,6 +466,9 @@ FAILING_COMMANDS = {
     "classify-nan-basis": (
         ("classify", "--system", "{nan_basis}"),
         lambda f: cylbill.load_system(f["nan_basis"])),
+    "classify-no-cylinders": (
+        ("classify", "--system", "{empty}"),
+        lambda f: cli._load_valid_system(f["empty"])),
     "classify-inf-translation": (
         ("classify", "--system", "{inf_translation}"),
         lambda f: cli._load_valid_system(f["inf_translation"])),
@@ -540,8 +544,12 @@ class TestFailureExitCodes:
         files = {name: tmp_path / f"{name}.json"
                  for name in ("sinai", "crowd", "broken", "sigma0", "sigma5",
                               "out", "fractional", "infinite", "huge",
-                              "nan_basis", "inf_translation", "nan_radius")}
+                              "nan_basis", "inf_translation", "nan_radius",
+                              "empty")}
         save_system(make_sphere_system(2, r=0.3), files["sinai"])
+        empty = CylindricBilliardSystem(
+            dim=2, lattice=geometry.Lattice(np.eye(2)), cylinders=[])
+        save_system(empty, files["empty"])
         crowd = make_sphere_system(2, r=0.3)
         crowd.cylinders = crowd.cylinders * 30
         save_system(crowd, files["crowd"])

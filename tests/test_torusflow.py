@@ -130,11 +130,11 @@ class TestNextCollision:
 
     def test_long_flight_matches_torus_oracle(self):
         # a shallow corridor flight whose first hit lies past 4 scan
-        # windows (one window is the cell diameter, sqrt 2 here)
+        # windows (2 sqrt 2 each here)
         system = make_sphere_system(2, r=0.1)
         v = [np.cos(0.03), np.sin(0.03)]
         ev = tf.next_collision(system, tf.PhasePoint([0.0, 0.0], v), 50.0)
-        assert ev.time > 4 * np.sqrt(2)
+        assert ev.time > 4 * tf._flow_view(system).window
         oracle = torus_oracle_first_collision(system, [0.0, 0.0], v,
                                               t_max=20.0)
         assert abs(ev.time - oracle[0]) < 1e-9
@@ -404,6 +404,23 @@ class TestFlow:
         assert not any(rec.flags.values())
         assert abs(np.linalg.norm(rec.final_v) - 1.0) < 1e-9
 
+    def test_hard_ball_reach_d18(self):
+        """hb(10,2): the scan window is two projected cell diameters, not
+        the 17.1 of the system's own cell, and 1e3 collisions stay clean."""
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(10, 2, (1.0,) * 10, 0.03))
+        view = tf._flow_view(system)
+        assert (system.dim, system.k) == (18, 45)
+        assert view.window == 2.0 * max(img.lattice.fundamental_diameter
+                                        for img in view.images)
+        assert view.window == pytest.approx(2.0)
+        assert view.diam > 17.0
+        phase = tf.random_phase(system, np.random.default_rng(10))
+        rec = tf.flow(system, phase, max_collisions=1000, default_horizon=1e4)
+        assert len(rec.events) == 1000
+        assert not any(rec.flags.values())
+        assert abs(np.linalg.norm(rec.final_v) - 1.0) < 1e-9
+
     def test_system_freed_after_flow(self):
         sinai = make_sphere_system(2, r=0.3)
         ref = weakref.ref(sinai)
@@ -580,6 +597,18 @@ def _tangent_jacobian(system, phase: tf.PhasePoint, t: float):
     return orbit.frame, fd
 
 
+class QRPerWindow(tf._TangentOrbit):
+    """Oracle: a full QR step closes every window, as the estimator did
+    before window ends took only the leading vector's norm."""
+
+    def _close(self):
+        self.growth += self._orthonormalize()
+        self.logs.append(float(self.growth[0]))
+        self.log_sums += self.growth
+        self.closed += 1
+        self._open()
+
+
 class TestLyapunov:
     def test_free_flight_zero(self):
         empty = CylindricBilliardSystem(dim=2, lattice=Lattice(np.eye(2)),
@@ -706,6 +735,35 @@ class TestLyapunov:
         assert res.n_collisions > 0
         assert res.n_scans <= res.n_collisions + np.ceil(500.0 / window) \
             + res.discarded
+
+    @pytest.mark.parametrize("orbit", ["sinai", "hb22", "grazing"])
+    def test_matches_a_qr_step_per_window(self, orbit, monkeypatch):
+        """Closing a window by the leading vector's norm gives the orbit,
+        the window logs and the spectrum of a full QR step per window."""
+        if orbit == "hb22":
+            system, _ = builders.hard_ball_system(
+                builders.HardBallParams(2, 2, (1.0, 1.0), 0.1))
+            phase = tf.random_phase(system, np.random.default_rng(1002))
+            seed = 1003
+        else:
+            system = make_sphere_system(2, r=0.3)
+            phase, seed = {
+                "sinai": (tf.PhasePoint([0.0, 0.5], [0.6, 0.8]), 1001),
+                "grazing": (tf.PhasePoint([0.2, 0.0], [0.0, 1.0]), 5),
+            }[orbit]
+        runs = []
+        for orbit_class in (tf._TangentOrbit, QRPerWindow):
+            monkeypatch.setattr(tf, "_TangentOrbit", orbit_class)
+            runs.append(tf.lyapunov_max(system, phase, total_t=500.0,
+                                        renorm_dt=1.0, d0=1e-9, seed=seed))
+        new, old = runs
+        assert (new.n_collisions, new.n_scans, new.discarded) \
+            == (old.n_collisions, old.n_scans, old.discarded)
+        assert orbit != "grazing" or old.discarded >= 1
+        np.testing.assert_allclose(new.window_logs, old.window_logs,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.spectrum, old.spectrum,
+                                   rtol=0, atol=1e-6)
 
     def test_discarded_window_accounting(self, sinai):
         # the line x = 0.2 touches the scatterer of radius 0.3 at (0.5, 0.5)
