@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DROP, OVERLAP
+from .config import DROP, FLAT_CHUNK, OVERLAP
 from .errors import UsageError
 from .geometry import (
     DimensionMismatch,
@@ -29,6 +29,7 @@ from .geometry import (
     complement,
     containment_residual,
     null_space,
+    orthonormal_stack,
     span_of,
     subspace_overlap,
 )
@@ -209,66 +210,77 @@ def commutant_dimension(bases) -> int:
             raise ValueError("commutant oracle needs base spaces of dim >= 2")
     sym = _symmetric_basis(d)
     gens = np.concatenate([_rotation_generators(b) for b in bases])
-    constraint = (np.einsum("sab,gbc->gacs", sym, gens)
-                  - np.einsum("gab,sbc->gacs", gens, sym))
+    # E_s G_g - G_g E_s, where G_g E_s = -(E_s G_g)^T as E_s is symmetric
+    # and G_g antisymmetric
+    product = sym[None] @ gens[:, None]
+    constraint = (product + np.swapaxes(product, 2, 3)).transpose(0, 2, 3, 1)
     constraint = constraint.reshape(-1, len(sym))
     return null_space(np.linalg.qr(constraint, mode="r")).dim
 
 
-def _flats(bases: list[Subspace]) -> dict[int, np.ndarray]:
+def _flats(bases: list[Subspace]) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
     """Every flat of the collection, the closed span of a non-empty set of
-    its base spaces, as ``{member bitmask: orthonormal basis}``.
+    its base spaces, as ``(member bitmasks, dims, projectors)``.
 
-    Flats are found depth first: each single base space is closed, and each
-    flat is extended by every non-member at once and each extension closed
-    again, with the basis grown by the new member's directions only.  A
-    base space is a member of a span iff none of its vectors keeps a
-    residual of norm ``DROP`` or more after two projection passes, the rule
-    by which ``orthonormalize`` drops a vector, so a flat's dimension is
-    the ``span_of`` rank of its members.
+    Flats are found a generation at a time.  Generation 0 closes each
+    single base space; each later one extends every flat of the last by
+    every non-member in one pass and keeps the masks not seen before.  A
+    flat carries the residuals of all bases against it side by side,
+    ``d x (k w)``, so a projection is one matmul per (flat, non-member)
+    pair.  A non-member's new directions are its residuals orthonormalized
+    by :func:`orthonormal_stack`.  A base space is a member of a span iff
+    none of its vectors keeps a residual of norm ``DROP`` or more after two
+    projection passes, the rule by which ``orthonormal_stack`` drops a
+    vector, so a flat's dimension is the rank of its members' span.  Pairs
+    run in chunks of about ``FLAT_CHUNK`` residual entries, which bounds
+    the memory and changes no result.
     """
     padded = _padded(bases)
-    k, d, width = padded.shape
+    k, d, w = padded.shape
     bits = 1 << np.arange(k, dtype=np.int64)
 
-    def residual(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def residual(q: np.ndarray, x: np.ndarray) -> np.ndarray:
         for _ in range(2):
-            x = x - w @ (np.swapaxes(w, -1, -2) @ x)
+            x = x - q @ (np.swapaxes(q, -1, -2) @ x)
         return x
 
     def members(res: np.ndarray) -> np.ndarray:
         inside = np.sum(res * res, axis=-2) < DROP * DROP
-        return inside.all(axis=-1) @ bits
+        return inside.reshape(-1, k, w).all(axis=-1) @ bits
 
-    flats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    todo = []
-    for i, b in enumerate(bases):
-        res = residual(b.basis, padded)
-        mask = int(members(res)) | 1 << i
-        if mask not in flats:
-            flats[mask] = b.basis, res
-            todo.append(mask)
-    while todo:
-        mask = todo.pop()
-        q, res = flats[mask]
-        outside = np.flatnonzero((mask & bits) == 0)
-        # new directions of each non-member j: its residuals, already
-        # orthogonal to q, orthonormalized among themselves
-        new = np.zeros((outside.size, d, width))
-        kept = np.zeros((outside.size, width), dtype=bool)
-        for c in range(width):
-            w = residual(new, res[outside, :, c:c + 1])[:, :, 0]
-            nrm = np.sqrt(np.sum(w * w, axis=1))
-            kept[:, c] = nrm >= DROP
-            new[kept[:, c], :, c] = w[kept[:, c]] / nrm[kept[:, c], None]
-        wider_res = residual(new[:, None], res[None])
-        wider = members(wider_res) | mask | bits[outside]
-        for n in range(outside.size):
-            key = int(wider[n])
-            if key not in flats:
-                flats[key] = np.hstack([q, new[n][:, kept[n]]]), wider_res[n]
-                todo.append(key)
-    return {mask: q for mask, (q, _) in flats.items()}
+    res = residual(padded, padded.transpose(1, 0, 2).reshape(d, k * w))
+    masks, first = np.unique(members(res) | bits, return_index=True)
+    res = res[first]
+    dims = np.array([b.dim for b in bases])[first]
+    proj = (padded @ np.swapaxes(padded, 1, 2))[first]
+    seen = set(masks.tolist())
+    found = [(masks, dims, proj)]
+    chunk = max(1, FLAT_CHUNK // max(1, d * k * w))
+    while True:
+        flat, j = np.nonzero((masks[:, None] & bits) == 0)
+        if not flat.size:
+            break
+        grown = []
+        for lo in range(0, flat.size, chunk):
+            f, jc = flat[lo:lo + chunk], j[lo:lo + chunk]
+            new = orthonormal_stack(res.reshape(-1, d, k, w)[f, :, jc])
+            wider = residual(new, res[f])
+            wmask, first = np.unique(members(wider) | masks[f] | bits[jc],
+                                     return_index=True)
+            fresh = np.array([m not in seen for m in wmask.tolist()],
+                             dtype=bool)
+            seen.update(wmask.tolist())
+            first = first[fresh]
+            new = new[first]
+            grown.append((wmask[fresh],
+                          dims[f[first]] + new.any(axis=1).sum(axis=1),
+                          proj[f[first]] + new @ np.swapaxes(new, 1, 2),
+                          wider[first]))
+        masks, dims, proj, res = (np.concatenate(part)
+                                  for part in zip(*grown))
+        found.append((masks, dims, proj))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def is_transverse(system):
@@ -280,12 +292,14 @@ def is_transverse(system):
     the lexicographically smallest violating subset.
 
     The test depends on a subset only through its closed span, a flat
-    (:func:`_flats`), so the flats are checked, not the 2^k subsets.  A
-    subset of proper span violates iff its flat ``F`` has no escape, a base
-    space whose residual against ``F`` keeps full rank.  A subset of full
-    span is disconnected iff it lies in the members of a flat ``F`` and of
-    the base spaces orthogonal to ``F``, and those orthogonal ones span
-    ``F``'s complement.  Each violation is thus a member mask with a target
+    (:func:`_flats`, found a generation at a time), so the flats are
+    checked, not the 2^k subsets.  A subset of proper span violates iff its
+    flat ``F`` has no escape, a base space whose residual against ``F``
+    keeps full rank.  A subset of full span is disconnected iff it lies in
+    the members of a flat ``F`` and of the base spaces orthogonal to ``F``,
+    and those orthogonal ones span ``F``'s complement.  Both tests on a
+    (flat, base) pair take an SVD only where the Frobenius norm of its
+    block leaves them open.  Each violation is thus a member mask with a target
     rank, and a subset violates iff it lies in a mask and reaches its rank;
     the smallest subset is found by descending in lexicographic order into
     the first prefix that can still be completed to one.  More than
@@ -299,22 +313,29 @@ def is_transverse(system):
         )
     d = system.dim
     bases = [system.base_space(i) for i in range(k)]
-    flats = _flats(bases)
-    masks = list(flats)
-    dims = np.array([q.shape[1] for q in flats.values()])
-    proj = np.stack([q @ q.T for q in flats.values()])
+    masks, dims, proj = _flats(bases)
     escape = np.zeros(len(masks), dtype=bool)
     orthogonal = np.zeros(len(masks), dtype=np.int64)
     for m in sorted({b.dim for b in bases}):
         idx = [j for j, b in enumerate(bases) if b.dim == m]
         stacked = np.stack([bases[j].basis for j in idx])
         inner = proj[:, None] @ stacked[None]
-        cosines = np.linalg.svd(inner, compute_uv=False)
-        sines = np.linalg.svd(stacked[None] - inner, compute_uv=False)
-        escape |= np.any(sines[..., -1] >= DROP, axis=1)
-        orthogonal |= (cosines[..., 0] <= OVERLAP) @ (1 << np.array(idx))
+        rest = stacked[None] - inner
+        # a d x m block's Frobenius norm bounds its singular values,
+        # s_max <= |A|_F <= sqrt(m) s_max and sqrt(m) s_min <= |A|_F, so an
+        # SVD runs only on the blocks whose norm leaves the test open
+        size = np.sqrt(np.sum(inner * inner, axis=(-2, -1)))
+        apart = size <= OVERLAP
+        unsure = ~apart & (size <= np.sqrt(m) * OVERLAP)
+        apart[unsure] = np.linalg.svd(inner[unsure],
+                                      compute_uv=False)[:, 0] <= OVERLAP
+        free = np.sum(rest * rest, axis=(-2, -1)) >= m * DROP * DROP
+        free[free] = np.linalg.svd(rest[free], compute_uv=False)[:, -1] >= DROP
+        escape |= free.any(axis=1)
+        orthogonal |= apart @ (1 << np.array(idx))
 
-    rank = {mask: int(r) for mask, r in zip(masks, dims)}
+    masks, dims = masks.tolist(), dims.tolist()
+    rank = dict(zip(masks, dims))
 
     def span_dim(mask: int) -> int:
         if mask not in rank:
@@ -322,10 +343,11 @@ def is_transverse(system):
                 [bases[i] for i in range(k) if mask >> i & 1]).dim
         return rank[mask]
 
-    bad = [(mask, int(r)) for mask, r, ok in zip(masks, dims, escape)
+    bad = [(mask, r) for mask, r, ok in zip(masks, dims, escape)
            if r < d and not ok]
-    bad += [(mask | int(o), d) for mask, r, o in zip(masks, dims, orthogonal)
-            if r < d and o and span_dim(int(o)) == d - r]
+    bad += [(mask | o, d) for mask, r, o in zip(masks, dims,
+                                                 orthogonal.tolist())
+            if r < d and o and span_dim(o) == d - r]
     if not bad:
         return True, None
 

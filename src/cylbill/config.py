@@ -37,3 +37,8 @@ leaking out of the other."""
 SAMPLE_CHUNK = 1024
 """Samples the constructive δ sampler builds and ranks at once, which
 bounds its memory; reports do not depend on it."""
+
+FLAT_CHUNK = 1 << 16
+"""Residual entries (pairs × d × k × base width) the transverseness test's
+flat enumeration extends at once, which bounds its memory; verdicts do not
+depend on it."""

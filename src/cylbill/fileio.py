@@ -2,7 +2,10 @@
 
 Reals are written with 17 significant digits, which is enough for every
 IEEE-754 double to survive a decimal round trip bit-exactly.  Keys are
-sorted so reruns produce byte-identical documents.
+sorted so reruns produce byte-identical documents.  A list of only Python
+floats, or of only Python ints, is written on one line by one join after
+one finiteness check; any other list is written item by item, to the same
+bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,15 @@ def _emit(obj, out: list[str], indent: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
+            return
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("non-finite real cannot be serialized")
+            out.append("[" + ", ".join([format(x, ".17g") for x in obj]) + "]")
+            return
+        if kinds == {int}:
+            out.append("[" + ", ".join(map(str, obj)) + "]")
             return
         flat = all(isinstance(x, (int, float, np.integer, np.floating, bool))
                    for x in obj)

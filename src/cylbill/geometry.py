@@ -1,8 +1,10 @@
 """Dense linear algebra for subspaces, projections, ranks, and lattices.
 
-Subspaces are carried as orthonormal column bases; every construction path
-funnels through :func:`orthonormalize`, so the Gram-matrix invariant is
-checked on each instance.  Rank decisions treat a singular value ``s`` as
+Subspaces are carried as orthonormal column bases, and every instance
+checks its Gram-matrix invariant.  Two Gram-Schmidt routes build them with
+one drop rule (a residual norm below ``DROP`` adds no direction):
+:func:`orthonormalize` for one set of vectors, and :func:`orthonormal_stack`
+for many sets at once.  Rank decisions treat a singular value ``s`` as
 zero iff ``s < rel_tol * s_max`` with the package-wide default
 ``config.RANK_REL``, so all dimension counts downstream use the same
 yardstick.
@@ -27,6 +29,7 @@ __all__ = [
     "Lattice",
     "LatticeLimitError",
     "orthonormalize",
+    "orthonormal_stack",
     "complement",
     "span_of",
     "intersect",
@@ -134,6 +137,41 @@ def orthonormalize(vectors, ambient_dim=None) -> Subspace:
         if len(basis) == d:
             break
     return Subspace(d, _as_columns(basis, ambient_dim=d))
+
+
+def orthonormal_stack(cols) -> np.ndarray:
+    """Orthonormal bases of many column sets in one pass.
+
+    ``cols`` is a ``(k, d, g)`` stack of k sets of g columns.  Column j of
+    every set is projected twice against the kept columns before it
+    (``x - Q(Q^T x)``; "twice is enough", Giraud-Langou-Rozložník 2005).  It
+    is kept, normalized, iff its residual norm is at least ``DROP`` and its
+    set has not reached rank d; otherwise it comes back as a zero column.
+    So a set's kept columns are ``q.any(axis=-2)``, and they span what
+    :func:`orthonormalize` spans for that set.  Zero columns add no
+    direction, so sets may be padded with them to a common width.
+    """
+    cols = np.asarray(cols, dtype=float)
+    k, d, g = cols.shape
+    q = np.zeros((k, d, g))
+    rank = np.zeros(k, dtype=np.int64)
+    for j in range(g):
+        w = cols[:, :, j:j + 1]
+        if j:
+            head = q[:, :, :j]
+            for _ in range(2):
+                w = w - head @ (head.transpose(0, 2, 1) @ w)
+        w = w[:, :, 0]
+        nrm = np.sqrt(np.sum(w * w, axis=1))
+        keep = (nrm >= DROP) & (rank < d)
+        if keep.all():
+            q[:, :, j] = w / nrm[:, None]
+        else:
+            q[keep, :, j] = w[keep] / nrm[keep, None]
+        rank += keep
+        if rank.min() == d:
+            break
+    return q
 
 
 def complement(s: Subspace) -> Subspace:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fileio, intlat
 from .errors import InputError
-from .geometry import Lattice, Subspace, complement, orthonormalize
+from .geometry import Lattice, Subspace, orthonormal_stack
 
 __all__ = [
     "CylinderSpec",
@@ -115,8 +115,8 @@ class CylindricBilliardSystem:
     lattice: Lattice
     cylinders: list[CylinderSpec]
     interior_connected_asserted: bool = True
-    _gen_cache: dict = field(default_factory=dict, init=False, repr=False)
-    _base_cache: dict = field(default_factory=dict, init=False, repr=False)
+    # (generator spaces, base spaces), filled for every cylinder at once
+    _spaces: tuple | None = field(default=None, init=False, repr=False)
     # the flow's collision-scan arrays, built on first use by torusflow
     _flow_cache: object = field(default=None, init=False, repr=False)
 
@@ -146,27 +146,46 @@ class CylindricBilliardSystem:
     def k(self) -> int:
         return len(self.cylinders)
 
+    def _fill_spaces(self) -> tuple[list[Subspace], list[Subspace]]:
+        """Every cylinder's generator and base space, in one stacked
+        Gram-Schmidt pass and one batched SVD.  The axis columns (lattice
+        basis times coefficients, or the real basis) are padded with zero
+        columns to the widest; base space i is spanned by the last
+        ``d - dim_i`` left singular vectors of generator basis i."""
+        if self._spaces is None:
+            d, k = self.dim, self.k
+            axes = [self.lattice.basis @ c.generator_coeffs.astype(float)
+                    if c.generator_coeffs is not None else c.generator_basis
+                    for c in self.cylinders]
+            stack = np.zeros((k, d, max((a.shape[1] for a in axes),
+                                        default=0)))
+            for i, a in enumerate(axes):
+                stack[i, :, :a.shape[1]] = a
+            q = orthonormal_stack(stack)
+            kept = q.any(axis=1)
+            dims = kept.sum(axis=1).tolist()
+            gens = [Subspace(d, q[i][:, kept[i]]) for i in range(k)]
+            inner = [i for i, m in enumerate(dims) if 0 < m < d]
+            left = dict(zip(inner, np.linalg.svd(
+                q[inner], full_matrices=True)[0])) if inner else {}
+            bases = [Subspace(d, left[i][:, m:]) if i in left
+                     else Subspace.full(d) if m == 0 else Subspace.zero(d)
+                     for i, m in enumerate(dims)]
+            self._spaces = gens, bases
+        return self._spaces
+
     def generator_space(self, i: int) -> Subspace:
         """Span of the i-th cylinder's axis directions."""
-        if i not in self._gen_cache:
-            cyl = self.cylinders[i]
-            if cyl.generator_coeffs is not None:
-                coeffs = np.asarray(cyl.generator_coeffs, dtype=float)
-                vecs = self.lattice.basis @ coeffs
-            else:
-                vecs = cyl.generator_basis
-            self._gen_cache[i] = orthonormalize(vecs.T, ambient_dim=self.dim)
-        return self._gen_cache[i]
+        return self._fill_spaces()[0][i]
 
     def base_space(self, i: int) -> Subspace:
         """Orthocomplement of the i-th generator space; collisions change
-        velocity only inside this subspace."""
-        if i not in self._base_cache:
-            self._base_cache[i] = complement(self.generator_space(i))
-        return self._base_cache[i]
+        velocity only inside this subspace.  The first call of this or
+        :meth:`generator_space` fills every cylinder's spaces at once."""
+        return self._fill_spaces()[1][i]
 
     def base_spaces(self) -> list[Subspace]:
-        return [self.base_space(i) for i in range(self.k)]
+        return list(self._fill_spaces()[1])
 
 
 @dataclass
@@ -216,7 +235,9 @@ def validate(system: CylindricBilliardSystem) -> ValidationReport:
             if b.shape[0] != d:
                 rep.violations.append((i, "generator_basis row count != dim"))
                 continue
-            gen_dim = system.generator_space(i).dim
+            # the fill's kernel on this cylinder alone: the system's fill
+            # would raise on a malformed cylinder elsewhere, not report it
+            gen_dim = int(orthonormal_stack(b[None]).any(axis=1).sum())
             if b.shape[1] != gen_dim:
                 rep.violations.append(
                     (i, "generator_basis columns are linearly dependent")

@@ -53,6 +53,58 @@ def make_two_block_system(r1: float = 0.3,
     )
 
 
+def make_real_axis_direct_sum() -> CylindricBilliardSystem:
+    """Three 2-dim blocks decomposing 6-space, tilted across the block
+    boundaries by irrational angles, so ``direct_sum_system`` gives their
+    cylinders a real axis basis."""
+    from cylbill.builders import direct_sum_system
+
+    frame = np.eye(6)
+    for a, theta in ((1, np.sqrt(2.0) / 3.0), (3, np.sqrt(3.0) / 5.0)):
+        c, s = np.cos(theta), np.sin(theta)
+        turn = np.eye(6)
+        turn[a:a + 2, a:a + 2] = [[c, -s], [s, c]]
+        frame = frame @ turn
+    blocks = [Subspace(6, frame[:, 2 * i:2 * i + 2]) for i in range(3)]
+    return direct_sum_system([2, 2, 2], blocks, [0.1, 0.1, 0.1])[0]
+
+
+def make_mixed_axis_system() -> CylindricBilliardSystem:
+    """Three cylinders in 4-space with axes of different kinds and widths:
+    one integer axis, a real axis plane, and a sphere with no axis."""
+    turn = np.sqrt(2.0) / 3.0
+    return CylindricBilliardSystem(
+        dim=4,
+        lattice=Lattice(np.eye(4) + 0.25 * np.eye(4, k=1)),
+        cylinders=[
+            CylinderSpec(radius=0.1, translation=np.zeros(4),
+                         generator_coeffs=np.array([[1], [1], [0], [0]])),
+            CylinderSpec(radius=0.1, translation=np.zeros(4),
+                         generator_basis=np.array(
+                             [[np.cos(turn), 0.0], [0.0, 1.0],
+                              [np.sin(turn), 0.0], [0.0, 0.0]])),
+            CylinderSpec(radius=0.1, translation=np.full(4, 0.5),
+                         generator_coeffs=np.zeros((4, 0), np.int64)),
+        ],
+    )
+
+
+def make_malformed_axis_system() -> CylindricBilliardSystem:
+    """An in-memory system that ``validate`` must refuse: cylinder 0's
+    ``generator_coeffs`` has 2 rows in 3-space, and cylinder 1 carries a
+    real axis."""
+    return CylindricBilliardSystem(
+        dim=3, lattice=Lattice(np.eye(3)),
+        cylinders=[
+            CylinderSpec(radius=0.1, translation=np.zeros(3),
+                         generator_coeffs=np.ones((2, 1), np.int64)),
+            CylinderSpec(radius=0.1, translation=np.zeros(3),
+                         generator_basis=np.array([[1.0], [0.0], [0.0]]),
+                         provenance="test"),
+        ],
+    )
+
+
 def random_int_system(rng: np.random.Generator, d: int,
                       k: int | None = None) -> CylindricBilliardSystem:
     """Random integer-generator system suitable for path tracing."""

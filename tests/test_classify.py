@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import test_acceptance as acceptance
-from cylbill import builders
+from cylbill import builders, classify
 from cylbill.classify import (
     EnumerationGuardError,
+    _flats,
     SplittingWitness,
     commutant_dimension,
     count_transitive_blocks,
@@ -29,11 +30,12 @@ from cylbill.geometry import (
 )
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from conftest import (
+    make_real_axis_direct_sum,
     make_sphere_system,
     make_two_block_system,
     random_subspace,
 )
-from transverse_oracle import is_transverse_by_subsets
+from transverse_oracle import flats_depth_first, is_transverse_by_subsets
 
 
 def _span(*vecs):
@@ -375,6 +377,49 @@ class TestTransverseAgainstSubsets:
             sizes.add(0 if ok else len(counter))
         # failures occur, and not only at single cylinders
         assert len(sizes - {0, 1}) >= 2
+
+
+FLAT_SYSTEMS = {
+    **{f"hb{n}{nu}": (lambda n=n, nu=nu: _hard_ball(n, nu))
+       for n, nu in [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)]},
+    "two_block": make_two_block_system,
+    "real_axis_direct_sum": make_real_axis_direct_sum,
+}
+
+
+def assert_flats_equal(flats, reference):
+    """Same member masks and dims; projectors within 1e-12."""
+    masks, dims, proj = flats
+    assert sorted(masks.tolist()) == sorted(reference)
+    for mask, r, p in zip(masks.tolist(), dims.tolist(), proj):
+        q = reference[mask]
+        assert r == q.shape[1]
+        assert np.max(np.abs(p - q @ q.T)) < 1e-12
+
+
+class TestFlatsAgainstDepthFirst:
+    @pytest.mark.parametrize("name", sorted(FLAT_SYSTEMS))
+    def test_flats_equal_the_oracle(self, name):
+        bases = FLAT_SYSTEMS[name]().base_spaces()
+        assert_flats_equal(_flats(bases), flats_depth_first(bases))
+
+    @pytest.mark.parametrize("kind", DEFECTS)
+    def test_defective_collections(self, kind):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [919, DEFECTS.index(kind)]))
+        for _ in range(10):
+            bases = _defective_collection(rng, kind).bases
+            assert_flats_equal(_flats(bases), flats_depth_first(bases))
+
+    def test_chunk_size_changes_no_result(self, monkeypatch):
+        bases = _hard_ball(5, 2).base_spaces()
+        masks, dims, proj = _flats(bases)
+        monkeypatch.setattr(classify, "FLAT_CHUNK", 1)
+        one = _flats(bases)
+        order = np.argsort(one[0])
+        assert np.array_equal(np.sort(masks), one[0][order])
+        assert np.array_equal(dims[np.argsort(masks)], one[1][order])
+        assert np.max(np.abs(proj[np.argsort(masks)] - one[2][order])) < 1e-12
 
 
 class TestTransverseReach:

@@ -22,7 +22,8 @@ from cylbill.errors import DegeneracyError, InputError, UsageError
 from cylbill.model import (CylindricBilliardSystem, load_system, save_system,
                            system_to_dict)
 from cylbill.paths import save_sigma
-from conftest import make_sphere_system, make_two_block_system
+from conftest import (make_malformed_axis_system, make_sphere_system,
+                      make_two_block_system)
 
 
 def run(capsys, *argv):
@@ -600,6 +601,16 @@ class TestFailureExitCodes:
         assert code == expected
         assert err.count("\n") == 1
         assert err.startswith(STDERR_PREFIX[code])
+
+
+def test_malformed_system_is_refused_before_its_spaces_are_filled(
+        monkeypatch, capsys):
+    # a system no file can hold: its coefficient matrix has 2 rows in 3-space
+    monkeypatch.setattr(cli.model, "load_system",
+                        lambda path: make_malformed_axis_system())
+    code, _, err = run(capsys, "classify", "--system", "in-memory")
+    assert code == 2
+    assert "generator_coeffs row count != dim" in err
 
 
 def test_every_package_error_has_exactly_one_base():

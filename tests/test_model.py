@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from cylbill import builders
-from cylbill.geometry import Lattice, projector_distance, subspace_overlap
+from cylbill.geometry import (
+    Lattice,
+    complement,
+    orthonormalize,
+    projector_distance,
+    subspace_overlap,
+)
 from cylbill.model import (
     CylinderSpec,
     CylindricBilliardSystem,
@@ -13,7 +19,14 @@ from cylbill.model import (
     system_to_dict,
     validate,
 )
-from conftest import make_sphere_system, make_two_block_system, random_int_system
+from conftest import (
+    make_malformed_axis_system,
+    make_mixed_axis_system,
+    make_real_axis_direct_sum,
+    make_sphere_system,
+    make_two_block_system,
+    random_int_system,
+)
 
 
 def _axis_cylinder(d, axes, r=0.3, t=None):
@@ -58,10 +71,34 @@ class TestValidation:
         rep = validate(sys3)
         assert any("rationally dependent" in msg for _, msg in rep.violations)
 
+    def test_validation_comes_before_the_fill(self):
+        """A cylinder with the wrong row count is reported, although the
+        one-pass fill of every cylinder's spaces cannot run on it."""
+        report = validate(make_malformed_axis_system())
+        assert report.violations == [(0, "generator_coeffs row count != dim")]
+        assert "cylinder 1 carries a real axis basis (test)" in report.notes[0]
+
     def test_hard_ball_output_valid(self):
         params = builders.HardBallParams(3, 2, (1.0, 2.0, 0.5), 0.1)
         system, _ = builders.hard_ball_system(params)
         assert validate(system).ok
+
+
+def _hard_ball(n, nu):
+    return builders.hard_ball_system(
+        builders.HardBallParams(n, nu, (1.0,) * n, 0.05))[0]
+
+
+SPACE_SYSTEMS = {
+    **{f"hb{n}{nu}": (lambda n=n, nu=nu: _hard_ball(n, nu))
+       for n, nu in [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)]},
+    "hb52_full": lambda: builders.hard_ball_system(
+        builders.HardBallParams(5, 2, (1.0,) * 5, 0.05))[1].full_system,
+    "two_block": make_two_block_system,
+    "real_axis_direct_sum": make_real_axis_direct_sum,
+    "sinai": lambda: make_sphere_system(2),
+    "mixed_axes": make_mixed_axis_system,
+}
 
 
 class TestDerivedSpaces:
@@ -91,6 +128,24 @@ class TestDerivedSpaces:
     def test_index_error(self):
         with pytest.raises(IndexError):
             make_sphere_system(2).base_space(5)
+        with pytest.raises(IndexError):
+            make_sphere_system(2).generator_space(1)
+
+    @pytest.mark.parametrize("name", sorted(SPACE_SYSTEMS))
+    def test_stacked_spaces_match_per_cylinder(self, name):
+        """The one-pass fill against each cylinder's own Gram-Schmidt and
+        complement."""
+        system = SPACE_SYSTEMS[name]()
+        d = system.dim
+        for i, cyl in enumerate(system.cylinders):
+            axes = (system.lattice.basis @ cyl.generator_coeffs.astype(float)
+                    if cyl.lattice_aligned else cyl.generator_basis)
+            gen = orthonormalize(axes.T, ambient_dim=d)
+            for got, want in ((system.generator_space(i), gen),
+                              (system.base_space(i), complement(gen))):
+                assert got.dim == want.dim
+                assert np.max(np.abs(got.projector() - want.projector())) \
+                    < 1e-12
 
 
 class TestSerialization:

@@ -579,16 +579,19 @@ def _flow_map(system, x: np.ndarray, t: float) -> np.ndarray:
 
 def _tangent_jacobian(system, phase: tf.PhasePoint, t: float):
     """The tangent map over ``t`` (one collision) applied to the identity
-    frame; returns it and the flow map's central-difference Jacobian."""
+    frame; returns it and the flow map's central-difference Jacobian.  The
+    frame cap is lifted, so no QR step replaces the map by its Q factor."""
     d = system.dim
     view = tf._flow_view(system)
     hit = tf.next_collision(system, phase, t)
-    orbit = tf._TangentOrbit(view, phase.q, phase.v, np.eye(2 * d),
-                             renorm_dt=2 * t, n_windows=1,
-                             rng=np.random.default_rng(0))
-    assert orbit.fly(hit.time)
-    orbit.reflect(view.images[hit.cylinder], hit.normal)
-    assert orbit.fly(t - hit.time)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tf, "_FRAME_CAP", np.inf)
+        orbit = tf._TangentOrbit(view, phase.q, phase.v, np.eye(2 * d),
+                                 renorm_dt=2 * t, n_windows=1,
+                                 rng=np.random.default_rng(0))
+        assert orbit.fly(hit.time)
+        orbit.reflect(view.images[hit.cylinder], hit.normal)
+        assert orbit.fly(t - hit.time)
     x = np.concatenate((phase.q, phase.v))
     h = 1e-6
     fd = np.column_stack([
