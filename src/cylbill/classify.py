@@ -299,10 +299,12 @@ def is_transverse(system):
     the members of a flat ``F`` and of the base spaces orthogonal to ``F``,
     and those orthogonal ones span ``F``'s complement.  Both tests on a
     (flat, base) pair take an SVD only where the Frobenius norm of its
-    block leaves them open.  Each violation is thus a member mask with a target
-    rank, and a subset violates iff it lies in a mask and reaches its rank;
-    the smallest subset is found by descending in lexicographic order into
-    the first prefix that can still be completed to one.  More than
+    block leaves them open; the blocks are built in chunks of about
+    ``FLAT_CHUNK`` entries, as :func:`_flats` builds its residuals.  Each
+    violation is thus a member mask with a target rank, and a subset
+    violates iff it lies in a mask and reaches its rank; the smallest
+    subset is found by descending in lexicographic order into the first
+    prefix that can still be completed to one.  More than
     ``MAX_TRANSVERSE_CYLINDERS`` cylinders raise ``EnumerationGuardError``.
     """
     k = system.k
@@ -319,20 +321,25 @@ def is_transverse(system):
     for m in sorted({b.dim for b in bases}):
         idx = [j for j, b in enumerate(bases) if b.dim == m]
         stacked = np.stack([bases[j].basis for j in idx])
-        inner = proj[:, None] @ stacked[None]
-        rest = stacked[None] - inner
-        # a d x m block's Frobenius norm bounds its singular values,
-        # s_max <= |A|_F <= sqrt(m) s_max and sqrt(m) s_min <= |A|_F, so an
-        # SVD runs only on the blocks whose norm leaves the test open
-        size = np.sqrt(np.sum(inner * inner, axis=(-2, -1)))
-        apart = size <= OVERLAP
-        unsure = ~apart & (size <= np.sqrt(m) * OVERLAP)
-        apart[unsure] = np.linalg.svd(inner[unsure],
-                                      compute_uv=False)[:, 0] <= OVERLAP
-        free = np.sum(rest * rest, axis=(-2, -1)) >= m * DROP * DROP
-        free[free] = np.linalg.svd(rest[free], compute_uv=False)[:, -1] >= DROP
-        escape |= free.any(axis=1)
-        orthogonal |= apart @ (1 << np.array(idx))
+        bits = 1 << np.array(idx)
+        chunk = max(1, FLAT_CHUNK // max(1, len(idx) * d * m))
+        for lo in range(0, len(masks), chunk):
+            part = slice(lo, lo + chunk)
+            inner = proj[part, None] @ stacked[None]
+            rest = stacked[None] - inner
+            # a d x m block's Frobenius norm bounds its singular values,
+            # s_max <= |A|_F <= sqrt(m) s_max and sqrt(m) s_min <= |A|_F, so
+            # an SVD runs only on the blocks whose norm leaves the test open
+            size = np.sqrt(np.sum(inner * inner, axis=(-2, -1)))
+            apart = size <= OVERLAP
+            unsure = ~apart & (size <= np.sqrt(m) * OVERLAP)
+            apart[unsure] = np.linalg.svd(inner[unsure],
+                                          compute_uv=False)[:, 0] <= OVERLAP
+            free = np.sum(rest * rest, axis=(-2, -1)) >= m * DROP * DROP
+            free[free] = np.linalg.svd(rest[free],
+                                       compute_uv=False)[:, -1] >= DROP
+            escape[part] |= free.any(axis=1)
+            orthogonal[part] |= apart @ bits
 
     masks, dims = masks.tolist(), dims.tolist()
     rank = dict(zip(masks, dims))

@@ -376,14 +376,15 @@ class Lattice:
         the lattice coordinates of ``wrapped`` in [0, 1) up to roundoff.
         Idempotent: an already-wrapped point comes back unchanged (the small
         positive bias below keeps coordinates computing to -1 ulp from being
-        shifted a full cell).
+        shifted a full cell).  Both arrays are new, even when nothing
+        shifts.
         """
         q = np.asarray(q, dtype=float).reshape(-1)
         y = self.inv_basis @ q
-        shift = np.floor(y + 1e-12).astype(np.int64)
-        if not shift.any():
-            return q.copy(), shift
-        return self.basis @ (y - shift), shift
+        shift = np.floor(y + 1e-12)
+        if np.count_nonzero(shift):
+            return self.basis @ (y - shift), shift.astype(np.int64)
+        return q.copy(), np.zeros(q.size, dtype=np.int64)
 
     def enumerate_ball(self, center, radius):
         """All lattice points within ``radius`` of ``center``.

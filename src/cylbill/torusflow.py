@@ -175,11 +175,15 @@ class _AxisImages:
     every image a scan window of length ``window`` can hit (``window + r``,
     plus ``T_MIN_GAP`` so the second contact of a hit at the window's end
     is seen); the window is at least the lattice's fundamental diameter, so
-    the ball also holds the nearest image of any point.
+    the ball also holds the nearest image of any point.  The image of ball
+    row ``j`` shifted by the reduced coordinates ``k`` is ``W (ints[j] +
+    U k)``, ``U`` the reduced transform; ``image_ints`` holds ``W ints[j]``
+    row by row and ``image_red`` is ``W U``, so a hit costs one product.
     """
 
     __slots__ = ("basis", "radius", "translation", "cosets", "lattice",
-                 "red", "red_inv", "red_transform", "ints", "pts")
+                 "red", "red_inv", "red_transform", "ints", "pts",
+                 "image_ints", "image_red")
 
     def __init__(self, system, i: int):
         cyl = system.cylinders[i]
@@ -203,6 +207,7 @@ class _AxisImages:
         self.red = self.lattice.reduced_basis
         self.red_inv = np.linalg.inv(self.red)
         self.red_transform = self.lattice.reduced_transform
+        self.image_red = self.cosets @ self.red_transform
 
     def enumerate(self, window: float) -> None:
         """List the images a scan window of length ``window`` can reach."""
@@ -210,6 +215,7 @@ class _AxisImages:
         reach = window + self.radius + T_MIN_GAP
         self.ints, self.pts = self.lattice.enumerate_ball(
             np.zeros(self.red.shape[0]), reach + half_spread + 1e-9)
+        self.image_ints = self.ints @ self.cosets.T
 
 
 _WINDOW_DIAMETERS = 2.0
@@ -238,15 +244,18 @@ class _FlowView:
     the translations' coordinates ``B_i^T t_i``; ``red`` and ``red_inv``
     are block diagonal.  ``pts`` (``k x n x m``) holds each image ball,
     padded to the largest, one coordinate per row so that every array pass
-    runs along the images; ``real`` (``k x m``) marks the columns that are
-    images, so that a padding column never yields a root or a graze.
-    ``rr`` is the column of squared radii and ``disc_rr`` its multiple by
-    ``DISC``, the discriminant guard per unit ``|B^T v|^2``.
+    runs along the images.  Cylinder ``i``'s first ``sizes[i]`` columns are
+    its images; a padding column is zero, a copy of the image at the ball's
+    centre, so it never changes a nearest distance, and the scan's loop
+    skips it so that it never counts as a second contact.  ``rr`` is the
+    column of squared radii.  ``disc_rr`` lists ``DISC r_i^2``, the
+    discriminant guard per unit ``|B^T v|^2``, for the scan's loop, and
+    ``floor_rr`` is its negative as a column, for the scan's screen.
     """
 
     __slots__ = ("lattice", "diam", "window", "images", "k", "n", "bt",
-                 "bt_t", "red", "red_inv", "pts", "real", "radius", "rr",
-                 "disc_rr")
+                 "bt_t", "red", "red_inv", "pts", "sizes", "radius", "rr",
+                 "disc_rr", "floor_rr")
 
     def __init__(self, system):
         self.lattice = system.lattice
@@ -260,13 +269,12 @@ class _FlowView:
             img.enumerate(self.window)
         k = self.k = system.k
         n = self.n = max((img.red.shape[0] for img in self.images), default=0)
-        m = max((len(img.pts) for img in self.images), default=0)
+        self.sizes = [len(img.pts) for img in self.images]
         self.bt = np.zeros((k * n, system.dim))
         self.bt_t = np.zeros(k * n)
         self.red = np.zeros((k * n, k * n))
         self.red_inv = np.zeros((k * n, k * n))
-        self.pts = np.zeros((k, n, m))
-        self.real = np.zeros((k, m), dtype=bool)
+        self.pts = np.zeros((k, n, max(self.sizes, default=0)))
         for i, img in enumerate(self.images):
             rows = slice(i * n, i * n + img.red.shape[0])
             self.bt[rows] = img.basis.T
@@ -274,10 +282,10 @@ class _FlowView:
             self.red[rows, rows] = img.red
             self.red_inv[rows, rows] = img.red_inv
             self.pts[i, :img.red.shape[0], :len(img.pts)] = img.pts.T
-            self.real[i, :len(img.pts)] = True
         self.radius = np.array([img.radius for img in self.images])
         self.rr = (self.radius ** 2)[:, None]
-        self.disc_rr = DISC * self.rr
+        self.disc_rr = (DISC * self.rr[:, 0]).tolist()
+        self.floor_rr = -DISC * self.rr
 
     def offsets(self, x: np.ndarray):
         """Base-space offsets ``B_i^T (x - t_i) - G_i b`` of every image
@@ -285,7 +293,7 @@ class _FlowView:
         coordinates ``k_red`` of the nearest lattice point, which shift a
         row of ``images[i].ints`` to that image's ``b``."""
         y = self.bt @ x - self.bt_t
-        k_red = np.round(self.red_inv @ y)
+        k_red = (self.red_inv @ y).round()
         c = (y - self.red @ k_red).reshape(self.k, self.n, 1)
         return c - self.pts, k_red
 
@@ -293,7 +301,7 @@ class _FlowView:
         """Distance from ``x`` to the nearest image, per cylinder."""
         w, _ = self.offsets(x)
         return np.sqrt(np.min(np.square(w).sum(axis=1), axis=1,
-                              initial=np.inf, where=self.real))
+                              initial=np.inf))
 
 
 def _flow_view(system) -> _FlowView:
@@ -317,36 +325,45 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     the frame of ``q``.
 
     One array pass solves the collision quadratic on every image of every
-    cylinder.  Only the images whose discriminant clears ``-guard``, a few
-    per window, go on to roots and grazes, in one scalar loop: on arrays
-    that short each numpy call costs more than the arithmetic.  Only the
-    first contact's image and normal are built.  A cylinder with
-    ``|B^T v|^2 < AXIS_PARALLEL`` is never hit.
+    cylinder and screens it: an image goes on only if its discriminant
+    clears ``-guard`` and the ray heads toward it (``w . u < 0``).  The
+    second test drops nothing the loop would keep: with ``w . u >= 0``
+    the earlier root, the only one the loop takes, and the graze time
+    ``-w . u / |u|^2`` are ``<= 0``, and the loop ignores every time up to
+    ``T_MIN_GAP``.  The few screened images, about ten per window, go on
+    to roots and grazes in one scalar loop: on arrays that short each
+    numpy call costs more than the arithmetic.  The loop also skips what
+    the screen lets through but cannot be hit: the images of a cylinder
+    with ``|B^T v|^2 < AXIS_PARALLEL``, which the ray runs parallel to,
+    and padding columns.  Only the first contact's image and normal are
+    built.
     """
-    origin = q + start * v
+    origin = q + start * v if start else q
     u = (view.bt @ v).reshape(view.k, 1, view.n)
     uu = np.vecdot(u, u)                            # k x 1
     w, k_red = view.offsets(origin)
     wu = (u @ w)[:, 0]                              # k x m
     disc = wu * wu - uu * (np.square(w).sum(axis=1) - view.rr)
-    guard = uu * view.disc_rr
-    floor = np.where(uu < AXIS_PARALLEL, np.inf, -guard)
-    screened = np.flatnonzero((disc > floor) & view.real)
+    screened = np.flatnonzero((disc > uu * view.floor_rr) & (wu < 0))
     if not screened.size:
         return None
     m = disc.shape[1]
-    uu, guard = uu[:, 0].tolist(), guard[:, 0].tolist()
+    uu = uu.ravel().tolist()
+    disc_rr, sizes = view.disc_rr, view.sizes
     graze_s = first = second = math.inf     # earliest graze and contacts
     j = 0
     for flat, d_s, wu_s in zip(screened.tolist(), disc.take(screened).tolist(),
                                wu.take(screened).tolist()):
-        c = flat // m
-        if d_s < guard[c]:      # |disc| < guard, as disc > -guard here
-            s = -wu_s / uu[c]
+        c, col = divmod(flat, m)
+        uu_c = uu[c]
+        if uu_c < AXIS_PARALLEL or col >= sizes[c]:
+            continue
+        if d_s < uu_c * disc_rr[c]:     # |disc| < guard, as disc > -guard
+            s = -wu_s / uu_c
             if T_MIN_GAP < s < graze_s:
                 graze_s = s
             continue
-        s = (-wu_s - math.sqrt(d_s)) / uu[c]
+        s = (-wu_s - math.sqrt(d_s)) / uu_c
         if s <= T_MIN_GAP:
             continue
         if s < first:
@@ -363,10 +380,10 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
         img = view.images[i]
         dim = img.red.shape[0]
         k_i = k_red[i * view.n:i * view.n + dim].astype(np.int64)
-        b = img.ints[col] + img.red_transform @ k_i
+        image = img.image_ints[col] + img.image_red @ k_i
         w_hit = w[i, :dim, col] + first * u[i, 0, :dim]
-        normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
-        return start + first, i, img.cosets @ b, normal
+        normal = img.basis @ (w_hit / math.sqrt(w_hit @ w_hit))
+        return start + first, i, image, normal
     if graze_s <= t_window:
         raise TangentialCollision("grazing contact", start + graze_s)
     return None

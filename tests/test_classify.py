@@ -421,6 +421,13 @@ class TestFlatsAgainstDepthFirst:
         assert np.array_equal(dims[np.argsort(masks)], one[1][order])
         assert np.max(np.abs(proj[np.argsort(masks)] - one[2][order])) < 1e-12
 
+    @pytest.mark.parametrize("name", sorted(FLAT_SYSTEMS))
+    def test_chunk_size_changes_no_verdict(self, name, monkeypatch):
+        system = FLAT_SYSTEMS[name]()
+        default = is_transverse(system)
+        monkeypatch.setattr(classify, "FLAT_CHUNK", 1)
+        assert is_transverse(system) == default
+
 
 class TestTransverseReach:
     @pytest.mark.parametrize("n, limit", [(6, 2.0), (7, 60.0)])

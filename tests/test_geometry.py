@@ -155,6 +155,17 @@ class TestLattice:
         assert np.allclose(w, [0.25, 0.5])
         assert list(sh) == [2, -1]
 
+    @pytest.mark.parametrize("q", [[0.25, 0.5], [2.25, -0.5]])
+    def test_wrap_returns_new_arrays(self, q):
+        lat = Lattice(np.eye(2))
+        q = np.array(q)
+        kept = q.copy()
+        w, sh = lat.wrap(q)
+        assert not np.shares_memory(w, q)
+        assert sh.dtype == np.int64
+        w += 1.0
+        assert np.array_equal(q, kept)
+
     def test_wrap_general_basis(self, rng):
         lat = Lattice(np.array([[2.0, 0.5], [0.0, 1.0]]))
         for _ in range(20):

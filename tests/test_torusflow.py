@@ -325,6 +325,19 @@ class TestFlow:
         assert len(rec.events) == 1000
         assert abs(np.linalg.norm(rec.final_v) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("q0", [[0.0, 0.5], [3.0, -1.5]])
+    def test_callers_phase_is_left_alone(self, sinai, q0):
+        """The stepper never writes into the caller's arrays, whether the
+        start needs wrapping or not."""
+        phase = tf.PhasePoint(q0, [0.6, 0.8])
+        q, v = phase.q.copy(), phase.v.copy()
+        rec = tf.flow(sinai, phase, max_collisions=20)
+        for arr in (rec.initial.q, rec.initial.v, rec.final_q, rec.final_v):
+            arr += 1.0
+        tf.next_collision(sinai, phase, 10.0)
+        tf.lyapunov_max(sinai, phase, total_t=20.0, renorm_dt=1.0, seed=0)
+        assert np.array_equal(phase.q, q) and np.array_equal(phase.v, v)
+
     def test_specularity(self, sinai):
         rec = tf.flow(sinai, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
                       max_collisions=200, default_horizon=1e4)
