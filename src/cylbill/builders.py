@@ -329,14 +329,14 @@ def direct_sum_system(
 
 @dataclass(eq=False)
 class FactorReport:
-    """What the factor construction did and how it was verified."""
+    """What the factor construction did; a construction that fails its
+    lattice-subspace check raises ``FactorLatticeError`` instead."""
 
     parent_indices: tuple[int, ...]
     active_space: Subspace       # parent-frame span of the retained base spaces
     drift_space: Subspace        # parent-frame common axis directions
     drift_lattice_rank: int
     to_factor: np.ndarray        # (p, d): factor coords of an ambient vector
-    verified: bool
     notes: list[str] = field(default_factory=list)
 
 
@@ -420,7 +420,6 @@ def sub_billiard(
         drift_space=drift,
         drift_lattice_rank=nu0,
         to_factor=q.T,
-        verified=True,
         notes=notes,
     )
     return factor, report

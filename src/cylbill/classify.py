@@ -30,6 +30,7 @@ from .geometry import (
     containment_residual,
     null_space,
     orthonormal_stack,
+    residual,
     span_of,
     subspace_overlap,
 )
@@ -230,8 +231,8 @@ def _flats(bases: list[Subspace]) -> tuple[np.ndarray, np.ndarray,
     ``d x (k w)``, so a projection is one matmul per (flat, non-member)
     pair.  A non-member's new directions are its residuals orthonormalized
     by :func:`orthonormal_stack`.  A base space is a member of a span iff
-    none of its vectors keeps a residual of norm ``DROP`` or more after two
-    projection passes, the rule by which ``orthonormal_stack`` drops a
+    none of its vectors keeps a :func:`residual` of norm ``DROP`` or more,
+    the projection and the rule by which ``orthonormal_stack`` drops a
     vector, so a flat's dimension is the rank of its members' span.  Pairs
     run in chunks of about ``FLAT_CHUNK`` residual entries, which bounds
     the memory and changes no result.
@@ -239,11 +240,6 @@ def _flats(bases: list[Subspace]) -> tuple[np.ndarray, np.ndarray,
     padded = _padded(bases)
     k, d, w = padded.shape
     bits = 1 << np.arange(k, dtype=np.int64)
-
-    def residual(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-        for _ in range(2):
-            x = x - q @ (np.swapaxes(q, -1, -2) @ x)
-        return x
 
     def members(res: np.ndarray) -> np.ndarray:
         inside = np.sum(res * res, axis=-2) < DROP * DROP

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dumps", "dump", "loads", "load"]
+__all__ = ["dumps", "dump", "load"]
 
 
 def _emit(obj, out: list[str], indent: int) -> None:
@@ -90,10 +90,6 @@ def dumps(obj) -> str:
 def dump(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))
-
-
-def loads(text: str):
-    return json.loads(text)
 
 
 def load(path):

@@ -1,13 +1,13 @@
 """Dense linear algebra for subspaces, projections, ranks, and lattices.
 
 Subspaces are carried as orthonormal column bases, and every instance
-checks its Gram-matrix invariant.  Two Gram-Schmidt routes build them with
-one drop rule (a residual norm below ``DROP`` adds no direction):
-:func:`orthonormalize` for one set of vectors, and :func:`orthonormal_stack`
-for many sets at once.  Rank decisions treat a singular value ``s`` as
-zero iff ``s < rel_tol * s_max`` with the package-wide default
-``config.RANK_REL``, so all dimension counts downstream use the same
-yardstick.
+checks its Gram-matrix invariant.  One Gram-Schmidt kernel builds them,
+:func:`orthonormal_stack`, for many sets of vectors at once; its projection
+is :func:`residual`, and it drops a vector whose residual norm is below
+``DROP``.  :func:`orthonormalize` is its one-set case.  Rank decisions
+treat a singular value ``s`` as zero iff ``s < rel_tol * s_max`` with the
+package-wide default ``config.RANK_REL``, so all dimension counts
+downstream use the same yardstick.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ __all__ = [
     "LatticeLimitError",
     "orthonormalize",
     "orthonormal_stack",
+    "residual",
     "complement",
     "span_of",
     "intersect",
     "null_space",
-    "matrix_rank",
     "subspace_overlap",
     "containment_residual",
     "projector_distance",
@@ -117,39 +117,33 @@ class Subspace:
 
 
 def orthonormalize(vectors, ambient_dim=None) -> Subspace:
-    """Orthonormal basis of the span of ``vectors``.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass; a vector whose
-    residual after projection has norm below ``DROP`` contributes no new
-    direction and is dropped.
-    """
+    """Orthonormal basis of the span of ``vectors``: the kept columns of
+    :func:`orthonormal_stack` for this one set."""
     cols = _as_columns(vectors, ambient_dim)
-    d = cols.shape[0]
-    basis: list[np.ndarray] = []
-    for i in range(cols.shape[1]):
-        w = cols[:, i].copy()
-        for _ in range(2):
-            for b in basis:
-                w -= (b @ w) * b
-        nrm = float(np.linalg.norm(w))
-        if nrm >= DROP:
-            basis.append(w / nrm)
-        if len(basis) == d:
-            break
-    return Subspace(d, _as_columns(basis, ambient_dim=d))
+    q = orthonormal_stack(cols[None])[0]
+    return Subspace(cols.shape[0], q[:, q.any(axis=0)])
+
+
+def residual(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """What is left of the columns of ``x`` after two projection passes
+    against the columns of ``q``, ``x - Q(Q^T x)`` each ("twice is
+    enough", Giraud-Langou-Rozložník 2005).  Both may be stacks that
+    broadcast; ``q`` may carry zero columns, which remove nothing."""
+    for _ in range(2):
+        x = x - q @ (np.swapaxes(q, -1, -2) @ x)
+    return x
 
 
 def orthonormal_stack(cols) -> np.ndarray:
     """Orthonormal bases of many column sets in one pass.
 
     ``cols`` is a ``(k, d, g)`` stack of k sets of g columns.  Column j of
-    every set is projected twice against the kept columns before it
-    (``x - Q(Q^T x)``; "twice is enough", Giraud-Langou-Rozložník 2005).  It
-    is kept, normalized, iff its residual norm is at least ``DROP`` and its
-    set has not reached rank d; otherwise it comes back as a zero column.
-    So a set's kept columns are ``q.any(axis=-2)``, and they span what
-    :func:`orthonormalize` spans for that set.  Zero columns add no
-    direction, so sets may be padded with them to a common width.
+    every set is reduced to its :func:`residual` against the kept columns
+    before it.  It is kept, normalized, iff its residual norm is at least
+    ``DROP`` and its set has not reached rank d; otherwise it comes back as
+    a zero column.  So a set's kept columns are ``q.any(axis=-2)``, an
+    orthonormal basis of the set's span.  Zero columns add no direction,
+    so sets may be padded with them to a common width.
     """
     cols = np.asarray(cols, dtype=float)
     k, d, g = cols.shape
@@ -158,9 +152,7 @@ def orthonormal_stack(cols) -> np.ndarray:
     for j in range(g):
         w = cols[:, :, j:j + 1]
         if j:
-            head = q[:, :, :j]
-            for _ in range(2):
-                w = w - head @ (head.transpose(0, 2, 1) @ w)
+            w = residual(q[:, :, :j], w)
         w = w[:, :, 0]
         nrm = np.sqrt(np.sum(w * w, axis=1))
         keep = (nrm >= DROP) & (rank < d)
@@ -208,18 +200,6 @@ def intersect(subspaces, ambient_dim=None) -> Subspace:
         return Subspace.full(ambient_dim)
     comps = [complement(s) for s in subs]
     return complement(span_of(comps))
-
-
-def matrix_rank(m, rel_tol: float = RANK_REL) -> int:
-    """Rank of a dense matrix with the package's relative cutoff."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.sum(s >= rel_tol * smax))
 
 
 def null_space(m, rel_tol: float = RANK_REL) -> Subspace:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fileio, intlat
 from .errors import InputError
-from .geometry import Lattice, Subspace, orthonormal_stack
+from .geometry import Lattice, Subspace, orthonormal_stack, orthonormalize
 
 __all__ = [
     "CylinderSpec",
@@ -235,9 +235,9 @@ def validate(system: CylindricBilliardSystem) -> ValidationReport:
             if b.shape[0] != d:
                 rep.violations.append((i, "generator_basis row count != dim"))
                 continue
-            # the fill's kernel on this cylinder alone: the system's fill
+            # the fill's Gram-Schmidt on this cylinder alone: the system's fill
             # would raise on a malformed cylinder elsewhere, not report it
-            gen_dim = int(orthonormal_stack(b[None]).any(axis=1).sum())
+            gen_dim = orthonormalize(b.T, ambient_dim=d).dim
             if b.shape[1] != gen_dim:
                 rep.violations.append(
                     (i, "generator_basis columns are linearly dependent")

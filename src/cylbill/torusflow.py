@@ -26,7 +26,6 @@ records carry flags, estimators discard windows, nothing is fabricated.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,7 +479,6 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
         "no_collision_within_horizon": False,
     }
     horizon = (10.0 * view.diam) if default_horizon is None else default_horizon
-    recent: deque[float] = deque(maxlen=CASCADE_CAP)
     while True:
         if max_collisions is not None and len(events) >= max_collisions:
             break
@@ -514,10 +512,10 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
         )
         symbolic.append(i)
         orbit.move(s, normal)
-        if len(recent) == CASCADE_CAP and t - recent[0] < 1.0:
+        if (len(events) > CASCADE_CAP
+                and t - events[-CASCADE_CAP - 1].time < 1.0):
             flags["cascade_capped"] = True
             break
-        recent.append(t)
     return TrajectoryRecord(
         initial=initial,
         events=events,

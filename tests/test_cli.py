@@ -2,6 +2,7 @@ import ast
 import copy
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -240,8 +241,8 @@ class TestDeltaRich:
                             "--sigma", str(sig), "--samples", "20",
                             "--seed", "11")
         assert code == 0
-        body = fileio.loads("".join(line for line in text.splitlines(True)
-                                    if not line.startswith("#")))
+        body = json.loads("".join(line for line in text.splitlines(True)
+                                  if not line.startswith("#")))
         assert tuple(sorted(body["rejected"])) == tuple(sorted(
             paths.REJECTION_REASONS))
         assert body["n_attempts"] == \
@@ -639,8 +640,8 @@ def test_cli_catches_only_the_three_bases():
 
 
 def report_body(text: str) -> dict:
-    return fileio.loads("\n".join(l for l in text.splitlines()
-                                   if not l.startswith("#")))
+    return json.loads("\n".join(l for l in text.splitlines()
+                                 if not l.startswith("#")))
 
 
 class TestOneToleranceSource:

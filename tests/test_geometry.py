@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,15 @@ from cylbill.geometry import (
     complement,
     containment_residual,
     intersect,
-    matrix_rank,
+    null_space,
     orthonormalize,
     projector_distance,
     span_of,
     subspace_overlap,
 )
+from cylbill.config import DROP
 from conftest import random_subspace, row_reduction_rank
+from mgs_oracle import orthonormalize_mgs
 from shadow_oracle import nearest_image_delta
 
 
@@ -57,6 +61,45 @@ class TestOrthonormalize:
             s = orthonormalize(rng.standard_normal((7, 4)).T, ambient_dim=7)
             gram = s.basis.T @ s.basis
             assert np.max(np.abs(gram - np.eye(s.dim))) < 1e-10
+
+    @given(st.integers(1, 6),
+           st.lists(st.sampled_from(
+               ["generic", "duplicate", "zero", "below", "above"]),
+               min_size=1, max_size=12),
+           st.sampled_from([0.0, 1e-8, 1.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mgs_oracle(self, d, kinds, lift, seed):
+        # a "below"/"above" column is `lift` times a combination of the
+        # generic columns before it, plus a residual of norm 0.99 or 1.01
+        # DROP orthogonal to the span kept so far (none once that is full)
+        r = np.random.default_rng(seed)
+        cols, generic, lifted = [], [], 0.0
+        for kind in kinds:
+            if kind == "generic" or (kind == "duplicate" and not cols):
+                generic.append(r.standard_normal(d))
+                cols.append(generic[-1])
+            elif kind == "duplicate":
+                cols.append(cols[r.integers(len(cols))].copy())
+            elif kind == "zero":
+                cols.append(np.zeros(d))
+            else:
+                x = lift * sum((r.standard_normal() * g for g in generic),
+                               np.zeros(d))
+                free = complement(orthonormalize_mgs(cols, ambient_dim=d))
+                if free.dim:
+                    e = free.basis @ r.standard_normal(free.dim)
+                    scale = 0.99 if kind == "below" else 1.01
+                    x = x + scale * DROP * e / np.linalg.norm(e)
+                cols.append(x)
+                lifted = max(lifted, float(np.linalg.norm(x)))
+        ours, oracle = orthonormalize(cols), orthonormalize_mgs(cols)
+        assert ours.dim == oracle.dim
+        # a kept residual of norm about DROP fixes its direction only to
+        # roundoff * |x| / DROP: 1e-12 unless a lifted column carries a
+        # unit-size combination, where the two routes part by up to 1e-5
+        tol = 1e-12 + 16 * np.finfo(float).eps * lifted / DROP
+        assert np.max(np.abs(ours.projector() - oracle.projector())) < tol
 
 
 class TestProject:
@@ -134,8 +177,8 @@ class TestSpanIntersect:
 class TestRank:
     def test_rel_tol_cutoff(self):
         m = np.diag([1.0, 1e-6, 1e-12])
-        assert matrix_rank(m, rel_tol=1e-8) == 2
-        assert matrix_rank(m, rel_tol=1e-14) == 3
+        assert 3 - null_space(m, rel_tol=1e-8).dim == 2
+        assert 3 - null_space(m, rel_tol=1e-14).dim == 3
 
     def test_containment(self, rng):
         outer = random_subspace(rng, 6, 4)
@@ -224,7 +267,7 @@ class TestFileIO:
     def test_float_roundtrip_17g(self, rng):
         vals = list(rng.standard_normal(50)) + [0.1, 1e300, -1e-300, 2.0 / 3.0]
         text = fileio.dumps({"x": vals})
-        back = fileio.loads(text)["x"]
+        back = json.loads(text)["x"]
         assert all(a == b for a, b in zip(vals, back))
 
     def test_deterministic(self):

@@ -2,8 +2,9 @@
 
 A name that ``cylbill/__init__.py`` re-exports or that a module lists in
 ``__all__`` passes if the package reads it outside its own definition, if
-the benchmark under ``cylbench/`` reads it (the traced pass binds names by
-string, so string constants count there), or if README mentions it in
+the benchmark under ``cylbench/`` reads it from the package (an attribute
+of a name imported from ``cylbill``, or a string constant, since the
+traced pass binds names by string), or if README mentions it in
 backticks.  A name that only tests call belongs in ``tests/``.
 """
 
@@ -38,11 +39,10 @@ def exported() -> dict[str, set[str]]:
     return names
 
 
-def references(path: Path, strings: bool = False) -> set[str]:
+def references(path: Path) -> set[str]:
     """Names a module reads, as identifiers or attributes, except inside a
-    function or class of the same name; with ``strings``, also a string
-    constant naming one (``"w_plus"`` or ``"paths.w_plus"``).  Imports,
-    assignments and ``__all__`` entries are not reads."""
+    function or class of the same name.  Imports, assignments and
+    ``__all__`` entries are not reads."""
     found: set[str] = set()
 
     def visit(node, enclosing: frozenset) -> None:
@@ -53,9 +53,6 @@ def references(path: Path, strings: bool = False) -> set[str]:
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
-        elif (strings and isinstance(node, ast.Constant)
-              and isinstance(node.value, str)):
-            name = node.value.rpartition(".")[2]
         else:
             name = None
         if name is not None and name not in enclosing:
@@ -64,6 +61,32 @@ def references(path: Path, strings: bool = False) -> set[str]:
             visit(child, enclosing)
 
     visit(_parse(path), frozenset())
+    return found
+
+
+def benchmark_references(path: Path) -> set[str]:
+    """Names a benchmark module reads from the package: an attribute of a
+    name it imports from ``cylbill`` (``tf.flow``, ``paths.trace``), or a
+    string constant naming one (``"w_plus"`` or ``"paths.w_plus"``).  An
+    attribute of anything else, such as ``json.loads`` or
+    ``np.linalg.matrix_rank``, is not a read."""
+    tree = _parse(path)
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module or "").partition(".")[0] == "cylbill":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.asname or "cylbill" for a in node.names
+                         if a.name.partition(".")[0] == "cylbill"}
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value.rpartition(".")[2])
     return found
 
 
@@ -78,7 +101,7 @@ def test_every_exported_name_has_a_user():
     for path in PACKAGE.glob("*.py"):
         used |= references(path)
     for path in BENCHMARK.glob("*.py"):
-        used |= references(path, strings=True)
+        used |= benchmark_references(path)
     unused = {name: sorted(modules) for name, modules in exported().items()
               if name not in used}
     assert unused == {}

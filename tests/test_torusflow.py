@@ -507,6 +507,12 @@ class TestFlow:
                       max_collisions=10_000, default_horizon=1e4)
         assert rec.flags["cascade_capped"]
         assert len(rec.events) < 10_000
+        # the record stops at the first event less than one time unit after
+        # the event CASCADE_CAP before it
+        times = [e.time for e in rec.events]
+        gaps = [times[i] - times[i - 5] for i in range(5, len(times))]
+        assert gaps[-1] < 1.0
+        assert all(g >= 1.0 for g in gaps[:-1])
 
 
 class TestDetectSplitting:
