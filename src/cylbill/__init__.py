@@ -35,7 +35,6 @@ from .geometry import (
     Lattice,
     Subspace,
     complement,
-    intersect,
     orthonormalize,
     span_of,
 )

@@ -96,12 +96,26 @@ def _padded(bases: list[Subspace]) -> np.ndarray:
     return padded
 
 
+def _apart(blocks: np.ndarray, rank: int) -> np.ndarray:
+    """Per block of a stack, whether its largest singular value is at most
+    ``OVERLAP``: the one orthogonality decision.  A block of rank at most
+    ``rank`` has ``s_max <= |A|_F <= sqrt(rank) s_max``, so an SVD runs
+    only on the blocks whose Frobenius norm leaves the test open."""
+    size = np.sqrt(np.sum(blocks * blocks, axis=(-2, -1)))
+    apart = size <= OVERLAP
+    unsure = ~apart & (size <= np.sqrt(rank) * OVERLAP)
+    if unsure.any():
+        apart[unsure] = np.linalg.svd(blocks[unsure],
+                                      compute_uv=False)[:, 0] <= OVERLAP
+    return apart
+
+
 def non_orthogonality_graph(bases) -> np.ndarray:
     """Adjacency matrix of the non-orthogonality graph on base-space
     indices: ``k x k`` boolean, symmetric, zero diagonal.  An edge is set
-    where ``subspace_overlap`` exceeds ``OVERLAP``, by one batched SVD of
-    the blocks ``B_i^T B_j`` of the padded bases' Gram matrix (zero padding
-    keeps the largest singular value)."""
+    where ``subspace_overlap`` exceeds ``OVERLAP``, decided by
+    :func:`_apart` on the blocks ``B_i^T B_j`` of the padded bases' Gram
+    matrix (zero padding keeps the singular values)."""
     bases = list(bases)
     k = len(bases)
     adjacency = np.zeros((k, k), dtype=bool)
@@ -111,8 +125,7 @@ def non_orthogonality_graph(bases) -> np.ndarray:
         flat = padded.transpose(1, 0, 2).reshape(d, k * w)
         gram = (flat.T @ flat).reshape(k, w, k, w).transpose(0, 2, 1, 3)
         i, j = np.triu_indices(k, 1)
-        s = np.linalg.svd(gram[i, j], compute_uv=False)
-        adjacency[i, j] = adjacency[j, i] = s.max(axis=-1, initial=0.0) > OVERLAP
+        adjacency[i, j] = adjacency[j, i] = ~_apart(gram[i, j], w)
     return adjacency
 
 
@@ -323,14 +336,9 @@ def is_transverse(system):
             part = slice(lo, lo + chunk)
             inner = proj[part, None] @ stacked[None]
             rest = stacked[None] - inner
-            # a d x m block's Frobenius norm bounds its singular values,
-            # s_max <= |A|_F <= sqrt(m) s_max and sqrt(m) s_min <= |A|_F, so
-            # an SVD runs only on the blocks whose norm leaves the test open
-            size = np.sqrt(np.sum(inner * inner, axis=(-2, -1)))
-            apart = size <= OVERLAP
-            unsure = ~apart & (size <= np.sqrt(m) * OVERLAP)
-            apart[unsure] = np.linalg.svd(inner[unsure],
-                                          compute_uv=False)[:, 0] <= OVERLAP
+            apart = _apart(inner, m)
+            # sqrt(m) s_min <= |A|_F, so an SVD runs only where the norm
+            # leaves the test open
             free = np.sum(rest * rest, axis=(-2, -1)) >= m * DROP * DROP
             free[free] = np.linalg.svd(rest[free],
                                        compute_uv=False)[:, -1] >= DROP

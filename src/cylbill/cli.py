@@ -230,8 +230,7 @@ def _delta_body(args):
         "n_attempts": report.n_attempts,
         "rejected": report.rejected,
         "advance_range": list(report.advance_range),
-        "constrained_manifold_dim": paths.constrained_manifold_dim(system,
-                                                                   labels),
+        "constrained_manifold_dim": report.d + report.bound,
         "run": _run_info(seed=args.seed),
     }
     summary = [

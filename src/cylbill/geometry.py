@@ -33,7 +33,6 @@ __all__ = [
     "residual",
     "complement",
     "span_of",
-    "intersect",
     "null_space",
     "subspace_overlap",
     "containment_residual",
@@ -189,17 +188,6 @@ def span_of(subspaces, ambient_dim=None) -> Subspace:
             raise DimensionMismatch("subspaces live in different ambient spaces")
     cols = np.hstack([s.basis for s in subs])
     return orthonormalize(cols.T, ambient_dim=d)
-
-
-def intersect(subspaces, ambient_dim=None) -> Subspace:
-    """Intersection of a list of subspaces, via complements of the spans."""
-    subs = list(subspaces)
-    if not subs:
-        if ambient_dim is None:
-            raise DimensionMismatch("empty intersection needs an explicit ambient_dim")
-        return Subspace.full(ambient_dim)
-    comps = [complement(s) for s in subs]
-    return complement(span_of(comps))
 
 
 def null_space(m, rel_tol: float = RANK_REL) -> Subspace:

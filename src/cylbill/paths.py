@@ -39,9 +39,9 @@ from .errors import DegeneracyError, UsageError
 from .geometry import (
     Subspace,
     complement,
-    intersect,
     null_space,
     orthonormalize,
+    span_of,
 )
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "REJECTION_REASONS",
     "ADVANCE_RANGE",
     "sequence_generator_intersection",
-    "constrained_manifold_dim",
 ]
 
 
@@ -390,17 +389,12 @@ def w_plus(system, labels, spec: EuclideanPathSpec) -> Subspace:
 
 def sequence_generator_intersection(system, labels) -> Subspace:
     """Common axis directions of the touched cylinders (translations along
-    them change nothing about the path)."""
+    them change nothing about the path): the intersection of their
+    generator spaces, which is the orthogonal complement of the span of
+    their base spaces."""
     distinct = sorted(set(int(x) for x in labels))
-    return intersect(
-        [system.generator_space(i) for i in distinct], ambient_dim=system.dim
-    )
-
-
-def constrained_manifold_dim(system, labels) -> int:
-    """Reported dimension of the fixed-relative-position path family:
-    2 d - 1 minus the common axis dimension.  Diagnostic only."""
-    return 2 * system.dim - 1 - sequence_generator_intersection(system, labels).dim
+    return complement(span_of([system.base_space(i) for i in distinct],
+                              ambient_dim=system.dim))
 
 
 def _box(system, box_scale) -> float:
@@ -454,7 +448,7 @@ class DeltaReport:
 
     value: int
     d: int
-    bound: int                  # d - 1 - dim(common axis directions)
+    bound: int                  # dim(span of touched base spaces) - 1
     n_success: int
     n_failed_samples: int
     sample_dims: list[int]
@@ -657,7 +651,9 @@ def load_sigma(path) -> list[int]:
     labels = doc.get("labels")
     if not isinstance(labels, list) or not labels:
         raise SystemFormatError(f"{path}: 'labels' must be a nonempty array")
-    try:
-        return [int(x) for x in labels]
-    except (TypeError, ValueError) as exc:
-        raise SystemFormatError(f"{path}: bad label: {exc}") from exc
+    # a boolean is an int to Python, and int() would truncate 0.7 to 0
+    bad = [x for x in labels if not (type(x) is int or type(x) is float
+                                     and x.is_integer())]
+    if bad:
+        raise SystemFormatError(f"{path}: label {bad[0]!r} is not an integer")
+    return [int(x) for x in labels]

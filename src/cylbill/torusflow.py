@@ -309,8 +309,9 @@ def _flow_view(system) -> _FlowView:
     return system._flow_cache
 
 
-def _assert_outside(view: _FlowView, q: np.ndarray, tol: float = 1e-9) -> None:
-    inside = np.flatnonzero(view.distances(q) < view.radius - tol)
+def _assert_outside(view: _FlowView, q: np.ndarray) -> None:
+    # a start point may lie up to 1e-9 inside a scatterer
+    inside = np.flatnonzero(view.distances(q) < view.radius - 1e-9)
     if inside.size:
         raise StartInside(f"start point lies inside cylinder {inside[0]}")
 
@@ -838,12 +839,15 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
 # ---------------------------------------------------------------------------
 
 
-def random_phase(system, rng: np.random.Generator,
-                 max_tries: int = 1000) -> PhasePoint:
+_START_TRIES = 1000
+"""Uniform draws ``random_phase`` makes before it gives up on a start."""
+
+
+def random_phase(system, rng: np.random.Generator) -> PhasePoint:
     """Uniform random phase point with the position outside all scatterers."""
     view = _flow_view(system)
     d = system.dim
-    for _ in range(max_tries):
+    for _ in range(_START_TRIES):
         coords = rng.uniform(0.0, 1.0, size=d)
         q = system.lattice.basis @ coords
         try:
@@ -855,7 +859,8 @@ def random_phase(system, rng: np.random.Generator,
         if nv < 1e-12:
             continue
         return PhasePoint(q, v / nv)
-    raise FlowError("could not sample a start point outside the scatterers")
+    raise FlowError("could not sample a start point outside the scatterers "
+                    f"in {_START_TRIES} tries")
 
 
 @dataclass

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cylbill.geometry import Lattice, Subspace
+from cylbill.geometry import (
+    DimensionMismatch,
+    Lattice,
+    Subspace,
+    complement,
+    span_of,
+)
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from cylbill.paths import (
     EuclideanPathSpec,
@@ -15,6 +21,19 @@ from cylbill.paths import (
     _SequenceView,
     trace,
 )
+
+
+def intersect(subspaces, ambient_dim=None) -> Subspace:
+    """Intersection of a list of subspaces, via complements of the spans:
+    the route the common axes once took through the generator spaces,
+    kept as an oracle for ``paths.sequence_generator_intersection``."""
+    subs = list(subspaces)
+    if not subs:
+        if ambient_dim is None:
+            raise DimensionMismatch("empty intersection needs an explicit ambient_dim")
+        return Subspace.full(ambient_dim)
+    comps = [complement(s) for s in subs]
+    return complement(span_of(comps))
 
 
 def make_sphere_system(d: int, r: float = 0.3, center=None,

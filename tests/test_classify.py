@@ -119,9 +119,28 @@ def _mixed_dim_system():
                                 generator_coeffs=c) for c in axes])
 
 
+# singular values of B_1^T B_2, in units of OVERLAP, for pairs of 5-dim
+# base spaces whose largest one sits near the threshold while the Frobenius
+# norm of the block lies in (OVERLAP, sqrt(5) OVERLAP], so that only an SVD
+# decides the edge
+_NEAR_THRESHOLD = ((0.5,) * 5, (0.99, 0.99), (1.01, 1.01), (2.0,))
+
+
+def _near_threshold_pair(cosines) -> list[Subspace]:
+    """span(e_1..e_5) and the span of ``c_k e_k + sqrt(1 - c_k^2) e_{5+k}``
+    in 10-space: their block's singular values are the cosines ``c_k``."""
+    c = np.zeros(5)
+    c[:len(cosines)] = np.asarray(cosines) * OVERLAP
+    turned = np.zeros((10, 5))
+    turned[np.arange(5), np.arange(5)] = c
+    turned[np.arange(5, 10), np.arange(5)] = np.sqrt(1.0 - c * c)
+    return [Subspace(10, np.eye(10)[:, :5]), Subspace(10, turned)]
+
+
 def _graph_cases():
     """Criterion 01's 300 collections, hard balls N = 2..8 (nu = 2) and
-    N = 2..5 (nu = 3) with unequal masses, and the mixed-dimension system."""
+    N = 2..5 (nu = 3) with unequal masses, the mixed-dimension system, and
+    the near-threshold pairs."""
     rng = np.random.default_rng(np.random.SeedSequence(101))
     for _ in range(300):
         yield acceptance.random_base_collection(rng)
@@ -130,6 +149,8 @@ def _graph_cases():
             masses = tuple(1.0 + 0.25 * i for i in range(n))
             yield _hard_ball(n, nu, masses).base_spaces()
     yield _mixed_dim_system().base_spaces()
+    for cosines in _NEAR_THRESHOLD:
+        yield _near_threshold_pair(cosines)
 
 
 class TestBatchedGraph:
@@ -143,6 +164,14 @@ class TestBatchedGraph:
             n_split += len(graph_components(g)) > 1
         # both kinds of pair, and both kinds of graph, are exercised
         assert n_edges > 0 and n_split > 0
+
+    def test_near_threshold_pairs_need_the_svd(self):
+        for cosines in _NEAR_THRESHOLD:
+            a, b = _near_threshold_pair(cosines)
+            size = np.linalg.norm(a.basis.T @ b.basis)
+            assert OVERLAP < size <= np.sqrt(5) * OVERLAP
+            edge = non_orthogonality_graph([a, b])[0, 1]
+            assert edge == (max(cosines) > 1)
 
     def test_components_equal_breadth_first(self):
         for bases in _graph_cases():

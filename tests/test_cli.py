@@ -220,6 +220,10 @@ class TestDeltaRich:
                             "--seed", "3")
         assert code == 1
         assert '"rich": false' in text
+        body = report_body(text)
+        block_dim = make_two_block_system().base_space(0).dim
+        assert body["bound"] == block_dim - 1
+        assert body["constrained_manifold_dim"] == 4 + block_dim - 1
 
     def test_delta_deterministic_modulo_timestamp(self, capsys, tmp_path,
                                                   sphere_file):
@@ -275,6 +279,21 @@ class TestDeltaRich:
         body = report_body(text)
         assert body["delta"] == body["full_target"] == 7
         assert body["n_success"] == body["n_attempts"] == 20
+
+    @pytest.mark.parametrize("labels, bound, manifold",
+                             [([0], 1, 5), ([0, 1, 2], 3, 7)])
+    def test_hard_ball_bound_and_manifold_dim(self, capsys, tmp_path,
+                                              labels, bound, manifold):
+        system = Path(__file__).parent / "data" / "hb_3_2.json"
+        sig = tmp_path / "sigma.json"
+        save_sigma(labels, sig)
+        code, text, _ = run(capsys, "delta", "--system", str(system),
+                            "--sigma", str(sig), "--samples", "20",
+                            "--seed", "1")
+        assert code == 0
+        body = report_body(text)
+        assert body["bound"] == bound
+        assert body["constrained_manifold_dim"] == manifold
 
     def test_malformed_sigma_validation_error(self, capsys, tmp_path,
                                               sphere_file):
@@ -493,6 +512,10 @@ FAILING_COMMANDS = {
         ("delta", "--system", "{sinai}", "--sigma", "{sigma5}",
          "--samples", "5", "--seed", "1"),
         lambda f: paths.delta_sigma_report(_sinai(f), [5], 5, 1)),
+    "delta-fractional-label": (
+        ("delta", "--system", "{sinai}", "--sigma", "{sigma_frac}",
+         "--samples", "5", "--seed", "1"),
+        lambda f: paths.load_sigma(f["sigma_frac"])),
     "delta-sample-cap": (
         ("delta", "--system", "{sinai}", "--sigma", "{sigma0}",
          "--samples", str(paths.MAX_DELTA_SAMPLES + 1), "--seed", "1"),
@@ -545,9 +568,9 @@ class TestFailureExitCodes:
     def files(self, tmp_path):
         files = {name: tmp_path / f"{name}.json"
                  for name in ("sinai", "crowd", "broken", "sigma0", "sigma5",
-                              "out", "fractional", "infinite", "huge",
-                              "nan_basis", "inf_translation", "nan_radius",
-                              "empty")}
+                              "sigma_frac", "out", "fractional", "infinite",
+                              "huge", "nan_basis", "inf_translation",
+                              "nan_radius", "empty")}
         save_system(make_sphere_system(2, r=0.3), files["sinai"])
         empty = CylindricBilliardSystem(
             dim=2, lattice=geometry.Lattice(np.eye(2)), cylinders=[])
@@ -580,6 +603,9 @@ class TestFailureExitCodes:
                 fileio.dumps(edited).replace('"VALUE"', value))
         save_sigma([0], files["sigma0"])
         save_sigma([5], files["sigma5"])
+        # int() would read the label 0.7 as 0
+        files["sigma_frac"].write_text(
+            '{"format": "cylbill-sigma", "labels": [0.7, 0]}')
         return files
 
     def test_every_command_has_a_failing_case(self):

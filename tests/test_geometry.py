@@ -13,7 +13,6 @@ from cylbill.geometry import (
     Subspace,
     complement,
     containment_residual,
-    intersect,
     null_space,
     orthonormalize,
     projector_distance,
@@ -21,7 +20,7 @@ from cylbill.geometry import (
     subspace_overlap,
 )
 from cylbill.config import DROP
-from conftest import random_subspace, row_reduction_rank
+from conftest import intersect, random_subspace, row_reduction_rank
 from mgs_oracle import orthonormalize_mgs
 from shadow_oracle import nearest_image_delta
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import fd_oracle as fd
-from cylbill import builders, paths
+import test_acceptance as acceptance
+from cylbill import builders, intlat, paths
 from cylbill.config import T_MIN_GAP
 from cylbill.geometry import (
     Subspace,
     containment_residual,
+    orthonormalize,
     projector_distance,
     subspace_overlap,
 )
@@ -29,6 +31,8 @@ from cylbill.paths import (
     w_plus,
 )
 from conftest import (
+    intersect,
+    make_real_axis_direct_sum,
     make_sphere_system,
     make_two_block_system,
     oracle_path_times,
@@ -441,6 +445,67 @@ class TestDelta:
             delta_sigma_report(system, [0], 3, seed=1, box_scale=1.0)
 
 
+def _lattice_axes(system, labels) -> Subspace:
+    """The common axes in exact integer arithmetic: the saturated
+    sublattice lying in every touched cylinder's axis span, mapped by the
+    lattice basis and orthonormalized."""
+    distinct = sorted(set(labels))
+    kernel = intlat.lattice_quotient(
+        [system.cylinders[i].generator_coeffs for i in distinct],
+        system.dim).kernel
+    return orthonormalize((system.lattice.basis @ kernel).T,
+                          ambient_dim=system.dim)
+
+
+def _label_sets(rng, k: int):
+    """Each single label, the first two and three, all, and three random
+    sequences with repeats."""
+    sets = [[i] for i in range(k)] + [[0, 1], [0, 1, 2], list(range(k))]
+    sets += [rng.integers(0, k, size=int(rng.integers(1, k + 2))).tolist()
+             for _ in range(3)]
+    return [labels for labels in sets if max(labels) < k]
+
+
+class TestCommonAxes:
+    """``sequence_generator_intersection``, the complement of the touched
+    base spaces' span, against two independent routes."""
+
+    def _check(self, axes: Subspace, oracle: Subspace) -> None:
+        assert axes.dim == oracle.dim
+        assert projector_distance(axes, oracle) < 1e-12
+
+    def test_hard_balls_match_the_integer_kernel(self, rng):
+        for nu, top in ((2, 6), (3, 6)):
+            for n in range(2, top + 1):
+                masses = tuple(1.0 + 0.25 * i for i in range(n))
+                system = builders.hard_ball_system(
+                    builders.HardBallParams(n, nu, masses, 0.05))[0]
+                for labels in _label_sets(rng, system.k):
+                    self._check(sequence_generator_intersection(system, labels),
+                                _lattice_axes(system, labels))
+
+    def test_random_integer_systems_match_the_integer_kernel(self, rng):
+        for _ in range(40):
+            system = random_int_system(rng, int(rng.integers(2, 7)),
+                                       int(rng.integers(1, 5)))
+            for labels in _label_sets(rng, system.k):
+                self._check(sequence_generator_intersection(system, labels),
+                            _lattice_axes(system, labels))
+
+    def test_real_axes_match_the_generator_intersection(self):
+        rng = np.random.default_rng(23)
+        systems = [make_real_axis_direct_sum()]
+        systems += [acceptance._connected_direct_sum(rng) for _ in range(10)]
+        systems += [acceptance._disconnected_direct_sum(rng)
+                    for _ in range(10)]
+        for system in systems:
+            for labels in _label_sets(rng, system.k):
+                oracle = intersect([system.generator_space(i)
+                                    for i in set(labels)], system.dim)
+                self._check(sequence_generator_intersection(system, labels),
+                            oracle)
+
+
 def hard_balls(n: int, r: float):
     return builders.hard_ball_system(
         builders.HardBallParams(n, 2, (1.0,) * n, r))[0]
@@ -850,6 +915,22 @@ class TestFiles:
 
         with pytest.raises(SystemFormatError):
             load_sigma(p)
+
+    @pytest.mark.parametrize("label", ["0.7", "true", "false", "NaN",
+                                       "1e400", '"1"'])
+    def test_sigma_refuses_labels_that_are_not_integers(self, tmp_path,
+                                                        label):
+        from cylbill.model import SystemFormatError
+
+        p = tmp_path / "bad.json"
+        p.write_text(f'{{"format": "cylbill-sigma", "labels": [{label}, 0]}}')
+        with pytest.raises(SystemFormatError, match="is not an integer"):
+            load_sigma(p)
+
+    def test_sigma_reads_integral_floats(self, tmp_path):
+        p = tmp_path / "sigma.json"
+        p.write_text('{"format": "cylbill-sigma", "labels": [2.0, 0, 7]}')
+        assert load_sigma(p) == [2, 0, 7]
 
 
 class TestPhiMapProperties:
