@@ -137,13 +137,13 @@ class HardBallEmbedding:
         """Map ball positions (N, nu) to reduced coordinates."""
         return self.reduced_basis.T @ (self.scale * self._flatten(positions))
 
-    def reduce_velocities(self, velocities, momentum_tol: float = 1e-9) -> np.ndarray:
+    def reduce_velocities(self, velocities) -> np.ndarray:
         """Map zero-total-momentum ball velocities (N, nu) to reduced
         coordinates; raises if the total momentum is not (numerically) zero."""
         p = self.params
         v = np.asarray(velocities, dtype=float).reshape(p.n_balls, p.torus_dim)
         mom = np.sum(np.array(p.masses)[:, None] * v, axis=0)
-        if np.linalg.norm(mom) > momentum_tol * max(1.0, float(np.abs(v).max())):
+        if np.linalg.norm(mom) > 1e-9 * max(1.0, float(np.abs(v).max())):
             raise BuilderError(
                 f"total momentum {mom} is not zero; reduce it first"
             )
@@ -223,19 +223,19 @@ def hard_ball_system(
 # ---------------------------------------------------------------------------
 
 
-def _rational_columns(m: np.ndarray, tol: float = 1e-9,
-                      max_den: int = 10**6) -> np.ndarray | None:
+def _rational_columns(m: np.ndarray) -> np.ndarray | None:
     """Integer matrix with the same column span as ``m``, if its entries are
-    recognizably rational; None otherwise."""
+    recognizably rational (denominators up to 10**6, within 1e-9); None
+    otherwise."""
     cols = []
     for j in range(m.shape[1]):
-        fracs = [Fraction(x).limit_denominator(max_den) for x in m[:, j]]
+        fracs = [Fraction(x).limit_denominator(10**6) for x in m[:, j]]
         den = lcm(*[f.denominator for f in fracs]) if fracs else 1
-        if den > max_den:
+        if den > 10**6:
             return None
         ints = np.array([int(f * den) for f in fracs], dtype=np.int64)
         approx = ints.astype(float) / den
-        if np.max(np.abs(approx - m[:, j])) > tol:
+        if np.max(np.abs(approx - m[:, j])) > 1e-9:
             return None
         cols.append(ints)
     return np.column_stack(cols) if cols else np.zeros((m.shape[0], 0), np.int64)

@@ -234,9 +234,10 @@ def projector_distance(a: Subspace, b: Subspace) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lll(basis: np.ndarray, delta: float = 0.75):
-    """LLL-reduce lattice generators (columns).  Returns (reduced, U) with
-    ``reduced = basis @ U`` and ``U`` integer unimodular."""
+def _lll(basis: np.ndarray):
+    """LLL-reduce lattice generators (columns), with Lovász parameter 0.75.
+    Returns (reduced, U) with ``reduced = basis @ U`` and ``U`` integer
+    unimodular."""
     b = basis.astype(float).copy()
     d, n = b.shape
     u = np.eye(n, dtype=np.int64)
@@ -267,7 +268,7 @@ def _lll(basis: np.ndarray, delta: float = 0.75):
                 b[:, k] -= q * b[:, j]
                 u[:, k] -= q * u[:, j]
                 mu, nrm = gso(b)
-        if nrm[k] >= (delta - mu[k, k - 1] ** 2) * nrm[k - 1]:
+        if nrm[k] >= (0.75 - mu[k, k - 1] ** 2) * nrm[k - 1]:
             k += 1
         else:
             b[:, [k - 1, k]] = b[:, [k, k - 1]]

@@ -3,20 +3,18 @@
 Between collisions the point moves in a straight line; a collision is the
 earliest admissible root over all cylinders and all lattice images whose
 axis is reachable in the current search window.  Images are searched in
-each cylinder's base space, not in the torus: lattice vectors along the
-axis move no image, so the distinct images of cylinder ``i`` are the points
-of its projected lattice ``B_i^T L W_i``, where ``[K_i | W_i]`` is an exact
-unimodular completion of the saturated axis sublattice ``K_i``.  A contact
-at time ``t <= T`` has its image within ``T + r`` of the start's base-space
-point, so a ball of that radius in the projected lattice lists every
-candidate once.  A horizon is searched in windows of fixed length, each
-starting where the previous one ended, so a long free flight costs scans,
-not a larger ball; the length is two fundamental diameters of the widest
-projected lattice, which stays about 1 on hard-ball systems of any size,
-while the system's own cell grows with the number of balls.  One stepper
-carries every orbit: ``flow``, ``next_collision`` and ``lyapunov_max`` scan
-through its window loop and fly, reflect and wrap through its one move, and
-``n_scans`` counts its windows.
+each cylinder's base space, not in the torus, as the points of its
+projected lattice (``_FlowView``).  A contact at time ``t <= T`` has its
+image within ``T + r`` of the start's base-space point, so a ball of that
+radius in the projected lattice lists every candidate once.  A horizon is
+searched in windows of fixed length, each starting where the previous one
+ended, so a long free flight costs scans, not a larger ball; the length is
+two fundamental diameters of the widest projected lattice, which stays
+about 1 on hard-ball systems of any size, while the system's own cell
+grows with the number of balls.  One stepper carries every orbit:
+``flow``, ``next_collision`` and ``lyapunov_max`` scan through its window
+loop and fly, reflect and wrap through its one move, and ``n_scans``
+counts its windows.
 
 Grazing (discriminant inside the guard) and simultaneous (two distinct
 contacts within ``T_MIN_GAP``) encounters abort the computation loudly:
@@ -33,7 +31,7 @@ import numpy as np
 from . import intlat
 from .classify import SplittingWitness, is_transitive
 from .config import AXIS_PARALLEL, DISC, T_MIN_GAP, UNIT_NORM
-from .errors import DegeneracyError, UsageError
+from .errors import DegeneracyError, InputError, UsageError
 from .geometry import Lattice
 from .paths import EuclideanPathSpec
 
@@ -46,6 +44,7 @@ __all__ = [
     "TangentialCollision",
     "SimultaneousCollision",
     "WindowLimitError",
+    "UnalignedAxisError",
     "MAX_LYAPUNOV_WINDOWS",
     "next_collision",
     "flow",
@@ -96,6 +95,10 @@ class SimultaneousCollision(_SingularContact):
 
 class WindowLimitError(UsageError, ValueError):
     """A Lyapunov run asks for more than ``MAX_LYAPUNOV_WINDOWS`` windows."""
+
+
+class UnalignedAxisError(InputError, ValueError):
+    """A cylinder's axis has no integer lattice coefficients to flow on."""
 
 
 @dataclass(eq=False)
@@ -157,66 +160,6 @@ class TrajectoryRecord:
         return set(self.symbolic)
 
 
-class _AxisImages:
-    """The axis images of one cylinder, one per point of its projected lattice.
-
-    Lattice vectors along the axis map the axis onto itself, so the distinct
-    images are the cosets of the saturated axis sublattice ``K``.  With a
-    unimodular completion ``[K | W]``, ``W b`` represents one coset per
-    integer ``b``, and ``G = B^T L W`` (``B`` the orthonormal base-space
-    basis, ``L`` the lattice basis) gives that image's base-space offset.
-    ``G`` is square and invertible, so a ball of its lattice lists every
-    image within reach exactly once.  A cylinder without axis has ``W = I``
-    and ``B = I``, and uses the system's own lattice.
-
-    The ball is enumerated once, by :meth:`enumerate`, after the view has
-    set its window from every cylinder's projected ``lattice``.  It reaches
-    every image a scan window of length ``window`` can hit (``window + r``,
-    plus ``T_MIN_GAP`` so the second contact of a hit at the window's end
-    is seen); the window is at least the lattice's fundamental diameter, so
-    the ball also holds the nearest image of any point.  The image of ball
-    row ``j`` shifted by the reduced coordinates ``k`` is ``W (ints[j] +
-    U k)``, ``U`` the reduced transform; ``image_ints`` holds ``W ints[j]``
-    row by row and ``image_red`` is ``W U``, so a hit costs one product.
-    """
-
-    __slots__ = ("basis", "radius", "translation", "cosets", "lattice",
-                 "red", "red_inv", "red_transform", "ints", "pts",
-                 "image_ints", "image_red")
-
-    def __init__(self, system, i: int):
-        cyl = system.cylinders[i]
-        if not cyl.lattice_aligned and cyl.generator_basis.size:
-            raise FlowError(
-                f"cylinder {i} has no lattice-aligned axis; the toroidal "
-                "flow needs integer generator coefficients"
-            )
-        self.basis = system.base_space(i).basis
-        self.radius = cyl.radius
-        self.translation = cyl.translation
-        if cyl.n_generators == 0:
-            self.cosets = np.eye(system.dim, dtype=np.int64)
-            self.lattice = system.lattice
-        else:
-            quotient = intlat.lattice_quotient([cyl.generator_coeffs],
-                                               system.dim)
-            self.cosets = quotient.complement.astype(np.int64)
-            self.lattice = Lattice(
-                self.basis.T @ (system.lattice.basis @ self.cosets))
-        self.red = self.lattice.reduced_basis
-        self.red_inv = np.linalg.inv(self.red)
-        self.red_transform = self.lattice.reduced_transform
-        self.image_red = self.cosets @ self.red_transform
-
-    def enumerate(self, window: float) -> None:
-        """List the images a scan window of length ``window`` can reach."""
-        half_spread = 0.5 * float(np.sum(np.linalg.norm(self.red, axis=0)))
-        reach = window + self.radius + T_MIN_GAP
-        self.ints, self.pts = self.lattice.enumerate_ball(
-            np.zeros(self.red.shape[0]), reach + half_spread + 1e-9)
-        self.image_ints = self.ints @ self.cosets.T
-
-
 _WINDOW_DIAMETERS = 2.0
 """Scan window length in fundamental diameters of the widest projected
 lattice.  A shorter window spends more scans, most of them empty, on a long
@@ -227,61 +170,101 @@ from 14% to 7 times more at 4."""
 
 
 class _FlowView:
-    """Per-system arrays for the collision scan, cached on the system.
+    """Every cylinder's axis images, stacked for the collision scan and
+    cached on the system.
 
-    ``window`` is the length of one scan window: a horizon longer than it
-    is searched window by window, so no image ball ever grows with it.  It
-    is ``_WINDOW_DIAMETERS`` times the largest fundamental diameter of the
-    cylinders' projected lattices (at least 1e-3), which stays about 1
-    however many balls a hard-ball system has; ``diam``, the diameter of
-    the system's own cell, grows with them and sets ``flow``'s default
-    horizon.  A system without cylinders scans windows of ``diam``.
+    Lattice vectors along an axis map it onto itself, so cylinder ``i``'s
+    distinct images are the cosets of its saturated axis sublattice ``K``.
+    With a unimodular completion ``[K | W]``, ``W b`` represents one coset
+    per integer ``b``, at base-space offset ``G b``, ``G = B^T L W`` (``B``
+    the orthonormal base basis ``bases[i]``, ``L`` the lattice basis).
+    ``G`` is square and invertible, so a ball of this projected lattice
+    lists each image within reach once.  A cylinder without axis has
+    ``W = B = I`` and the system's own lattice.
 
-    The scan treats every cylinder at once.  Each base space gets a block
-    of ``n`` rows, ``n`` the largest base dimension, padded with zeros:
-    ``bt`` (``k n x d``) stacks the transposed bases ``B_i^T`` and ``bt_t``
-    the translations' coordinates ``B_i^T t_i``; ``red`` and ``red_inv``
-    are block diagonal.  ``pts`` (``k x n x m``) holds each image ball,
-    padded to the largest, one coordinate per row so that every array pass
-    runs along the images.  Cylinder ``i``'s first ``sizes[i]`` columns are
-    its images; a padding column is zero, a copy of the image at the ball's
-    centre, so it never changes a nearest distance, and the scan's loop
-    skips it so that it never counts as a second contact.  ``rr`` is the
-    column of squared radii.  ``disc_rr`` lists ``DISC r_i^2``, the
-    discriminant guard per unit ``|B^T v|^2``, for the scan's loop, and
-    ``floor_rr`` is its negative as a column, for the scan's screen.
+    ``window``, the scan window's length, is ``_WINDOW_DIAMETERS`` times
+    the largest fundamental diameter of the projected lattices (at least
+    1e-3), or, without cylinders, ``diam``, the diameter of the system's
+    own cell, which sets ``flow``'s default horizon.  Each ball reaches
+    ``window + r``, plus ``T_MIN_GAP`` for the second contact of a hit at
+    the window's end, from any point within half the reduced basis's
+    spread of the lattice point ``offsets`` rounds it to; as the window is
+    at least the fundamental diameter, the ball also holds every point's
+    nearest image.
+
+    Each base space gets a block of ``n`` rows, ``n`` the largest base
+    dimension, padded with zeros: ``bt`` (``k n x d``) stacks the ``B_i^T``
+    and ``bt_t`` the ``B_i^T t_i``; ``red`` and ``red_inv`` are block
+    diagonal, from the projected lattices' reduced bases.  ``pts``
+    (``k x n x m``) holds each ball, padded to the largest, one coordinate
+    per row, so every array pass runs along the images.  Cylinder ``i``'s
+    first ``sizes[i]`` columns are its images; a padding column is zero, a
+    copy of the ball's centre image, so it never changes a nearest
+    distance, and the scan's loop skips it so it never counts as a second
+    contact.  Ball column ``j`` shifted by reduced coordinates ``k`` is the
+    image ``W (ints_j + U k)``, ``U`` the reduced transform:
+    ``image_ints[i]`` holds the ``W ints_j`` and ``image_red[i]`` is
+    ``W U``, so a hit costs one product.  ``rr`` is the column of squared
+    radii, ``disc_rr`` lists the guards ``DISC r_i^2`` per unit
+    ``|B^T v|^2`` for the scan's loop, and ``floor_rr`` is their negatives
+    as a column, for its screen.
     """
 
-    __slots__ = ("lattice", "diam", "window", "images", "k", "n", "bt",
-                 "bt_t", "red", "red_inv", "pts", "sizes", "radius", "rr",
-                 "disc_rr", "floor_rr")
+    __slots__ = ("lattice", "diam", "window", "k", "n", "bases", "dims",
+                 "bt", "bt_t", "red", "red_inv", "pts", "sizes",
+                 "image_ints", "image_red", "radius", "rr", "disc_rr",
+                 "floor_rr")
 
     def __init__(self, system):
+        d = system.dim
         self.lattice = system.lattice
         self.diam = self.lattice.fundamental_diameter
-        self.images = [_AxisImages(system, i) for i in range(system.k)]
-        widest = max((img.lattice.fundamental_diameter
-                      for img in self.images), default=None)
-        self.window = max(self.diam if widest is None
-                          else _WINDOW_DIAMETERS * widest, 1e-3)
-        for img in self.images:
-            img.enumerate(self.window)
         k = self.k = system.k
-        n = self.n = max((img.red.shape[0] for img in self.images), default=0)
-        self.sizes = [len(img.pts) for img in self.images]
-        self.bt = np.zeros((k * n, system.dim))
+        self.bases = [system.base_space(i).basis for i in range(k)]
+        self.dims = [basis.shape[1] for basis in self.bases]
+        n = self.n = max(self.dims, default=0)
+        self.bt = np.zeros((k * n, d))
         self.bt_t = np.zeros(k * n)
         self.red = np.zeros((k * n, k * n))
         self.red_inv = np.zeros((k * n, k * n))
+        self.image_red, projected = [], []
+        for i, (cyl, basis) in enumerate(zip(system.cylinders, self.bases)):
+            if not cyl.lattice_aligned and cyl.generator_basis.size:
+                raise UnalignedAxisError(
+                    f"cylinder {i} has no lattice-aligned axis; the toroidal "
+                    "flow needs integer generator coefficients")
+            if cyl.n_generators == 0:
+                w = np.eye(d, dtype=np.int64)
+                lattice = system.lattice
+            else:
+                w = intlat.lattice_quotient([cyl.generator_coeffs],
+                                            d).complement.astype(np.int64)
+                lattice = Lattice(basis.T @ (system.lattice.basis @ w))
+            rows = slice(i * n, i * n + self.dims[i])
+            self.bt[rows] = basis.T
+            self.bt_t[rows] = basis.T @ cyl.translation
+            self.red[rows, rows] = lattice.reduced_basis
+            self.red_inv[rows, rows] = np.linalg.inv(lattice.reduced_basis)
+            self.image_red.append(w @ lattice.reduced_transform)
+            projected.append((lattice, w))
+        widest = max((lattice.fundamental_diameter
+                      for lattice, _ in projected), default=None)
+        self.window = max(self.diam if widest is None
+                          else _WINDOW_DIAMETERS * widest, 1e-3)
+        self.radius = np.array([cyl.radius for cyl in system.cylinders])
+        balls, self.image_ints = [], []
+        for (lattice, w), r in zip(projected, self.radius.tolist()):
+            half_spread = 0.5 * float(
+                np.sum(np.linalg.norm(lattice.reduced_basis, axis=0)))
+            ints, pts = lattice.enumerate_ball(
+                np.zeros(w.shape[1]),
+                self.window + r + T_MIN_GAP + half_spread + 1e-9)
+            self.image_ints.append(ints @ w.T)
+            balls.append(pts)
+        self.sizes = [len(pts) for pts in balls]
         self.pts = np.zeros((k, n, max(self.sizes, default=0)))
-        for i, img in enumerate(self.images):
-            rows = slice(i * n, i * n + img.red.shape[0])
-            self.bt[rows] = img.basis.T
-            self.bt_t[rows] = img.basis.T @ img.translation
-            self.red[rows, rows] = img.red
-            self.red_inv[rows, rows] = img.red_inv
-            self.pts[i, :img.red.shape[0], :len(img.pts)] = img.pts.T
-        self.radius = np.array([img.radius for img in self.images])
+        for i, pts in enumerate(balls):
+            self.pts[i, :self.dims[i], :len(pts)] = pts.T
         self.rr = (self.radius ** 2)[:, None]
         self.disc_rr = (DISC * self.rr[:, 0]).tolist()
         self.floor_rr = -DISC * self.rr
@@ -290,7 +273,7 @@ class _FlowView:
         """Base-space offsets ``B_i^T (x - t_i) - G_i b`` of every image
         around ``x``, stacked ``k x n x m``, and the stacked reduced
         coordinates ``k_red`` of the nearest lattice point, which shift a
-        row of ``images[i].ints`` to that image's ``b``."""
+        ball column to that image's ``b``."""
         y = self.bt @ x - self.bt_t
         k_red = (self.red_inv @ y).round()
         c = (y - self.red @ k_red).reshape(self.k, self.n, 1)
@@ -377,12 +360,11 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
             raise SimultaneousCollision("two contacts within T_MIN_GAP",
                                         start + first)
         i, col = divmod(j, m)
-        img = view.images[i]
-        dim = img.red.shape[0]
+        dim = view.dims[i]
         k_i = k_red[i * view.n:i * view.n + dim].astype(np.int64)
-        image = img.image_ints[col] + img.image_red @ k_i
+        image = view.image_ints[i][col] + view.image_red[i] @ k_i
         w_hit = w[i, :dim, col] + first * u[i, 0, :dim]
-        normal = img.basis @ (w_hit / math.sqrt(w_hit @ w_hit))
+        normal = view.bases[i] @ (w_hit / math.sqrt(w_hit @ w_hit))
         return start + first, i, image, normal
     if graze_s <= t_window:
         raise TangentialCollision("grazing contact", start + graze_s)
@@ -492,11 +474,8 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
             window = min(window, remaining)
         try:
             hit = orbit.scan(window)
-        except TangentialCollision:
-            flags["tangential_encountered"] = True
-            break
-        except SimultaneousCollision:
-            flags["simultaneous_encountered"] = True
+        except _SingularContact as contact:
+            flags[f"{contact.reason}_encountered"] = True
             break
         if hit is None:
             if remaining is not None and remaining <= horizon:
@@ -543,11 +522,9 @@ def detect_splitting(record: TrajectoryRecord, system) -> SplittingWitness | Non
     )
     if ok:
         return None
-    rekeyed = {labels[j]: side for j, side in witness.assignment.items()}
-    out = SplittingWitness(witness.b1, witness.b2, rekeyed,
-                           degenerate=witness.degenerate)
-    out.check({i: system.base_space(i) for i in rekeyed})
-    return out
+    witness.assignment = {labels[j]: side
+                          for j, side in witness.assignment.items()}
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +676,10 @@ class _TangentOrbit(_Orbit):
             self._shear(self.left)
             self._close()
 
-    def reflect(self, img: _AxisImages, normal: np.ndarray) -> None:
+    def reflect(self, i: int, normal: np.ndarray) -> None:
         """Move the orbit to its collision, ``t`` after ``q``, with the wall
-        of ``img`` (unit normal ``normal``); reflect it and map the frame,
-        which is there already, by the tangent map.
+        of cylinder ``i`` (unit normal ``normal``); reflect it and map the
+        frame, which is there already, by the tangent map.
 
         A tangent vector meets the wall ``τ = −(n·δq)/(v·n)`` after the
         orbit, displaced along it by ``δq_c = δq + τ v``, where the normal
@@ -717,7 +694,8 @@ class _TangentOrbit(_Orbit):
         vn = float(v @ normal)
         nq = normal @ dq
         wall = dq - v[:, None] * (nq / vn)
-        dn = img.basis @ (img.basis.T @ wall) / img.radius
+        basis = self.view.bases[i]
+        dn = basis @ (basis.T @ wall) / self.view.radius[i]
         twice_n = 2.0 * normal[:, None]
         frame = np.empty_like(self.frame)
         frame[:d] = dq - twice_n * nq
@@ -769,8 +747,8 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
 
     ``d0`` must lie in (0, 1e-8] and has no effect on the result; it stays
     only because the benchmark's lyapunov-sinai workload and acceptance
-    criterion 10 pass it.  More than ``MAX_LYAPUNOV_WINDOWS`` windows raise
-    ``WindowLimitError``.
+    criterion 10 pass it.  No window at all raises ``ValueError``, and more
+    than ``MAX_LYAPUNOV_WINDOWS`` windows raise ``WindowLimitError``.
     """
     # NaN fails every comparison, so it is refused here too
     if not (0 < total_t < math.inf and 0 < renorm_dt < math.inf
@@ -780,6 +758,8 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     if not 0 < d0 <= 1e-8:
         raise ValueError("d0 must lie in (0, 1e-8]")
     n_windows = int(round(total_t / renorm_dt))
+    if n_windows < 1:
+        raise ValueError(f"total_t / renorm_dt asks for {n_windows} windows")
     if n_windows > MAX_LYAPUNOV_WINDOWS:
         raise WindowLimitError(
             f"total_t / renorm_dt asks for {n_windows:.3g} windows, above "
@@ -809,7 +789,7 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
             continue
         s, i, _, normal = hit
         if orbit.fly(s):
-            orbit.reflect(view.images[i], normal)
+            orbit.reflect(i, normal)
             n_collisions += 1
     # the growth of the lower vectors since the last QR step
     orbit.log_sums += orbit._orthonormalize()

@@ -23,8 +23,8 @@ from cylbill.errors import DegeneracyError, InputError, UsageError
 from cylbill.model import (CylindricBilliardSystem, load_system, save_system,
                            system_to_dict)
 from cylbill.paths import save_sigma
-from conftest import (make_malformed_axis_system, make_sphere_system,
-                      make_two_block_system)
+from conftest import (make_malformed_axis_system, make_mixed_axis_system,
+                      make_sphere_system, make_two_block_system)
 
 
 def run(capsys, *argv):
@@ -537,6 +537,12 @@ FAILING_COMMANDS = {
     "simulate-nan-position": (
         SIMULATE + ("--q", "nan,0.5", "--v", "0.6,0.8", "--collisions", "5"),
         lambda f: _flow(f, q="nan,0.5", max_collisions=5)),
+    "simulate-real-axis": (
+        ("simulate", "--system", "{real_axis}", "--out", "{out}",
+         "--q", "0.3,0.2,0.1,0.4", "--v", "0.6,0.8,0,0", "--collisions", "5"),
+        lambda f: tf.flow(cylbill.load_system(f["real_axis"]),
+                          _phase("0.3,0.2,0.1,0.4", "0.6,0.8,0,0"),
+                          max_collisions=5)),
     "simulate-start-inside": (
         SIMULATE + ("--q", "0.5,0.5", "--v", "1,0", "--collisions", "5"),
         lambda f: _flow(f, q="0.5,0.5", v="1,0", max_collisions=5)),
@@ -551,6 +557,9 @@ FAILING_COMMANDS = {
         LYAPUNOV + ("--q", "0,0.5", "--v", "0.6,0.8", "--total-time", "1e300",
                     "--renorm-dt", "1"),
         lambda f: _lyapunov(f, total_t=1e300)),
+    "lyapunov-zero-windows": (
+        LYAPUNOV + ("--q", "0,0.5", "--v", "0.6,0.8", "--total-time", "0.4"),
+        lambda f: _lyapunov(f, total_t=0.4)),
     "lyapunov-start-inside": (
         LYAPUNOV + ("--q", "0.5,0.5", "--v", "1,0", "--total-time", "10"),
         lambda f: _lyapunov(f, q="0.5,0.5", v="1,0")),
@@ -570,11 +579,12 @@ class TestFailureExitCodes:
                  for name in ("sinai", "crowd", "broken", "sigma0", "sigma5",
                               "sigma_frac", "out", "fractional", "infinite",
                               "huge", "nan_basis", "inf_translation",
-                              "nan_radius", "empty")}
+                              "nan_radius", "empty", "real_axis")}
         save_system(make_sphere_system(2, r=0.3), files["sinai"])
         empty = CylindricBilliardSystem(
             dim=2, lattice=geometry.Lattice(np.eye(2)), cylinders=[])
         save_system(empty, files["empty"])
+        save_system(make_mixed_axis_system(), files["real_axis"])
         crowd = make_sphere_system(2, r=0.3)
         crowd.cylinders = crowd.cylinders * 30
         save_system(crowd, files["crowd"])

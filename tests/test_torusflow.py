@@ -10,6 +10,7 @@ from cylbill.classify import count_transitive_blocks
 from cylbill.geometry import Lattice, complement, projector_distance
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from conftest import make_sphere_system, make_two_block_system
+from scan_oracle import axis_images
 from scan_oracle import min_axis_distances as oracle_min_axis_distances
 from scan_oracle import scan_window as oracle_scan_window
 from shadow_oracle import shadow_lyapunov_max
@@ -191,14 +192,19 @@ SCAN_SYSTEMS = {
 }
 
 
-def _scan_both(system, q, v, start=0.0):
+def _oracle_images(system):
+    """The oracle's own axis images, for the flow's scan window."""
+    return axis_images(system, tf._flow_view(system).window)
+
+
+def _scan_both(system, images, q, v, start=0.0):
     """The stacked scan's and the oracle's outcome (a hit, None or the
-    raised singular contact) for one window."""
+    raised singular contact) for one window; ``images`` are the oracle's."""
     view = tf._flow_view(system)
     outcomes = []
-    for scan in (tf._scan_window, oracle_scan_window):
+    for scan, table in ((tf._scan_window, view), (oracle_scan_window, images)):
         try:
-            outcomes.append(scan(view, q, v, start, view.window))
+            outcomes.append(scan(table, q, v, start, view.window))
         except tf._SingularContact as contact:
             outcomes.append(contact)
     return outcomes
@@ -230,6 +236,7 @@ class TestStackedScan:
     def test_matches_oracle_along_orbits(self, name):
         system = SCAN_SYSTEMS[name]()
         view = tf._flow_view(system)
+        images = _oracle_images(system)
         rng = np.random.default_rng(1301)
         hits = 0
         for _ in range(12):
@@ -237,11 +244,11 @@ class TestStackedScan:
             q, v = phase.q, phase.v
             np.testing.assert_allclose(
                 view.distances(q),
-                oracle_min_axis_distances(view, q), rtol=0, atol=1e-12)
+                oracle_min_axis_distances(images, q), rtol=0, atol=1e-12)
             for _ in range(8):
                 # a later window too, whose start lies off the cell
                 for start in (0.0, view.window - tf.T_MIN_GAP):
-                    new, old = _scan_both(system, q, v, start)
+                    new, old = _scan_both(system, images, q, v, start)
                     assert_same_scan(system, new, old)
                 if not isinstance(old, tuple):
                     break
@@ -258,16 +265,18 @@ class TestStackedScan:
     ])
     def test_velocity_along_an_axis(self, name, v):
         system = SCAN_SYSTEMS[name]()
+        images = _oracle_images(system)
         rng = np.random.default_rng(17)
         for _ in range(20):
             q = tf.random_phase(system, rng).q
-            assert_same_scan(system, *_scan_both(system, q, np.array(v)))
+            assert_same_scan(system,
+                             *_scan_both(system, images, q, np.array(v)))
 
     def test_empty_system(self):
         empty = CylindricBilliardSystem(dim=2, lattice=Lattice(np.eye(2)),
                                         cylinders=[])
         q, v = np.array([0.2, 0.3]), np.array([0.6, 0.8])
-        assert _scan_both(empty, q, v) == [None, None]
+        assert _scan_both(empty, _oracle_images(empty), q, v) == [None, None]
         assert tf._flow_view(empty).distances(q).shape == (0,)
 
     @pytest.mark.parametrize("name", ["sinai", "hb32", "mixed"])
@@ -275,6 +284,7 @@ class TestStackedScan:
         # shift a hitting ray across itself, inside the hit cylinder's
         # base space, until its closest approach to the axis is r
         system = SCAN_SYSTEMS[name]()
+        images = _oracle_images(system)
         rng = np.random.default_rng(5)
         grazes = 0
         for _ in range(30):
@@ -291,7 +301,7 @@ class TestStackedScan:
             closest = w_hit - (w_hit @ u) / (u @ u) * u
             dmin = np.linalg.norm(closest)
             q = phase.q + (r - dmin) * (basis @ (closest / dmin))
-            new, old = _scan_both(system, q, phase.v)
+            new, old = _scan_both(system, images, q, phase.v)
             assert_same_scan(system, new, old)
             grazes += isinstance(old, tf.TangentialCollision)
         assert grazes >= 5
@@ -307,13 +317,14 @@ class TestStackedScan:
         system = CylindricBilliardSystem(
             dim=3, lattice=Lattice(np.eye(3)),
             cylinders=[_cylinder(0.2, [0.5, 0.5, 0.5]), second])
+        images = _oracle_images(system)
         rng = np.random.default_rng(9)
         for _ in range(10):
             angle = rng.uniform(0, 2 * np.pi)
             v = np.array([np.cos(angle), np.sin(angle), 0.0])
             q = np.array([0.5, 0.5, 0.5]) - 0.45 * v \
                 + rng.uniform(-0.1, 0.1) * np.array([-v[1], v[0], 0.0])
-            new, old = _scan_both(system, q, v)
+            new, old = _scan_both(system, images, q, v)
             assert isinstance(old, tf.SimultaneousCollision)
             assert_same_scan(system, new, old)
 
@@ -424,8 +435,9 @@ class TestFlow:
             builders.HardBallParams(10, 2, (1.0,) * 10, 0.03))
         view = tf._flow_view(system)
         assert (system.dim, system.k) == (18, 45)
-        assert view.window == 2.0 * max(img.lattice.fundamental_diameter
-                                        for img in view.images)
+        assert view.window == 2.0 * max(
+            img.lattice.fundamental_diameter
+            for img in axis_images(system, view.window))
         assert view.window == pytest.approx(2.0)
         assert view.diam > 17.0
         phase = tf.random_phase(system, np.random.default_rng(10))
@@ -609,7 +621,7 @@ def _tangent_jacobian(system, phase: tf.PhasePoint, t: float):
                                  renorm_dt=2 * t, n_windows=1,
                                  rng=np.random.default_rng(0))
         assert orbit.fly(hit.time)
-        orbit.reflect(view.images[hit.cylinder], hit.normal)
+        orbit.reflect(hit.cylinder, hit.normal)
         assert orbit.fly(t - hit.time)
     x = np.concatenate((phase.q, phase.v))
     h = 1e-6
