@@ -323,6 +323,9 @@ def cmd_lyapunov(args) -> int:
         "stderr": result.stderr if np.isfinite(result.stderr) else None,
         "spectrum": result.spectrum,
         "n_windows": result.n_windows,
+        "renorm_dt": args.renorm_dt,
+        # the run is rounded to whole windows
+        "total_time": result.n_windows * args.renorm_dt,
         "n_kept": len(result.window_logs),
         "discarded": result.discarded,
         "discarded_by_reason": result.discarded_by_reason,

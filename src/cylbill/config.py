@@ -1,8 +1,8 @@
-"""Package-wide numerical tolerances, each defined once, and one work size.
+"""Package-wide numerical tolerances, each defined once, and the work sizes.
 
 Every module reads these constants directly, and CLI reports record the
 rank, discriminant and time-gap tolerances under ``run.tolerances``, so a
-report states the values its computation used.  The work size changes no
+report states the values its computation used.  The work sizes change no
 result.
 """
 
@@ -42,3 +42,8 @@ FLAT_CHUNK = 1 << 16
 """Residual entries (pairs × d × k × base width) the transverseness test's
 flat enumeration extends at once, which bounds its memory; verdicts do not
 depend on it."""
+
+MAP_CHUNK = 1 << 16
+"""Tangent-map entries (collision maps × (2d)²) the Lyapunov estimator
+builds and applies at once, which bounds its memory; results do not depend
+on it."""

@@ -360,6 +360,20 @@ class TestSimulateAndScans:
         assert "# summary: spectrum sum " in text
         assert strip_timestamp(run(capsys, *argv)[1]) == strip_timestamp(text)
 
+    @pytest.mark.parametrize("total_time, n_windows",
+                             [("2.6", 3), ("1.4", 1)])
+    def test_lyapunov_reports_the_time_flowed(self, capsys, total_time,
+                                              n_windows):
+        """The run is rounded to whole windows, and the body says so."""
+        system = Path(__file__).parent / "data" / "hb_2_2.json"
+        code, text, _ = run(capsys, "lyapunov", "--system", str(system),
+                            "--random", "--seed", "1",
+                            "--total-time", total_time)
+        assert code == 0
+        body = report_body(text)
+        assert (body["n_windows"], body["renorm_dt"], body["total_time"]) \
+            == (n_windows, 1.0, float(n_windows))
+
     def test_splitting_scan_product_system(self, capsys, tmp_path):
         p = tmp_path / "blocks.json"
         save_system(make_two_block_system(), p)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,8 @@ from scan_oracle import axis_images
 from scan_oracle import min_axis_distances as oracle_min_axis_distances
 from scan_oracle import scan_window as oracle_scan_window
 from shadow_oracle import shadow_lyapunov_max
+from tangent_oracle import QRPerWindow
+from tangent_oracle import lyapunov_max as oracle_lyapunov_max
 
 
 @pytest.fixture
@@ -609,38 +612,51 @@ def _flow_map(system, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def _tangent_jacobian(system, phase: tf.PhasePoint, t: float):
-    """The tangent map over ``t`` (one collision) applied to the identity
-    frame; returns it and the flow map's central-difference Jacobian.  The
-    frame cap is lifted, so no QR step replaces the map by its Q factor."""
+    """The tangent map over ``t`` (one collision): the production map of
+    the collision, which holds the free flight before it, composed with
+    the free flight after it; returns it and the flow map's
+    central-difference Jacobian."""
     d = system.dim
-    view = tf._flow_view(system)
     hit = tf.next_collision(system, phase, t)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tf, "_FRAME_CAP", np.inf)
-        orbit = tf._TangentOrbit(view, phase.q, phase.v, np.eye(2 * d),
-                                 renorm_dt=2 * t, n_windows=1,
-                                 rng=np.random.default_rng(0))
-        assert orbit.fly(hit.time)
-        orbit.reflect(hit.cylinder, hit.normal)
-        assert orbit.fly(t - hit.time)
+    tangent = tf._TangentFrame(tf._flow_view(system), np.eye(2 * d))
+    (collision,) = tangent.maps([hit.time], [hit.cylinder], [phase.v],
+                                [hit.normal])
+    after = np.eye(2 * d)
+    after[:d, d:] = (t - hit.time) * np.eye(d)
     x = np.concatenate((phase.q, phase.v))
     h = 1e-6
     fd = np.column_stack([
         (_flow_map(system, x + h * e, t) - _flow_map(system, x - h * e, t))
         / (2 * h) for e in np.eye(2 * d)])
-    return orbit.frame, fd
+    return after @ collision, fd
 
 
-class QRPerWindow(tf._TangentOrbit):
-    """Oracle: a full QR step closes every window, as the estimator did
-    before window ends took only the leading vector's norm."""
+_ORACLE_ORBITS = ([f"workload-{unit}" for unit in range(12)]
+                  + [f"hb32-{i}" for i in range(3)] + ["grazing"])
 
-    def _close(self):
-        self.growth += self._orthonormalize()
-        self.logs.append(float(self.growth[0]))
-        self.log_sums += self.growth
-        self.closed += 1
-        self._open()
+
+def _oracle_orbit(name: str):
+    """(system, phase, seed, total_t) of a Lyapunov orbit: the 12 orbits of
+    the benchmark's lyapunov-sinai workload at seed 1, drawn as it draws
+    them, three hb(3,2) orbits and an orbit that grazes its scatterer."""
+    kind, _, index = name.partition("-")
+    if kind == "workload":
+        unit = int(index)
+        if unit % 2:
+            system, _ = builders.hard_ball_system(
+                builders.HardBallParams(2, 2, (1.0, 1.0), 0.1))
+        else:
+            system = make_sphere_system(2, r=0.3)
+        rng = np.random.default_rng(np.random.SeedSequence([1, unit]))
+        phase = tf.random_phase(system, rng)
+        return system, phase, int(rng.integers(2**31)), 500.0
+    if kind == "hb32":
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(3, 2, (1.0, 1.0, 1.0), 0.2))
+        phase = tf.random_phase(system, np.random.default_rng(40 + int(index)))
+        return system, phase, 7, 200.0
+    return (make_sphere_system(2, r=0.3),
+            tf.PhasePoint([0.2, 0.0], [0.0, 1.0]), 5, 50.0)
 
 
 class TestLyapunov:
@@ -771,7 +787,7 @@ class TestLyapunov:
             + res.discarded
 
     @pytest.mark.parametrize("orbit", ["sinai", "hb22", "grazing"])
-    def test_matches_a_qr_step_per_window(self, orbit, monkeypatch):
+    def test_matches_a_qr_step_per_window(self, orbit):
         """Closing a window by the leading vector's norm gives the orbit,
         the window logs and the spectrum of a full QR step per window."""
         if orbit == "hb22":
@@ -785,12 +801,11 @@ class TestLyapunov:
                 "sinai": (tf.PhasePoint([0.0, 0.5], [0.6, 0.8]), 1001),
                 "grazing": (tf.PhasePoint([0.2, 0.0], [0.0, 1.0]), 5),
             }[orbit]
-        runs = []
-        for orbit_class in (tf._TangentOrbit, QRPerWindow):
-            monkeypatch.setattr(tf, "_TangentOrbit", orbit_class)
-            runs.append(tf.lyapunov_max(system, phase, total_t=500.0,
-                                        renorm_dt=1.0, d0=1e-9, seed=seed))
-        new, old = runs
+        new = tf.lyapunov_max(system, phase, total_t=500.0, renorm_dt=1.0,
+                              d0=1e-9, seed=seed)
+        old = oracle_lyapunov_max(system, phase, total_t=500.0,
+                                  renorm_dt=1.0, d0=1e-9, seed=seed,
+                                  orbit_class=QRPerWindow)
         assert (new.n_collisions, new.n_scans, new.discarded) \
             == (old.n_collisions, old.n_scans, old.discarded)
         assert orbit != "grazing" or old.discarded >= 1
@@ -798,6 +813,62 @@ class TestLyapunov:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(new.spectrum, old.spectrum,
                                    rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("orbit", _ORACLE_ORBITS)
+    def test_matches_the_one_pass_route(self, orbit):
+        """The orbit pass steps the orbit of the one-pass route, and the
+        batched maps give its window logs and spectrum."""
+        system, phase, seed, total_t = _oracle_orbit(orbit)
+        new = tf.lyapunov_max(system, phase, total_t=total_t, renorm_dt=1.0,
+                              d0=1e-9, seed=seed)
+        old = oracle_lyapunov_max(system, phase, total_t=total_t,
+                                  renorm_dt=1.0, d0=1e-9, seed=seed)
+        assert (new.n_collisions, new.n_scans, new.discarded_by_reason) \
+            == (old.n_collisions, old.n_scans, old.discarded_by_reason)
+        assert orbit != "grazing" or old.discarded >= 1
+        np.testing.assert_allclose(new.window_logs, old.window_logs,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.spectrum, old.spectrum,
+                                   rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("orbit", ["hb32-0", "grazing"])
+    def test_batches_change_no_result(self, orbit, monkeypatch):
+        """A batch of one map gives the counts, logs and spectrum of the
+        default batches, on an orbit that restarts from discarded windows
+        too."""
+        system, phase, seed, total_t = _oracle_orbit(orbit)
+        runs = []
+        for chunk in (tf.MAP_CHUNK, (2 * system.dim) ** 2):
+            monkeypatch.setattr(tf, "MAP_CHUNK", chunk)
+            runs.append(tf.lyapunov_max(system, phase, total_t=total_t,
+                                        renorm_dt=1.0, d0=1e-9, seed=seed))
+        default, single = runs
+        assert (default.n_collisions, default.n_scans,
+                default.discarded_by_reason) \
+            == (single.n_collisions, single.n_scans,
+                single.discarded_by_reason)
+        np.testing.assert_allclose(single.window_logs, default.window_logs,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(single.spectrum, default.spectrum,
+                                   rtol=0, atol=1e-12)
+
+    def test_memory_does_not_grow_with_the_run(self):
+        """The tangent pass holds one batch of maps at a time, so a run ten
+        times longer peaks within half again of the shorter one's memory."""
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(8, 2, (1.0,) * 8, 0.05))
+        phase = tf.random_phase(system, np.random.default_rng(1))
+        tf._flow_view(system)
+        peaks = []
+        for total_t in (200.0, 2000.0):
+            tracemalloc.start()
+            try:
+                tf.lyapunov_max(system, phase, total_t=total_t,
+                                renorm_dt=1.0, d0=1e-9, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_discarded_window_accounting(self, sinai):
         # the line x = 0.2 touches the scatterer of radius 0.3 at (0.5, 0.5)
