@@ -124,10 +124,6 @@ class HardBallEmbedding:
     full_system: CylindricBilliardSystem
     factor_report: "FactorReport"
 
-    @property
-    def reduced_dim(self) -> int:
-        return self.reduced_basis.shape[1]
-
     def _flatten(self, arr) -> np.ndarray:
         p = self.params
         a = np.asarray(arr, dtype=float).reshape(p.n_balls, p.torus_dim)
@@ -204,7 +200,6 @@ def hard_ball_system(
         dim=full_dim,
         lattice=Lattice(lattice_basis),
         cylinders=cylinders,
-        interior_connected_asserted=True,
     )
     reduced, report = sub_billiard(full_system, range(len(pairs)))
     embedding = HardBallEmbedding(
@@ -317,7 +312,6 @@ def direct_sum_system(
         dim=d,
         lattice=lattice,
         cylinders=cylinders,
-        interior_connected_asserted=True,
     )
     return system, non_orthogonality_graph(bases)
 
@@ -336,7 +330,6 @@ class FactorReport:
     active_space: Subspace       # parent-frame span of the retained base spaces
     drift_space: Subspace        # parent-frame common axis directions
     drift_lattice_rank: int
-    to_factor: np.ndarray        # (p, d): factor coords of an ambient vector
     notes: list[str] = field(default_factory=list)
 
 
@@ -412,14 +405,12 @@ def sub_billiard(
         dim=d - nu0,
         lattice=Lattice(factor_lattice),
         cylinders=cylinders,
-        interior_connected_asserted=system.interior_connected_asserted,
     )
     report = FactorReport(
         parent_indices=tuple(idx),
         active_space=active,
         drift_space=drift,
         drift_lattice_rank=nu0,
-        to_factor=q.T,
         notes=notes,
     )
     return factor, report

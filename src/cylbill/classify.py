@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DROP, FLAT_CHUNK, OVERLAP
+from .config import CHUNK_ENTRIES, DROP, OVERLAP
 from .errors import UsageError
 from .geometry import (
     DimensionMismatch,
@@ -30,6 +30,7 @@ from .geometry import (
     containment_residual,
     null_space,
     orthonormal_stack,
+    orthonormalize,
     residual,
     span_of,
     subspace_overlap,
@@ -157,7 +158,7 @@ def is_transitive(bases, ambient_dim: int | None = None,
     if not bases:
         if ambient_dim is None:
             raise ValueError("ambient_dim required for an empty collection")
-        e1 = Subspace.span([np.eye(ambient_dim)[:, 0]])
+        e1 = orthonormalize([np.eye(ambient_dim)[:, 0]])
         w = SplittingWitness(e1, complement(e1), {}, degenerate=True)
         w.check()
         return False, w
@@ -247,7 +248,7 @@ def _flats(bases: list[Subspace]) -> tuple[np.ndarray, np.ndarray,
     none of its vectors keeps a :func:`residual` of norm ``DROP`` or more,
     the projection and the rule by which ``orthonormal_stack`` drops a
     vector, so a flat's dimension is the rank of its members' span.  Pairs
-    run in chunks of about ``FLAT_CHUNK`` residual entries, which bounds
+    run in chunks of about ``CHUNK_ENTRIES`` residual entries, which bounds
     the memory and changes no result.
     """
     padded = _padded(bases)
@@ -265,7 +266,7 @@ def _flats(bases: list[Subspace]) -> tuple[np.ndarray, np.ndarray,
     proj = (padded @ np.swapaxes(padded, 1, 2))[first]
     seen = set(masks.tolist())
     found = [(masks, dims, proj)]
-    chunk = max(1, FLAT_CHUNK // max(1, d * k * w))
+    chunk = max(1, CHUNK_ENTRIES // max(1, d * k * w))
     while True:
         flat, j = np.nonzero((masks[:, None] & bits) == 0)
         if not flat.size:
@@ -309,7 +310,7 @@ def is_transverse(system):
     and those orthogonal ones span ``F``'s complement.  Both tests on a
     (flat, base) pair take an SVD only where the Frobenius norm of its
     block leaves them open; the blocks are built in chunks of about
-    ``FLAT_CHUNK`` entries, as :func:`_flats` builds its residuals.  Each
+    ``CHUNK_ENTRIES`` entries, as :func:`_flats` builds its residuals.  Each
     violation is thus a member mask with a target rank, and a subset
     violates iff it lies in a mask and reaches its rank; the smallest
     subset is found by descending in lexicographic order into the first
@@ -331,7 +332,7 @@ def is_transverse(system):
         idx = [j for j, b in enumerate(bases) if b.dim == m]
         stacked = np.stack([bases[j].basis for j in idx])
         bits = 1 << np.array(idx)
-        chunk = max(1, FLAT_CHUNK // max(1, len(idx) * d * m))
+        chunk = max(1, CHUNK_ENTRIES // max(1, len(idx) * d * m))
         for lo in range(0, len(masks), chunk):
             part = slice(lo, lo + chunk)
             inner = proj[part, None] @ stacked[None]

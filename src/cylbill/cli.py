@@ -362,13 +362,16 @@ def cmd_splitting_scan(args) -> int:
         "n_orbits": result.n_orbits,
         "n_with_witness": result.n_with_witness,
         "n_degenerate": result.n_degenerate,
+        "n_horizon_stops": result.n_horizon_stops,
         "collisions_per_orbit": args.collisions,
         "run": _run_info(seed=args.seed),
     }
     summary = [
         f"splitting fraction {result.fraction:.4f} "
         f"({result.n_with_witness}/{result.n_orbits} orbits, "
-        f"{args.collisions} collisions each)",
+        f"up to {args.collisions} collisions each)",
+        f"{result.n_horizon_stops} of {result.n_orbits} orbits stopped "
+        "short: no collision within the horizon",
     ]
     _write_report("splitting-scan", body, summary, args.out)
     return EXIT_OK

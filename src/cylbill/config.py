@@ -38,12 +38,8 @@ SAMPLE_CHUNK = 1024
 """Samples the constructive δ sampler builds and ranks at once, which
 bounds its memory; reports do not depend on it."""
 
-FLAT_CHUNK = 1 << 16
-"""Residual entries (pairs × d × k × base width) the transverseness test's
-flat enumeration extends at once, which bounds its memory; verdicts do not
-depend on it."""
-
-MAP_CHUNK = 1 << 16
-"""Tangent-map entries (collision maps × (2d)²) the Lyapunov estimator
-builds and applies at once, which bounds its memory; results do not depend
-on it."""
+CHUNK_ENTRIES = 1 << 16
+"""Float entries a chunked pass holds at once: the transverseness test's
+flat residuals (pairs × d × k × base width) and the Lyapunov estimator's
+collision maps (maps × (2d)²).  It bounds their memory; no verdict or
+result depends on it."""

@@ -5,9 +5,9 @@ checks its Gram-matrix invariant.  One Gram-Schmidt kernel builds them,
 :func:`orthonormal_stack`, for many sets of vectors at once; its projection
 is :func:`residual`, and it drops a vector whose residual norm is below
 ``DROP``.  :func:`orthonormalize` is its one-set case.  Rank decisions
-treat a singular value ``s`` as zero iff ``s < rel_tol * s_max`` with the
-package-wide default ``config.RANK_REL``, so all dimension counts
-downstream use the same yardstick.
+treat a singular value ``s`` as zero iff ``s < RANK_REL * s_max``, with
+the package-wide ``config.RANK_REL``, so all dimension counts downstream
+use the same yardstick.
 """
 
 from __future__ import annotations
@@ -107,10 +107,6 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, np.eye(ambient_dim))
 
-    @staticmethod
-    def span(vectors, ambient_dim=None) -> "Subspace":
-        return orthonormalize(vectors, ambient_dim=ambient_dim)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -190,15 +186,15 @@ def span_of(subspaces, ambient_dim=None) -> Subspace:
     return orthonormalize(cols.T, ambient_dim=d)
 
 
-def null_space(m, rel_tol: float = RANK_REL) -> Subspace:
-    """Kernel of a matrix at the given relative rank tolerance."""
+def null_space(m) -> Subspace:
+    """Kernel of a matrix at the relative rank tolerance ``RANK_REL``."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     n = m.shape[1]
     if n == 0:
         raise ValueError("null space of a matrix with no columns is undefined")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     smax = s[0] if len(s) else 0.0
-    r = 0 if smax == 0.0 else int(np.sum(s >= rel_tol * smax))
+    r = 0 if smax == 0.0 else int(np.sum(s >= RANK_REL * smax))
     return Subspace(n, vh[r:].T)
 
 
@@ -304,10 +300,6 @@ class Lattice:
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def covolume(self) -> float:
-        return float(abs(np.linalg.det(self.basis)))
 
     @cached_property
     def _reduction(self) -> tuple[np.ndarray, np.ndarray]:

@@ -114,7 +114,6 @@ class CylindricBilliardSystem:
     dim: int
     lattice: Lattice
     cylinders: list[CylinderSpec]
-    interior_connected_asserted: bool = True
     # (generator spaces, base spaces), filled for every cylinder at once
     _spaces: tuple | None = field(default=None, init=False, repr=False)
     # the flow's collision-scan arrays, built on first use by torusflow
@@ -284,7 +283,6 @@ def system_to_dict(system: CylindricBilliardSystem) -> dict:
         "version": FORMAT_VERSION,
         "dim": system.dim,
         "lattice_basis": [[float(x) for x in row] for row in system.lattice.basis],
-        "interior_connected_asserted": bool(system.interior_connected_asserted),
         "cylinders": cyls,
     }
 
@@ -344,9 +342,6 @@ def system_from_dict(doc: dict) -> CylindricBilliardSystem:
             dim=d,
             lattice=Lattice(basis),
             cylinders=cylinders,
-            interior_connected_asserted=bool(
-                doc.get("interior_connected_asserted", False)
-            ),
         )
     except ValueError as exc:
         raise SystemFormatError(str(exc)) from exc

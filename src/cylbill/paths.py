@@ -397,14 +397,6 @@ def sequence_generator_intersection(system, labels) -> Subspace:
                               ambient_dim=system.dim))
 
 
-def _box(system, box_scale) -> float:
-    """Half-width of the offset box: ``box_scale``, by default three times
-    the largest radius."""
-    if box_scale is None:
-        return 3.0 * max(cyl.radius for cyl in system.cylinders)
-    return float(box_scale)
-
-
 def _draw(rng: np.random.Generator, d: int, width: int,
           box: float) -> tuple[np.ndarray, np.ndarray]:
     """One candidate's draws, in stream order: a uniform unit velocity,
@@ -583,16 +575,16 @@ def delta_sigma_report(system, labels, n_samples: int,
 
 
 def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
-                        n_samples: int, seed: int,
-                        box_scale: float | None) -> DeltaReport:
+                        n_samples: int, seed: int) -> DeltaReport:
     """The sampler of ``delta_sigma_constrained``.  Each sample draws up to
-    64 candidates (a unit velocity and a translation uniform in the box)
-    from its own child stream of ``seed``, traces them in stacked blocks of
-    ``_SCREEN_BLOCKS`` and keeps the first that traces."""
+    64 candidates (a unit velocity and a translation uniform in the box of
+    half-width three times the largest radius) from its own child stream
+    of ``seed``, traces them in stacked blocks of ``_SCREEN_BLOCKS`` and
+    keeps the first that traces."""
     _check_samples(n_samples)
     trace(system, labels, base_spec)   # base path must exist
     view = _SequenceView(system, labels)
-    box = _box(system, box_scale)
+    box = 3.0 * max(cyl.radius for cyl in system.cylinders)
     accepted, codes = [], []
     for child in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(child)
@@ -618,14 +610,13 @@ def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
 
 
 def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
-                            n_samples: int, seed: int,
-                            box_scale: float | None = None) -> int:
+                            n_samples: int, seed: int) -> int:
     """Largest expanding dimension over paths sharing the base path's
     relative cylinder positions: only the initial velocity and a uniform
     translation are varied.  More than ``MAX_DELTA_SAMPLES`` samples raise
     ``SampleLimitError`` before any path is traced."""
-    return _constrained_report(system, labels, base_spec, n_samples, seed,
-                               box_scale).value
+    return _constrained_report(system, labels, base_spec, n_samples,
+                               seed).value
 
 
 # ---------------------------------------------------------------------------

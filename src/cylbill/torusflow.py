@@ -32,7 +32,7 @@ import numpy as np
 
 from . import intlat
 from .classify import SplittingWitness, is_transitive
-from .config import AXIS_PARALLEL, DISC, MAP_CHUNK, T_MIN_GAP, UNIT_NORM
+from .config import AXIS_PARALLEL, CHUNK_ENTRIES, DISC, T_MIN_GAP, UNIT_NORM
 from .errors import DegeneracyError, InputError, UsageError
 from .geometry import Lattice
 from .paths import EuclideanPathSpec
@@ -839,14 +839,14 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     (and a free flight one more per ``view.window`` it spans), and records
     its flight, cylinder, velocity and normal; a window's end records only
     its offset.  The tangent pass takes the records in batches of at most
-    ``MAP_CHUNK`` map entries (maps × ``(2d)²``), builds the batch's
+    ``CHUNK_ENTRIES`` map entries (maps × ``(2d)²``), builds the batch's
     collision maps at once and applies them to a random orthonormal frame
     of all ``2d`` tangent vectors, drawn from ``seed``, by one product per
     collision.  A QR step re-orthonormalizes the frame when it grows past
     ``_FRAME_CAP`` and at the end of the run.  Each window's log is the log
     growth of the frame's leading vector over it, read at its end, a batch
     at a time; those logs and the QR steps' give every exponent.  Results
-    do not depend on ``MAP_CHUNK``.  A window holding a grazing or
+    do not depend on ``CHUNK_ENTRIES``.  A window holding a grazing or
     simultaneous contact is discarded: the state saved at its start is
     restored and the point stepped 1e-10 across the velocity in a
     direction drawn from ``seed``.  More than 20% discarded windows marks
@@ -884,7 +884,7 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     tangent = _TangentFrame(view, np.linalg.qr(frame)[0])
     orbit = _LyapunovOrbit(view, q, phase.v.copy(), renorm_dt, n_windows,
                            rng)
-    per_batch = max(1, MAP_CHUNK // (2 * d) ** 2)
+    per_batch = max(1, CHUNK_ENTRIES // (2 * d) ** 2)
     while orbit.closed < n_windows:
         if orbit.batch.restart or len(orbit.batch.flights) == per_batch:
             tangent.apply(orbit.take())
@@ -956,17 +956,22 @@ class SplittingScanResult:
     n_orbits: int
     n_with_witness: int
     n_degenerate: int
+    n_horizon_stops: int    # orbits that met no collision within the horizon
 
 
 def splitting_scan(system, n_orbits: int, n_collisions: int,
                    seed: int) -> SplittingScanResult:
     """Fraction of random orbits (fixed collision count) whose collision
-    set respects some orthogonal splitting."""
+    set respects some orthogonal splitting.  An orbit that stops short of
+    the count, at a singular contact or with no collision within the
+    horizon, is judged on the collisions it made and counted by why it
+    stopped."""
     if n_orbits < 1 or n_collisions < 1:
         raise ValueError("n_orbits and n_collisions must be >= 1")
     children = np.random.SeedSequence(seed).spawn(n_orbits)
     hits = 0
     degenerate = 0
+    horizon_stops = 0
     for child in children:
         rng = np.random.default_rng(child)
         phase = random_phase(system, rng)
@@ -974,6 +979,7 @@ def splitting_scan(system, n_orbits: int, n_collisions: int,
         if record.flags["tangential_encountered"] or \
                 record.flags["simultaneous_encountered"]:
             degenerate += 1
+        horizon_stops += record.flags["no_collision_within_horizon"]
         if detect_splitting(record, system) is not None:
             hits += 1
     return SplittingScanResult(
@@ -981,6 +987,7 @@ def splitting_scan(system, n_orbits: int, n_collisions: int,
         n_orbits=n_orbits,
         n_with_witness=hits,
         n_degenerate=degenerate,
+        n_horizon_stops=horizon_stops,
     )
 
 

@@ -16,7 +16,6 @@ from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from cylbill.paths import (
     EuclideanPathSpec,
     TraceError,
-    _box,
     _draw,
     _SequenceView,
     trace,
@@ -183,14 +182,16 @@ def spec_from_row(view: _SequenceView, v0, row) -> EuclideanPathSpec:
     return EuclideanPathSpec(v0=v0, offsets=tuple(row[c] for c in view.cols))
 
 
-def sample_spec(system, labels, rng: np.random.Generator,
-                box_scale: float | None = None) -> EuclideanPathSpec:
+def sample_spec(system, labels,
+                rng: np.random.Generator) -> EuclideanPathSpec:
     """Random path data: uniform unit initial velocity, offsets uniform in a
-    per-base-space coordinate box.  Most such paths do not trace.  The
-    reference for the draw order of the constrained δ sampler, which makes
-    the same ``_draw`` calls one candidate at a time."""
+    per-base-space coordinate box of half-width three times the largest
+    radius.  Most such paths do not trace.  The reference for the draw
+    order of the constrained δ sampler, which makes the same ``_draw``
+    calls one candidate at a time."""
     view = _SequenceView(system, labels)
-    v0, row = _draw(rng, view.d, view.width, _box(system, box_scale))
+    box = 3.0 * max(cyl.radius for cyl in system.cylinders)
+    v0, row = _draw(rng, view.d, view.width, box)
     return spec_from_row(view, v0, row)
 
 
@@ -235,10 +236,10 @@ def translate_each(system, labels, spec: EuclideanPathSpec, b_list,
     return EuclideanPathSpec(v0=spec.v0, offsets=tuple(new_offsets))
 
 
-def sample_traceable_spec(system, labels, rng, tries: int = 200,
-                          box_scale=None) -> EuclideanPathSpec | None:
+def sample_traceable_spec(system, labels, rng,
+                          tries: int = 200) -> EuclideanPathSpec | None:
     for _ in range(tries):
-        spec = sample_spec(system, labels, rng, box_scale)
+        spec = sample_spec(system, labels, rng)
         try:
             trace(system, labels, spec)
         except TraceError:

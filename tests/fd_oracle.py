@@ -23,7 +23,6 @@ from cylbill.config import RANK_REL
 from cylbill.geometry import (
     Subspace,
     complement,
-    null_space,
     orthonormalize,
     projector_distance,
 )
@@ -60,6 +59,16 @@ def column_space(m, rel_tol: float = RANK_REL) -> Subspace:
         return Subspace.zero(d)
     r = int(np.sum(s >= rel_tol * smax))
     return Subspace(d, u[:, :r])
+
+
+def null_space(m) -> Subspace:
+    """Kernel of a finite-difference matrix at ``FD_RANK_REL``, the cut
+    that ``geometry.null_space`` makes at ``RANK_REL``."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    smax = s[0] if len(s) else 0.0
+    r = 0 if smax == 0.0 else int(np.sum(s >= FD_RANK_REL * smax))
+    return Subspace(m.shape[1], vh[r:].T)
 
 
 class PerturbationFailure(RuntimeError):
@@ -166,7 +175,7 @@ def neutral_space_detail(system, labels,
     reflections in reverse order.  Their projector distance is reported."""
     res = trace(system, labels, spec)
     mat = dvm_matrix(system, labels, spec)
-    kernel = null_space(mat, rel_tol=FD_RANK_REL)
+    kernel = null_space(mat)
     comp = complement(column_space(mat, rel_tol=FD_RANK_REL))
     if comp.dim:
         pulled = apply_reflections(comp.basis, res.normals[::-1])

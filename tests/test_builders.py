@@ -21,6 +21,7 @@ from cylbill.classify import (
 )
 from cylbill.geometry import (
     Subspace,
+    orthonormalize,
     projector_distance,
     subspace_overlap,
 )
@@ -159,8 +160,8 @@ class TestDirectSum:
     def test_tilted_blocks_transitive(self, rng):
         m = np.eye(4)
         m[:, 2:] += 0.4 * rng.standard_normal((4, 2))
-        b1 = Subspace.span(m[:, :2].T.tolist())
-        b2 = Subspace.span(m[:, 2:].T.tolist())
+        b1 = orthonormalize(m[:, :2].T.tolist())
+        b2 = orthonormalize(m[:, 2:].T.tolist())
         system, graph = direct_sum_system([2, 2], [b1, b2], [0.2, 0.2])
         assert graph[0, 1]
         bases = system.base_spaces()
@@ -173,15 +174,15 @@ class TestDirectSum:
         m[:, 2:4] += 0.3 * np.roll(np.eye(6), 1, axis=1)[:, 2:4]
         m[0, 2] += 0.2
         m[2, 4] += 0.25
-        bases = [Subspace.span(m[:, 0:2].T.tolist()),
-                 Subspace.span(m[:, 2:4].T.tolist()),
-                 Subspace.span(m[:, 4:6].T.tolist())]
+        bases = [orthonormalize(m[:, 0:2].T.tolist()),
+                 orthonormalize(m[:, 2:4].T.tolist()),
+                 orthonormalize(m[:, 4:6].T.tolist())]
         system, graph = direct_sum_system([2, 2, 2], bases, [0.2, 0.2, 0.2])
         assert len(graph_components(graph)) == 1
         assert is_transverse(system)[0]
 
     def test_not_direct_sum_rejected(self):
-        b1 = Subspace.span([[1, 0, 0, 0], [0, 1, 0, 0]])
+        b1 = orthonormalize([[1, 0, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(NotDirectSumError):
             direct_sum_system([2, 2], [b1, b1], [0.1, 0.1])
         with pytest.raises(NotDirectSumError):
@@ -211,7 +212,8 @@ class TestSubBilliard:
         assert report.drift_lattice_rank == 0
         assert [c.radius for c in factor.cylinders] == \
             [c.radius for c in system.cylinders]
-        assert abs(factor.lattice.covolume - system.lattice.covolume) < 1e-12
+        assert abs(abs(np.linalg.det(factor.lattice.basis))
+                   - abs(np.linalg.det(system.lattice.basis))) < 1e-12
 
     def test_pair_factor_matches_direct_two_ball_build(self):
         masses = (1.0, 2.0, 5.0)
@@ -269,7 +271,9 @@ class TestSubBilliard:
 
 
 # Written by ``system_to_dict`` when the lattice quotient still used
-# Fraction inverses and determinants and the greedy rank loop.
+# Fraction inverses and determinants and the greedy rank loop.  They keep
+# the ``interior_connected_asserted`` line it wrote then and writes no more,
+# so that they also stand for older files, which must still load.
 BUILT_SYSTEMS = {
     "hb_2_2": HardBallParams(2, 2, (1.0, 1.0), 0.15),
     "hb_3_2": HardBallParams(3, 2, (1.0, 1.2, 0.9), 0.1),
@@ -282,5 +286,9 @@ BUILT_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(BUILT_SYSTEMS))
 def test_built_system_is_byte_identical_to_its_file(name):
     system, _ = hard_ball_system(BUILT_SYSTEMS[name])
-    expected = (Path(__file__).parent / "data" / f"{name}.json").read_bytes()
-    assert fileio.dumps(system_to_dict(system)).encode() == expected
+    lines = (Path(__file__).parent / "data" / f"{name}.json").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    expected = "".join(line for line in lines
+                       if line != '  "interior_connected_asserted": true,\n')
+    assert len(expected) < sum(map(len, lines))
+    assert fileio.dumps(system_to_dict(system)) == expected

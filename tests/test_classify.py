@@ -25,6 +25,7 @@ from cylbill.geometry import (
     Subspace,
     complement,
     null_space,
+    orthonormalize,
     span_of,
     subspace_overlap,
 )
@@ -39,7 +40,7 @@ from transverse_oracle import flats_depth_first, is_transverse_by_subsets
 
 
 def _span(*vecs):
-    return Subspace.span(list(vecs))
+    return orthonormalize(list(vecs))
 
 
 E1, E2, E3, E4 = np.eye(4)
@@ -443,7 +444,7 @@ class TestFlatsAgainstDepthFirst:
     def test_chunk_size_changes_no_result(self, monkeypatch):
         bases = _hard_ball(5, 2).base_spaces()
         masks, dims, proj = _flats(bases)
-        monkeypatch.setattr(classify, "FLAT_CHUNK", 1)
+        monkeypatch.setattr(classify, "CHUNK_ENTRIES", 1)
         one = _flats(bases)
         order = np.argsort(one[0])
         assert np.array_equal(np.sort(masks), one[0][order])
@@ -454,7 +455,7 @@ class TestFlatsAgainstDepthFirst:
     def test_chunk_size_changes_no_verdict(self, name, monkeypatch):
         system = FLAT_SYSTEMS[name]()
         default = is_transverse(system)
-        monkeypatch.setattr(classify, "FLAT_CHUNK", 1)
+        monkeypatch.setattr(classify, "CHUNK_ENTRIES", 1)
         assert is_transverse(system) == default
 
 
@@ -606,6 +607,6 @@ class TestWitnessInvariants:
             witness.check({i: b for i, b in enumerate(bases)})
 
     def test_bad_witness_rejected(self):
-        b1 = Subspace.span([E1, E2])
+        b1 = orthonormalize([E1, E2])
         with pytest.raises(ValueError):
-            SplittingWitness(b1, Subspace.span([E2, E3]), {}).check()
+            SplittingWitness(b1, orthonormalize([E2, E3]), {}).check()

@@ -383,6 +383,20 @@ class TestSimulateAndScans:
         assert code == 0
         assert '"fraction": 1' in text
 
+    @pytest.mark.parametrize("name, orbits, collisions, stops", [
+        ("hb_2_2", "10", "3000", 10), ("hb_3_2", "20", "100", 0)])
+    def test_splitting_scan_counts_horizon_stops(self, capsys, name, orbits,
+                                                 collisions, stops):
+        """Orbits that meet no collision within the horizon stop short of
+        the count, and the body and the summary say how many did."""
+        system = Path(__file__).parent / "data" / f"{name}.json"
+        code, text, _ = run(capsys, "splitting-scan", "--system",
+                            str(system), "--orbits", orbits,
+                            "--collisions", collisions, "--seed", "1")
+        assert code == 0
+        assert report_body(text)["n_horizon_stops"] == stops
+        assert f"# summary: {stops} of {orbits} orbits stopped short" in text
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 4

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cylbill import builders
+from cylbill import builders, fileio
 from cylbill.geometry import (
     Lattice,
     complement,
@@ -27,6 +29,8 @@ from conftest import (
     make_two_block_system,
     random_int_system,
 )
+
+DATA = sorted((Path(__file__).parent / "data").glob("*.json"))
 
 
 def _axis_cylinder(d, axes, r=0.3, t=None):
@@ -149,6 +153,22 @@ class TestDerivedSpaces:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("path", DATA, ids=lambda p: p.stem)
+    def test_files_with_the_retired_key_load_and_resave(self, path, tmp_path):
+        """Files that still carry ``interior_connected_asserted`` load and
+        validate; a re-saved system drops the key and reloads to the same
+        bytes."""
+        assert fileio.load(path)["interior_connected_asserted"] is True
+        system = load_system(path)
+        assert validate(system).ok
+        doc = system_to_dict(system)
+        assert "interior_connected_asserted" not in doc
+        save_system(system, tmp_path / "resaved.json")
+        text = (tmp_path / "resaved.json").read_text(encoding="utf-8")
+        assert text == fileio.dumps(doc)
+        back = system_to_dict(load_system(tmp_path / "resaved.json"))
+        assert fileio.dumps(back) == text
+
     def test_roundtrip_exact(self, tmp_path, rng):
         system = random_int_system(rng, 4)
         path = tmp_path / "sys.json"

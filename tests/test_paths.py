@@ -345,7 +345,7 @@ class TestThetaRank:
     """The finite-difference chart rank of the test oracle."""
 
     def test_single_collision_2d_full(self, sphere2, rng):
-        spec = sample_traceable_spec(sphere2, [0], rng, box_scale=3.0)
+        spec = sample_traceable_spec(sphere2, [0], rng)
         assert fd.theta_rank(sphere2, [0], spec) == 2 == \
             fd.theta_full_rank(sphere2, [0])
 
@@ -424,10 +424,9 @@ class TestDelta:
         system = make_sphere_system(2, r=1e-6, center=np.zeros(2))
         base = EuclideanPathSpec([1.0, 0.0], [np.array([2.0, 0.0])])
         # a random direction from the origin almost surely misses a sphere
-        # of radius 1e-6 at distance 2, moved by at most 1e-7
+        # of radius 1e-6 at distance 2, moved by at most 3e-6
         with pytest.raises(NoValidPath):
-            delta_sigma_constrained(system, [0], base, 3, seed=1,
-                                    box_scale=1e-7)
+            delta_sigma_constrained(system, [0], base, 3, seed=1)
 
     def test_sample_cap_refused_before_any_work(self):
         system = make_sphere_system(2, r=0.5, center=np.zeros(2))
@@ -439,10 +438,16 @@ class TestDelta:
             with pytest.raises(paths.SampleLimitError):
                 call()
 
-    def test_box_scale_only_on_constrained(self):
+    def test_no_sampler_takes_box_scale(self):
+        # the box is three times the largest radius, with no way to set it
         system = make_sphere_system(2, r=0.5, center=np.zeros(2))
-        with pytest.raises(TypeError):
-            delta_sigma_report(system, [0], 3, seed=1, box_scale=1.0)
+        base = EuclideanPathSpec([1.0, 0.0], [np.array([2.0, 0.0])])
+        for call in (lambda: delta_sigma_report(system, [0], 3, seed=1,
+                                                box_scale=1.0),
+                     lambda: delta_sigma_constrained(system, [0], base, 3,
+                                                     seed=1, box_scale=1.0)):
+            with pytest.raises(TypeError):
+                call()
 
 
 def _lattice_axes(system, labels) -> Subspace:
@@ -650,8 +655,7 @@ class TestBlockScreening:
         system = screen_systems(name)
         base = sample_traceable_spec(system, labels,
                                      np.random.default_rng(seed), tries=500)
-        report = paths._constrained_report(system, labels, base, 30, seed,
-                                           None)
+        report = paths._constrained_report(system, labels, base, 30, seed)
         dims, failed, rejected = one_candidate_constrained(
             system, labels, base, 30, seed)
         assert report.sample_dims == dims
@@ -691,8 +695,7 @@ class TestBlockScreening:
             return v0, a
 
         monkeypatch.setattr(paths, "_draw", draw)
-        report = paths._constrained_report(system, labels, base, 12, 21,
-                                           None)
+        report = paths._constrained_report(system, labels, base, 12, 21)
         assert report.n_success > 0 and report.n_attempts > 12
         ends = set(np.cumsum(paths._SCREEN_BLOCKS).tolist())
         pos = 0
@@ -714,8 +717,7 @@ class TestBlockScreening:
         for labels in ([0, 1], [0, 1, 2]):
             base = sample_traceable_spec(system, labels,
                                          np.random.default_rng(5), tries=2000)
-            report = paths._constrained_report(system, labels, base, 40, 5,
-                                               None)
+            report = paths._constrained_report(system, labels, base, 40, 5)
             assert tuple(report.rejected) == REJECTION_REASONS
             assert report.n_attempts == \
                 sum(report.rejected.values()) + report.n_success

@@ -6,6 +6,10 @@ the benchmark under ``cylbench/`` reads it from the package (an attribute
 of a name imported from ``cylbill``, or a string constant, since the
 traced pass binds names by string), or if README mentions it in
 backticks.  A name that only tests call belongs in ``tests/``.
+
+Likewise every keyword parameter of an exported function, one with a
+default or keyword-only, is passed by its name somewhere in the package or
+the benchmark: a value that only tests set is a constant.
 """
 
 import ast
@@ -105,6 +109,72 @@ def test_every_exported_name_has_a_user():
     unused = {name: sorted(modules) for name, modules in exported().items()
               if name not in used}
     assert unused == {}
+
+
+def keyword_parameters() -> dict[str, list[str]]:
+    """The keyword parameters of each exported function, by
+    ``module.function``."""
+    names = exported()
+    found: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                found[f"{path.stem}.{node.name}"] = [
+                    a.arg for a in defaulted + args.kwonlyargs]
+    return found
+
+
+def passed_by_name(path: Path) -> set[str]:
+    """Keyword names a module passes in calls, with the string keys of a
+    dict passed as ``**``: a dict literal, or the dict literals that a
+    function of the same module returns."""
+    tree = _parse(path)
+    returned: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            returned[node.name] = {
+                key.value for ret in ast.walk(node)
+                if isinstance(ret, ast.Return)
+                and isinstance(ret.value, ast.Dict)
+                for key in ret.value.keys if isinstance(key, ast.Constant)}
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        for kw in node.keywords:
+            value = kw.value
+            if kw.arg is not None:
+                found.add(kw.arg)
+            elif isinstance(value, ast.Dict):
+                found |= {key.value for key in value.keys
+                          if isinstance(key, ast.Constant)}
+            elif isinstance(value, ast.Call):
+                func = value.func
+                name = getattr(func, "id", None) or getattr(func, "attr", "")
+                found |= returned.get(name, set())
+    return found
+
+
+def test_every_keyword_parameter_is_set_outside_tests():
+    passed: set[str] = set()
+    for path in [*PACKAGE.glob("*.py"), *BENCHMARK.glob("*.py")]:
+        passed |= passed_by_name(path)
+    unset = {function: [p for p in params if p not in passed]
+             for function, params in keyword_parameters().items()}
+    assert {f: p for f, p in unset.items() if p} == {}
+
+
+def test_the_knob_walk_sees_every_keyword_route():
+    params = keyword_parameters()
+    assert params["torusflow.lyapunov_max"] == ["d0", "seed"]
+    assert params["builders.direct_sum_system"] == [
+        "translations", "lattice_basis"]
+    # the CLI passes these two only through the dict of _directsum_params
+    assert {"translations", "lattice_basis"} <= passed_by_name(
+        PACKAGE / "cli.py")
 
 
 def test_the_walk_sees_every_module():

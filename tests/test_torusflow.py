@@ -838,8 +838,8 @@ class TestLyapunov:
         too."""
         system, phase, seed, total_t = _oracle_orbit(orbit)
         runs = []
-        for chunk in (tf.MAP_CHUNK, (2 * system.dim) ** 2):
-            monkeypatch.setattr(tf, "MAP_CHUNK", chunk)
+        for chunk in (tf.CHUNK_ENTRIES, (2 * system.dim) ** 2):
+            monkeypatch.setattr(tf, "CHUNK_ENTRIES", chunk)
             runs.append(tf.lyapunov_max(system, phase, total_t=total_t,
                                         renorm_dt=1.0, d0=1e-9, seed=seed))
         default, single = runs
@@ -930,8 +930,9 @@ class TestFactorFlowConsistency:
 
         rec_full = tf.flow(full, tf.PhasePoint(q_full, v_full),
                            max_collisions=6, default_horizon=1e3)
-        q_red = report.to_factor @ rec_full.initial.q
-        v_red = report.to_factor @ v_full
+        to_factor = report.active_space.basis.T
+        q_red = to_factor @ rec_full.initial.q
+        v_red = to_factor @ v_full
         rec_red = tf.flow(reduced,
                           tf.PhasePoint(q_red, v_red / np.linalg.norm(v_red)),
                           max_collisions=6, default_horizon=1e3)
