@@ -169,7 +169,7 @@ def test_every_keyword_parameter_is_set_outside_tests():
 
 def test_the_knob_walk_sees_every_keyword_route():
     params = keyword_parameters()
-    assert params["torusflow.lyapunov_max"] == ["d0", "seed"]
+    assert "seed" in params["torusflow.lyapunov_max"]    # keyword-only
     assert params["builders.direct_sum_system"] == [
         "translations", "lattice_basis"]
     # the CLI passes these two only through the dict of _directsum_params
