@@ -11,6 +11,7 @@ base in ``cylbill.errors``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from datetime import datetime, timezone
@@ -38,8 +39,12 @@ def _run_info(seed=None) -> dict:
     info = {
         "tolerances": {
             "rank_rel": config.RANK_REL,
+            "drop": config.DROP,
             "disc": config.DISC,
             "t_min_gap": config.T_MIN_GAP,
+            "axis_parallel": config.AXIS_PARALLEL,
+            "unit_norm": config.UNIT_NORM,
+            "overlap": config.OVERLAP,
         },
     }
     if seed is not None:
@@ -79,6 +84,14 @@ def _parse_vector(text: str) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise UsageError(f"vector {text!r} has a non-finite component")
     return vec
+
+
+def _seed(text: str) -> int:
+    """A non-negative ``--seed``; argparse names the option on refusal."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, not {text!r}")
+    return int(text)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -229,7 +242,6 @@ def _delta_body(args):
         "sample_dims": report.sample_dims,
         "n_attempts": report.n_attempts,
         "rejected": report.rejected,
-        "advance_range": list(report.advance_range),
         "constrained_manifold_dim": report.d + report.bound,
         "run": _run_info(seed=args.seed),
     }
@@ -274,16 +286,27 @@ def _initial_phase(args, system) -> flow.PhasePoint:
     return flow.PhasePoint(q, v / nv)
 
 
+@contextlib.contextmanager
+def _start_point(q_text: str | None):
+    """A ``--q`` inside a scatterer is a refused argument, not a
+    degeneracy of the run; a sampled start point is always outside."""
+    try:
+        yield
+    except flow.StartInside as exc:
+        raise UsageError(f"--q {q_text}: {exc}") from exc
+
+
 def cmd_simulate(args) -> int:
     system = _load_valid_system(args.system)
     phase = _initial_phase(args, system)
     if args.collisions is None and args.time is None:
         raise UsageError("need --collisions or --time")
-    record = flow.flow(
-        system, phase,
-        max_collisions=args.collisions,
-        max_time=args.time,
-    )
+    with _start_point(args.q):
+        record = flow.flow(
+            system, phase,
+            max_collisions=args.collisions,
+            max_time=args.time,
+        )
     flow.save_record(record, args.out)
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:
@@ -311,12 +334,13 @@ def cmd_simulate(args) -> int:
 def cmd_lyapunov(args) -> int:
     system = _load_valid_system(args.system)
     phase = _initial_phase(args, system)
-    result = flow.lyapunov_max(
-        system, phase,
-        total_t=args.total_time,
-        renorm_dt=args.renorm_dt,
-        seed=args.seed,
-    )
+    with _start_point(args.q):
+        result = flow.lyapunov_max(
+            system, phase,
+            total_t=args.total_time,
+            renorm_dt=args.renorm_dt,
+            seed=args.seed,
+        )
     body = {
         "system": args.system,
         "estimate": result.estimate,
@@ -415,7 +439,7 @@ def build_parser() -> _Parser:
         p.add_argument("--system", required=True)
         p.add_argument("--sigma", required=True)
         p.add_argument("--samples", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_seed, required=True)
         p.add_argument("--out", default=None)
         p.set_defaults(func=fn)
 
@@ -424,7 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", default=None, help="comma-separated start position")
     p.add_argument("--v", default=None, help="comma-separated start velocity")
     p.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--collisions", type=int, default=None)
     p.add_argument("--time", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -436,7 +460,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", default=None)
     p.add_argument("--v", default=None)
     p.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--total-time", type=float, required=True)
     p.add_argument("--renorm-dt", type=float, default=1.0)
     p.add_argument("--dump-windows", action="store_true")
@@ -448,7 +472,7 @@ def build_parser() -> _Parser:
     p.add_argument("--system", required=True)
     p.add_argument("--orbits", type=int, required=True)
     p.add_argument("--collisions", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_splitting_scan)
     return parser

@@ -1,9 +1,8 @@
 """Package-wide numerical tolerances, each defined once, and the work sizes.
 
-Every module reads these constants directly, and CLI reports record the
-rank, discriminant and time-gap tolerances under ``run.tolerances``, so a
-report states the values its computation used.  The work sizes change no
-result.
+Every module reads these constants directly, and every CLI report records
+all seven tolerances under ``run.tolerances``, so a report states the
+values its computation used.  The work sizes change no result.
 """
 
 RANK_REL = 1e-8

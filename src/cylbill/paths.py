@@ -15,8 +15,9 @@ reports per row how far it got and why it failed; ``trace`` is its
 one-row case.  The neutral space is exact: a chain of linear constraints
 built from the path's own velocities, one block per collision, decided by
 one SVD with the package's ``RANK_REL`` cutoff.  The δ sampler builds each
-path forward from random velocities, advances and normals, so every draw
-that clears the kernel's guards is a valid path, and nothing is traced.
+path's velocity history forward from a random initial velocity and random
+normals, so every draw that clears the kernel's guards is a valid path,
+and nothing is traced.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .geometry import (
     Subspace,
     complement,
     null_space,
-    orthonormalize,
     span_of,
 )
 
@@ -61,7 +61,6 @@ __all__ = [
     "delta_sigma_constrained",
     "delta_sigma_report",
     "REJECTION_REASONS",
-    "ADVANCE_RANGE",
     "sequence_generator_intersection",
 ]
 
@@ -199,9 +198,8 @@ _FAILURES = {
 
 @dataclass(eq=False)
 class _Stack:
-    """N paths traced (or built) together.  A failed row's
-    ``min_incidence`` is NaN; in a traced stack the whole row is NaN from
-    its failing collision on."""
+    """N paths traced together by ``_collide``.  A failed row is NaN from
+    its failing collision on, its ``min_incidence`` too."""
 
     times: np.ndarray          # (N, m)
     velocities: np.ndarray     # (N, m+1, d)
@@ -288,7 +286,11 @@ def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
     """Follow the path through its collision sequence: the one-row case of
     the stacked kernel, raising ``NoRealRoot``, ``Tangential`` or
     ``NonAdvancing`` at the collision where the path fails."""
-    view = _SequenceView(system, labels)
+    return _trace(_SequenceView(system, labels), spec)
+
+
+def _trace(view: _SequenceView,
+           spec: EuclideanPathSpec) -> EuclideanPathResult:
     _check_spec(view, spec)
     stack = _collide(view, spec.v0[None, :],
                      _offset_row(spec.offsets)[None, :])
@@ -358,8 +360,8 @@ def _expanding_dims(view: _SequenceView,
 
 def _neutral(system, labels, spec: EuclideanPathSpec):
     """The exact neutral space of a path that traces, and its normals."""
-    res = trace(system, labels, spec)
     view = _SequenceView(system, labels)
+    res = _trace(view, spec)
     if not view.width:
         return Subspace.full(view.d), res.normals
     stack = _constraint_stack(view, res.velocities[None])
@@ -375,11 +377,12 @@ def neutral_space(system, labels, spec: EuclideanPathSpec) -> Subspace:
 def w_plus(system, labels, spec: EuclideanPathSpec) -> Subspace:
     """Expanding directions of an initially parallel beam: the orthogonal
     complement of the neutral space carried through the path's
-    reflections, of dimension d - dim N."""
+    reflections, of dimension d - dim N.  Reflections are orthogonal, so
+    this is the reflected complement of the neutral space, and its basis
+    stays orthonormal."""
     neutral, normals = _neutral(system, labels, spec)
-    reflected = apply_reflections(neutral.basis, normals)
-    return complement(orthonormalize(reflected.T,
-                                     ambient_dim=neutral.ambient_dim))
+    return Subspace(neutral.ambient_dim,
+                    apply_reflections(complement(neutral).basis, normals))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +413,9 @@ REJECTION_REASONS = ("miss", "graze", "non_advancing")
 """Why a sampled path failed, in the order of the collision kernel's
 checks: it misses a cylinder or runs along its axis, grazes one (its
 discriminant within the ``DISC`` guard), or does not advance beyond
-``T_MIN_GAP``.  Index k is the failure status k + 1."""
-
-ADVANCE_RANGE = (T_MIN_GAP, 1.0)
-"""Interval of the uniform advance before each collision of a path the δ
-sampler builds; reports record it.  The neutral space depends on the
-velocities alone, so the advances only place the cylinders."""
+``T_MIN_GAP``.  Index k is the failure status k + 1.  Only a traced
+candidate of the constrained screen can fail the last way: the
+constructive sampler draws no advances."""
 
 # Candidates a constrained sample screens per stacked kernel call, 64 in
 # all.  A block costs one kernel call plus one draw per candidate, and the
@@ -434,8 +434,6 @@ class DeltaReport:
     candidates up to each sample's first traced one (all 64 for a failed
     sample).  ``rejected`` splits the failed candidates by reason, so
     ``n_attempts == sum(rejected.values()) + n_success``.
-    ``advance_range`` is the constructive sampler's ``ADVANCE_RANGE``
-    (None for the constrained screen, which draws no advances).
     """
 
     value: int
@@ -446,7 +444,6 @@ class DeltaReport:
     sample_dims: list[int]
     n_attempts: int
     rejected: dict[str, int]
-    advance_range: tuple[float, float] | None = None
 
     @property
     def rich(self) -> bool:
@@ -454,8 +451,7 @@ class DeltaReport:
 
 
 def _report(system, labels, view: _SequenceView, dims: list[int],
-            n_samples: int, codes: np.ndarray,
-            advance_range=None) -> DeltaReport:
+            n_samples: int, codes: np.ndarray) -> DeltaReport:
     """Report over the accepted paths' expanding dimensions; ``codes``
     holds the status of every candidate examined."""
     if not dims:
@@ -469,78 +465,57 @@ def _report(system, labels, view: _SequenceView, dims: list[int],
                        n_failed_samples=n_samples - len(dims),
                        sample_dims=dims, n_attempts=int(codes.size),
                        rejected={reason: int(c) for reason, c
-                                 in zip(REJECTION_REASONS, counts[1:])},
-                       advance_range=advance_range)
+                                 in zip(REJECTION_REASONS, counts[1:])})
 
 
-def _construct(view: _SequenceView, v0s: np.ndarray, advances: np.ndarray,
-               normals: np.ndarray) -> tuple[_Stack, np.ndarray]:
-    """Build N paths forward: row i starts at the origin with unit velocity
-    ``v0s[i]``, flies ``advances[i, j]`` to collision j and meets cylinder j
-    there with the unit base normal along ``normals[i]``'s columns for j,
-    turned to face the incoming velocity.  Returns the paths as a stack
-    and the offset rows that place the cylinders, ``B_jᵀ x_j − r_j n_j``.
+def _construct(view: _SequenceView, v0s: np.ndarray,
+               normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity histories (N, m+1, d) of N paths built forward, and their
+    statuses: row i starts with unit velocity ``v0s[i]`` and reflects off
+    cylinder j at the unit base normal along ``normals[i]``'s columns for
+    j.  No advance is drawn: the neutral space depends on the velocities
+    alone, and the flights would only place the cylinders.
 
-    An inward normal makes the contact the smaller root of the collision
-    quadratic, whose discriminant is ``r²(u·n)²``, so the kernel's guards
-    become checks on the drawn values: a row fails at the first collision
-    where ``|u|² < AXIS_PARALLEL`` (miss), ``(u·n)² < DISC |u|²`` (graze)
-    or the advance is not above ``T_MIN_GAP`` (non_advancing).
+    Facing the incoming velocity, the normal makes the contact the smaller
+    root of the collision quadratic, whose discriminant is ``r²(u·n)²``;
+    so a row fails at the first collision where ``|u|² < AXIS_PARALLEL``
+    (miss) or ``(u·n)² < DISC |u|²`` (graze), and neither check nor the
+    reflection depends on the normal's sign.
     """
     n, d = v0s.shape
-    m = len(view.labels)
-    vels = np.empty((n, m + 1, d))
-    nrms = np.empty((n, m, d))
-    offsets = np.empty((n, view.width))
+    vels = np.empty((n, len(view.labels) + 1, d))
     status = np.zeros(n, dtype=np.intp)
-    step = np.full(n, -1, dtype=np.intp)
-    inc = np.ones(n)
     v = vels[:, 0] = v0s
-    x = np.zeros((n, d))
     vecdot = np.vecdot
-    for j, (basis, r, cols) in enumerate(zip(view.bases, view.radii,
-                                             view.cols)):
+    for j, (basis, cols) in enumerate(zip(view.bases, view.cols)):
         u = v @ basis
         n_local = normals[:, cols]
         n_local = n_local / np.sqrt(vecdot(n_local, n_local))[:, None]
         un = vecdot(u, n_local)
-        n_local[un > 0] *= -1.0         # face the incoming velocity
-        un = -np.abs(un)
         uu = vecdot(u, u)
-        s = advances[:, j]
-        code = np.select([uu < AXIS_PARALLEL, un * un < DISC * uu,
-                          ~(s > T_MIN_GAP)],
-                         [_MISS, _GRAZE, _NON_ADVANCING], 0)
-        new = (code != 0) & (step < 0)
+        code = np.select([uu < AXIS_PARALLEL, un * un < DISC * uu],
+                         [_MISS, _GRAZE], 0)
+        new = (code != 0) & (status == 0)
         status[new] = code[new]
-        step[new] = j
-        x = x + s[:, None] * v
-        offsets[:, cols] = x @ basis - r * n_local
-        nrm = n_local @ basis.T
-        inc = np.minimum(inc, -un)
-        v = v - 2.0 * un[:, None] * nrm
-        nrms[:, j] = nrm
+        v = v - 2.0 * un[:, None] * (n_local @ basis.T)
         vels[:, j + 1] = v
-    inc[status != 0] = np.nan
-    return _Stack(times=np.cumsum(advances, axis=1), velocities=vels,
-                  normals=nrms, min_incidence=inc, status=status,
-                  step=step), offsets
+    return vels, status
 
 
 def _free_draws(view: _SequenceView, n_samples: int, seed: int):
     """The constructive sampler's draws, in chunks of ``SAMPLE_CHUNK``
-    samples: unit initial velocities, advances uniform in
-    ``ADVANCE_RANGE`` and unnormalized base normals.  Each quantity comes
-    from its own child stream of ``seed``, drawn chunk after chunk, so that
-    the draws of k samples are a prefix of the draws of more."""
-    v_rng, s_rng, n_rng = (np.random.default_rng(child) for child
-                           in np.random.SeedSequence(seed).spawn(3))
+    samples: unit initial velocities and unnormalized base normals.  Each
+    quantity comes from its own child stream of ``seed``, drawn chunk after
+    chunk, so that the draws of k samples are a prefix of the draws of
+    more."""
+    # child 1 held the advances once; skipping it keeps every seed's samples
+    v_rng, _, n_rng = (np.random.default_rng(child) for child
+                       in np.random.SeedSequence(seed).spawn(3))
     for done in range(0, n_samples, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, n_samples - done)
         v0s = v_rng.standard_normal((n, view.d))
         v0s /= np.sqrt(np.vecdot(v0s, v0s))[:, None]
-        advances = s_rng.uniform(*ADVANCE_RANGE, size=(n, len(view.labels)))
-        yield v0s, advances, n_rng.standard_normal((n, view.width))
+        yield v0s, n_rng.standard_normal((n, view.width))
 
 
 def _check_samples(n_samples: int) -> None:
@@ -566,12 +541,11 @@ def delta_sigma_report(system, labels, n_samples: int,
     dims: list[int] = []
     codes = []
     for draws in _free_draws(view, n_samples, seed):
-        stack, _ = _construct(view, *draws)
-        dims += _expanding_dims(view,
-                                stack.velocities[stack.status == 0]).tolist()
-        codes.append(stack.status)
+        velocities, status = _construct(view, *draws)
+        dims += _expanding_dims(view, velocities[status == 0]).tolist()
+        codes.append(status)
     return _report(system, labels, view, dims, n_samples,
-                   np.concatenate(codes), ADVANCE_RANGE)
+                   np.concatenate(codes))
 
 
 def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
@@ -582,8 +556,8 @@ def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
     of ``seed``, traces them in stacked blocks of ``_SCREEN_BLOCKS`` and
     keeps the first that traces."""
     _check_samples(n_samples)
-    trace(system, labels, base_spec)   # base path must exist
     view = _SequenceView(system, labels)
+    _trace(view, base_spec)   # base path must exist
     box = 3.0 * max(cyl.radius for cyl in system.cylinders)
     accepted, codes = [], []
     for child in np.random.SeedSequence(seed).spawn(n_samples):

@@ -251,7 +251,8 @@ class TestDeltaRich:
             paths.REJECTION_REASONS))
         assert body["n_attempts"] == \
             sum(body["rejected"].values()) + body["n_success"]
-        assert body["advance_range"] == list(paths.ADVANCE_RANGE)
+        # no advance is drawn, so none is recorded
+        assert "advance_range" not in body
         assert "# summary: candidates:" in text
 
     def test_box_scale_flag_is_gone(self, capsys, tmp_path, sphere_file):
@@ -374,6 +375,62 @@ class TestSimulateAndScans:
         assert (body["n_windows"], body["renorm_dt"], body["total_time"]) \
             == (n_windows, 1.0, float(n_windows))
 
+    @pytest.mark.parametrize("dump", [True, False])
+    def test_lyapunov_dump_windows(self, capsys, dump):
+        """With the flag, the body lists one log per kept window, and
+        their mean rate is the estimate; without it, none."""
+        system = Path(__file__).parent / "data" / "hb_2_2.json"
+        code, text, _ = run(capsys, "lyapunov", "--system", str(system),
+                            "--q", "0.5,0.5", "--v", "0.6,0.8",
+                            "--total-time", "50", "--seed", "1",
+                            *(("--dump-windows",) if dump else ()))
+        assert code == 0
+        body = report_body(text)
+        if not dump:
+            assert body["window_logs"] is None
+            return
+        logs = body["window_logs"]
+        assert len(logs) == body["n_kept"] == 50
+        assert abs(sum(logs) / (body["n_kept"] * body["renorm_dt"])
+                   - body["estimate"]) <= 1e-12
+
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--collisions", "5", "--out", "{out}"),
+        ("lyapunov", "--total-time", "10", "--seed", "1"),
+    ], ids=["simulate", "lyapunov"])
+    def test_start_inside_is_a_usage_error(self, capsys, tmp_path, command):
+        """A ``--q`` inside a scatterer is a refused argument."""
+        system = Path(__file__).parent / "data" / "hb_2_2.json"
+        name, *rest = command
+        code, _, err = run(capsys, name, "--system", str(system),
+                           "--q", "0,0", "--v", "0.6,0.8",
+                           *(a.format(out=tmp_path / "x.json") for a in rest))
+        assert code == 4
+        assert err == "usage error: --q 0,0: start point lies inside " \
+                      "cylinder 0\n"
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--q", "0.5,0.5", "--v", "0.6,0.8", "--collisions", "5",
+         "--out", "{out}"),
+        ("lyapunov", "--random", "--total-time", "10"),
+        ("splitting-scan", "--orbits", "2", "--collisions", "5"),
+        ("delta", "--sigma", "{sigma}", "--samples", "5"),
+    ], ids=["simulate", "lyapunov", "splitting-scan", "delta"])
+    def test_seed_is_a_non_negative_integer(self, capsys, tmp_path, command):
+        system = Path(__file__).parent / "data" / "hb_2_2.json"
+        sigma = tmp_path / "sigma.json"
+        save_sigma([0], sigma)
+        name, *rest = command
+        code, _, err = run(capsys, name, "--system", str(system),
+                           "--seed", "-1",
+                           *(a.format(out=tmp_path / "x.json", sigma=sigma)
+                             for a in rest))
+        assert code == 4
+        assert err == "usage error: argument --seed: expected a " \
+                      "non-negative integer, not '-1'\n"
+        assert not (tmp_path / "x.json").exists()
+
     def test_splitting_scan_product_system(self, capsys, tmp_path):
         p = tmp_path / "blocks.json"
         save_system(make_two_block_system(), p)
@@ -485,6 +542,13 @@ def _lyapunov(files, q="0,0.5", v="0.6,0.8", total_t=10.0, renorm_dt=1.0):
                            renorm_dt=renorm_dt, seed=1)
 
 
+def _from_q(run_from, q, **kwargs):
+    """A run from the start point ``--q``, as the command makes it: a
+    point inside a scatterer is a refused argument."""
+    with cli._start_point(q):
+        return run_from(q=q, **kwargs)
+
+
 HARDBALL = ("build", "hardball", "--n", "3", "--nu", "2", "--out", "{out}")
 SIMULATE = ("simulate", "--system", "{sinai}", "--out", "{out}")
 LYAPUNOV = ("lyapunov", "--system", "{sinai}", "--seed", "1")
@@ -573,7 +637,8 @@ FAILING_COMMANDS = {
                           max_collisions=5)),
     "simulate-start-inside": (
         SIMULATE + ("--q", "0.5,0.5", "--v", "1,0", "--collisions", "5"),
-        lambda f: _flow(f, q="0.5,0.5", v="1,0", max_collisions=5)),
+        lambda f: _from_q(_flow, "0.5,0.5", files=f, v="1,0",
+                          max_collisions=5)),
     "lyapunov-total-time-inf": (
         LYAPUNOV + ("--q", "0,0.5", "--v", "0.6,0.8", "--total-time", "inf"),
         lambda f: _lyapunov(f, total_t=INF)),
@@ -590,7 +655,7 @@ FAILING_COMMANDS = {
         lambda f: _lyapunov(f, total_t=0.4)),
     "lyapunov-start-inside": (
         LYAPUNOV + ("--q", "0.5,0.5", "--v", "1,0", "--total-time", "10"),
-        lambda f: _lyapunov(f, q="0.5,0.5", v="1,0")),
+        lambda f: _from_q(_lyapunov, "0.5,0.5", files=f, v="1,0")),
     "splitting-scan-collisions-0": (
         SCAN + ("--orbits", "3", "--collisions", "0"),
         lambda f: tf.splitting_scan(_sinai(f), 3, 0, 1)),
@@ -715,15 +780,24 @@ class TestOneToleranceSource:
         assert code == 4
         assert err.startswith("usage error: ")
 
-    def test_report_records_config_tolerances(self, capsys, hardball_file):
-        code, text, _ = run(capsys, "classify", "--system",
-                            str(hardball_file))
-        assert code == 0
-        assert report_body(text)["run"]["tolerances"] == {
-            "rank_rel": config.RANK_REL,
-            "disc": config.DISC,
-            "t_min_gap": config.T_MIN_GAP,
-        }
+    def test_report_records_config_tolerances(self, capsys, tmp_path,
+                                              hardball_file):
+        sigma = tmp_path / "sigma.json"
+        save_sigma([0, 1, 2], sigma)
+        for argv in (("classify", "--system", str(hardball_file)),
+                     ("delta", "--system", str(hardball_file), "--sigma",
+                      str(sigma), "--samples", "5", "--seed", "1")):
+            code, text, _ = run(capsys, *argv)
+            assert code == 0
+            assert report_body(text)["run"]["tolerances"] == {
+                "rank_rel": config.RANK_REL,
+                "drop": config.DROP,
+                "disc": config.DISC,
+                "t_min_gap": config.T_MIN_GAP,
+                "axis_parallel": config.AXIS_PARALLEL,
+                "unit_norm": config.UNIT_NORM,
+                "overlap": config.OVERLAP,
+            }
 
 
 def package_modules():

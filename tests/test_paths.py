@@ -297,11 +297,11 @@ class TestNeutralSpace:
         system = hard_balls(5, 0.05)
         labels = list(range(system.k))
         view = paths._SequenceView(system, labels)
-        stack, _ = paths._construct(
+        velocities, _ = paths._construct(
             view, *next(paths._free_draws(view, 20, seed=4)))
-        dims = paths._expanding_dims(view, stack.velocities)
+        dims = paths._expanding_dims(view, velocities)
         for i in range(20):
-            one = paths._constraint_stack(view, stack.velocities[i:i + 1])
+            one = paths._constraint_stack(view, velocities[i:i + 1])
             s = np.linalg.svd(one[0], compute_uv=False)
             assert dims[i] == np.count_nonzero(s >= 1e-8 * s[0])
         assert set(dims.tolist()) == {system.dim - 1}
@@ -722,7 +722,6 @@ class TestBlockScreening:
             assert report.n_attempts == \
                 sum(report.rejected.values()) + report.n_success
             assert report.n_attempts <= 64 * 40
-            assert report.advance_range is None
 
 
 class TestConstructiveSampler:
@@ -757,9 +756,33 @@ class TestConstructiveSampler:
             report = delta_sigma_report(system, labels, 100, seed)
             assert report.n_attempts == report.n_success == 100
             assert report.rejected == dict.fromkeys(REJECTION_REASONS, 0)
-            assert report.advance_range == paths.ADVANCE_RANGE
+
+    @staticmethod
+    def place_cylinders(view, velocities, normals, advances):
+        """Offset rows that put constructed paths' collisions in place:
+        each path flies ``advances[i, j]`` to collision j, at ``x_j``, and
+        meets cylinder j there with its unit base normal ``n_j`` facing
+        the incoming velocity, so the offset is ``B_jᵀ x_j − r_j n_j``.
+        Also returns the collision times and the ambient normals."""
+        n, m = advances.shape
+        offsets = np.empty((n, view.width))
+        nrms = np.empty((n, m, view.d))
+        x = np.zeros((n, view.d))
+        for j, (basis, r, cols) in enumerate(zip(view.bases, view.radii,
+                                                 view.cols)):
+            v = velocities[:, j]
+            x = x + advances[:, j:j + 1] * v
+            n_local = normals[:, cols] / np.linalg.norm(normals[:, cols],
+                                                        axis=1)[:, None]
+            n_local[np.vecdot(v @ basis, n_local) > 0] *= -1.0
+            offsets[:, cols] = x @ basis - r * n_local
+            nrms[:, j] = n_local @ basis.T
+        return offsets, np.cumsum(advances, axis=1), nrms
 
     def test_constructed_paths_retrace(self):
+        # the velocity histories the sampler builds are those of real
+        # paths: placed with drawn advances, every cylinder is met in
+        # order, and the kernel traces the same velocities
         rng = np.random.default_rng(61)
         systems = [hard_balls(3, 0.15), hard_balls(5, 0.05),
                    make_sphere_system(3, 0.5, np.zeros(3)),
@@ -769,43 +792,42 @@ class TestConstructiveSampler:
             for m in (1, 2, 3):
                 labels = [int(x) for x in rng.integers(0, system.k, size=m)]
                 view = paths._SequenceView(system, labels)
-                draws = next(paths._free_draws(view, 40,
-                                               int(rng.integers(1000))))
-                stack, offsets = paths._construct(view, *draws)
-                for i in np.flatnonzero(stack.status == 0):
+                seed = int(rng.integers(1000))
+                v0s, normals = next(paths._free_draws(view, 40, seed))
+                velocities, status = paths._construct(view, v0s, normals)
+                advances = np.random.default_rng(seed).uniform(
+                    T_MIN_GAP, 1.0, size=(40, m))
+                offsets, times, nrms = self.place_cylinders(
+                    view, velocities, normals, advances)
+                for i in np.flatnonzero(status == 0):
                     res = trace(system, labels,
-                                spec_from_row(view, draws[0][i], offsets[i]))
-                    assert np.max(np.abs(res.times - stack.times[i])) <= 1e-9
+                                spec_from_row(view, v0s[i], offsets[i]))
+                    assert np.max(np.abs(res.times - times[i])) <= 1e-9
                     assert np.max(np.abs(res.velocities
-                                         - stack.velocities[i])) <= 1e-9
-                    assert np.max(np.abs(res.normals
-                                         - stack.normals[i])) <= 1e-9
+                                         - velocities[i])) <= 1e-9
+                    assert np.max(np.abs(res.normals - nrms[i])) <= 1e-9
                     checked += 1
         assert checked >= 590
 
     def test_guards_fail_their_sample(self):
         # draws that break each guard fail where the kernel fails the
-        # constructed path, for the same reason
+        # placed path, for the same reason
         system = make_two_block_system()
         labels = [0, 1]
         view = paths._SequenceView(system, labels)
         v0s = np.array([unit([1, 1, 1, 1]), unit([0, 0, 1, 1]),
-                        unit([1, 1, 1, 1]), unit([1, 1, 1, 1]),
-                        unit([1, 2, 1, 1])])
-        advances = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5],
-                             [0.5, T_MIN_GAP / 2], [0.5, 0.5]])
+                        unit([1, 1, 1, 1]), unit([1, 2, 1, 1])])
         normals = np.array([[1.0, 0.0, 1.0, 0.0],   # traces
                             [1.0, 0.0, 1.0, 0.0],   # axial: u = 0
                             [1.0, -1.0, 1.0, 0.0],  # u . n = 0
-                            [1.0, 0.0, 1.0, 0.0],   # second advance too short
                             [1.0, 0.0, 1.0, 0.0]])  # traces
-        stack, offsets = paths._construct(view, v0s, advances, normals)
-        assert stack.status.tolist() == [0, paths._MISS, paths._GRAZE,
-                                         paths._NON_ADVANCING, 0]
-        assert stack.step.tolist() == [-1, 0, 0, 1, -1]
+        velocities, status = paths._construct(view, v0s, normals)
+        assert status.tolist() == [0, paths._MISS, paths._GRAZE, 0]
+        offsets, _, _ = self.place_cylinders(view, velocities, normals,
+                                             np.full((4, 2), 0.5))
         traced = paths._collide(view, v0s, offsets)
-        assert traced.status.tolist() == stack.status.tolist()
-        assert traced.step.tolist() == stack.step.tolist()
+        assert traced.status.tolist() == status.tolist()
+        assert traced.step.tolist() == [-1, 0, 0, -1]
 
     def test_draws_are_prefix_stable(self):
         view = paths._SequenceView(hard_balls(3, 0.15), [0, 1, 2, 0])
