@@ -270,6 +270,9 @@ def cmd_rich(args) -> int:
 
 def _initial_phase(args, system) -> flow.PhasePoint:
     if args.random:
+        if args.q is not None or args.v is not None:
+            raise UsageError("--random draws the start point; it cannot be "
+                             "combined with --q or --v")
         if args.seed is None:
             raise UsageError("--random requires --seed")
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
@@ -298,6 +301,8 @@ def _start_point(q_text: str | None):
 
 def cmd_simulate(args) -> int:
     system = _load_valid_system(args.system)
+    if args.seed is not None and not args.random:
+        raise UsageError("--seed is read only with --random")
     phase = _initial_phase(args, system)
     if args.collisions is None and args.time is None:
         raise UsageError("need --collisions or --time")

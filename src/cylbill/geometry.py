@@ -5,9 +5,10 @@ checks its Gram-matrix invariant.  One Gram-Schmidt kernel builds them,
 :func:`orthonormal_stack`, for many sets of vectors at once; its projection
 is :func:`residual`, and it drops a vector whose residual norm is below
 ``DROP``.  :func:`orthonormalize` is its one-set case.  Rank decisions
-treat a singular value ``s`` as zero iff ``s < RANK_REL * s_max``, with
-the package-wide ``config.RANK_REL``, so all dimension counts downstream
-use the same yardstick.
+go through one helper, :func:`singular_rank`, which treats a singular
+value ``s`` as zero iff ``s < RANK_REL * s_max``, with the package-wide
+``config.RANK_REL``, so all dimension counts downstream use the same
+yardstick.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "complement",
     "span_of",
     "null_space",
+    "singular_rank",
     "subspace_overlap",
     "containment_residual",
     "projector_distance",
@@ -193,9 +195,15 @@ def null_space(m) -> Subspace:
     if n == 0:
         raise ValueError("null space of a matrix with no columns is undefined")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    smax = s[0] if len(s) else 0.0
-    r = 0 if smax == 0.0 else int(np.sum(s >= RANK_REL * smax))
-    return Subspace(n, vh[r:].T)
+    return Subspace(n, vh[int(singular_rank(s)):].T)
+
+
+def singular_rank(s):
+    """Rank at the relative cutoff ``RANK_REL`` from singular values sorted
+    in descending order along the last axis: how many reach ``RANK_REL``
+    times the largest, and 0 where the largest is 0 or there are none."""
+    top = s[..., :1]
+    return np.count_nonzero((s >= RANK_REL * top) & (top > 0), axis=-1)
 
 
 def subspace_overlap(a: Subspace, b: Subspace) -> float:

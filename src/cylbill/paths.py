@@ -12,12 +12,14 @@ same collision sequence.
 The quadratic has one implementation, ``_collide``, which traces a stack
 of N paths (N initial velocities, N rows of concatenated offsets) and
 reports per row how far it got and why it failed; ``trace`` is its
-one-row case.  The neutral space is exact: a chain of linear constraints
-built from the path's own velocities, one block per collision, decided by
-one SVD with the package's ``RANK_REL`` cutoff.  The δ sampler builds each
-path's velocity history forward from a random initial velocity and random
-normals, so every draw that clears the kernel's guards is a valid path,
-and nothing is traced.
+one-row case.  Beside it, ``contact_status`` is the one rule by which it,
+the δ sampler and the flow's scan call a contact a miss or a graze.  The
+neutral space is exact: a chain of linear constraints built from the
+path's own velocities, one block per collision, decided by one SVD with
+the package's ``RANK_REL`` cutoff (``singular_rank``).  The δ sampler
+builds each path's velocity history forward from a random initial
+velocity and random normals, so every draw that clears the contact rule
+is a valid path, and nothing is traced.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from .config import (
     AXIS_PARALLEL,
     DISC,
-    RANK_REL,
     SAMPLE_CHUNK,
     T_MIN_GAP,
     UNIT_NORM,
@@ -41,6 +42,7 @@ from .geometry import (
     Subspace,
     complement,
     null_space,
+    singular_rank,
     span_of,
 )
 
@@ -55,6 +57,8 @@ __all__ = [
     "SampleLimitError",
     "MAX_DELTA_SAMPLES",
     "trace",
+    "contact_guard",
+    "contact_status",
     "apply_reflections",
     "w_plus",
     "neutral_space",
@@ -196,6 +200,27 @@ _FAILURES = {
 }
 
 
+def contact_guard(uu, rr):
+    """The contact rule's tangency guard ``DISC r² |Bᵀv|²`` on the collision
+    quadratic's discriminant, given ``uu = |Bᵀv|²`` and ``rr = r²``."""
+    return DISC * rr * uu
+
+
+def contact_status(disc, uu, rr):
+    """The one contact rule: status of a contact with the collision
+    quadratic's discriminant ``disc``, given ``uu = |Bᵀv|²`` and ``rr = r²``.
+
+    A contact is a miss (``_MISS``) if ``uu < AXIS_PARALLEL`` (the path
+    runs along the axis) or ``disc <= -guard``, a graze (``_GRAZE``) if
+    ``disc < guard``, and clean (0) otherwise, ``guard`` being
+    ``contact_guard(uu, rr)``.  Plain comparisons and arithmetic, so it
+    decides floats and arrays, elementwise, alike.
+    """
+    guard = contact_guard(uu, rr)
+    miss = (uu < AXIS_PARALLEL) | (disc <= -guard)
+    return miss * _MISS + ((disc < guard) > miss) * _GRAZE
+
+
 @dataclass(eq=False)
 class _Stack:
     """N paths traced together by ``_collide``.  A failed row is NaN from
@@ -221,10 +246,9 @@ def _collide(view: _SequenceView, v0s: np.ndarray,
 
     Collision j happens at the smaller root of the quadratic for the
     distance to cylinder j's axis.  A row fails at the first collision
-    where the path misses (negative discriminant, or a velocity along the
-    axis), grazes (discriminant within the ``DISC`` guard of zero) or does
-    not advance beyond the previous time by ``T_MIN_GAP``; from there on
-    its state is NaN, which every later step carries along.
+    that ``contact_status`` calls a miss or a graze, or whose clean root
+    does not advance beyond the previous time by ``T_MIN_GAP``; from there
+    on its state is NaN, which every later step carries along.
     """
     n, d = v0s.shape
     m = len(view.labels)
@@ -248,18 +272,15 @@ def _collide(view: _SequenceView, v0s: np.ndarray,
             u = v @ basis
             uu = vecdot(u, u)
             wu = vecdot(w, u)
-            disc = wu * wu - uu * (vecdot(w, w) - r * r)
-            guard = uu * (DISC * r * r)
+            rr = r * r
+            disc = wu * wu - uu * (vecdot(w, w) - rr)
+            code = contact_status(disc, uu, rr)
             s = (-wu - np.sqrt(disc)) / uu
-            ok = (disc >= guard) & (s > T_MIN_GAP) & (uu >= AXIS_PARALLEL)
+            code[(code == 0) & ~(s > T_MIN_GAP)] = _NON_ADVANCING
+            ok = code == 0
             if np.count_nonzero(ok) < alive:
                 new = ~ok & (step < 0)      # rows failing at this collision
-                # a failing row fails the first of the checks it breaks
-                code = np.where(disc[new] < guard[new], _GRAZE,
-                                _NON_ADVANCING)
-                code[(disc[new] < -guard[new])
-                     | (uu[new] < AXIS_PARALLEL)] = _MISS
-                status[new] = code
+                status[new] = code[new]
                 step[new] = j
                 s[new] = inc[new] = np.nan
                 alive = np.count_nonzero(ok)
@@ -354,8 +375,8 @@ def _expanding_dims(view: _SequenceView,
     paths decided by one SVD with the ``RANK_REL`` cutoff."""
     if not view.width:
         return np.zeros(velocities.shape[0], dtype=np.intp)
-    s = np.linalg.svd(_constraint_stack(view, velocities), compute_uv=False)
-    return np.count_nonzero(s >= RANK_REL * s[:, :1], axis=1) * (s[:, 0] > 0)
+    return singular_rank(np.linalg.svd(_constraint_stack(view, velocities),
+                                       compute_uv=False))
 
 
 def _neutral(system, labels, spec: EuclideanPathSpec):
@@ -411,9 +432,9 @@ def _draw(rng: np.random.Generator, d: int, width: int,
 
 REJECTION_REASONS = ("miss", "graze", "non_advancing")
 """Why a sampled path failed, in the order of the collision kernel's
-checks: it misses a cylinder or runs along its axis, grazes one (its
-discriminant within the ``DISC`` guard), or does not advance beyond
-``T_MIN_GAP``.  Index k is the failure status k + 1.  Only a traced
+checks: ``contact_status`` calls a contact a miss (the path misses a
+cylinder or runs along its axis) or a graze, or the root does not advance
+beyond ``T_MIN_GAP``.  Index k is the failure status k + 1.  Only a traced
 candidate of the constrained screen can fail the last way: the
 constructive sampler draws no advances."""
 
@@ -478,9 +499,10 @@ def _construct(view: _SequenceView, v0s: np.ndarray,
 
     Facing the incoming velocity, the normal makes the contact the smaller
     root of the collision quadratic, whose discriminant is ``r²(u·n)²``;
-    so a row fails at the first collision where ``|u|² < AXIS_PARALLEL``
-    (miss) or ``(u·n)² < DISC |u|²`` (graze), and neither check nor the
-    reflection depends on the normal's sign.
+    so a row fails at the first collision that ``contact_status`` calls a
+    miss or a graze, given the discriminant per unit ``r²``, ``(u·n)²``,
+    with ``rr = 1``.  Neither the status nor the reflection depends on the
+    normal's sign.
     """
     n, d = v0s.shape
     vels = np.empty((n, len(view.labels) + 1, d))
@@ -493,8 +515,7 @@ def _construct(view: _SequenceView, v0s: np.ndarray,
         n_local = n_local / np.sqrt(vecdot(n_local, n_local))[:, None]
         un = vecdot(u, n_local)
         uu = vecdot(u, u)
-        code = np.select([uu < AXIS_PARALLEL, un * un < DISC * uu],
-                         [_MISS, _GRAZE], 0)
+        code = contact_status(un * un, uu, 1.0)
         new = (code != 0) & (status == 0)
         status[new] = code[new]
         v = v - 2.0 * un[:, None] * (n_local @ basis.T)

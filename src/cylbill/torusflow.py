@@ -32,10 +32,10 @@ import numpy as np
 
 from . import intlat
 from .classify import SplittingWitness, is_transitive
-from .config import AXIS_PARALLEL, CHUNK_ENTRIES, DISC, T_MIN_GAP, UNIT_NORM
+from .config import CHUNK_ENTRIES, T_MIN_GAP, UNIT_NORM
 from .errors import DegeneracyError, InputError, UsageError
 from .geometry import Lattice
-from .paths import EuclideanPathSpec
+from .paths import _GRAZE, EuclideanPathSpec, contact_guard, contact_status
 
 __all__ = [
     "PhasePoint",
@@ -207,15 +207,13 @@ class _FlowView:
     image ``W (ints_j + U k)``, ``U`` the reduced transform:
     ``image_ints[i]`` holds the ``W ints_j`` and ``image_red[i]`` is
     ``W U``, so a hit costs one product.  ``rr`` is the column of squared
-    radii, ``disc_rr`` lists the guards ``DISC r_i^2`` per unit
-    ``|B^T v|^2`` for the scan's loop, and ``floor_rr`` is their negatives
-    as a column, for its screen.
+    radii, for the scan's array pass, and ``rr_list`` the same as floats,
+    for its loop.
     """
 
     __slots__ = ("lattice", "diam", "window", "k", "n", "bases", "dims",
                  "bt", "bt_t", "red", "red_inv", "pts", "sizes",
-                 "image_ints", "image_red", "radius", "rr", "disc_rr",
-                 "floor_rr")
+                 "image_ints", "image_red", "radius", "rr", "rr_list")
 
     def __init__(self, system):
         d = system.dim
@@ -268,8 +266,7 @@ class _FlowView:
         for i, pts in enumerate(balls):
             self.pts[i, :self.dims[i], :len(pts)] = pts.T
         self.rr = (self.radius ** 2)[:, None]
-        self.disc_rr = (DISC * self.rr[:, 0]).tolist()
-        self.floor_rr = -DISC * self.rr
+        self.rr_list = self.rr[:, 0].tolist()
 
     def offsets(self, x: np.ndarray):
         """Base-space offsets ``B_i^T (x - t_i) - G_i b`` of every image
@@ -311,17 +308,17 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
 
     One array pass solves the collision quadratic on every image of every
     cylinder and screens it: an image goes on only if its discriminant
-    clears ``-guard`` and the ray heads toward it (``w . u < 0``).  The
-    second test drops nothing the loop would keep: with ``w . u >= 0``
-    the earlier root, the only one the loop takes, and the graze time
-    ``-w . u / |u|^2`` are ``<= 0``, and the loop ignores every time up to
-    ``T_MIN_GAP``.  The few screened images, about ten per window, go on
-    to roots and grazes in one scalar loop: on arrays that short each
-    numpy call costs more than the arithmetic.  The loop also skips what
-    the screen lets through but cannot be hit: the images of a cylinder
-    with ``|B^T v|^2 < AXIS_PARALLEL``, which the ray runs parallel to,
-    and padding columns.  Only the first contact's image and normal are
-    built.
+    clears ``-contact_guard`` and the ray heads toward it
+    (``w . u < 0``).  Neither test drops anything the loop would keep:
+    the first is ``contact_status``'s miss test on the discriminant, and
+    with ``w . u >= 0`` the earlier root, the only one the loop takes, and
+    the graze time ``-w . u / |u|^2`` are ``<= 0``, and the loop ignores
+    every time up to ``T_MIN_GAP``.  The few screened images, about ten
+    per window, go on to ``contact_status``, roots and grazes in one
+    scalar loop: on arrays that short each numpy call costs more than the
+    arithmetic.  The loop skips padding columns, and the rule's misses
+    among the screened images: the cylinders the ray runs parallel to.
+    Only the first contact's image and normal are built.
     """
     origin = q + start * v if start else q
     u = (view.bt @ v).reshape(view.k, 1, view.n)
@@ -329,24 +326,27 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     w, k_red = view.offsets(origin)
     wu = (u @ w)[:, 0]                              # k x m
     disc = wu * wu - uu * (np.square(w).sum(axis=1) - view.rr)
-    screened = np.flatnonzero((disc > uu * view.floor_rr) & (wu < 0))
+    screened = np.flatnonzero((disc > -contact_guard(uu, view.rr))
+                              & (wu < 0))
     if not screened.size:
         return None
     m = disc.shape[1]
     uu = uu.ravel().tolist()
-    disc_rr, sizes = view.disc_rr, view.sizes
+    rr, sizes = view.rr_list, view.sizes
     graze_s = first = second = math.inf     # earliest graze and contacts
     j = 0
     for flat, d_s, wu_s in zip(screened.tolist(), disc.take(screened).tolist(),
                                wu.take(screened).tolist()):
         c, col = divmod(flat, m)
-        uu_c = uu[c]
-        if uu_c < AXIS_PARALLEL or col >= sizes[c]:
+        if col >= sizes[c]:
             continue
-        if d_s < uu_c * disc_rr[c]:     # |disc| < guard, as disc > -guard
-            s = -wu_s / uu_c
-            if T_MIN_GAP < s < graze_s:
-                graze_s = s
+        uu_c = uu[c]
+        code = contact_status(d_s, uu_c, rr[c])
+        if code:
+            if code == _GRAZE:
+                s = -wu_s / uu_c
+                if T_MIN_GAP < s < graze_s:
+                    graze_s = s
             continue
         s = (-wu_s - math.sqrt(d_s)) / uu_c
         if s <= T_MIN_GAP:

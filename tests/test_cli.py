@@ -410,6 +410,39 @@ class TestSimulateAndScans:
                       "cylinder 0\n"
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("start", [
+        ("--q", "0,0", "--v", "1,0"), ("--q", "0.5,0.5"), ("--v", "1,0"),
+    ], ids=["q-and-v", "q", "v"])
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--collisions", "3", "--out", "{out}"),
+        ("lyapunov", "--total-time", "10"),
+    ], ids=["simulate", "lyapunov"])
+    def test_random_refuses_a_given_start(self, capsys, tmp_path, command,
+                                          start):
+        """``--random`` draws the start point, so a ``--q`` or ``--v`` the
+        run would ignore is a refused argument."""
+        system = Path(__file__).parent / "data" / "hb_2_2.json"
+        name, *rest = command
+        code, _, err = run(capsys, name, "--system", str(system), "--random",
+                           "--seed", "1", *start,
+                           *(a.format(out=tmp_path / "x.json") for a in rest))
+        assert code == 4
+        assert err == "usage error: --random draws the start point; it " \
+                      "cannot be combined with --q or --v\n"
+        assert not (tmp_path / "x.json").exists()
+
+    def test_simulate_refuses_an_unread_seed(self, capsys, tmp_path):
+        """From ``--q`` and ``--v`` nothing is random, so ``simulate``
+        refuses a ``--seed`` rather than record one it never read."""
+        system = Path(__file__).parent / "data" / "hb_2_2.json"
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "simulate", "--system", str(system),
+                           "--q", "0.5,0.5", "--v", "0.6,0.8", "--seed", "3",
+                           "--collisions", "3", "--out", str(out))
+        assert code == 4
+        assert err == "usage error: --seed is read only with --random\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ("simulate", "--q", "0.5,0.5", "--v", "0.6,0.8", "--collisions", "5",
          "--out", "{out}"),

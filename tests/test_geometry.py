@@ -14,6 +14,7 @@ from cylbill.geometry import (
     complement,
     containment_residual,
     null_space,
+    singular_rank,
     orthonormalize,
     projector_distance,
     span_of,
@@ -178,6 +179,15 @@ class TestRank:
         m = np.diag([1.0, 1e-6, 1e-12])
         # RANK_REL = 1e-8 counts 1e-6 and drops 1e-12
         assert 3 - null_space(m).dim == 2
+
+    def test_singular_rank_on_stacks(self):
+        # a value at exactly RANK_REL * s_max counts, and all-zero or
+        # empty singular values have rank 0, row by row as alone
+        s = np.array([[1.0, 1e-6, 1e-12], [0.0, 0.0, 0.0], [2.0, 2e-8, 1e-8]])
+        assert singular_rank(s).tolist() == [2, 0, 2]
+        assert [int(singular_rank(row)) for row in s] == [2, 0, 2]
+        assert singular_rank(np.zeros(0)) == 0
+        assert null_space(np.zeros((3, 4))).dim == 4
 
     def test_containment(self, rng):
         outer = random_subspace(rng, 6, 4)

@@ -4,7 +4,7 @@ import pytest
 import fd_oracle as fd
 import test_acceptance as acceptance
 from cylbill import builders, intlat, paths
-from cylbill.config import T_MIN_GAP
+from cylbill.config import AXIS_PARALLEL, DISC, T_MIN_GAP
 from cylbill.geometry import (
     Subspace,
     containment_residual,
@@ -605,6 +605,43 @@ class TestStackedKernel:
         assert seen == {"traced", NoRealRoot, Tangential, NonAdvancing}
 
 
+class TestContactRule:
+    """``contact_status``, the one rule by which the flow's scan, the path
+    tracer and the δ sampler call a contact a miss or a graze."""
+
+    UU, RR = 0.5, 0.04
+
+    @staticmethod
+    def decide(disc, uu, rr):
+        """The rule's code on floats, checked against its code on
+        one-element arrays."""
+        code = paths.contact_status(float(disc), float(uu), rr)
+        assert type(code) is int
+        assert paths.contact_status(np.array([disc]), np.array([uu]),
+                                    rr).tolist() == [code]
+        return code
+
+    def test_discriminant_edges(self):
+        guard = paths.contact_guard(self.UU, self.RR)
+        assert guard == DISC * self.RR * self.UU > 0
+        edges = {-1.0: paths._MISS,
+                 -guard: paths._MISS,
+                 np.nextafter(-guard, 0.0): paths._GRAZE,
+                 0.0: paths._GRAZE,
+                 np.nextafter(guard, 0.0): paths._GRAZE,
+                 guard: 0,
+                 1.0: 0}
+        for disc, code in edges.items():
+            assert self.decide(disc, self.UU, self.RR) == code, disc
+
+    def test_axis_parallel_edge(self):
+        # a clear discriminant, so only the speed toward the axis decides
+        below = np.nextafter(AXIS_PARALLEL, 0.0)
+        assert self.decide(1.0, AXIS_PARALLEL, self.RR) == 0
+        assert self.decide(1.0, below, self.RR) == paths._MISS
+        assert self.decide(0.0, 0.0, self.RR) == paths._MISS
+
+
 def one_candidate_constrained(system, labels, base, n_samples, seed):
     """Reference for the constrained screen: one candidate at a time, at
     most 64 per sample, each classified by the scalar oracle, and the
@@ -816,18 +853,22 @@ class TestConstructiveSampler:
         labels = [0, 1]
         view = paths._SequenceView(system, labels)
         v0s = np.array([unit([1, 1, 1, 1]), unit([0, 0, 1, 1]),
-                        unit([1, 1, 1, 1]), unit([1, 2, 1, 1])])
+                        unit([1, 1, 1, 1]), unit([1, 2, 1, 1]),
+                        unit([1, 0, 0, 0])])
         normals = np.array([[1.0, 0.0, 1.0, 0.0],   # traces
                             [1.0, 0.0, 1.0, 0.0],   # axial: u = 0
                             [1.0, -1.0, 1.0, 0.0],  # u . n = 0
-                            [1.0, 0.0, 1.0, 0.0]])  # traces
+                            [1.0, 0.0, 1.0, 0.0],   # traces
+                            # reflected to -e1, along cylinder 1's axis
+                            [1.0, 0.0, 1.0, 0.0]])
         velocities, status = paths._construct(view, v0s, normals)
-        assert status.tolist() == [0, paths._MISS, paths._GRAZE, 0]
+        assert status.tolist() == [0, paths._MISS, paths._GRAZE, 0,
+                                   paths._MISS]
         offsets, _, _ = self.place_cylinders(view, velocities, normals,
-                                             np.full((4, 2), 0.5))
+                                             np.full((5, 2), 0.5))
         traced = paths._collide(view, v0s, offsets)
         assert traced.status.tolist() == status.tolist()
-        assert traced.step.tolist() == [-1, 0, 0, -1]
+        assert traced.step.tolist() == [-1, 0, 0, -1, 1]
 
     def test_draws_are_prefix_stable(self):
         view = paths._SequenceView(hard_balls(3, 0.15), [0, 1, 2, 0])
