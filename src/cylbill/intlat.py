@@ -168,9 +168,8 @@ def _complete(k) -> tuple[list[list[int]], list[list[int]]]:
     if any(h[i][j] != int(i == j) for i in range(r) for j in range(r)):
         raise ValueError("matrix is not primitive; no unimodular completion")
     # the exact self-check: t⁻¹ starts with k and inverts t
-    if tinv[:r] != k_cols or any(
-            sum(x * y for x, y in zip(row, col)) != int(i == j)
-            for i, row in enumerate(t) for j, col in enumerate(tinv)):
+    product = _obj_matrix(t, d) @ _obj_matrix(tinv, d).T
+    if tinv[:r] != k_cols or not np.array_equal(product, np.eye(d, dtype=int)):
         raise AssertionError("completion failed to be unimodular")
     return [list(row) for row in zip(*tinv)], t
 

@@ -24,7 +24,6 @@ is a valid path, and nothing is traced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -421,15 +420,6 @@ def sequence_generator_intersection(system, labels) -> Subspace:
                               ambient_dim=system.dim))
 
 
-def _draw(rng: np.random.Generator, d: int, width: int,
-          box: float) -> tuple[np.ndarray, np.ndarray]:
-    """One candidate's draws, in stream order: a uniform unit velocity,
-    then ``width`` coordinates uniform in [-box, box]."""
-    v0 = rng.standard_normal(d)
-    v0 /= math.sqrt(v0.dot(v0))    # np.linalg.norm(v0), without its overhead
-    return v0, rng.uniform(-box, box, size=width)
-
-
 REJECTION_REASONS = ("miss", "graze", "non_advancing")
 """Why a sampled path failed, in the order of the collision kernel's
 checks: ``contact_status`` calls a contact a miss (the path misses a
@@ -438,12 +428,8 @@ beyond ``T_MIN_GAP``.  Index k is the failure status k + 1.  Only a traced
 candidate of the constrained screen can fail the last way: the
 constructive sampler draws no advances."""
 
-# Candidates a constrained sample screens per stacked kernel call, 64 in
-# all.  A block costs one kernel call plus one draw per candidate, and the
-# draws past a sample's first traced candidate are wasted, so blocks grow:
-# a system that traces often ends most samples in the first block, and one
-# that rarely does pays three calls per sample.
-_SCREEN_BLOCKS = (4, 12, 48)
+# Candidates a constrained sample screens, traced as one stack.
+_SCREEN = 64
 
 
 @dataclass
@@ -571,32 +557,31 @@ def delta_sigma_report(system, labels, n_samples: int,
 
 def _constrained_report(system, labels, base_spec: EuclideanPathSpec,
                         n_samples: int, seed: int) -> DeltaReport:
-    """The sampler of ``delta_sigma_constrained``.  Each sample draws up to
-    64 candidates (a unit velocity and a translation uniform in the box of
-    half-width three times the largest radius) from its own child stream
-    of ``seed``, traces them in stacked blocks of ``_SCREEN_BLOCKS`` and
-    keeps the first that traces."""
+    """The sampler of ``delta_sigma_constrained``.  Each sample draws
+    ``_SCREEN`` unit velocities, then as many translations uniform in the
+    box of half-width three times the largest radius, from its own child
+    stream of ``seed``, traces the candidates as one stack and keeps the
+    first that traces."""
     _check_samples(n_samples)
     view = _SequenceView(system, labels)
     _trace(view, base_spec)   # base path must exist
     box = 3.0 * max(cyl.radius for cyl in system.cylinders)
+    # a translation a moves every offset by its base projection: a @ bases
+    bases = np.hstack([np.zeros((view.d, 0)), *view.bases])
+    base_row = _offset_row(base_spec.offsets)
     accepted, codes = [], []
     for child in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(child)
-        for size in _SCREEN_BLOCKS:
-            v0s = np.empty((size, view.d))
-            rows = np.empty((size, view.width))
-            for i in range(size):
-                v0s[i], a = _draw(rng, view.d, view.d, box)
-                # every offset moved by the base projection of a
-                rows[i] = _offset_row([off + b.T @ a for off, b
-                                       in zip(base_spec.offsets, view.bases)])
-            stack = _collide(view, v0s, rows)
-            traced = np.flatnonzero(stack.status == 0)
-            if traced.size:
-                codes.append(stack.status[:traced[0] + 1])
-                accepted.append(stack.velocities[traced[0]])
-                break
+        v0s = rng.standard_normal((_SCREEN, view.d))
+        v0s /= np.sqrt(np.vecdot(v0s, v0s))[:, None]
+        rows = base_row + rng.uniform(-box, box,
+                                      size=(_SCREEN, view.d)) @ bases
+        stack = _collide(view, v0s, rows)
+        traced = np.flatnonzero(stack.status == 0)
+        if traced.size:
+            codes.append(stack.status[:traced[0] + 1])
+            accepted.append(stack.velocities[traced[0]])
+        else:
             codes.append(stack.status)
     dims = _expanding_dims(view, np.array(accepted).reshape(
         -1, len(view.labels) + 1, view.d)).tolist()

@@ -142,7 +142,6 @@ class CollisionEvent:
 class TrajectoryRecord:
     initial: PhasePoint
     events: list[CollisionEvent]
-    symbolic: list[int]
     flags: dict
     final_q: np.ndarray | None = None
     final_v: np.ndarray | None = None
@@ -154,12 +153,16 @@ class TrajectoryRecord:
         return TrajectoryRecord(
             initial=self.initial,
             events=self.events[:n],
-            symbolic=self.symbolic[:n],
             flags=dict(self.flags),
         )
 
+    @property
+    def symbolic(self) -> list[int]:
+        """The collision sequence: each event's cylinder, in order."""
+        return [ev.cylinder for ev in self.events]
+
     def collided_labels(self) -> set[int]:
-        return set(self.symbolic)
+        return {ev.cylinder for ev in self.events}
 
 
 _WINDOW_DIAMETERS = 2.0
@@ -456,7 +459,6 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
     orbit = _Orbit(view, q0, phase.v.copy())
     t = 0.0
     events: list[CollisionEvent] = []
-    symbolic: list[int] = []
     flags = {
         "tangential_encountered": False,
         "simultaneous_encountered": False,
@@ -492,7 +494,6 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
             CollisionEvent(time=t, cylinder=i,
                            lattice_image=image + orbit.wrap, normal=normal)
         )
-        symbolic.append(i)
         orbit.move(s, normal)
         if (len(events) > CASCADE_CAP
                 and t - events[-CASCADE_CAP - 1].time < 1.0):
@@ -501,7 +502,6 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
     return TrajectoryRecord(
         initial=initial,
         events=events,
-        symbolic=symbolic,
         flags=flags,
         final_q=orbit.q,
         final_v=orbit.v,
@@ -996,7 +996,7 @@ def unfold_to_path(record: TrajectoryRecord, system):
     sequence plus offsets of each hit axis image in the unfolded frame
     anchored at the record's start point."""
     q0 = record.initial.q
-    labels = list(record.symbolic)
+    labels = record.symbolic
     offsets = []
     for ev in record.events:
         i = ev.cylinder

@@ -16,7 +16,6 @@ from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from cylbill.paths import (
     EuclideanPathSpec,
     TraceError,
-    _draw,
     _SequenceView,
     trace,
 )
@@ -186,13 +185,13 @@ def sample_spec(system, labels,
                 rng: np.random.Generator) -> EuclideanPathSpec:
     """Random path data: uniform unit initial velocity, offsets uniform in a
     per-base-space coordinate box of half-width three times the largest
-    radius.  Most such paths do not trace.  The reference for the draw
-    order of the constrained δ sampler, which makes the same ``_draw``
-    calls one candidate at a time."""
+    radius.  Most such paths do not trace.  The velocity comes first in
+    the stream, then the offsets, collision by collision."""
     view = _SequenceView(system, labels)
     box = 3.0 * max(cyl.radius for cyl in system.cylinders)
-    v0, row = _draw(rng, view.d, view.width, box)
-    return spec_from_row(view, v0, row)
+    v0 = rng.standard_normal(view.d)
+    v0 /= np.linalg.norm(v0)
+    return spec_from_row(view, v0, rng.uniform(-box, box, size=view.width))
 
 
 def translate_all(system, labels, spec: EuclideanPathSpec,
@@ -201,8 +200,7 @@ def translate_all(system, labels, spec: EuclideanPathSpec,
 
     Each offset moves by the base-space projection of ``a``; the initial
     velocity is untouched.  Equivalent to translating the start point by
-    ``-a``.  The reference for the offsets the constrained δ sampler
-    computes inline.
+    ``-a``.  The reference for the rows the constrained δ sampler stacks.
     """
     view = _SequenceView(system, labels)
     a = np.asarray(a, dtype=float).reshape(-1)

@@ -118,6 +118,21 @@ class TestLatticeQuotient:
         assert quot.rank == 0
         assert (np.asarray(quot.complement) == np.eye(3)).all()
 
+    def test_self_check_rejects_a_wrong_inverse(self, monkeypatch):
+        # A corrupt column past the kernel leaves t⁻¹'s kernel columns
+        # intact, so only the product T T⁻¹ = I can catch it.
+        original = intlat._eliminate
+
+        def eliminate(aa, t=None, tinv=None):
+            pivots = original(aa, t, tinv)
+            if tinv is not None:
+                tinv[-1][0] += 1
+            return pivots
+
+        monkeypatch.setattr(intlat, "_eliminate", eliminate)
+        with pytest.raises(AssertionError, match="unimodular"):
+            intlat.lattice_quotient([np.array([[1], [1], [0]])], 3)
+
 
 class TestDet:
     def test_matches_numpy(self, rng):

@@ -642,19 +642,26 @@ class TestContactRule:
         assert self.decide(0.0, 0.0, self.RR) == paths._MISS
 
 
+def screen_draws(system, rng):
+    """One constrained sample's two draws, in stream order: 64 unit
+    velocities, then 64 translations uniform in the box of half-width three
+    times the largest radius."""
+    box = 3.0 * max(c.radius for c in system.cylinders)
+    v0s = rng.standard_normal((64, system.dim))
+    v0s /= np.sqrt(np.vecdot(v0s, v0s))[:, None]
+    return v0s, rng.uniform(-box, box, size=(64, system.dim))
+
+
 def one_candidate_constrained(system, labels, base, n_samples, seed):
-    """Reference for the constrained screen: one candidate at a time, at
-    most 64 per sample, each classified by the scalar oracle, and the
+    """Reference for the constrained screen: each sample's 64 candidates
+    walked one at a time, each classified by the scalar oracle, and the
     expanding dimension of the first that traces from ``w_plus``."""
     reasons = {NoRealRoot: "miss", Tangential: "graze",
                NonAdvancing: "non_advancing"}
-    box = 3.0 * max(c.radius for c in system.cylinders)
     rejected = dict.fromkeys(REJECTION_REASONS, 0)
     dims, failed = [], 0
     for child in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.default_rng(child)
-        for _ in range(64):
-            v0, a = paths._draw(rng, system.dim, system.dim, box)
+        for v0, a in zip(*screen_draws(system, np.random.default_rng(child))):
             spec = translate_all(system, labels,
                                  EuclideanPathSpec(v0, base.offsets), a)
             traced = scalar_trace_oracle(system, labels, spec)
@@ -678,8 +685,8 @@ def screen_systems(name):
 
 
 class TestBlockScreening:
-    """The constrained sampler screens random candidates in stacked
-    blocks."""
+    """The constrained sampler screens each sample's random candidates as
+    one stack."""
 
     @pytest.mark.parametrize("name,labels,seed,reasons", [
         ("sphere2", [0], 3, {"miss", "non_advancing"}),
@@ -715,39 +722,37 @@ class TestBlockScreening:
                 want = b.uniform(-box, box, size=system.base_space(lab).dim)
                 assert np.array_equal(off, want)
 
-    def test_block_draws_equal_sample_spec_draws(self, monkeypatch):
-        # The screen draws each sample's candidates block by block, in the
-        # order one-at-a-time calls of _draw (behind sample_spec) give them.
+    def test_each_sample_traces_its_draws_as_one_stack(self, monkeypatch):
+        # After the base path's trace, one stacked trace per sample: the
+        # sample's 64 velocities, and the base offsets moved by its 64
+        # translations.  The rows come from one matrix product, so they
+        # may differ from the per-collision reference by a few roundings.
         system = hard_balls(3, 0.15)
         labels = [0, 1]
-        box = 3.0 * max(c.radius for c in system.cylinders)
         base = sample_traceable_spec(system, labels,
                                      np.random.default_rng(2), tries=2000)
-        drawn = []
-        original = paths._draw
+        box = 3.0 * max(c.radius for c in system.cylinders)
+        atol = 8 * system.dim * np.finfo(float).eps * box
+        stacks = []
+        original = paths._collide
 
-        def draw(rng, d, width, scale):
-            v0, a = original(rng, d, width, scale)
-            drawn.append((v0.copy(), a.copy()))
-            return v0, a
+        def collide(view, v0s, offsets):
+            stacks.append((v0s.copy(), offsets.copy()))
+            return original(view, v0s, offsets)
 
-        monkeypatch.setattr(paths, "_draw", draw)
+        monkeypatch.setattr(paths, "_collide", collide)
         report = paths._constrained_report(system, labels, base, 12, 21)
         assert report.n_success > 0 and report.n_attempts > 12
-        ends = set(np.cumsum(paths._SCREEN_BLOCKS).tolist())
-        pos = 0
-        for child in np.random.SeedSequence(21).spawn(12):
-            rng = np.random.default_rng(child)
-            count = 0
-            while pos < len(drawn):
-                v0, a = original(rng, system.dim, system.dim, box)
-                if not np.array_equal(drawn[pos][0], v0):
-                    break
-                assert np.array_equal(drawn[pos][1], a)
-                pos += 1
-                count += 1
-            assert count in ends
-        assert pos == len(drawn)
+        assert len(stacks) == 1 + 12
+        for (v0s, rows), child in zip(stacks[1:],
+                                      np.random.SeedSequence(21).spawn(12)):
+            want, moves = screen_draws(system, np.random.default_rng(child))
+            assert np.array_equal(v0s, want)
+            for v0, a, row in zip(want, moves, rows):
+                spec = translate_all(system, labels,
+                                     EuclideanPathSpec(v0, base.offsets), a)
+                np.testing.assert_allclose(row, np.concatenate(spec.offsets),
+                                           rtol=0, atol=atol)
 
     def test_attempts_are_rejections_plus_successes(self):
         system = hard_balls(3, 0.15)

@@ -5,7 +5,9 @@ A name that ``cylbill/__init__.py`` re-exports or that a module lists in
 the benchmark under ``cylbench/`` reads it from the package (an attribute
 of a name imported from ``cylbill``, or a string constant, since the
 traced pass binds names by string), or if README mentions it in
-backticks.  A name that only tests call belongs in ``tests/``.
+backticks.  A name that only tests call belongs in ``tests/``.  So does a
+private module-level function, class or constant that the package itself
+never reads.
 
 Likewise every keyword parameter of an exported function, one with a
 default or keyword-only, is passed by its name somewhere in the package or
@@ -107,6 +109,36 @@ def test_every_exported_name_has_a_user():
     for path in BENCHMARK.glob("*.py"):
         used |= benchmark_references(path)
     unused = {name: sorted(modules) for name, modules in exported().items()
+              if name not in used}
+    assert unused == {}
+
+
+def private_definitions() -> dict[str, set[str]]:
+    """Each private module-level function, class or constant, with the
+    modules that define it."""
+    names: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__"):
+                    names.setdefault(name, set()).add(path.stem)
+    return names
+
+
+def test_every_private_helper_has_a_user():
+    used: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        used |= references(path)
+    unused = {name: sorted(modules)
+              for name, modules in private_definitions().items()
               if name not in used}
     assert unused == {}
 

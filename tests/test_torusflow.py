@@ -559,7 +559,7 @@ class TestDetectSplitting:
     def test_empty_record_degenerate(self, sinai):
         rec = tf.TrajectoryRecord(
             initial=tf.PhasePoint([0.0, 0.5], [1.0, 0.0]),
-            events=[], symbolic=[], flags={})
+            events=[], flags={})
         w = tf.detect_splitting(rec, sinai)
         assert w is not None and w.degenerate
 
@@ -579,7 +579,7 @@ class TestRichnessCertificate:
     def test_free_flight_false(self, sinai):
         rec = tf.TrajectoryRecord(
             initial=tf.PhasePoint([0.0, 0.5], [1.0, 0.0]),
-            events=[], symbolic=[], flags={})
+            events=[], flags={})
         assert count_transitive_blocks(rec.symbolic, sinai) == 0
 
     def test_monotone_in_prefix(self):
