@@ -1,18 +1,15 @@
 """Classification of base-space collections and symbolic sequences.
 
-Two independent routes decide whether a collection of base spaces admits a
-non-trivial orthogonal splitting:
-
-* the structural test — the non-orthogonality graph, a boolean adjacency
-  matrix, must be connected and the bases must span the whole space;
-* the commutant oracle — the space of symmetric matrices commuting with
-  every elementary rotation generator supported on the base spaces is
-  one-dimensional exactly when no invariant splitting exists (a symmetric
-  commutant element that is not scalar has a proper invariant eigenspace,
-  and conversely an invariant subspace yields its projector).
-
-The oracle is the reference the structural test is checked against in the
-acceptance suite.
+One route decides whether a collection of base spaces admits a non-trivial
+orthogonal splitting: the non-orthogonality graph, a boolean adjacency
+matrix, must be connected and the bases must span the whole space.  The
+symmetric commutant dimension of the generated rotation group is read from
+the same two objects, the graph's components and the joint span's
+deficiency.  The acceptance suite checks both against an independent
+oracle in ``tests/commutant_oracle.py``, which solves for the symmetric
+matrices commuting with every elementary rotation generator supported on
+the base spaces: the commutant is one-dimensional exactly when no
+invariant splitting exists.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from .geometry import (
     Subspace,
     complement,
     containment_residual,
-    null_space,
     orthonormal_stack,
     orthonormalize,
     residual,
@@ -184,53 +180,30 @@ def is_transitive(bases, ambient_dim: int | None = None,
     return True, None
 
 
-def _rotation_generators(base: Subspace) -> np.ndarray:
-    """Elementary antisymmetric generators of rotations acting inside
-    ``base`` and fixing its complement pointwise, stacked ``(n, d, d)``."""
-    p, q = np.triu_indices(base.dim, 1)
-    u = base.basis[:, p].T[:, :, None]
-    v = base.basis[:, q].T[:, :, None]
-    return u * v.transpose(0, 2, 1) - v * u.transpose(0, 2, 1)
-
-
-def _symmetric_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the symmetric d x d matrices, stacked: the
-    diagonal units, then ``(E_ab + E_ba) / sqrt 2`` for ``a < b``."""
-    a, b = np.triu_indices(d, 1)
-    n_off = a.size
-    sym = np.zeros((d + n_off, d, d))
-    sym[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    off = np.arange(d, d + n_off)
-    sym[off, a, b] = sym[off, b, a] = 1.0 / np.sqrt(2.0)
-    return sym
-
-
-def commutant_dimension(bases) -> int:
+def commutant_dimension(bases, graph: np.ndarray | None = None) -> int:
     """Dimension of the symmetric commutant of the generated rotation group.
 
     Value 1 (scalars only) is equivalent to the absence of any invariant
     orthogonal splitting; requires every base space to have dim >= 2 so the
-    per-cylinder rotation groups are non-trivial.  The constraints
-    ``[E_s, G_g] = 0`` over all generators ``G_g`` and symmetric basis
-    matrices ``E_s`` form one matrix with a column per ``E_s``; a QR step
-    shrinks it to a square one with the same singular values before its
-    null space is taken.
+    per-cylinder rotation groups are non-trivial.  The rotations inside the
+    base spaces of one component of the non-orthogonality graph generate
+    every rotation of the component's span, which they act on irreducibly,
+    so each component adds the scalars there; components act trivially on
+    each other, and the complement of the joint span, of dimension ``e``,
+    adds every symmetric map on it: ``components + e (e + 1) / 2``.
+    ``graph`` is the collection's ``non_orthogonality_graph`` if the caller
+    has built it; otherwise it is built here.
     """
     bases = list(bases)
     if not bases:
         raise ValueError("commutant of an empty collection is undefined")
-    d = bases[0].ambient_dim
     for b in bases:
         if b.dim < 2:
-            raise ValueError("commutant oracle needs base spaces of dim >= 2")
-    sym = _symmetric_basis(d)
-    gens = np.concatenate([_rotation_generators(b) for b in bases])
-    # E_s G_g - G_g E_s, where G_g E_s = -(E_s G_g)^T as E_s is symmetric
-    # and G_g antisymmetric
-    product = sym[None] @ gens[:, None]
-    constraint = (product + np.swapaxes(product, 2, 3)).transpose(0, 2, 3, 1)
-    constraint = constraint.reshape(-1, len(sym))
-    return null_space(np.linalg.qr(constraint, mode="r")).dim
+            raise ValueError("commutant needs base spaces of dim >= 2")
+    if graph is None:
+        graph = non_orthogonality_graph(bases)
+    e = bases[0].ambient_dim - span_of(bases).dim
+    return len(graph_components(graph)) + e * (e + 1) // 2
 
 
 def _flats(bases: list[Subspace]) -> tuple[np.ndarray, np.ndarray,

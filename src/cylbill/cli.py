@@ -112,7 +112,7 @@ def cmd_classify(args) -> int:
     graph = classify.non_orthogonality_graph(bases)
     transitive, witness = classify.is_transitive(bases, ambient_dim=system.dim,
                                                  graph=graph)
-    commutant = classify.commutant_dimension(bases) \
+    commutant = classify.commutant_dimension(bases, graph=graph) \
         if all(b.dim >= 2 for b in bases) else None
     transverse, counterexample = classify.is_transverse(system)
     components = classify.graph_components(graph)

@@ -165,7 +165,7 @@ def _complete(k) -> tuple[list[list[int]], list[list[int]]]:
         raise ValueError("columns are not linearly independent")
     # t k = [h; 0] with h upper triangular, positive pivots and reduced
     # entries above them: k is primitive exactly when h is the identity
-    if any(h[i][j] != int(i == j) for i in range(r) for j in range(r)):
+    if [row[:r] for row in h[:r]] != _identity(r):
         raise ValueError("matrix is not primitive; no unimodular completion")
     # the exact self-check: t⁻¹ starts with k and inverts t
     product = _obj_matrix(t, d) @ _obj_matrix(tinv, d).T

@@ -214,14 +214,13 @@ class _FlowView:
     for its loop.
     """
 
-    __slots__ = ("lattice", "diam", "window", "k", "n", "bases", "dims",
+    __slots__ = ("lattice", "window", "k", "n", "bases", "dims",
                  "bt", "bt_t", "red", "red_inv", "pts", "sizes",
                  "image_ints", "image_red", "radius", "rr", "rr_list")
 
     def __init__(self, system):
         d = system.dim
         self.lattice = system.lattice
-        self.diam = self.lattice.fundamental_diameter
         k = self.k = system.k
         self.bases = [system.base_space(i).basis for i in range(k)]
         self.dims = [basis.shape[1] for basis in self.bases]
@@ -270,6 +269,14 @@ class _FlowView:
             self.pts[i, :self.dims[i], :len(pts)] = pts.T
         self.rr = (self.radius ** 2)[:, None]
         self.rr_list = self.rr[:, 0].tolist()
+
+    @property
+    def diam(self) -> float:
+        """The fundamental diameter of the system's own cell, read only by
+        the default horizon and the window of a view without cylinders:
+        for a system whose cylinders all have axes, the full lattice's
+        reduction is paid only when one of them asks."""
+        return self.lattice.fundamental_diameter
 
     def offsets(self, x: np.ndarray):
         """Base-space offsets ``B_i^T (x - t_i) - G_i b`` of every image

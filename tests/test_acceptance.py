@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import fd_oracle as fd
+from commutant_oracle import commutant_dimension
 from cylbill import builders, paths
 from cylbill import torusflow as tf
 from cylbill.classify import (
-    commutant_dimension,
     graph_components,
     is_transitive,
     is_transverse,

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -36,6 +37,7 @@ from conftest import (
     make_two_block_system,
     random_subspace,
 )
+from commutant_oracle import commutant_dimension as commutant_oracle
 from transverse_oracle import flats_depth_first, is_transverse_by_subsets
 
 
@@ -264,7 +266,7 @@ class TestTransitive:
                 bases = [random_subspace(rng, d, int(rng.integers(2, d + 1)))
                          for _ in range(int(rng.integers(1, 4)))]
             structural = is_transitive(bases)[0]
-            oracle = commutant_dimension(bases) == 1
+            oracle = commutant_oracle(bases) == 1
             assert structural == oracle
             agree += 1
         assert agree == total
@@ -303,22 +305,78 @@ def _commutant_dimension_loop(bases) -> int:
     return null_space(constraint).dim
 
 
+def _deficient_block_collection(rng):
+    """Base spaces inside mutually orthogonal blocks of a random frame in
+    d = 3..8: one or two per touched block, each of dim >= 2, and some
+    blocks left untouched, so the joint span may fall short of the space
+    and the graph may split."""
+    d = int(rng.integers(3, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    n_cuts = int(rng.integers(1, d // 2 + 1))
+    cuts = np.sort(rng.choice(np.arange(1, d), size=n_cuts, replace=False))
+    blocks = np.split(q, cuts, axis=1)
+    touched = [b for b in blocks if b.shape[1] >= 2 and rng.random() < 0.8]
+    if not touched:
+        touched = [q]
+    bases = []
+    for block in touched:
+        for _ in range(int(rng.integers(1, 3))):
+            m = int(rng.integers(2, block.shape[1] + 1))
+            mix, _ = np.linalg.qr(rng.standard_normal((block.shape[1], m)))
+            bases.append(Subspace(d, block @ mix))
+    return bases
+
+
 class TestCommutantAgainstLoops:
+    """The graph-and-span dimension, the constraint-matrix oracle and the
+    entry-by-entry loop agree."""
+
     def test_criterion_01_collections(self):
         rng = np.random.default_rng(np.random.SeedSequence(101))
         for _ in range(300):
             bases = acceptance.random_base_collection(rng)
-            assert commutant_dimension(bases) == _commutant_dimension_loop(bases)
+            assert commutant_dimension(bases) \
+                == commutant_oracle(bases) \
+                == _commutant_dimension_loop(bases)
+
+    def test_deficient_block_constructions(self):
+        rng = np.random.default_rng(np.random.SeedSequence(36))
+        deficient = split = 0
+        for _ in range(200):
+            bases = _deficient_block_collection(rng)
+            assert commutant_dimension(bases) == commutant_oracle(bases)
+            deficient += span_of(bases).dim < bases[0].ambient_dim
+            split += len(graph_components(non_orthogonality_graph(bases))) > 1
+        assert deficient > 100 and split > 50
 
     @pytest.mark.parametrize("n, nu", [(2, 2), (3, 2), (4, 2), (5, 2),
                                        (2, 3), (3, 3), (4, 3)])
     def test_hard_balls(self, n, nu):
         bases = _hard_ball(n, nu).base_spaces()
-        assert commutant_dimension(bases) == _commutant_dimension_loop(bases)
+        assert commutant_dimension(bases) \
+            == commutant_oracle(bases) \
+            == _commutant_dimension_loop(bases)
 
     def test_two_blocks(self):
         bases = make_two_block_system().base_spaces()
-        assert commutant_dimension(bases) == _commutant_dimension_loop(bases) == 2
+        assert commutant_dimension(bases) \
+            == commutant_oracle(bases) \
+            == _commutant_dimension_loop(bases) == 2
+
+    def test_hard_ball_reach(self):
+        """hb(12,2), where the constraint matrix took 289 MB, reads its
+        dimension from the graph and the span in a few megabytes."""
+        bases = _hard_ball(12, 2).base_spaces()
+        start = time.perf_counter()
+        assert commutant_dimension(bases) == 1
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            commutant_dimension(bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class _Collection:

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cylbill import builders, paths
 from cylbill import torusflow as tf
 from cylbill.classify import count_transitive_blocks
 from cylbill.geometry import Lattice, complement, projector_distance
-from cylbill.model import CylinderSpec, CylindricBilliardSystem
+from cylbill.model import CylinderSpec, CylindricBilliardSystem, load_system
 from conftest import make_sphere_system, make_two_block_system
 from scan_oracle import axis_images
 from scan_oracle import min_axis_distances as oracle_min_axis_distances
@@ -503,6 +504,31 @@ class TestFlow:
                       max_collisions=10, default_horizon=1e4)
         assert rec.flags["no_collision_within_horizon"]
         assert not rec.events
+
+    def test_explicit_horizon_leaves_the_full_lattice_unreduced(self):
+        """Every hard-ball cylinder has an axis, so only the default horizon
+        reads the full lattice's reduction."""
+        system = load_system(Path(__file__).parent / "data" / "hb_3_2.json")
+        phase = tf.random_phase(system, np.random.default_rng(1))
+        rec = tf.flow(system, phase, max_collisions=20, default_horizon=1e4)
+        assert len(rec.events) == 20
+        assert "_reduction" not in vars(system.lattice)
+
+    def test_default_horizon_is_ten_diameters(self):
+        """Three balls in their own horizontal lanes never meet; the default
+        horizon stops the flow at 10 fundamental diameters of the cell."""
+        system, emb = builders.hard_ball_system(
+            builders.HardBallParams(3, 2, (1.0,) * 3, 0.02))
+        q = emb.reduce_positions([[0.0, 0.0], [0.0, 1 / 3], [0.0, 2 / 3]])
+        v = emb.reduce_velocities([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+        phase = tf.PhasePoint(q, v / np.linalg.norm(v))
+        horizon = 10.0 * system.lattice.fundamental_diameter
+        short = tf.flow(system, phase, max_time=horizon * (1 - 1e-9))
+        assert short.total_time == horizon * (1 - 1e-9)
+        assert not short.events and not any(short.flags.values())
+        long = tf.flow(system, phase, max_time=horizon * (1 + 1e-9))
+        assert long.total_time == 0.0 and not long.events
+        assert long.flags["no_collision_within_horizon"]
 
     def test_max_time_stop(self, sinai):
         rec = tf.flow(sinai, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
