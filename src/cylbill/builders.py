@@ -18,7 +18,7 @@ the parent is integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm, sqrt
 
@@ -60,7 +60,7 @@ class NotDirectSumError(BuilderError):
 
 
 class FactorLatticeError(DegeneracyError, RuntimeError):
-    """The shared axis directions failed the lattice-subspace verification."""
+    """The common axis sublattice's vectors lost rank in floats."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +169,22 @@ def hard_ball_system(
     scale = np.repeat(np.sqrt(np.asarray(params.masses, dtype=float)), nu)
     lattice_basis = np.diag(scale)
 
-    pairs: list[tuple[int, int]] = []
-    cylinders: list[CylinderSpec] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols = []
-            for a in range(nu):
-                col = np.zeros(full_dim, dtype=np.int64)
-                col[i * nu + a] = 1
-                col[j * nu + a] = 1
-                cols.append(col)
-            for k_ball in range(n):
-                if k_ball in (i, j):
-                    continue
-                for a in range(nu):
-                    col = np.zeros(full_dim, dtype=np.int64)
-                    col[k_ball * nu + a] = 1
-                    cols.append(col)
-            cylinders.append(
-                CylinderSpec(
-                    radius=pair_radius(params.masses[i], params.masses[j],
-                                       params.radius),
-                    translation=np.zeros(full_dim),
-                    generator_coeffs=np.column_stack(cols),
-                )
-            )
-            pairs.append((i, j))
+    # unit[b] holds ball b's nu coordinate vectors as rows; a pair's axes
+    # are its common translations, then every other ball's coordinates
+    unit = np.eye(full_dim, dtype=np.int64).reshape(n, nu, full_dim)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cylinders = [
+        CylinderSpec(
+            radius=pair_radius(params.masses[i], params.masses[j],
+                               params.radius),
+            translation=np.zeros(full_dim),
+            generator_coeffs=np.concatenate((
+                unit[i] + unit[j],
+                unit[[b for b in range(n) if b not in (i, j)]].reshape(
+                    -1, full_dim))).T.copy(),
+        )
+        for i, j in pairs
+    ]
 
     full_system = CylindricBilliardSystem(
         dim=full_dim,
@@ -218,22 +208,22 @@ def hard_ball_system(
 # ---------------------------------------------------------------------------
 
 
-def _rational_columns(m: np.ndarray) -> np.ndarray | None:
-    """Integer matrix with the same column span as ``m``, if its entries are
-    recognizably rational (denominators up to 10**6, within 1e-9); None
-    otherwise."""
-    cols = []
-    for j in range(m.shape[1]):
-        fracs = [Fraction(x).limit_denominator(10**6) for x in m[:, j]]
-        den = lcm(*[f.denominator for f in fracs]) if fracs else 1
-        if den > 10**6:
-            return None
-        ints = np.array([int(f * den) for f in fracs], dtype=np.int64)
-        approx = ints.astype(float) / den
-        if np.max(np.abs(approx - m[:, j])) > 1e-9:
-            return None
-        cols.append(ints)
-    return np.column_stack(cols) if cols else np.zeros((m.shape[0], 0), np.int64)
+def _rational_axis(lattice: Lattice, axis: Subspace) -> np.ndarray | None:
+    """Primitive integer columns spanning ``axis`` in lattice coordinates,
+    read from its projector there, which is rational for a rational axis
+    whatever its basis (denominators and their lcm up to 10**6); or None."""
+    q = orthonormalize((lattice.inv_basis @ axis.basis).T,
+                       ambient_dim=axis.ambient_dim).basis
+    fracs = [Fraction(x).limit_denominator(10**6) for x in (q @ q.T).flat]
+    den = lcm(*[f.denominator for f in fracs])
+    if den > 10**6:
+        return None
+    p = np.array([int(f * den) for f in fracs],
+                 dtype=np.int64).reshape(q.shape[0], q.shape[0])
+    cols = p[:, intlat.pivot_columns(p)]
+    if cols.shape[1] != axis.dim:
+        return None
+    return cols // np.gcd.reduce(cols, axis=0)
 
 
 def direct_sum_system(
@@ -282,16 +272,12 @@ def direct_sum_system(
     cylinders = []
     for idx, base in enumerate(bases):
         axis = complement(base)
-        coords = lattice.inv_basis @ axis.basis
-        coeffs = _rational_columns(coords) if axis.dim else np.zeros((d, 0), np.int64)
-        if coeffs is not None and (
-            coeffs.shape[1] == 0
-            or projector_distance(
-                orthonormalize((lattice.basis @ coeffs.astype(float)).T,
-                               ambient_dim=d),
-                axis,
-            ) < 1e-9
-        ):
+        coeffs = _rational_axis(lattice, axis)
+        if coeffs is not None and projector_distance(
+            orthonormalize((lattice.basis @ coeffs.astype(float)).T,
+                           ambient_dim=d),
+            axis,
+        ) < 1e-9:
             cylinders.append(
                 CylinderSpec(
                     radius=radii[idx],
@@ -323,14 +309,13 @@ def direct_sum_system(
 
 @dataclass(eq=False)
 class FactorReport:
-    """What the factor construction did; a construction that fails its
-    lattice-subspace check raises ``FactorLatticeError`` instead."""
+    """What the factor construction did; a drift space that loses the
+    exact ``drift_lattice_rank`` raises ``FactorLatticeError`` instead."""
 
     parent_indices: tuple[int, ...]
     active_space: Subspace       # parent-frame span of the retained base spaces
     drift_space: Subspace        # parent-frame common axis directions
     drift_lattice_rank: int
-    notes: list[str] = field(default_factory=list)
 
 
 def sub_billiard(
@@ -342,7 +327,8 @@ def sub_billiard(
     component along them never changes), so the configuration torus is
     quotiented by them; the result lives in the span of the retained base
     spaces with the projected lattice.  Requires an integer-generator
-    parent; the quotient is computed exactly in lattice coefficients.
+    parent; the quotient is computed exactly in lattice coefficients, and
+    only the drift space is read in floats, from its kernel.
     """
     idx = sorted(set(int(i) for i in indices))
     if not idx:
@@ -363,24 +349,18 @@ def sub_billiard(
         [system.cylinders[i].generator_coeffs for i in idx], d)
     nu0 = quotient.rank
 
-    span_l = span_of([system.base_space(i) for i in idx])
-    if nu0 != d - span_l.dim:
-        raise FactorLatticeError(
-            f"common axis directions have lattice rank {nu0} but dimension "
-            f"{d - span_l.dim}; lattice-subspace verification failed"
-        )
-
     drift = (
         orthonormalize((lat_basis @ quotient.kernel.astype(float)).T,
                        ambient_dim=d)
         if nu0
         else Subspace.zero(d)
     )
+    if drift.dim != nu0:
+        raise FactorLatticeError(
+            f"common axis directions have lattice rank {nu0} but their "
+            f"lattice vectors span dimension {drift.dim}"
+        )
     active = complement(drift)
-    notes = [
-        f"drift space check: |P_active - P_span| = "
-        f"{projector_distance(active, span_l):.3e}"
-    ]
 
     q = active.basis                                   # (d, p)
     factor_lattice = q.T @ (lat_basis @ quotient.complement.astype(float))
@@ -411,6 +391,5 @@ def sub_billiard(
         active_space=active,
         drift_space=drift,
         drift_lattice_rank=nu0,
-        notes=notes,
     )
     return factor, report

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CHUNK_ENTRIES, DROP, OVERLAP
-from .errors import UsageError
+from .errors import DegeneracyError, UsageError
 from .geometry import (
     DimensionMismatch,
     Subspace,
@@ -43,11 +43,17 @@ __all__ = [
     "is_transverse",
     "count_transitive_blocks",
     "EnumerationGuardError",
+    "WitnessCheckError",
 ]
 
 
 class EnumerationGuardError(UsageError, RuntimeError):
     """Flat enumeration refused: too many cylinders for an exact answer."""
+
+
+class WitnessCheckError(DegeneracyError, RuntimeError):
+    """A splitting witness failed its own check: the edge and containment
+    tolerances disagree on these base spaces."""
 
 
 @dataclass(eq=False)
@@ -129,13 +135,17 @@ def non_orthogonality_graph(bases) -> np.ndarray:
 def graph_components(adjacency: np.ndarray) -> list[list[int]]:
     """Connected components of a boolean adjacency matrix, each a sorted
     index list, ordered by their smallest member."""
-    reach = np.asarray(adjacency, dtype=bool) | np.eye(len(adjacency), dtype=bool)
+    k = len(adjacency)
+    if not k:
+        return []
+    reach = np.asarray(adjacency, dtype=bool) | np.eye(k, dtype=bool)
     # squaring doubles the path length reached; 2^bit_length(k) > k - 1
-    for _ in range(len(reach).bit_length()):
+    for _ in range(k.bit_length()):
         reach = reach.astype(float) @ reach > 0
-    # the distinct rows of the closure are the components; in descending
-    # row order their smallest members ascend
-    return [np.flatnonzero(row).tolist() for row in np.unique(reach, axis=0)[::-1]]
+    # each node's label is the smallest member of its component
+    label = reach.argmax(axis=1)
+    return [np.flatnonzero(label == root).tolist()
+            for root in np.flatnonzero(label == np.arange(k))]
 
 
 def is_transitive(bases, ambient_dim: int | None = None,
@@ -148,36 +158,32 @@ def is_transitive(bases, ambient_dim: int | None = None,
     subspaces, and a deficient span leaves its complement untouched, so
     each failure mode produces a witness directly.  ``graph`` is the
     collection's ``non_orthogonality_graph`` if the caller has built it;
-    otherwise it is built here when needed.
+    otherwise it is built here when needed.  A witness that fails its own
+    check raises ``WitnessCheckError``.
     """
     bases = list(bases)
     if not bases:
         if ambient_dim is None:
             raise ValueError("ambient_dim required for an empty collection")
-        e1 = orthonormalize([np.eye(ambient_dim)[:, 0]])
-        w = SplittingWitness(e1, complement(e1), {}, degenerate=True)
-        w.check()
-        return False, w
-    d = bases[0].ambient_dim
-    joint = span_of(bases)
-    if joint.dim < d:
-        w = SplittingWitness(
-            joint, complement(joint), {i: 1 for i in range(len(bases))}
-        )
-        w.check({i: b for i, b in enumerate(bases)})
-        return False, w
-    if graph is None:
-        graph = non_orthogonality_graph(bases)
-    comps = graph_components(graph)
-    if len(comps) > 1:
+        b1, assignment = orthonormalize([np.eye(ambient_dim)[:, 0]]), {}
+    elif (joint := span_of(bases)).dim < bases[0].ambient_dim:
+        b1, assignment = joint, dict.fromkeys(range(len(bases)), 1)
+    else:
+        if graph is None:
+            graph = non_orthogonality_graph(bases)
+        comps = graph_components(graph)
+        if len(comps) == 1:
+            return True, None
         first = comps[0]
         b1 = span_of([bases[i] for i in first])
-        b2 = complement(b1)
         assignment = {i: (1 if i in first else 2) for i in range(len(bases))}
-        w = SplittingWitness(b1, b2, assignment)
-        w.check({i: b for i, b in enumerate(bases)})
-        return False, w
-    return True, None
+    w = SplittingWitness(b1, complement(b1), assignment, degenerate=not bases)
+    try:
+        w.check(dict(enumerate(bases)))
+    except ValueError as exc:
+        raise WitnessCheckError(f"splitting witness fails its check: {exc}") \
+            from exc
+    return False, w
 
 
 def commutant_dimension(bases, graph: np.ndarray | None = None) -> int:

@@ -209,7 +209,6 @@ def cmd_build(args) -> int:
             "parent_indices": list(report.parent_indices),
             "factor_dim": system.dim,
             "drift_rank": report.drift_lattice_rank,
-            "notes": report.notes,
         }
     else:
         raise UsageError(f"unknown build kind {args.kind!r}")

@@ -10,6 +10,7 @@ from cylbill.geometry import (
     Lattice,
     Subspace,
     complement,
+    orthonormalize,
     span_of,
 )
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
@@ -118,6 +119,43 @@ def make_malformed_axis_system() -> CylindricBilliardSystem:
             CylinderSpec(radius=0.1, translation=np.zeros(3),
                          generator_basis=np.array([[1.0], [0.0], [0.0]]),
                          provenance="test"),
+        ],
+    )
+
+
+def make_leaky_witness_system() -> CylindricBilliardSystem:
+    """Six real-axis cylinders in 8-space (lattice I, r = 0.05) whose
+    graph splits into {0..4} and {5}, but whose splitting witness fails
+    its own check.  Base 5 is span{u, e8} with u = e7 + ε(e1 + e3 + e5),
+    ε = 7e-10: each pairwise overlap is at most √2 ε < ``OVERLAP``, yet
+    base 5 leaks √3 ε out of the complement of span{e1..e6}."""
+    eps = 7e-10
+    e = np.eye(8)
+    u = e[6] + eps * (e[0] + e[2] + e[4])
+    rows = [(e[0], e[1]), (e[2], e[3]), (e[4], e[5]),
+            (e[0] + e[2], e[1] + e[3]), (e[2] + e[4], e[3] + e[5]),
+            (u, e[7])]
+    return CylindricBilliardSystem(
+        dim=8, lattice=Lattice(np.eye(8)),
+        cylinders=[CylinderSpec(radius=0.05, translation=np.zeros(8),
+                                generator_basis=complement(
+                                    orthonormalize(r)).basis)
+                   for r in rows],
+    )
+
+
+def make_thin_lattice_system() -> CylindricBilliardSystem:
+    """A valid system on the lattice diag(1, 1, 1, 1e-11): cylinder 0 has
+    the axis e4, cylinder 1 the axes e4 and e3.  Their common lattice
+    vector e4 has length 1e-11, below the Gram-Schmidt cutoff ``DROP``."""
+    e = np.eye(4, dtype=np.int64)
+    return CylindricBilliardSystem(
+        dim=4, lattice=Lattice(np.diag([1.0, 1.0, 1.0, 1e-11])),
+        cylinders=[
+            CylinderSpec(radius=0.1, translation=np.zeros(4),
+                         generator_coeffs=e[:, [3]]),
+            CylinderSpec(radius=0.1, translation=np.zeros(4),
+                         generator_coeffs=e[:, [3, 2]]),
         ],
     )
 

@@ -6,6 +6,7 @@ import pytest
 from cylbill import builders, fileio
 from cylbill.builders import (
     BuilderError,
+    FactorLatticeError,
     HardBallParams,
     NotDirectSumError,
     direct_sum_system,
@@ -21,13 +22,16 @@ from cylbill.classify import (
 )
 from cylbill.geometry import (
     Subspace,
+    complement,
     orthonormalize,
     projector_distance,
+    span_of,
     subspace_overlap,
 )
 from cylbill.model import system_to_dict, validate
 from cylbill.torusflow import random_phase
 from conftest import (
+    make_thin_lattice_system,
     make_two_block_system,
     project_zero_momentum,
     random_subspace,
@@ -130,6 +134,30 @@ class TestHardBall:
                     assert subspace_overlap(system.base_space(a),
                                             system.base_space(b)) < 1e-10
 
+    def test_full_system_spaces_stay_unfilled(self):
+        _, emb = hard_ball_system(HardBallParams(4, 2, (1.0, 2.0, 3.0, 4.0),
+                                                 0.05))
+        assert emb.full_system._spaces is None
+
+    @pytest.mark.parametrize("n, nu", [(2, 2), (3, 2), (5, 2), (3, 3),
+                                       (4, 3)])
+    def test_pair_blocks_equal_a_loop_build(self, n, nu):
+        _, emb = hard_ball_system(HardBallParams(n, nu, (1.0,) * n, 0.05))
+        for (i, j), cyl in zip(emb.pairs, emb.full_system.cylinders):
+            cols = []
+            for a in range(nu):
+                col = np.zeros(n * nu, dtype=np.int64)
+                col[[i * nu + a, j * nu + a]] = 1
+                cols.append(col)
+            for b in range(n):
+                if b not in (i, j):
+                    for a in range(nu):
+                        col = np.zeros(n * nu, dtype=np.int64)
+                        col[b * nu + a] = 1
+                        cols.append(col)
+            assert cyl.generator_coeffs.dtype == np.int64
+            assert np.array_equal(cyl.generator_coeffs, np.column_stack(cols))
+
     def test_embedding_maps(self):
         params = HardBallParams(3, 2, (1.0, 2.0, 0.5), 0.1)
         system, emb = hard_ball_system(params)
@@ -188,6 +216,35 @@ class TestDirectSum:
         with pytest.raises(NotDirectSumError):
             direct_sum_system([2], [b1], [0.1])
 
+    @pytest.mark.parametrize("rows, axes", [
+        ([[[1, 1, 0, 0], [0, 0, 1, 2]], [[1, 0, 0, 0], [0, 0, 1, 0]]],
+         [[[1, -1, 0, 0], [0, 0, 2, -1]], [[0, 1, 0, 0], [0, 0, 0, 1]]]),
+        ([[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 1, 1, 0], [0, 0, 0, 1]]],
+         [[[0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, -1, 0]]]),
+        ([[[1, 2, 0], [0, 0, 1]], [[0, 1, 3]]],
+         [[[2, -1, 0]], [[1, 0, 0], [0, 3, -1]]]),
+    ])
+    def test_rational_blocks_get_primitive_axes(self, rows, axes):
+        bases = [orthonormalize(r) for r in rows]
+        system, _ = direct_sum_system([b.dim for b in bases], bases,
+                                      [0.1] * len(bases))
+        for cyl, want in zip(system.cylinders, axes):
+            assert cyl.lattice_aligned
+            assert cyl.generator_coeffs.T.tolist() == want
+
+    def test_rational_axes_on_a_skew_lattice(self):
+        # axes rational in lattice coordinates, not in ambient ones
+        lattice = np.array([[1.0, 0.5, 0, 0], [0, np.sqrt(2.0), 0, 0],
+                            [0, 0, 1.0, 0], [0, 0, 0.3, 1.0]])
+        axes = [[[1, 1, 0, 0], [0, 0, 1, 2]], [[1, -1, 0, 0], [0, 0, 2, -1]]]
+        bases = [complement(orthonormalize((lattice @ np.array(a).T).T))
+                 for a in axes]
+        system, _ = direct_sum_system([2, 2], bases, [0.1, 0.1],
+                                      lattice_basis=lattice)
+        for cyl, want in zip(system.cylinders, axes):
+            assert cyl.lattice_aligned
+            assert cyl.generator_coeffs.T.tolist() == want
+
     def test_fallback_real_basis_for_irrational(self):
         # rotate across the block boundary by an irrational angle
         theta = np.sqrt(2.0) / 3.0
@@ -201,6 +258,13 @@ class TestDirectSum:
         assert system.cylinders[0].provenance
         # derived base spaces still match the requested blocks
         assert projector_distance(system.base_space(0), b1) < 1e-9
+
+    def test_random_planes_keep_a_real_axis(self, rng):
+        for _ in range(5):
+            b1 = orthonormalize(rng.standard_normal((2, 4)))
+            system, _ = direct_sum_system([2, 2], [b1, complement(b1)],
+                                          [0.1, 0.1])
+            assert not any(c.lattice_aligned for c in system.cylinders)
 
 
 class TestSubBilliard:
@@ -253,6 +317,10 @@ class TestSubBilliard:
             assert projector_distance(lifted,
                                       system.base_space(parent_idx)) < 1e-9
 
+    def test_thin_lattice_drift_raises(self):
+        with pytest.raises(FactorLatticeError, match="lattice rank 1"):
+            sub_billiard(make_thin_lattice_system(), [0, 1])
+
     def test_real_basis_parent_rejected(self):
         theta = np.sqrt(2.0) / 3.0
         c, s = np.cos(theta), np.sin(theta)
@@ -292,3 +360,38 @@ def test_built_system_is_byte_identical_to_its_file(name):
                        if line != '  "interior_connected_asserted": true,\n')
     assert len(expected) < sum(map(len, lines))
     assert fileio.dumps(system_to_dict(system)) == expected
+
+
+def _factor_cases():
+    """(parent, indices, report) for every hard-ball build of hb(N,2),
+    N = 2..8, and hb(N,3), N = 2..4, with unit and unequal masses, and for
+    three sub-billiards: hb(3,2) on {0, 1}, one pair of hb(3,2) with
+    masses (1, 2, 5), and the first block of the two-block system."""
+    for nu, top in ((2, 8), (3, 4)):
+        for n in range(2, top + 1):
+            for masses in ((1.0,) * n, tuple(1.0 + 0.3 * i for i in range(n))):
+                _, emb = hard_ball_system(HardBallParams(n, nu, masses, 0.05))
+                yield emb.full_system, range(emb.full_system.k), \
+                    emb.factor_report
+    hb3, _ = hard_ball_system(HardBallParams(3, 2, (1.0, 1.0, 1.0), 0.1))
+    hb3_masses, emb = hard_ball_system(HardBallParams(3, 2, (1.0, 2.0, 5.0),
+                                                      0.07))
+    blocks = make_two_block_system()
+    for parent, indices in ((hb3, [0, 1]),
+                            (hb3_masses, [emb.pairs.index((0, 1))]),
+                            (blocks, [0])):
+        yield parent, indices, sub_billiard(parent, indices)[1]
+
+
+def test_factor_quotient_agrees_with_the_span_of_the_base_spaces():
+    # the check the factor builder no longer makes: the common axis
+    # sublattice's rank is the joint span's deficiency, and the active
+    # space is that span
+    n_cases = 0
+    for parent, indices, report in _factor_cases():
+        span = span_of([parent.base_space(i) for i in indices])
+        assert report.drift_lattice_rank == parent.dim - span.dim
+        assert report.drift_space.dim == report.drift_lattice_rank
+        assert projector_distance(report.active_space, span) < 1e-12
+        n_cases += 1
+    assert n_cases == 2 * (7 + 3) + 3

@@ -12,6 +12,7 @@ from cylbill.classify import (
     EnumerationGuardError,
     _flats,
     SplittingWitness,
+    WitnessCheckError,
     commutant_dimension,
     count_transitive_blocks,
     graph_components,
@@ -20,6 +21,7 @@ from cylbill.classify import (
     non_orthogonality_graph,
 )
 from cylbill.config import OVERLAP
+from cylbill.errors import DegeneracyError
 from cylbill.geometry import (
     DimensionMismatch,
     Lattice,
@@ -32,6 +34,7 @@ from cylbill.geometry import (
 )
 from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from conftest import (
+    make_leaky_witness_system,
     make_real_axis_direct_sum,
     make_sphere_system,
     make_two_block_system,
@@ -190,6 +193,14 @@ class TestBatchedGraph:
         assert np.argwhere(np.triu(g)).tolist() == [list(e) for e in edges]
         assert graph_components(g) == [[0, 1, 2, 3, 4, 5]]
 
+    def test_components_of_random_graphs(self):
+        rng = np.random.default_rng(37)
+        for _ in range(3000):
+            k = int(rng.integers(0, 12))
+            g = np.triu(rng.random((k, k)) < rng.uniform(0, 0.5), 1)
+            g |= g.T
+            assert graph_components(g) == _bfs_components(g)
+
     def test_components_of_small_graphs(self):
         assert non_orthogonality_graph([]).shape == (0, 0)
         assert graph_components(non_orthogonality_graph([])) == []
@@ -230,6 +241,22 @@ class TestTransitive:
         assert not ok and witness.degenerate
         with pytest.raises(ValueError):
             is_transitive([])
+
+    def test_witness_failing_its_check_is_a_degeneracy(self):
+        bases = make_leaky_witness_system().base_spaces()
+        assert graph_components(non_orthogonality_graph(bases)) == \
+            [[0, 1, 2, 3, 4], [5]]
+        with pytest.raises(WitnessCheckError,
+                           match="base space 5 leaks out of part 2") as err:
+            is_transitive(bases)
+        assert isinstance(err.value, DegeneracyError)
+        assert not isinstance(err.value, ValueError)
+        # the check itself still raises ValueError for its callers
+        b1 = span_of(bases[:5])
+        witness = SplittingWitness(b1, complement(b1),
+                                   {i: 1 + (i == 5) for i in range(6)})
+        with pytest.raises(ValueError, match="leaks out of part 2"):
+            witness.check(dict(enumerate(bases)))
 
     def test_invariance_permutation_and_rotation(self, rng):
         for _ in range(10):

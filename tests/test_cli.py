@@ -23,8 +23,9 @@ from cylbill.errors import DegeneracyError, InputError, UsageError
 from cylbill.model import (CylindricBilliardSystem, load_system, save_system,
                            system_to_dict)
 from cylbill.paths import save_sigma
-from conftest import (make_malformed_axis_system, make_mixed_axis_system,
-                      make_sphere_system, make_two_block_system)
+from conftest import (make_leaky_witness_system, make_malformed_axis_system,
+                      make_mixed_axis_system, make_sphere_system,
+                      make_thin_lattice_system, make_two_block_system)
 
 
 def run(capsys, *argv):
@@ -74,6 +75,26 @@ class TestBuild:
         assert '"transitive": false' in text
         assert "splitting_witness" in text
 
+    def test_directsum_skew_sum_simulates(self, tmp_path, capsys):
+        # rational blocks whose axes an entry-by-entry reading of an SVD
+        # basis misses
+        params = tmp_path / "params.json"
+        fileio.dump({
+            "block_dims": [2, 2],
+            "bases": [[[1, 1, 0, 0], [0, 0, 1, 2]],
+                      [[1, 0, 0, 0], [0, 0, 1, 0]]],
+            "radii": [0.1, 0.1],
+        }, params)
+        out = tmp_path / "skew.json"
+        code, _, err = run(capsys, "build", "directsum",
+                           "--params", str(params), "--out", str(out))
+        assert code == 0, err
+        assert all(c.lattice_aligned for c in load_system(out).cylinders)
+        code, _, err = run(capsys, "simulate", "--system", str(out),
+                           "--random", "--seed", "1", "--collisions", "100",
+                           "--out", str(tmp_path / "traj.json"))
+        assert code == 0, err
+
     @pytest.mark.parametrize("missing", ["bases", "block_dims", "radii"])
     def test_directsum_missing_key_validation_error(self, tmp_path, capsys,
                                                     missing):
@@ -104,11 +125,14 @@ class TestBuild:
 
     def test_subbilliard(self, tmp_path, capsys, hardball_file):
         out = tmp_path / "sub.json"
-        code, _, err = run(capsys, "build", "subbilliard",
-                           "--system", str(hardball_file),
-                           "--indices", "0", "--out", str(out))
+        code, text, err = run(capsys, "build", "subbilliard",
+                              "--system", str(hardball_file),
+                              "--indices", "0", "--out", str(out))
         assert code == 0, err
         assert load_system(out).dim == 2
+        body = report_body(text)
+        assert body["drift_rank"] == 2
+        assert "notes" not in body
 
     def test_missing_params_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "build", "hardball",
@@ -612,6 +636,10 @@ FAILING_COMMANDS = {
     "classify-nan-basis": (
         ("classify", "--system", "{nan_basis}"),
         lambda f: cylbill.load_system(f["nan_basis"])),
+    "classify-leaky-witness": (
+        ("classify", "--system", "{leaky}"),
+        lambda f: classify.is_transitive(
+            cylbill.load_system(f["leaky"]).base_spaces())),
     "classify-no-cylinders": (
         ("classify", "--system", "{empty}"),
         lambda f: cli._load_valid_system(f["empty"])),
@@ -621,6 +649,11 @@ FAILING_COMMANDS = {
     "classify-nan-radius": (
         ("classify", "--system", "{nan_radius}"),
         lambda f: cli._load_valid_system(f["nan_radius"])),
+    "build-thin-lattice-factor": (
+        ("build", "subbilliard", "--system", "{thin}", "--indices", "0,1",
+         "--out", "{out}"),
+        lambda f: builders.sub_billiard(cylbill.load_system(f["thin"]),
+                                        [0, 1])),
     "build-nan-mass": (
         HARDBALL + ("--masses", "1,1,nan", "--r", "0.1"),
         lambda f: builders.HardBallParams(3, 2, (1, 1, NAN), 0.1)),
@@ -705,12 +738,15 @@ class TestFailureExitCodes:
                  for name in ("sinai", "crowd", "broken", "sigma0", "sigma5",
                               "sigma_frac", "out", "fractional", "infinite",
                               "huge", "nan_basis", "inf_translation",
-                              "nan_radius", "empty", "real_axis")}
+                              "nan_radius", "empty", "real_axis", "leaky",
+                              "thin")}
         save_system(make_sphere_system(2, r=0.3), files["sinai"])
         empty = CylindricBilliardSystem(
             dim=2, lattice=geometry.Lattice(np.eye(2)), cylinders=[])
         save_system(empty, files["empty"])
         save_system(make_mixed_axis_system(), files["real_axis"])
+        save_system(make_leaky_witness_system(), files["leaky"])
+        save_system(make_thin_lattice_system(), files["thin"])
         crowd = make_sphere_system(2, r=0.3)
         crowd.cylinders = crowd.cylinders * 30
         save_system(crowd, files["crowd"])
