@@ -315,9 +315,6 @@ def cmd_simulate(args) -> int:
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:
             fh.write(flow.record_table(record))
-    degenerate = record.flags["tangential_encountered"] \
-        or record.flags["simultaneous_encountered"] \
-        or record.flags["cascade_capped"]
     body = {
         "system": args.system,
         "out": args.out,
@@ -332,7 +329,7 @@ def cmd_simulate(args) -> int:
         if any(record.flags.values()) else "flags: none",
     ]
     _write_report("simulate", body, summary, None)
-    return EXIT_DEGENERACY if degenerate else EXIT_OK
+    return EXIT_DEGENERACY if record.degenerate else EXIT_OK
 
 
 def cmd_lyapunov(args) -> int:

@@ -114,8 +114,8 @@ class CylindricBilliardSystem:
     dim: int
     lattice: Lattice
     cylinders: list[CylinderSpec]
-    # (generator spaces, base spaces), filled for every cylinder at once
-    _spaces: tuple | None = field(default=None, init=False, repr=False)
+    # the base spaces, filled for every cylinder at once
+    _spaces: list | None = field(default=None, init=False, repr=False)
     # the flow's collision-scan arrays, built on first use by torusflow
     _flow_cache: object = field(default=None, init=False, repr=False)
 
@@ -145,12 +145,12 @@ class CylindricBilliardSystem:
     def k(self) -> int:
         return len(self.cylinders)
 
-    def _fill_spaces(self) -> tuple[list[Subspace], list[Subspace]]:
-        """Every cylinder's generator and base space, in one stacked
-        Gram-Schmidt pass and one batched SVD.  The axis columns (lattice
-        basis times coefficients, or the real basis) are padded with zero
-        columns to the widest; base space i is spanned by the last
-        ``d - dim_i`` left singular vectors of generator basis i."""
+    def _fill_spaces(self) -> list[Subspace]:
+        """Every cylinder's base space, from one stacked Gram-Schmidt pass
+        and one batched SVD.  The axis columns (lattice basis times
+        coefficients, or the real basis) are padded with zero columns to
+        the widest; base space i is spanned by the last ``d - dim_i`` left
+        singular vectors of the orthonormalized axis columns i."""
         if self._spaces is None:
             d, k = self.dim, self.k
             axes = [self.lattice.basis @ c.generator_coeffs.astype(float)
@@ -161,30 +161,24 @@ class CylindricBilliardSystem:
             for i, a in enumerate(axes):
                 stack[i, :, :a.shape[1]] = a
             q = orthonormal_stack(stack)
-            kept = q.any(axis=1)
-            dims = kept.sum(axis=1).tolist()
-            gens = [Subspace(d, q[i][:, kept[i]]) for i in range(k)]
+            dims = q.any(axis=1).sum(axis=1).tolist()
             inner = [i for i, m in enumerate(dims) if 0 < m < d]
             left = dict(zip(inner, np.linalg.svd(
                 q[inner], full_matrices=True)[0])) if inner else {}
-            bases = [Subspace(d, left[i][:, m:]) if i in left
-                     else Subspace.full(d) if m == 0 else Subspace.zero(d)
-                     for i, m in enumerate(dims)]
-            self._spaces = gens, bases
+            self._spaces = [Subspace(d, left[i][:, m:]) if i in left
+                            else Subspace.full(d) if m == 0
+                            else Subspace.zero(d)
+                            for i, m in enumerate(dims)]
         return self._spaces
 
-    def generator_space(self, i: int) -> Subspace:
-        """Span of the i-th cylinder's axis directions."""
-        return self._fill_spaces()[0][i]
-
     def base_space(self, i: int) -> Subspace:
-        """Orthocomplement of the i-th generator space; collisions change
-        velocity only inside this subspace.  The first call of this or
-        :meth:`generator_space` fills every cylinder's spaces at once."""
-        return self._fill_spaces()[1][i]
+        """Orthocomplement of the i-th cylinder's axis directions;
+        collisions change velocity only inside this subspace.  The first
+        call fills every cylinder's base space at once."""
+        return self._fill_spaces()[i]
 
     def base_spaces(self) -> list[Subspace]:
-        return list(self._fill_spaces()[1])
+        return list(self._fill_spaces())
 
 
 @dataclass

@@ -9,17 +9,17 @@ space), which final-velocity directions the others reach (the expanding
 space), and how large the expanding part gets over random paths with the
 same collision sequence.
 
-The quadratic has one implementation, ``_collide``, which traces a stack
-of N paths (N initial velocities, N rows of concatenated offsets) and
-reports per row how far it got and why it failed; ``trace`` is its
-one-row case.  Beside it, ``contact_status`` is the one rule by which it,
-the δ sampler and the flow's scan call a contact a miss or a graze.  The
-neutral space is exact: a chain of linear constraints built from the
-path's own velocities, one block per collision, decided by one SVD with
-the package's ``RANK_REL`` cutoff (``singular_rank``).  The δ sampler
-builds each path's velocity history forward from a random initial
-velocity and random normals, so every draw that clears the contact rule
-is a valid path, and nothing is traced.
+``_collide`` solves the quadratic for a stack of N paths (N initial
+velocities, N rows of concatenated offsets) and reports per row how far it
+got and why it failed; ``trace`` is its one-row case.  The flow's scan
+solves the same quadratic over lattice images, and ``contact_status`` is
+the one rule by which both, and the δ sampler, call a contact a miss or a
+graze.  The neutral space is exact: a chain of linear constraints built
+from the path's own velocities, one block per collision, decided by one
+SVD with the package's ``RANK_REL`` cutoff (``singular_rank``).  The δ
+sampler builds each path's velocity history forward from a random initial
+velocity and random normals, so every draw that clears the contact rule is
+a valid path, and nothing is traced.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ __all__ = [
     "EuclideanPathSpec",
     "EuclideanPathResult",
     "TraceError",
-    "NoRealRoot",
-    "Tangential",
-    "NonAdvancing",
     "NoValidPath",
     "SampleLimitError",
     "MAX_DELTA_SAMPLES",
@@ -74,23 +71,14 @@ sample, and ``delta_sigma_constrained`` one child stream."""
 
 
 class TraceError(DegeneracyError, RuntimeError):
-    """A path with the requested collision sequence does not exist here."""
+    """A path with the requested collision sequence does not exist here: it
+    fails at collision ``step`` for ``reason``, one of
+    ``REJECTION_REASONS``."""
 
-    def __init__(self, step: int, message: str):
+    def __init__(self, step: int, reason: str):
         self.step = step
-        super().__init__(f"collision {step}: {message}")
-
-
-class NoRealRoot(TraceError):
-    pass
-
-
-class Tangential(TraceError):
-    pass
-
-
-class NonAdvancing(TraceError):
-    pass
+        self.reason = reason
+        super().__init__(f"collision {step}: {_FAILURES[reason]}")
 
 
 class NoValidPath(DegeneracyError, RuntimeError):
@@ -189,13 +177,20 @@ def _offset_row(offsets) -> np.ndarray:
     return np.concatenate(offsets) if len(offsets) else np.zeros(0)
 
 
-# Status of a stacked row, and the error a failed row raises.
+REJECTION_REASONS = ("miss", "graze", "non_advancing")
+"""Why a path failed (``TraceError.reason``), in the order of the
+collision kernel's checks: ``contact_status`` calls a contact a miss (the
+path misses a cylinder or runs along its axis) or a graze, or the root does
+not advance beyond ``T_MIN_GAP``.  Index k is the failure status k + 1.
+Among the δ samplers only a traced candidate of the constrained screen can
+fail the last way: the constructive sampler draws no advances."""
+
+# Status of a stacked row: 0 traced, else 1 + its index in REJECTION_REASONS.
 _MISS, _GRAZE, _NON_ADVANCING = 1, 2, 3
 _FAILURES = {
-    _MISS: (NoRealRoot, "path misses the cylinder or runs along its axis"),
-    _GRAZE: (Tangential, "grazing contact (discriminant within guard)"),
-    _NON_ADVANCING: (NonAdvancing,
-                     "smaller root does not advance beyond T_MIN_GAP"),
+    "miss": "path misses the cylinder or runs along its axis",
+    "graze": "grazing contact (discriminant within guard)",
+    "non_advancing": "smaller root does not advance beyond T_MIN_GAP",
 }
 
 
@@ -233,8 +228,8 @@ class _Stack:
     step: np.ndarray           # (N,) failing collision, -1 if traced
 
     def error(self, i: int) -> TraceError:
-        cls, message = _FAILURES[int(self.status[i])]
-        return cls(int(self.step[i]), message)
+        return TraceError(int(self.step[i]),
+                          REJECTION_REASONS[int(self.status[i]) - 1])
 
 
 def _collide(view: _SequenceView, v0s: np.ndarray,
@@ -304,8 +299,8 @@ def _collide(view: _SequenceView, v0s: np.ndarray,
 
 def trace(system, labels, spec: EuclideanPathSpec) -> EuclideanPathResult:
     """Follow the path through its collision sequence: the one-row case of
-    the stacked kernel, raising ``NoRealRoot``, ``Tangential`` or
-    ``NonAdvancing`` at the collision where the path fails."""
+    the stacked kernel, raising ``TraceError`` at the collision where the
+    path fails, with its reason among ``REJECTION_REASONS``."""
     return _trace(_SequenceView(system, labels), spec)
 
 
@@ -419,14 +414,6 @@ def sequence_generator_intersection(system, labels) -> Subspace:
     return complement(span_of([system.base_space(i) for i in distinct],
                               ambient_dim=system.dim))
 
-
-REJECTION_REASONS = ("miss", "graze", "non_advancing")
-"""Why a sampled path failed, in the order of the collision kernel's
-checks: ``contact_status`` calls a contact a miss (the path misses a
-cylinder or runs along its axis) or a graze, or the root does not advance
-beyond ``T_MIN_GAP``.  Index k is the failure status k + 1.  Only a traced
-candidate of the constrained screen can fail the last way: the
-constructive sampler draws no advances."""
 
 # Candidates a constrained sample screens, traced as one stack.
 _SCREEN = 64

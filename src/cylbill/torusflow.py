@@ -43,8 +43,7 @@ __all__ = [
     "TrajectoryRecord",
     "FlowError",
     "StartInside",
-    "TangentialCollision",
-    "SimultaneousCollision",
+    "SingularContact",
     "WindowLimitError",
     "UnalignedAxisError",
     "MAX_LYAPUNOV_WINDOWS",
@@ -74,25 +73,15 @@ class StartInside(FlowError):
     """The phase point starts inside a scatterer."""
 
 
-class _SingularContact(FlowError):
-    """A singular encounter ``time`` after the scanned phase point;
-    ``reason`` names its kind among ``DISCARD_REASONS``."""
+class SingularContact(FlowError):
+    """A singular encounter ``time`` after the scanned phase point:
+    ``reason`` is one of ``DISCARD_REASONS``, a grazing contact before the
+    first clean collision or two distinct contacts within ``T_MIN_GAP``."""
 
-    def __init__(self, message: str, time: float):
-        super().__init__(f"{message} at t={time:.6g}")
+    def __init__(self, reason: str, time: float):
+        super().__init__(f"{reason} contact at t={time:.6g}")
+        self.reason = reason
         self.time = time
-
-
-class TangentialCollision(_SingularContact):
-    """A grazing contact occurred before the first clean collision."""
-
-    reason = "tangential"
-
-
-class SimultaneousCollision(_SingularContact):
-    """Two distinct contacts within ``T_MIN_GAP`` of each other."""
-
-    reason = "simultaneous"
 
 
 class WindowLimitError(UsageError, ValueError):
@@ -155,6 +144,15 @@ class TrajectoryRecord:
             events=self.events[:n],
             flags=dict(self.flags),
         )
+
+    @property
+    def degenerate(self) -> bool:
+        """The run stopped at a degeneracy: a tangential or simultaneous
+        contact, or the cascade cap."""
+        flags = self.flags
+        return (flags["tangential_encountered"]
+                or flags["simultaneous_encountered"]
+                or flags["cascade_capped"])
 
     @property
     def symbolic(self) -> list[int]:
@@ -367,10 +365,9 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
             second = s
     if first <= t_window:
         if graze_s <= first + T_MIN_GAP:
-            raise TangentialCollision("grazing contact", start + graze_s)
+            raise SingularContact("tangential", start + graze_s)
         if second - first < T_MIN_GAP:
-            raise SimultaneousCollision("two contacts within T_MIN_GAP",
-                                        start + first)
+            raise SingularContact("simultaneous", start + first)
         i, col = divmod(j, m)
         dim = view.dims[i]
         k_i = k_red[i * view.n:i * view.n + dim].astype(np.int64)
@@ -379,7 +376,7 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
         normal = view.bases[i] @ (w_hit / math.sqrt(w_hit @ w_hit))
         return start + first, i, image, normal
     if graze_s <= t_window:
-        raise TangentialCollision("grazing contact", start + graze_s)
+        raise SingularContact("tangential", start + graze_s)
     return None
 
 
@@ -485,7 +482,7 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
             window = min(window, remaining)
         try:
             hit = orbit.scan(window)
-        except _SingularContact as contact:
+        except SingularContact as contact:
             flags[f"{contact.reason}_encountered"] = True
             break
         if hit is None:
@@ -702,7 +699,7 @@ class _LyapunovOrbit(_Orbit):
         self.move(self.t, normal)
         self.t = 0.0
 
-    def discard(self, contact: _SingularContact) -> None:
+    def discard(self, contact: SingularContact) -> None:
         """Discard the window holding a singular contact ``contact.time``
         after ``q``: restore the state saved at its start, there step the
         point 1e-10 across the velocity, in a random direction, and go on
@@ -897,7 +894,7 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
             tangent.apply(orbit.take())
         try:
             hit = orbit.scan(orbit.remaining)
-        except _SingularContact as contact:
+        except SingularContact as contact:
             orbit.discard(contact)
             continue
         if hit is None:
@@ -983,9 +980,7 @@ def splitting_scan(system, n_orbits: int, n_collisions: int,
         rng = np.random.default_rng(child)
         phase = random_phase(system, rng)
         record = flow(system, phase, max_collisions=n_collisions)
-        if record.flags["tangential_encountered"] or \
-                record.flags["simultaneous_encountered"]:
-            degenerate += 1
+        degenerate += record.degenerate
         horizon_stops += record.flags["no_collision_within_horizon"]
         if detect_splitting(record, system) is not None:
             hits += 1

@@ -35,6 +35,15 @@ def intersect(subspaces, ambient_dim=None) -> Subspace:
     return complement(span_of(comps))
 
 
+def axis_space(system, i: int) -> Subspace:
+    """Span of cylinder ``i``'s axis directions, from its own columns: the
+    lattice basis times its coefficients, or its real basis."""
+    cyl = system.cylinders[i]
+    axes = (system.lattice.basis @ cyl.generator_coeffs.astype(float)
+            if cyl.lattice_aligned else cyl.generator_basis)
+    return orthonormalize(axes.T, ambient_dim=system.dim)
+
+
 def make_sphere_system(d: int, r: float = 0.3, center=None,
                        lattice=None) -> CylindricBilliardSystem:
     """Single spherical scatterer (point axis) on the integer torus."""
@@ -313,10 +322,10 @@ def scalar_trace_oracle(system, labels, spec, x0=None, t0: float = 0.0):
     position ``x0`` (default the origin) at time ``t0``.
 
     Returns ``(times, normals, min_incidence)`` for a path that traces, or
-    ``(error class, step)`` for the first collision it fails at.
+    ``(reason, step)`` for the first collision it fails at, the reason one
+    of ``paths.REJECTION_REASONS``.
     """
     from cylbill.config import DISC, T_MIN_GAP
-    from cylbill.paths import NoRealRoot, NonAdvancing, Tangential
 
     x = np.zeros(system.dim) if x0 is None else np.asarray(x0, dtype=float)
     v = np.asarray(spec.v0, dtype=float).copy()
@@ -330,17 +339,17 @@ def scalar_trace_oracle(system, labels, spec, x0=None, t0: float = 0.0):
         u = basis.T @ v
         uu = float(u @ u)
         if uu < 1e-24:
-            return NoRealRoot, j
+            return "miss", j
         wu = float(w @ u)
         disc = wu * wu - uu * (float(w @ w) - r * r)
         guard = DISC * uu * r * r
         if disc < -guard:
-            return NoRealRoot, j
+            return "miss", j
         if disc < guard:
-            return Tangential, j
+            return "graze", j
         s = (-wu - np.sqrt(disc)) / uu
         if s <= T_MIN_GAP:
-            return NonAdvancing, j
+            return "non_advancing", j
         t += s
         x = x + s * v
         n_local = (w + s * u) / r

@@ -20,7 +20,7 @@ import numpy as np
 from cylbill import intlat
 from cylbill.config import DISC, T_MIN_GAP
 from cylbill.geometry import Lattice
-from cylbill.torusflow import SimultaneousCollision, TangentialCollision
+from cylbill.torusflow import SingularContact
 
 
 class AxisImages(NamedTuple):
@@ -127,15 +127,14 @@ def scan_window(images: list[AxisImages], q: np.ndarray, v: np.ndarray,
     if first <= t_window:
         i, b, w_hit = best
         if graze_s <= first + T_MIN_GAP:
-            raise TangentialCollision("grazing contact", start + graze_s)
+            raise SingularContact("tangential", start + graze_s)
         if second - first < T_MIN_GAP:
-            raise SimultaneousCollision("two contacts within T_MIN_GAP",
-                                        start + first)
+            raise SingularContact("simultaneous", start + first)
         img = images[i]
         normal = img.basis @ (w_hit / np.linalg.norm(w_hit))
         return start + first, i, img.cosets @ b, normal
     if graze_s <= t_window:
-        raise TangentialCollision("grazing contact", start + graze_s)
+        raise SingularContact("tangential", start + graze_s)
     return None
 
 

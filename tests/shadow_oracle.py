@@ -20,9 +20,8 @@ import numpy as np
 
 from cylbill.torusflow import (
     FlowError,
-    SimultaneousCollision,
+    SingularContact,
     StartInside,
-    TangentialCollision,
     _assert_outside,
     _flow_view,
     _Orbit,
@@ -110,7 +109,7 @@ def shadow_lyapunov_max(system, phase, total_t: float, renorm_dt: float,
         try:
             q_m2, v_m2 = _advance(view, q_m, v_m, renorm_dt)
             q_s2, v_s2 = _advance(view, q_s, v_s, renorm_dt)
-        except (TangentialCollision, SimultaneousCollision, StartInside):
+        except (SingularContact, StartInside):
             discarded += 1
             jig = rng.standard_normal(d)
             jig -= (jig @ v_m) * v_m

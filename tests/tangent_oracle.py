@@ -17,10 +17,9 @@ import math
 import numpy as np
 
 from cylbill.torusflow import (DISCARD_REASONS, MAX_LYAPUNOV_WINDOWS,
-                               LyapunovResult, StartInside, WindowLimitError,
-                               _across, _assert_outside, _FlowView,
-                               _flow_view, _FRAME_CAP, _Orbit,
-                               _SingularContact)
+                               LyapunovResult, SingularContact, StartInside,
+                               WindowLimitError, _across, _assert_outside,
+                               _FlowView, _flow_view, _FRAME_CAP, _Orbit)
 
 
 class _TangentOrbit(_Orbit):
@@ -135,7 +134,7 @@ class _TangentOrbit(_Orbit):
         self.move(self.t, normal)
         self.t = 0.0
 
-    def discard(self, contact: _SingularContact) -> None:
+    def discard(self, contact: SingularContact) -> None:
         """Discard the window holding a singular contact ``contact.time``
         after ``q``: restore the state saved at its start, there step the
         point 1e-10 across the velocity, in a random direction, and go on
@@ -205,7 +204,7 @@ def lyapunov_max(system, phase, total_t: float, renorm_dt: float,
     while orbit.closed < n_windows:
         try:
             hit = orbit.scan(orbit.remaining)
-        except _SingularContact as contact:
+        except SingularContact as contact:
             orbit.discard(contact)
             continue
         if hit is None:

@@ -31,6 +31,7 @@ from cylbill.geometry import (
 from cylbill.model import system_to_dict, validate
 from cylbill.torusflow import random_phase
 from conftest import (
+    axis_space,
     make_thin_lattice_system,
     make_two_block_system,
     project_zero_momentum,
@@ -121,7 +122,7 @@ class TestHardBall:
         nu, n = 2, 4
         assert system.dim == nu * (n - 1)
         for i in range(system.k):
-            assert system.generator_space(i).dim == nu * (n - 2)
+            assert axis_space(system, i).dim == nu * (n - 2)
             assert system.base_space(i).dim == nu
 
     def test_disjoint_pairs_orthogonal(self):

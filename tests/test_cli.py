@@ -542,6 +542,23 @@ class TestDegeneracyExit:
         assert code == 3
         assert report_body(text)["flags"]["tangential_encountered"]
 
+    def test_cascade_capped_runs_are_degenerate(self, capsys, tmp_path,
+                                                monkeypatch):
+        """A run stopped by the cascade cap is a degenerate stop, to
+        ``simulate``'s exit code and to the scan's ``n_degenerate`` alike."""
+        monkeypatch.setattr(tf, "CASCADE_CAP", 3)
+        system = Path(__file__).parent / "data" / "hb_3_2.json"
+        code, text, _ = run(capsys, "simulate", "--system", str(system),
+                            "--random", "--seed", "1", "--collisions", "100",
+                            "--out", str(tmp_path / "traj.json"))
+        assert code == 3
+        assert report_body(text)["flags"]["cascade_capped"]
+        code, text, _ = run(capsys, "splitting-scan", "--system",
+                            str(system), "--orbits", "20",
+                            "--collisions", "100", "--seed", "1")
+        assert code == 0
+        assert report_body(text)["n_degenerate"] == 20
+
 
 class TestTypedArgumentFailures:
     @pytest.mark.parametrize("argv", [

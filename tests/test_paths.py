@@ -3,22 +3,21 @@ import pytest
 
 import fd_oracle as fd
 import test_acceptance as acceptance
-from cylbill import builders, intlat, paths
+from cylbill import builders, intlat, paths, torusflow
 from cylbill.config import AXIS_PARALLEL, DISC, T_MIN_GAP
 from cylbill.geometry import (
+    Lattice,
     Subspace,
     containment_residual,
     orthonormalize,
     projector_distance,
     subspace_overlap,
 )
+from cylbill.model import CylinderSpec, CylindricBilliardSystem
 from cylbill.paths import (
     EuclideanPathSpec,
-    NoRealRoot,
-    NonAdvancing,
     NoValidPath,
     REJECTION_REASONS,
-    Tangential,
     TraceError,
     apply_reflections,
     delta_sigma_constrained,
@@ -31,6 +30,7 @@ from cylbill.paths import (
     w_plus,
 )
 from conftest import (
+    axis_space,
     intersect,
     make_real_axis_direct_sum,
     make_sphere_system,
@@ -71,26 +71,6 @@ class TestTrace:
         assert np.allclose(res.velocities[1], [-1.0, 0.0])
         assert np.allclose(res.normals[0], [-1.0, 0.0])
 
-    def test_miss(self, sphere2):
-        spec = EuclideanPathSpec([1.0, 0.0], [np.array([2.0, 2.0])])
-        with pytest.raises(NoRealRoot):
-            trace(sphere2, [0], spec)
-
-    def test_tangential(self, sphere2):
-        spec = EuclideanPathSpec([1.0, 0.0], [np.array([2.0, 1.0])])
-        with pytest.raises(Tangential):
-            trace(sphere2, [0], spec)
-
-    def test_non_advancing_from_inside(self, sphere2):
-        spec = EuclideanPathSpec([1.0, 0.0], [np.array([0.1, 0.0])])
-        with pytest.raises(NonAdvancing):
-            trace(sphere2, [0], spec)
-
-    def test_behind_is_non_advancing(self, sphere2):
-        spec = EuclideanPathSpec([1.0, 0.0], [np.array([-3.0, 0.0])])
-        with pytest.raises(NonAdvancing):
-            trace(sphere2, [0], spec)
-
     def test_invariants_on_random_traces(self, rng):
         checked = 0
         for _ in range(60):
@@ -106,7 +86,7 @@ class TestTrace:
             assert np.all(np.diff(np.concatenate([[0.0], res.times])) > 0)
             for j, lab in enumerate(labels):
                 dv = res.velocities[j + 1] - res.velocities[j]
-                gen = system.generator_space(lab)
+                gen = axis_space(system, lab)
                 assert np.linalg.norm(gen.basis.T @ dv) < 1e-10
                 assert abs(np.linalg.norm(res.velocities[j + 1]) - 1) < 1e-12
                 assert abs(np.linalg.norm(res.normals[j]) - 1) < 1e-12
@@ -128,6 +108,53 @@ class TestTrace:
                 continue
             assert np.max(np.abs(oracle - res.times)) < 1e-9
             compared += 1
+
+
+def _trace_failure(offset):
+    """A one-collision path off the unit sphere at the offset, heading +x."""
+    sphere = make_sphere_system(2, r=1.0, center=np.zeros(2))
+    spec = EuclideanPathSpec([1.0, 0.0], [np.array(offset)])
+    return lambda: trace(sphere, [0], spec)
+
+
+def _scan_failure(radii, q, v):
+    """One scan window from ``q`` along ``v`` among balls of the given radii,
+    all centred in the unit cell."""
+    d = len(q)
+    system = CylindricBilliardSystem(
+        dim=d, lattice=Lattice(np.eye(d)),
+        cylinders=[CylinderSpec(radius=r, translation=np.full(d, 0.5),
+                                generator_coeffs=np.zeros((d, 0), np.int64))
+                   for r in radii])
+    view = torusflow._flow_view(system)
+    return lambda: torusflow._scan_window(view, np.array(q), np.array(v),
+                                          0.0, view.window)
+
+
+@pytest.mark.parametrize("fail,error,reason,where", [
+    (_trace_failure([2.0, 2.0]), TraceError, "miss", ("step", 0)),
+    (_trace_failure([2.0, 1.0]), TraceError, "graze", ("step", 0)),
+    # from inside the sphere, and with the sphere behind the start
+    (_trace_failure([0.1, 0.0]), TraceError, "non_advancing", ("step", 0)),
+    (_trace_failure([-3.0, 0.0]), TraceError, "non_advancing", ("step", 0)),
+    # a ray whose closest approach to the ball's centre is r
+    (_scan_failure([0.3], [0.0, 0.2], [1.0, 0.0]),
+     torusflow.SingularContact, "tangential", ("time", 0.5)),
+    # a concentric ball 1e-11 wider: both are met within T_MIN_GAP
+    (_scan_failure([0.2, 0.2 + 1e-11], [0.05, 0.5, 0.5], [1.0, 0.0, 0.0]),
+     torusflow.SingularContact, "simultaneous", ("time", 0.25)),
+], ids=["miss", "graze", "non_advancing-inside", "non_advancing-behind",
+        "scan-tangential", "scan-simultaneous"])
+def test_failure_carries_its_reason(fail, error, reason, where):
+    """The path tracer and the flow's scan each raise one error type, whose
+    ``reason`` is one of the reasons their reports count."""
+    with pytest.raises(error) as info:
+        fail()
+    assert type(info.value) is error and info.value.reason == reason
+    assert reason in (REJECTION_REASONS if error is TraceError
+                      else torusflow.DISCARD_REASONS)
+    attr, value = where
+    assert getattr(info.value, attr) == pytest.approx(value, abs=1e-9)
 
 
 class TestTranslations:
@@ -505,7 +532,7 @@ class TestCommonAxes:
                     for _ in range(10)]
         for system in systems:
             for labels in _label_sets(rng, system.k):
-                oracle = intersect([system.generator_space(i)
+                oracle = intersect([axis_space(system, i)
                                     for i in set(labels)], system.dim)
                 self._check(sequence_generator_intersection(system, labels),
                             oracle)
@@ -535,7 +562,7 @@ class TestStackedKernel:
     @staticmethod
     def axial_spec(system, labels):
         """A velocity along the first cylinder's axis (no root)."""
-        axis = system.generator_space(labels[0]).basis[:, 0]
+        axis = axis_space(system, labels[0]).basis[:, 0]
         return EuclideanPathSpec(
             unit(axis), [np.ones(system.base_space(lab).dim)
                          for lab in labels])
@@ -544,8 +571,6 @@ class TestStackedKernel:
         (3, 0.15, 1), (3, 0.15, 2), (5, 0.05, 3), (5, 0.05, 4),
     ])
     def test_matches_scalar_oracle(self, n_balls, r, seed):
-        from cylbill import torusflow
-
         system = hard_balls(n_balls, r)
         rng = np.random.default_rng(seed)
         # a real collision sequence and its path, unfolded from the flow
@@ -568,13 +593,13 @@ class TestStackedKernel:
         for i, spec in enumerate(specs):
             want = scalar_trace_oracle(system, labels, spec)
             if len(want) == 2:
-                cls, step = want
-                seen.add(cls)
+                reason, step = want
+                seen.add(reason)
                 got = stack.error(i) if stack.status[i] else None
-                assert type(got) is cls and got.step == step, (i, got)
-                with pytest.raises(cls) as info:
+                assert (got.reason, got.step) == want, (i, got)
+                with pytest.raises(TraceError) as info:
                     trace(system, labels, spec)
-                assert info.value.step == step
+                assert (info.value.reason, info.value.step) == want
                 continue
             times, normals, min_inc = want
             seen.add("traced")
@@ -602,7 +627,7 @@ class TestStackedKernel:
             assert np.max(np.abs(res.times - stack.times[i])) <= 1e-9
             assert np.max(np.abs(res.final_velocity
                                  - stack.velocities[i, -1])) <= 1e-9
-        assert seen == {"traced", NoRealRoot, Tangential, NonAdvancing}
+        assert seen == {"traced", *REJECTION_REASONS}
 
 
 class TestContactRule:
@@ -656,8 +681,6 @@ def one_candidate_constrained(system, labels, base, n_samples, seed):
     """Reference for the constrained screen: each sample's 64 candidates
     walked one at a time, each classified by the scalar oracle, and the
     expanding dimension of the first that traces from ``w_plus``."""
-    reasons = {NoRealRoot: "miss", Tangential: "graze",
-               NonAdvancing: "non_advancing"}
     rejected = dict.fromkeys(REJECTION_REASONS, 0)
     dims, failed = [], 0
     for child in np.random.SeedSequence(seed).spawn(n_samples):
@@ -666,7 +689,7 @@ def one_candidate_constrained(system, labels, base, n_samples, seed):
                                  EuclideanPathSpec(v0, base.offsets), a)
             traced = scalar_trace_oracle(system, labels, spec)
             if len(traced) == 2:
-                rejected[reasons[traced[0]]] += 1
+                rejected[traced[0]] += 1
                 continue
             dims.append(w_plus(system, labels, spec).dim)
             break
