@@ -149,7 +149,8 @@ def graph_components(adjacency: np.ndarray) -> list[list[int]]:
 
 
 def is_transitive(bases, ambient_dim: int | None = None,
-                  graph: np.ndarray | None = None):
+                  graph: np.ndarray | None = None,
+                  joint: Subspace | None = None):
     """Decide whether the collection admits no orthogonal splitting.
 
     Returns ``(True, None)`` or ``(False, witness)``.  The structural
@@ -157,16 +158,19 @@ def is_transitive(bases, ambient_dim: int | None = None,
     is the full space.  Graph components span mutually orthogonal
     subspaces, and a deficient span leaves its complement untouched, so
     each failure mode produces a witness directly.  ``graph`` is the
-    collection's ``non_orthogonality_graph`` if the caller has built it;
-    otherwise it is built here when needed.  A witness that fails its own
-    check raises ``WitnessCheckError``.
+    collection's ``non_orthogonality_graph`` and ``joint`` its ``span_of``
+    if the caller has built them; otherwise each is built here when
+    needed.  A witness that fails its own check raises
+    ``WitnessCheckError``.
     """
     bases = list(bases)
+    if bases and joint is None:
+        joint = span_of(bases)
     if not bases:
         if ambient_dim is None:
             raise ValueError("ambient_dim required for an empty collection")
         b1, assignment = orthonormalize([np.eye(ambient_dim)[:, 0]]), {}
-    elif (joint := span_of(bases)).dim < bases[0].ambient_dim:
+    elif joint.dim < bases[0].ambient_dim:
         b1, assignment = joint, dict.fromkeys(range(len(bases)), 1)
     else:
         if graph is None:
@@ -186,7 +190,8 @@ def is_transitive(bases, ambient_dim: int | None = None,
     return False, w
 
 
-def commutant_dimension(bases, graph: np.ndarray | None = None) -> int:
+def commutant_dimension(bases, graph: np.ndarray | None = None,
+                        joint: Subspace | None = None) -> int:
     """Dimension of the symmetric commutant of the generated rotation group.
 
     Value 1 (scalars only) is equivalent to the absence of any invariant
@@ -197,8 +202,9 @@ def commutant_dimension(bases, graph: np.ndarray | None = None) -> int:
     so each component adds the scalars there; components act trivially on
     each other, and the complement of the joint span, of dimension ``e``,
     adds every symmetric map on it: ``components + e (e + 1) / 2``.
-    ``graph`` is the collection's ``non_orthogonality_graph`` if the caller
-    has built it; otherwise it is built here.
+    ``graph`` is the collection's ``non_orthogonality_graph`` and ``joint``
+    its ``span_of`` if the caller has built them; otherwise each is built
+    here.
     """
     bases = list(bases)
     if not bases:
@@ -208,7 +214,9 @@ def commutant_dimension(bases, graph: np.ndarray | None = None) -> int:
             raise ValueError("commutant needs base spaces of dim >= 2")
     if graph is None:
         graph = non_orthogonality_graph(bases)
-    e = bases[0].ambient_dim - span_of(bases).dim
+    if joint is None:
+        joint = span_of(bases)
+    e = bases[0].ambient_dim - joint.dim
     return len(graph_components(graph)) + e * (e + 1) // 2
 
 

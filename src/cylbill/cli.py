@@ -21,7 +21,7 @@ import numpy as np
 from . import builders, classify, config, fileio, model, paths
 from . import torusflow as flow
 from .errors import DegeneracyError, InputError, UsageError
-from .geometry import orthonormalize
+from .geometry import orthonormalize, span_of
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -110,9 +110,10 @@ def cmd_classify(args) -> int:
     system = _load_valid_system(args.system)
     bases = system.base_spaces()
     graph = classify.non_orthogonality_graph(bases)
+    joint = span_of(bases, ambient_dim=system.dim)
     transitive, witness = classify.is_transitive(bases, ambient_dim=system.dim,
-                                                 graph=graph)
-    commutant = classify.commutant_dimension(bases, graph=graph) \
+                                                 graph=graph, joint=joint)
+    commutant = classify.commutant_dimension(bases, graph=graph, joint=joint) \
         if all(b.dim >= 2 for b in bases) else None
     transverse, counterexample = classify.is_transverse(system)
     components = classify.graph_components(graph)
@@ -397,6 +398,8 @@ def cmd_splitting_scan(args) -> int:
         f"up to {args.collisions} collisions each)",
         f"{result.n_horizon_stops} of {result.n_orbits} orbits stopped "
         "short: no collision within the horizon",
+        f"{result.n_degenerate} of {result.n_orbits} orbits stopped at a "
+        "degeneracy",
     ]
     _write_report("splitting-scan", body, summary, args.out)
     return EXIT_OK

@@ -349,11 +349,19 @@ class Lattice:
         shifts.
         """
         q = np.asarray(q, dtype=float).reshape(-1)
+        wrapped, shift = self.shift_into_cell(q)
+        if shift is None:
+            return q.copy(), np.zeros(q.size, dtype=np.int64)
+        return wrapped, shift
+
+    def shift_into_cell(self, q: np.ndarray):
+        """``wrap`` of a float vector ``q`` without copies: ``(q, None)``
+        when nothing shifts, for a caller that never writes to ``q``."""
         y = self.inv_basis @ q
         shift = np.floor(y + 1e-12)
         if np.count_nonzero(shift):
             return self.basis @ (y - shift), shift.astype(np.int64)
-        return q.copy(), np.zeros(q.size, dtype=np.int64)
+        return q, None
 
     def enumerate_ball(self, center, radius):
         """All lattice points within ``radius`` of ``center``.

@@ -208,7 +208,12 @@ def contact_status(disc, uu, rr):
     runs along the axis) or ``disc <= -guard``, a graze (``_GRAZE``) if
     ``disc < guard``, and clean (0) otherwise, ``guard`` being
     ``contact_guard(uu, rr)``.  Plain comparisons and arithmetic, so it
-    decides floats and arrays, elementwise, alike.
+    decides floats and arrays, elementwise, alike.  The kernels here call
+    it on every contact.  The flow's scan calls it once per cylinder per
+    window, on the clean discriminant ``inf``, which is a miss exactly when
+    the ray runs along the axis.  The scan decides every other image by
+    ``contact_guard`` alone, clean at or above it, except the rare image
+    inside the guard, which it passes here.
     """
     guard = contact_guard(uu, rr)
     miss = (uu < AXIS_PARALLEL) | (disc <= -guard)

@@ -207,14 +207,17 @@ class _FlowView:
     contact.  Ball column ``j`` shifted by reduced coordinates ``k`` is the
     image ``W (ints_j + U k)``, ``U`` the reduced transform:
     ``image_ints[i]`` holds the ``W ints_j`` and ``image_red[i]`` is
-    ``W U``, so a hit costs one product.  ``rr`` is the column of squared
-    radii, for the scan's array pass, and ``rr_list`` the same as floats,
-    for its loop.
+    ``W U``, so ``image`` builds a hit's image by one product.  ``rr`` is
+    the column of squared radii, for the scan's array pass, and ``rr_list``
+    the same as floats, for its loop; ``neg_guard`` is
+    ``-contact_guard(1.0, rr)``, which times ``|B_i^T v|^2`` is the screen's
+    bound ``-contact_guard(uu, rr)`` bit for bit.
     """
 
     __slots__ = ("lattice", "window", "k", "n", "bases", "dims",
                  "bt", "bt_t", "red", "red_inv", "pts", "sizes",
-                 "image_ints", "image_red", "radius", "rr", "rr_list")
+                 "image_ints", "image_red", "radius", "rr", "rr_list",
+                 "neg_guard")
 
     def __init__(self, system):
         d = system.dim
@@ -267,6 +270,7 @@ class _FlowView:
             self.pts[i, :self.dims[i], :len(pts)] = pts.T
         self.rr = (self.radius ** 2)[:, None]
         self.rr_list = self.rr[:, 0].tolist()
+        self.neg_guard = -contact_guard(1.0, self.rr)
 
     @property
     def diam(self) -> float:
@@ -286,10 +290,19 @@ class _FlowView:
         c = (y - self.red @ k_red).reshape(self.k, self.n, 1)
         return c - self.pts, k_red
 
+    def image(self, i: int, at) -> np.ndarray:
+        """Integer coordinates of the image of cylinder ``i`` that a scan
+        hit: ``at`` holds the hit's ball column and the stacked reduced
+        coordinates ``k_red`` that ``offsets`` gave the scan."""
+        col, k_red = at
+        rows = slice(i * self.n, i * self.n + self.dims[i])
+        return self.image_ints[i][col] \
+            + self.image_red[i] @ k_red[rows].astype(np.int64)
+
     def distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from ``x`` to the nearest image, per cylinder."""
         w, _ = self.offsets(x)
-        return np.sqrt(np.min(np.square(w).sum(axis=1), axis=1,
+        return np.sqrt(np.min(np.add.reduce(np.square(w), axis=1), axis=1,
                               initial=np.inf))
 
 
@@ -310,51 +323,59 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
                  start: float, t_window: float):
     """Earliest admissible collision of the ray from ``q + start v`` within
     ``t_window`` of that point (at most ``view.window``); None if there is
-    none.  Returns (s, cylinder, image ints, unit normal), with ``s`` and
-    the time of a singular contact measured from ``q`` and the image in
-    the frame of ``q``.
+    none.  Returns (s, cylinder, at, unit normal), with ``s`` and the time
+    of a singular contact measured from ``q``; ``view.image(cylinder, at)``
+    is the hit's image in the frame of ``q``, built only by the callers that
+    record it.
 
     One array pass solves the collision quadratic on every image of every
     cylinder and screens it: an image goes on only if its discriminant
-    clears ``-contact_guard`` and the ray heads toward it
-    (``w . u < 0``).  Neither test drops anything the loop would keep:
-    the first is ``contact_status``'s miss test on the discriminant, and
-    with ``w . u >= 0`` the earlier root, the only one the loop takes, and
-    the graze time ``-w . u / |u|^2`` are ``<= 0``, and the loop ignores
-    every time up to ``T_MIN_GAP``.  The few screened images, about ten
-    per window, go on to ``contact_status``, roots and grazes in one
-    scalar loop: on arrays that short each numpy call costs more than the
-    arithmetic.  The loop skips padding columns, and the rule's misses
-    among the screened images: the cylinders the ray runs parallel to.
-    Only the first contact's image and normal are built.
+    clears ``-contact_guard`` (``view.neg_guard`` times ``|B^T v|^2``) and
+    the ray heads toward it (``w . u < 0``).  Neither test drops anything
+    the loop would keep: the first is ``contact_status``'s miss test on the
+    discriminant, and with ``w . u >= 0`` the earlier root, the only one
+    the loop takes, and the graze time ``-w . u / |u|^2`` are ``<= 0``, and
+    the loop ignores every time up to ``T_MIN_GAP``.  The few screened
+    images, about ten per window, go on to roots and grazes in one scalar
+    loop: on arrays that short each numpy call costs more than the
+    arithmetic.  The loop meets them cylinder by cylinder and decides the
+    contact rule once per cylinder: ``contact_status`` on a clean
+    discriminant says whether the ray runs along the axis, a miss for every
+    image.  On the other images the same guard decides: one at or above
+    ``contact_guard`` is clean, and only one inside it, rare, goes to
+    ``contact_status`` for its miss or graze.  The loop skips padding
+    columns.  Only the first contact's normal is built.
     """
     origin = q + start * v if start else q
     u = (view.bt @ v).reshape(view.k, 1, view.n)
     uu = np.vecdot(u, u)                            # k x 1
     w, k_red = view.offsets(origin)
     wu = (u @ w)[:, 0]                              # k x m
-    disc = wu * wu - uu * (np.square(w).sum(axis=1) - view.rr)
-    screened = np.flatnonzero((disc > -contact_guard(uu, view.rr))
-                              & (wu < 0))
+    disc = wu * wu - uu * (np.add.reduce(np.square(w), axis=1) - view.rr)
+    screened = ((disc > view.neg_guard * uu) & (wu < 0)).ravel().nonzero()[0]
     if not screened.size:
         return None
     m = disc.shape[1]
     uu = uu.ravel().tolist()
     rr, sizes = view.rr_list, view.sizes
     graze_s = first = second = math.inf     # earliest graze and contacts
-    j = 0
+    j = c_at = -1
     for flat, d_s, wu_s in zip(screened.tolist(), disc.take(screened).tolist(),
                                wu.take(screened).tolist()):
         c, col = divmod(flat, m)
-        if col >= sizes[c]:
+        if c != c_at:               # the screen lists images cylinder-major
+            c_at, uu_c, rr_c, size = c, uu[c], rr[c], sizes[c]
+            guard = contact_guard(uu_c, rr_c)
+            along = contact_status(math.inf, uu_c, rr_c)
+        if col >= size:
             continue
-        uu_c = uu[c]
-        code = contact_status(d_s, uu_c, rr[c])
-        if code:
-            if code == _GRAZE:
+        if d_s < guard:
+            if contact_status(d_s, uu_c, rr_c) == _GRAZE:
                 s = -wu_s / uu_c
                 if T_MIN_GAP < s < graze_s:
                     graze_s = s
+            continue
+        if along:
             continue
         s = (-wu_s - math.sqrt(d_s)) / uu_c
         if s <= T_MIN_GAP:
@@ -370,11 +391,9 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
             raise SingularContact("simultaneous", start + first)
         i, col = divmod(j, m)
         dim = view.dims[i]
-        k_i = k_red[i * view.n:i * view.n + dim].astype(np.int64)
-        image = view.image_ints[i][col] + view.image_red[i] @ k_i
         w_hit = w[i, :dim, col] + first * u[i, 0, :dim]
         normal = view.bases[i] @ (w_hit / math.sqrt(w_hit @ w_hit))
-        return start + first, i, image, normal
+        return start + first, i, (col, k_red), normal
     if graze_s <= t_window:
         raise SingularContact("tangential", start + graze_s)
     return None
@@ -393,8 +412,8 @@ class _Orbit:
 
     def scan(self, horizon: float):
         """Earliest admissible collision within ``horizon``; None if there
-        is none.  Returns (s, cylinder, image ints, unit normal), with the
-        image in the frame of ``q``.
+        is none.  Returns (s, cylinder, at, unit normal), with
+        ``view.image(cylinder, at)`` the hit's image in the frame of ``q``.
 
         The horizon is searched in windows of ``view.window``.  After an
         empty window the start moves forward along ``v`` without wrapping,
@@ -421,8 +440,9 @@ class _Orbit:
         q = self.q + s * self.v
         if normal is not None:
             self.v = self.v - 2.0 * float(self.v @ normal) * normal
-        self.q, shift = self.view.lattice.wrap(q)
-        self.wrap += shift
+        self.q, shift = self.view.lattice.shift_into_cell(q)
+        if shift is not None:
+            self.wrap += shift
 
 
 def next_collision(system, phase: PhasePoint,
@@ -435,7 +455,10 @@ def next_collision(system, phase: PhasePoint,
     view = _flow_view(system)
     _assert_outside(view, phase.q)
     hit = _Orbit(view, phase.q, phase.v).scan(horizon_t)
-    return None if hit is None else CollisionEvent(*hit)
+    if hit is None:
+        return None
+    s, i, at, normal = hit
+    return CollisionEvent(s, i, view.image(i, at), normal)
 
 
 def flow(system, phase: PhasePoint, max_collisions: int | None = None,
@@ -492,11 +515,12 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
             else:
                 flags["no_collision_within_horizon"] = True
             break
-        s, i, image, normal = hit
+        s, i, at, normal = hit
         t += s
         events.append(
             CollisionEvent(time=t, cylinder=i,
-                           lattice_image=image + orbit.wrap, normal=normal)
+                           lattice_image=view.image(i, at) + orbit.wrap,
+                           normal=normal)
         )
         orbit.move(s, normal)
         if (len(events) > CASCADE_CAP

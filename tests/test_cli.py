@@ -168,6 +168,25 @@ class TestClassify:
         assert "# summary: graph components: 1" in text
         assert len(built) == 1
 
+    def test_joint_span_built_once(self, capsys, hardball_file, monkeypatch):
+        # the transitivity verdict and the commutant dimension share one
+        # span of the whole collection
+        spanned = []
+        original = geometry.span_of
+
+        def counted(subspaces, *args, **kwargs):
+            subspaces = list(subspaces)
+            spanned.append(len(subspaces))
+            return original(subspaces, *args, **kwargs)
+
+        for module in (classify, cli):
+            monkeypatch.setattr(module, "span_of", counted)
+        code, text, _ = run(capsys, "classify", "--system",
+                            str(hardball_file))
+        assert code == 0
+        assert '"commutant_dimension": 1' in text
+        assert spanned.count(3) == 1
+
     def test_runs_without_networkx(self, capsys):
         # ``python -m cylbill classify`` with networkx made unimportable
         # prints the body of the in-process run
@@ -510,6 +529,8 @@ class TestSimulateAndScans:
         assert code == 0
         assert report_body(text)["n_horizon_stops"] == stops
         assert f"# summary: {stops} of {orbits} orbits stopped short" in text
+        assert f"# summary: 0 of {orbits} orbits stopped at a degeneracy\n" \
+            in text
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
@@ -558,6 +579,7 @@ class TestDegeneracyExit:
                             "--collisions", "100", "--seed", "1")
         assert code == 0
         assert report_body(text)["n_degenerate"] == 20
+        assert "# summary: 20 of 20 orbits stopped at a degeneracy\n" in text
 
 
 class TestTypedArgumentFailures:

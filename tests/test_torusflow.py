@@ -159,6 +159,34 @@ class TestNextCollision:
         oracle = torus_oracle_first_collision(sinai, phase.q, phase.v)
         assert oracle is None
 
+    @pytest.mark.parametrize("name", ["hb_3_2", "sinai"])
+    def test_agrees_with_flows_first_event(self, name):
+        # the scan hands both callers the same hit, and each builds its
+        # image from it: time, cylinder, image and normal agree exactly
+        system = (make_sphere_system(2, r=0.3) if name == "sinai" else
+                  load_system(Path(__file__).parent / "data" / f"{name}.json"))
+        horizon = 10.0 * tf._flow_view(system).diam
+        rng = np.random.default_rng(2024)
+        hits = 0
+        for _ in range(20):
+            phase = tf.random_phase(system, rng)
+            q0, _ = system.lattice.wrap(phase.q)
+            ev = tf.next_collision(system, tf.PhasePoint(q0, phase.v),
+                                   horizon)
+            record = tf.flow(system, phase, max_collisions=1,
+                             default_horizon=horizon)
+            assert (ev is None) == (not record.events)
+            if ev is None:
+                continue
+            hits += 1
+            first = record.events[0]
+            assert ev.time == first.time
+            assert ev.cylinder == first.cylinder
+            assert ev.lattice_image.dtype == first.lattice_image.dtype
+            assert np.array_equal(ev.lattice_image, first.lattice_image)
+            assert np.array_equal(ev.normal, first.normal)
+        assert hits >= 15
+
 
 def _hard_balls(n, nu, r):
     return lambda: builders.hard_ball_system(
@@ -203,7 +231,9 @@ def _oracle_images(system):
 
 def _scan_both(system, images, q, v, start=0.0):
     """The stacked scan's and the oracle's outcome (a hit, None or the
-    raised singular contact) for one window; ``images`` are the oracle's."""
+    raised singular contact) for one window; ``images`` are the oracle's.
+    Both hits read (s, cylinder, image ints, normal): the stacked scan's
+    image is built from its hit by ``view.image``."""
     view = tf._flow_view(system)
     outcomes = []
     for scan, table in ((tf._scan_window, view), (oracle_scan_window, images)):
@@ -211,6 +241,9 @@ def _scan_both(system, images, q, v, start=0.0):
             outcomes.append(scan(table, q, v, start, view.window))
         except tf.SingularContact as contact:
             outcomes.append(contact)
+    if isinstance(outcomes[0], tuple):
+        s, i, at, normal = outcomes[0]
+        outcomes[0] = (s, i, view.image(i, at), normal)
     return outcomes
 
 
