@@ -310,6 +310,21 @@ class TestStackedScan:
             assert_same_scan(system,
                              *_scan_both(system, images, q, np.array(v)))
 
+    def test_contact_rule_once_per_cylinder(self, monkeypatch):
+        # with no image inside the guard the scan asks the rule only whether
+        # the ray runs along an axis, once per cylinder it screens images of
+        system = SCAN_SYSTEMS["hb32"]()
+        phase = tf.random_phase(system, np.random.default_rng(23))
+        orbit = tf._Orbit(tf._flow_view(system), phase.q, phase.v)
+        discs = []
+        monkeypatch.setattr(tf, "contact_status", lambda disc, uu, rr: (
+            discs.append(disc) or paths.contact_status(disc, uu, rr)))
+        for _ in range(200):
+            s, _, _, normal = orbit.scan(100.0)
+            orbit.move(s, normal)
+        assert set(discs) == {np.inf}
+        assert len(discs) <= system.k * orbit.n_scans
+
     def test_empty_system(self):
         empty = CylindricBilliardSystem(dim=2, lattice=Lattice(np.eye(2)),
                                         cylinders=[])
