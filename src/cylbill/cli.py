@@ -306,10 +306,13 @@ def cmd_simulate(args) -> int:
     phase = _initial_phase(args, system)
     if args.collisions is None and args.time is None:
         raise UsageError("need --collisions or --time")
+    # without --collisions the flow stops at its event cap
+    max_collisions = flow.MAX_FLOW_EVENTS if args.collisions is None \
+        else args.collisions
     with _start_point(args.q):
         record = flow.flow(
             system, phase,
-            max_collisions=args.collisions,
+            max_collisions=max_collisions,
             max_time=args.time,
         )
     flow.save_record(record, args.out)
@@ -322,6 +325,9 @@ def cmd_simulate(args) -> int:
         "n_events": len(record.events),
         "total_time": record.total_time,
         "flags": {k: bool(v) for k, v in record.flags.items()},
+        "max_collisions": max_collisions,
+        "max_time": args.time,
+        "horizon": record.horizon,
         "run": _run_info(seed=args.seed),
     }
     summary = [
@@ -329,6 +335,9 @@ def cmd_simulate(args) -> int:
         "flags: " + ", ".join(k for k, v in record.flags.items() if v)
         if any(record.flags.values()) else "flags: none",
     ]
+    if args.collisions is None and len(record.events) == max_collisions:
+        summary.append(f"stopped at the event cap MAX_FLOW_EVENTS = "
+                       f"{max_collisions}, before --time")
     _write_report("simulate", body, summary, None)
     return EXIT_DEGENERACY if record.degenerate else EXIT_OK
 
@@ -390,6 +399,7 @@ def cmd_splitting_scan(args) -> int:
         "n_degenerate": result.n_degenerate,
         "n_horizon_stops": result.n_horizon_stops,
         "collisions_per_orbit": args.collisions,
+        "horizon": result.horizon,
         "run": _run_info(seed=args.seed),
     }
     summary = [

@@ -118,6 +118,9 @@ class CylindricBilliardSystem:
     _spaces: list | None = field(default=None, init=False, repr=False)
     # the flow's collision-scan arrays, built on first use by torusflow
     _flow_cache: object = field(default=None, init=False, repr=False)
+    # torusflow.detect_splitting's verdict per collided label tuple: the
+    # witness with cylinder labels, or None for a transitive set
+    _splittings: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.lattice.ambient_dim != self.dim:

@@ -26,7 +26,7 @@ records carry flags, estimators discard windows, nothing is fabricated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,9 @@ __all__ = [
     "StartInside",
     "SingularContact",
     "WindowLimitError",
+    "EventLimitError",
     "UnalignedAxisError",
+    "MAX_FLOW_EVENTS",
     "MAX_LYAPUNOV_WINDOWS",
     "next_collision",
     "flow",
@@ -59,7 +61,17 @@ __all__ = [
     "unfold_to_path",
 ]
 
-CASCADE_CAP = 1_000_000
+MAX_FLOW_EVENTS = 10**5
+"""Most collisions one ``flow`` records; a larger ``max_collisions`` is
+refused before anything is flowed, and a run given only ``max_time`` stops
+here.  A record's peak memory (tracemalloc, 5,000-event flows) was 0.79 kB
+per event on hb(3,2) and 2.6 kB on hb(10,2) (d = 18, k = 45), where the
+scan's reduced coordinates, ``k`` times the base dimension per event, weigh
+most; so a full record peaks near 0.26 GB there."""
+CASCADE_CAP = 10_000
+"""A record stops, ``cascade_capped``, at the first event less than one
+time unit after the event ``CASCADE_CAP`` before it; below
+``MAX_FLOW_EVENTS``, so the guard can fire before the cap."""
 MAX_LYAPUNOV_WINDOWS = 10**6
 """Most renormalization windows one ``lyapunov_max`` call runs; a larger
 ``round(total_t / renorm_dt)`` is refused before anything is flowed."""
@@ -86,6 +98,10 @@ class SingularContact(FlowError):
 
 class WindowLimitError(UsageError, ValueError):
     """A Lyapunov run asks for more than ``MAX_LYAPUNOV_WINDOWS`` windows."""
+
+
+class EventLimitError(UsageError, ValueError):
+    """A flow asks for more than ``MAX_FLOW_EVENTS`` collisions."""
 
 
 class UnalignedAxisError(InputError, ValueError):
@@ -129,6 +145,11 @@ class CollisionEvent:
 
 @dataclass(eq=False)
 class TrajectoryRecord:
+    """A flow's collisions and how it stopped.  ``horizon`` is the
+    collision horizon the flow searched with, which decides
+    ``no_collision_within_horizon``; the trajectory file does not hold
+    it."""
+
     initial: PhasePoint
     events: list[CollisionEvent]
     flags: dict
@@ -136,6 +157,7 @@ class TrajectoryRecord:
     final_v: np.ndarray | None = None
     final_wrap: np.ndarray | None = None
     total_time: float = 0.0
+    horizon: float | None = None
 
     def prefix(self, n: int) -> "TrajectoryRecord":
         """Truncated view for combinatorial diagnostics (no final state)."""
@@ -143,6 +165,7 @@ class TrajectoryRecord:
             initial=self.initial,
             events=self.events[:n],
             flags=dict(self.flags),
+            horizon=self.horizon,
         )
 
     @property
@@ -207,7 +230,8 @@ class _FlowView:
     contact.  Ball column ``j`` shifted by reduced coordinates ``k`` is the
     image ``W (ints_j + U k)``, ``U`` the reduced transform:
     ``image_ints[i]`` holds the ``W ints_j`` and ``image_red[i]`` is
-    ``W U``, so ``image`` builds a hit's image by one product.  ``rr`` is
+    ``W U``, so ``image`` builds the images of any number of one cylinder's
+    hits by one gather and one product.  ``rr`` is
     the column of squared radii, for the scan's array pass, and ``rr_list``
     the same as floats, for its loop; ``neg_guard`` is
     ``-contact_guard(1.0, rr)``, which times ``|B_i^T v|^2`` is the screen's
@@ -290,14 +314,18 @@ class _FlowView:
         c = (y - self.red @ k_red).reshape(self.k, self.n, 1)
         return c - self.pts, k_red
 
-    def image(self, i: int, at) -> np.ndarray:
-        """Integer coordinates of the image of cylinder ``i`` that a scan
-        hit: ``at`` holds the hit's ball column and the stacked reduced
-        coordinates ``k_red`` that ``offsets`` gave the scan."""
-        col, k_red = at
+    def image(self, i: int, cols, k_red: np.ndarray,
+              wraps: np.ndarray) -> np.ndarray:
+        """Integer coordinates of the images of cylinder ``i`` that scans
+        hit, one row per hit: ``cols`` holds each hit's ball column,
+        ``k_red`` (a row per hit) the stacked reduced coordinates that
+        ``offsets`` gave its scan, and ``wraps`` (a row per hit) the
+        orbit's ``wrap`` at the scan, which puts the image in the frame of
+        the orbit's start."""
         rows = slice(i * self.n, i * self.n + self.dims[i])
-        return self.image_ints[i][col] \
-            + self.image_red[i] @ k_red[rows].astype(np.int64)
+        return (self.image_ints[i][cols]
+                + k_red[:, rows].astype(np.int64) @ self.image_red[i].T
+                + wraps)
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from ``x`` to the nearest image, per cylinder."""
@@ -324,9 +352,9 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
     """Earliest admissible collision of the ray from ``q + start v`` within
     ``t_window`` of that point (at most ``view.window``); None if there is
     none.  Returns (s, cylinder, at, unit normal), with ``s`` and the time
-    of a singular contact measured from ``q``; ``view.image(cylinder, at)``
-    is the hit's image in the frame of ``q``, built only by the callers that
-    record it.
+    of a singular contact measured from ``q``; ``at`` holds the hit's ball
+    column and ``k_red``, from which ``view.image`` builds its image in the
+    frame of ``q``, only in the callers that record it.
 
     One array pass solves the collision quadratic on every image of every
     cylinder and screens it: an image goes on only if its discriminant
@@ -402,7 +430,9 @@ def _scan_window(view: _FlowView, q: np.ndarray, v: np.ndarray,
 class _Orbit:
     """A phase point stepped from collision to collision: position ``q``,
     unit velocity ``v``, ``wrap`` (the lattice shifts ``move`` took off
-    ``q``, summed) and ``n_scans`` (the scan windows searched)."""
+    ``q``, summed) and ``n_scans`` (the scan windows searched).  ``move``
+    replaces ``wrap`` rather than adding to it in place, so a ``wrap`` read
+    earlier keeps its value."""
 
     def __init__(self, view: _FlowView, q: np.ndarray, v: np.ndarray):
         self.view = view
@@ -412,8 +442,8 @@ class _Orbit:
 
     def scan(self, horizon: float):
         """Earliest admissible collision within ``horizon``; None if there
-        is none.  Returns (s, cylinder, at, unit normal), with
-        ``view.image(cylinder, at)`` the hit's image in the frame of ``q``.
+        is none.  Returns (s, cylinder, at, unit normal) as
+        ``_scan_window`` does, ``at`` in the frame of ``q``.
 
         The horizon is searched in windows of ``view.window``.  After an
         empty window the start moves forward along ``v`` without wrapping,
@@ -442,7 +472,7 @@ class _Orbit:
             self.v = self.v - 2.0 * float(self.v @ normal) * normal
         self.q, shift = self.view.lattice.shift_into_cell(q)
         if shift is not None:
-            self.wrap += shift
+            self.wrap = self.wrap + shift
 
 
 def next_collision(system, phase: PhasePoint,
@@ -454,11 +484,33 @@ def next_collision(system, phase: PhasePoint,
     """
     view = _flow_view(system)
     _assert_outside(view, phase.q)
-    hit = _Orbit(view, phase.q, phase.v).scan(horizon_t)
+    orbit = _Orbit(view, phase.q, phase.v)
+    hit = orbit.scan(horizon_t)
     if hit is None:
         return None
-    s, i, at, normal = hit
-    return CollisionEvent(s, i, view.image(i, at), normal)
+    s, i, (col, k_red), normal = hit
+    image = view.image(i, [col], k_red[None], orbit.wrap[None])[0]
+    return CollisionEvent(s, i, image, normal)
+
+
+def _events(view: _FlowView, times: list[float], hits: list[tuple],
+            normals: list[np.ndarray]) -> list[CollisionEvent]:
+    """The collisions ``flow`` recorded, as events; ``hits`` holds each
+    one's (cylinder, ball column, ``k_red``, ``wrap``) raw.  Each
+    cylinder's lattice images are built by one ``view.image`` pass."""
+    if not times:
+        return []
+    cylinders, cols, k_reds, wraps = zip(*hits)
+    by_cylinder = np.array(cylinders)
+    cols, k_reds, wraps = np.array(cols), np.array(k_reds), np.array(wraps)
+    images = np.empty_like(wraps)
+    for i in range(view.k):
+        rows = (by_cylinder == i).nonzero()[0]
+        if rows.size:
+            images[rows] = view.image(i, cols[rows], k_reds[rows],
+                                      wraps[rows])
+    return [CollisionEvent(t, i, image, normal) for t, i, image, normal
+            in zip(times, cylinders, images, normals)]
 
 
 def flow(system, phase: PhasePoint, max_collisions: int | None = None,
@@ -470,22 +522,42 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
     each event is expressed in the unfolded frame anchored at the wrapped
     start point, so the record can be unfolded into a straight-line path.
     Degenerate encounters stop the run and set a flag; they are never
-    silently skipped.
+    silently skipped.  Each collision is searched within ``horizon``
+    (``default_horizon``, or 10 fundamental diameters of the system's
+    cell), which the record keeps.
+
+    The loop records each hit raw: its cylinder, ball column and ``k_red``
+    as the scan found them, and the orbit's ``wrap``, which ``move``
+    replaces and never changes in place.  After the loop every event's
+    lattice image is built by one ``_FlowView.image`` pass per cylinder.
+
+    At most ``MAX_FLOW_EVENTS`` collisions are recorded: a larger
+    ``max_collisions`` raises ``EventLimitError`` before anything is
+    flowed, and ``max_collisions=None`` (with a ``max_time``) means the
+    cap.
     """
     if max_collisions is None and max_time is None:
         raise ValueError("need a stop condition (max_collisions or max_time)")
     # NaN fails every comparison, so it is refused here too
     if max_time is not None and not 0 <= max_time < math.inf:
         raise ValueError(f"max_time must be finite and >= 0, not {max_time}")
-    if max_collisions is not None and max_collisions < 0:
+    if max_collisions is None:
+        max_collisions = MAX_FLOW_EVENTS
+    elif max_collisions < 0:
         raise ValueError(f"max_collisions must be >= 0, not {max_collisions}")
+    elif max_collisions > MAX_FLOW_EVENTS:
+        raise EventLimitError(
+            f"max_collisions asks for {max_collisions:.3g} collisions, above "
+            f"MAX_FLOW_EVENTS = {MAX_FLOW_EVENTS}")
     view = _flow_view(system)
     q0, _ = system.lattice.wrap(phase.q)
     initial = PhasePoint(q0.copy(), phase.v.copy())
     _assert_outside(view, q0)
     orbit = _Orbit(view, q0, phase.v.copy())
     t = 0.0
-    events: list[CollisionEvent] = []
+    times: list[float] = []
+    hits: list[tuple] = []
+    normals: list[np.ndarray] = []
     flags = {
         "tangential_encountered": False,
         "simultaneous_encountered": False,
@@ -493,9 +565,7 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
         "no_collision_within_horizon": False,
     }
     horizon = (10.0 * view.diam) if default_horizon is None else default_horizon
-    while True:
-        if max_collisions is not None and len(events) >= max_collisions:
-            break
+    while len(times) < max_collisions:
         window = horizon
         remaining = None
         if max_time is not None:
@@ -515,26 +585,24 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
             else:
                 flags["no_collision_within_horizon"] = True
             break
-        s, i, at, normal = hit
+        s, i, (col, k_red), normal = hit
         t += s
-        events.append(
-            CollisionEvent(time=t, cylinder=i,
-                           lattice_image=view.image(i, at) + orbit.wrap,
-                           normal=normal)
-        )
+        times.append(t)
+        hits.append((i, col, k_red, orbit.wrap))
+        normals.append(normal)
         orbit.move(s, normal)
-        if (len(events) > CASCADE_CAP
-                and t - events[-CASCADE_CAP - 1].time < 1.0):
+        if len(times) > CASCADE_CAP and t - times[-CASCADE_CAP - 1] < 1.0:
             flags["cascade_capped"] = True
             break
     return TrajectoryRecord(
         initial=initial,
-        events=events,
+        events=_events(view, times, hits, normals),
         flags=flags,
         final_q=orbit.q,
         final_v=orbit.v,
         final_wrap=orbit.wrap,
         total_time=t,
+        horizon=horizon,
     )
 
 
@@ -545,16 +613,27 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
 
 def detect_splitting(record: TrajectoryRecord, system) -> SplittingWitness | None:
     """Coarsest orthogonal splitting respected by every collision in the
-    record; None exactly when the collided base spaces are transitive."""
-    labels = sorted(record.collided_labels())
-    ok, witness = is_transitive(
-        [system.base_space(i) for i in labels], ambient_dim=system.dim
-    )
-    if ok:
+    record; None exactly when the collided base spaces are transitive.
+
+    The verdict depends only on the sorted tuple of collided labels, so it
+    is decided once per tuple and system: the system keeps it, with the
+    witness's ``assignment`` keyed by cylinder label, and each call returns
+    a fresh witness with its own ``assignment`` (the parts ``b1`` and
+    ``b2`` are shared)."""
+    labels = tuple(sorted(record.collided_labels()))
+    verdicts = system._splittings
+    if labels not in verdicts:
+        _, witness = is_transitive(
+            [system.base_space(i) for i in labels], ambient_dim=system.dim
+        )
+        if witness is not None:
+            witness.assignment = {labels[j]: side
+                                  for j, side in witness.assignment.items()}
+        verdicts[labels] = witness
+    witness = verdicts[labels]
+    if witness is None:
         return None
-    witness.assignment = {labels[j]: side
-                          for j, side in witness.assignment.items()}
-    return witness
+    return replace(witness, assignment=dict(witness.assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1064,7 @@ class SplittingScanResult:
     n_with_witness: int
     n_degenerate: int
     n_horizon_stops: int    # orbits that met no collision within the horizon
+    horizon: float          # the collision horizon every orbit searched with
 
 
 def splitting_scan(system, n_orbits: int, n_collisions: int,
@@ -993,7 +1073,8 @@ def splitting_scan(system, n_orbits: int, n_collisions: int,
     set respects some orthogonal splitting.  An orbit that stops short of
     the count, at a singular contact or with no collision within the
     horizon, is judged on the collisions it made and counted by why it
-    stopped."""
+    stopped.  Orbits that collide with the same cylinders share one
+    verdict, which ``detect_splitting`` decides once."""
     if n_orbits < 1 or n_collisions < 1:
         raise ValueError("n_orbits and n_collisions must be >= 1")
     children = np.random.SeedSequence(seed).spawn(n_orbits)
@@ -1014,6 +1095,7 @@ def splitting_scan(system, n_orbits: int, n_collisions: int,
         n_with_witness=hits,
         n_degenerate=degenerate,
         n_horizon_stops=horizon_stops,
+        horizon=record.horizon,
     )
 
 

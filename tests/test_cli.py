@@ -384,6 +384,35 @@ class TestSimulateAndScans:
         assert len(doc["events"]) == 50
         assert table.read_text().startswith("event\ttime")
 
+    def test_simulate_records_its_settings(self, capsys, tmp_path,
+                                           sinai_file, monkeypatch):
+        """The body records the stop conditions and the horizon the flow
+        used; the trajectory file holds none of them.  Without
+        --collisions the flow stops at the event cap."""
+        out = tmp_path / "traj.json"
+        argv = ("simulate", "--system", str(sinai_file), "--q", "0,0.5",
+                "--v", "0.6,0.8", "--out", str(out))
+        code, text, _ = run(capsys, *argv, "--collisions", "50")
+        body = report_body(text)
+        assert (code, body["max_collisions"], body["max_time"]) == (0, 50,
+                                                                    None)
+        assert body["horizon"] == 10.0 * np.sqrt(2.0)
+        assert set(fileio.load(out)) == {
+            "format", "initial_q", "initial_v", "events", "symbolic",
+            "flags", "final_q", "final_v", "final_wrap", "total_time"}
+        code, text, _ = run(capsys, *argv, "--time", "3")
+        body = report_body(text)
+        assert (body["max_collisions"], body["max_time"]) == (
+            tf.MAX_FLOW_EVENTS, 3.0)
+        assert "event cap" not in text
+        monkeypatch.setattr(tf, "MAX_FLOW_EVENTS", 4)
+        code, text, _ = run(capsys, *argv, "--time", "30")
+        body = report_body(text)
+        assert (code, body["n_events"], body["max_collisions"]) == (0, 4, 4)
+        assert body["total_time"] < 30.0
+        assert "# summary: stopped at the event cap MAX_FLOW_EVENTS = 4, " \
+               "before --time\n" in text
+
     def test_simulate_random_needs_seed(self, capsys, tmp_path, sinai_file):
         code, _, _ = run(capsys, "simulate", "--system", str(sinai_file),
                          "--random", "--collisions", "5",
@@ -527,7 +556,10 @@ class TestSimulateAndScans:
                             str(system), "--orbits", orbits,
                             "--collisions", collisions, "--seed", "1")
         assert code == 0
-        assert report_body(text)["n_horizon_stops"] == stops
+        body = report_body(text)
+        assert body["n_horizon_stops"] == stops
+        assert body["horizon"] == 10.0 * tf._flow_view(
+            cylbill.load_system(system)).diam
         assert f"# summary: {stops} of {orbits} orbits stopped short" in text
         assert f"# summary: 0 of {orbits} orbits stopped at a degeneracy\n" \
             in text
@@ -740,6 +772,10 @@ FAILING_COMMANDS = {
         lambda f: tf.flow(cylbill.load_system(f["real_axis"]),
                           _phase("0.3,0.2,0.1,0.4", "0.6,0.8,0,0"),
                           max_collisions=5)),
+    "simulate-event-cap": (
+        SIMULATE + ("--random", "--seed", "1", "--collisions", str(10**12)),
+        lambda f: tf.flow(_sinai(f), tf.random_phase(
+            _sinai(f), np.random.default_rng(1)), max_collisions=10**12)),
     "simulate-start-inside": (
         SIMULATE + ("--q", "0.5,0.5", "--v", "1,0", "--collisions", "5"),
         lambda f: _from_q(_flow, "0.5,0.5", files=f, v="1,0",

@@ -8,10 +8,11 @@ import pytest
 
 from cylbill import builders, paths
 from cylbill import torusflow as tf
-from cylbill.classify import count_transitive_blocks
+from cylbill.classify import count_transitive_blocks, is_transitive
 from cylbill.geometry import Lattice, complement, projector_distance
 from cylbill.model import CylinderSpec, CylindricBilliardSystem, load_system
 from conftest import axis_space, make_sphere_system, make_two_block_system
+from image_oracle import hit_image, recording_scans
 from scan_oracle import axis_images
 from scan_oracle import min_axis_distances as oracle_min_axis_distances
 from scan_oracle import scan_window as oracle_scan_window
@@ -233,7 +234,7 @@ def _scan_both(system, images, q, v, start=0.0):
     """The stacked scan's and the oracle's outcome (a hit, None or the
     raised singular contact) for one window; ``images`` are the oracle's.
     Both hits read (s, cylinder, image ints, normal): the stacked scan's
-    image is built from its hit by ``view.image``."""
+    image is built from its hit by the per-hit route, ``hit_image``."""
     view = tf._flow_view(system)
     outcomes = []
     for scan, table in ((tf._scan_window, view), (oracle_scan_window, images)):
@@ -243,7 +244,7 @@ def _scan_both(system, images, q, v, start=0.0):
             outcomes.append(contact)
     if isinstance(outcomes[0], tuple):
         s, i, at, normal = outcomes[0]
-        outcomes[0] = (s, i, view.image(i, at), normal)
+        outcomes[0] = (s, i, hit_image(view, i, at), normal)
     return outcomes
 
 
@@ -604,6 +605,92 @@ class TestFlow:
         assert gaps[-1] < 1.0
         assert all(g >= 1.0 for g in gaps[:-1])
 
+    def test_cascade_cap_below_the_event_cap(self):
+        # otherwise a record of MAX_FLOW_EVENTS could never trip the guard
+        assert tf.CASCADE_CAP < tf.MAX_FLOW_EVENTS
+
+    def test_time_only_run_stops_at_the_event_cap(self, monkeypatch, sinai):
+        monkeypatch.setattr(tf, "MAX_FLOW_EVENTS", 7)
+        rec = tf.flow(sinai, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
+                      max_time=1e6, default_horizon=1e4)
+        assert len(rec.events) == 7
+        assert rec.total_time == rec.events[-1].time < 1e6
+        assert not any(rec.flags.values())
+
+    def test_event_cap_refused_before_flowing(self, monkeypatch, sinai):
+        monkeypatch.setattr(tf, "MAX_FLOW_EVENTS", 7)
+        assert len(tf.flow(sinai, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
+                           max_collisions=7).events) == 7
+        fresh = make_sphere_system(2, r=0.3)
+        with pytest.raises(tf.EventLimitError, match="MAX_FLOW_EVENTS"):
+            tf.flow(fresh, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
+                    max_collisions=8, max_time=1.0)
+        assert fresh._flow_cache is None
+
+    def test_record_keeps_its_horizon(self, sinai):
+        phase = tf.PhasePoint([0.0, 0.5], [0.6, 0.8])
+        rec = tf.flow(sinai, phase, max_collisions=5)
+        assert rec.horizon == 10.0 * tf._flow_view(sinai).diam
+        rec = tf.flow(sinai, phase, max_collisions=5, default_horizon=7.5)
+        assert rec.horizon == rec.prefix(2).horizon == 7.5
+
+
+IMAGE_SYSTEMS = {
+    "hb32-masses": lambda: builders.hard_ball_system(
+        builders.HardBallParams(3, 2, (1.0, 1.2, 0.9), 0.2))[0],
+    "hb53": _hard_balls(5, 3, 0.1),
+    "sinai": lambda: make_sphere_system(2, r=0.3),
+    # a free flight crosses about 25 cells: the orbit wraps often
+    "sinai-thin": lambda: make_sphere_system(2, r=0.02),
+    "mixed": _mixed_dims,
+}
+
+
+class TestRecordImages:
+    """``flow`` builds its events' images after the loop, one pass per
+    cylinder; ``image_oracle`` builds each when it is hit, the route the
+    flow took before.  They agree exactly, whatever stopped the run."""
+
+    @pytest.mark.parametrize("stop", ["collisions", "time", "horizon",
+                                      "graze"])
+    @pytest.mark.parametrize("name", sorted(IMAGE_SYSTEMS))
+    def test_batched_images_match_the_per_hit_route(self, monkeypatch, name,
+                                                    stop):
+        system = IMAGE_SYSTEMS[name]()
+        rng = np.random.default_rng(11)
+        phases = [tf.random_phase(system, rng) for _ in range(3)]
+        # the free orbits, flowed before the oracle is patched in
+        free = [tf.flow(system, phase, max_collisions=60,
+                        default_horizon=1e4) for phase in phases]
+        per_hit = recording_scans(monkeypatch,
+                                  stop_after=25 if stop == "graze" else None)
+        wraps = 0
+        for phase, orbit in zip(phases, free):
+            times = [ev.time for ev in orbit.events]
+            flights = np.diff(times, prepend=0.0)
+            run = {
+                "collisions": dict(max_collisions=60, default_horizon=1e4),
+                "time": dict(max_time=0.5 * (times[40] + times[41]),
+                             default_horizon=1e4),
+                # just short of the longest flight: the run stops there
+                "horizon": dict(max_collisions=60,
+                                default_horizon=0.999 * flights.max()),
+                "graze": dict(max_collisions=60, default_horizon=1e4),
+            }[stop]
+            per_hit.clear()
+            rec = tf.flow(system, phase, **run)
+            expected = {"collisions": 60, "time": 41, "graze": 25,
+                        "horizon": int(flights.argmax())}[stop]
+            assert len(rec.events) == len(per_hit) == expected
+            assert rec.flags["no_collision_within_horizon"] == (
+                stop == "horizon")
+            assert rec.flags["tangential_encountered"] == (stop == "graze")
+            for ev, image in zip(rec.events, per_hit):
+                assert ev.lattice_image.dtype == image.dtype == np.int64
+                assert np.array_equal(ev.lattice_image, image)
+            wraps = max(wraps, int(np.abs(orbit.final_wrap).max()))
+        assert wraps >= (50 if name == "sinai-thin" else 2)
+
 
 class TestDetectSplitting:
     def test_single_block_witness(self):
@@ -637,6 +724,69 @@ class TestDetectSplitting:
             events=[], flags={})
         w = tf.detect_splitting(rec, sinai)
         assert w is not None and w.degenerate
+
+
+def _splitting_records():
+    """Records of 40 flow-hardball orbits, whole and at prefixes of 1, 2, 5
+    and 20 events, and of 10 two-block orbits: every collided label set
+    that 3 hard balls and the two blocks make."""
+    for system, n in (
+            (IMAGE_SYSTEMS["hb32-masses"](), 40),
+            (make_two_block_system(), 10)):
+        rng = np.random.default_rng(31)
+        for _ in range(n):
+            rec = tf.flow(system, tf.random_phase(system, rng),
+                          max_collisions=100, default_horizon=1e4)
+            for part in (rec.prefix(1), rec.prefix(2), rec.prefix(5),
+                         rec.prefix(20), rec):
+                yield system, part
+
+
+class TestSplittingVerdicts:
+    """``detect_splitting`` decides each collided label tuple once per
+    system and hands each caller a witness of its own."""
+
+    def test_one_decision_per_label_tuple(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tf, "is_transitive", lambda bases, **kw: (
+            calls.append(len(bases)) or is_transitive(bases, **kw)))
+        seen = set()
+        for system, rec in _splitting_records():
+            tf.detect_splitting(rec, system)
+            seen.add((id(system), tuple(sorted(rec.collided_labels()))))
+        assert len(calls) == len(seen) >= 6
+
+    def test_verdicts_match_a_fresh_decision(self):
+        verdicts = {True: 0, False: 0}
+        for system, rec in _splitting_records():
+            labels = sorted(rec.collided_labels())
+            ok, fresh = is_transitive([system.base_space(i) for i in labels],
+                                      ambient_dim=system.dim)
+            witness = tf.detect_splitting(rec, system)
+            verdicts[ok] += 1
+            assert (witness is None) == ok
+            if ok:
+                continue
+            assert np.array_equal(witness.b1.basis, fresh.b1.basis)
+            assert np.array_equal(witness.b2.basis, fresh.b2.basis)
+            assert witness.degenerate == fresh.degenerate
+            assert witness.assignment == {labels[j]: side for j, side
+                                          in fresh.assignment.items()}
+        assert min(verdicts.values()) >= 20
+
+    def test_each_call_gets_its_own_witness(self):
+        system = make_two_block_system()
+        v = np.zeros(4)
+        v[:2] = [0.6, 0.8]
+        rec = tf.flow(system, tf.PhasePoint(np.zeros(4), v),
+                      max_collisions=20, default_horizon=1e4)
+        first = tf.detect_splitting(rec, system)
+        first.assignment[0] = 2
+        first.assignment[1] = 1
+        second = tf.detect_splitting(rec, system)
+        assert second is not first
+        assert second.assignment == {0: 1}
+        second.check({0: system.base_space(0)})
 
 
 class TestRichnessCertificate:
