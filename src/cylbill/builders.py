@@ -365,13 +365,13 @@ def sub_billiard(
     q = active.basis                                   # (d, p)
     factor_lattice = q.T @ (lat_basis @ quotient.complement.astype(float))
 
-    to_quotient = quotient.inverse[nu0:].astype(object)
     cylinders = []
-    for i in idx:
+    for block, i in enumerate(idx):
         cyl = system.cylinders[i]
-        y = to_quotient @ np.asarray(cyl.generator_coeffs, dtype=object)
-        # drop columns that add no rank (axis directions inside the drift space)
-        coeffs = np.array(y[:, intlat.pivot_columns(y)], dtype=np.int64,
+        # drop columns that add no rank (axis directions inside the drift
+        # space), read from the quotient's elimination of this block
+        kept = cyl.generator_coeffs[:, quotient.kept_columns(block)]
+        coeffs = np.array(quotient.coordinates(kept), dtype=np.int64,
                           order="C")
         cylinders.append(
             CylinderSpec(

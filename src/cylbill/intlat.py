@@ -14,7 +14,8 @@ certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -25,6 +26,9 @@ __all__ = [
     "LatticeQuotient",
     "lattice_quotient",
 ]
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _to_pylist(a) -> list[list[int]]:
@@ -39,7 +43,7 @@ def _to_pylist(a) -> list[list[int]]:
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def _obj_matrix(rows: list[list[int]], ncols: int) -> np.ndarray:
@@ -151,11 +155,25 @@ def integer_kernel(a) -> np.ndarray:
     return _to_array(t[rank:], cols).T
 
 
-def _complete(k) -> tuple[list[list[int]], list[list[int]]]:
-    """Rows of the unimodular completion ``[k | w]`` of a primitive ``k``
-    (d x r), and the rows of its inverse, from one elimination.  Raises
-    ``ValueError`` when the columns of ``k`` are dependent or generate only
-    a proper finite-index sublattice of the integer points of their span."""
+def _abs_max(m: np.ndarray) -> int:
+    return max(-int(m.min()), int(m.max())) if m.size else 0
+
+
+def _int_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two integer matrices: in int64 when the entry
+    bound ``max|a| max|b| n``, ``n`` the inner dimension, proves that no
+    partial sum overflows, in Python integers otherwise."""
+    if (a.dtype == np.int64 and b.dtype == np.int64
+            and _abs_max(a) * _abs_max(b) * a.shape[1] <= _INT64_MAX):
+        return a @ b
+    return a.astype(object) @ b.astype(object)
+
+
+def _complete(k) -> tuple[np.ndarray, np.ndarray]:
+    """The unimodular completion ``[k | w]`` of a primitive ``k`` (d x r)
+    and its inverse, from one elimination.  Raises ``ValueError`` when the
+    columns of ``k`` are dependent or generate only a proper finite-index
+    sublattice of the integer points of their span."""
     h = _to_pylist(k)
     d = len(h)
     r = len(h[0]) if d else 0
@@ -167,11 +185,13 @@ def _complete(k) -> tuple[list[list[int]], list[list[int]]]:
     # entries above them: k is primitive exactly when h is the identity
     if [row[:r] for row in h[:r]] != _identity(r):
         raise ValueError("matrix is not primitive; no unimodular completion")
+    completion = _to_array([list(row) for row in zip(*tinv)], d)
+    inverse = _to_array(t, d)
     # the exact self-check: t⁻¹ starts with k and inverts t
-    product = _obj_matrix(t, d) @ _obj_matrix(tinv, d).T
-    if tinv[:r] != k_cols or not np.array_equal(product, np.eye(d, dtype=int)):
+    if tinv[:r] != k_cols or not np.array_equal(
+            _int_product(inverse, completion), np.eye(d, dtype=int)):
         raise AssertionError("completion failed to be unimodular")
-    return [list(row) for row in zip(*tinv)], t
+    return completion, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,11 +202,16 @@ class LatticeQuotient:
     its exact inverse, so every integer vector is ``kernel @ a +
     complement @ b`` for unique integer ``a``, ``b``; the ``b`` part,
     ``inverse[rank:] @ n``, is the coordinate of ``n`` in the quotient.
+
+    ``echelons`` holds, for each block the quotient was taken of, the
+    pivot columns of its row HNF and the first rank-many rows of its HNF
+    transform, which :meth:`kept_columns` reads.
     """
 
     kernel: np.ndarray
     completion: np.ndarray
     inverse: np.ndarray
+    echelons: tuple = field(default=(), repr=False)
 
     @property
     def rank(self) -> int:
@@ -196,6 +221,43 @@ class LatticeQuotient:
     def complement(self) -> np.ndarray:
         return self.completion[:, self.rank:]
 
+    def coordinates(self, m) -> np.ndarray:
+        """Quotient coordinates ``inverse[rank:] @ m`` of the integer
+        columns ``m``, exact: int64 where an entry bound allows it, Python
+        integers otherwise."""
+        return _int_product(self.inverse[self.rank:], np.asarray(m))
+
+    def kept_columns(self, i: int) -> list[int]:
+        """Columns of block ``i`` whose quotient coordinates raise the rank
+        of those of the columns before them.
+
+        The block's elimination gave ``t C = [H; 0]`` with pivot columns
+        ``P``; the kernel ``K`` lies in the span of ``C``, so ``t K = [Z;
+        0]`` with ``Z = t[:r] K``.  A column outside ``P`` depends on the
+        ones before it.  ``H``'s pivot block is upper triangular with a
+        nonzero diagonal, so column ``P[j]`` adds rank modulo ``K`` unless
+        row ``j`` of ``Z`` raises the rank of the rows below it.  The rows
+        of ``Z`` are formed in Python integers scanning up from the last
+        one, each reduced against the independent rows found so far, until
+        those reach the kernel's rank.
+        """
+        pivots, top = self.echelons[i]
+        k_cols = self.kernel.T.tolist()
+        found: list[tuple[int, list[int]]] = []   # (lead index, row)
+        raising = set()
+        for j in range(len(pivots) - 1, -1, -1):
+            if len(found) == self.rank:
+                break
+            z = [sum(map(mul, top[j], col)) for col in k_cols]
+            for lead, row in found:
+                if z[lead]:
+                    z = [row[lead] * x - z[lead] * y for x, y in zip(z, row)]
+            lead = next((c for c, x in enumerate(z) if x), None)
+            if lead is not None:
+                found.append((lead, z))
+                raising.add(j)
+        return [c for j, c in enumerate(pivots) if j not in raising]
+
 
 def lattice_quotient(blocks, dim: int) -> LatticeQuotient:
     """Quotient of ``Z^dim`` by the integer vectors lying in the rational
@@ -204,14 +266,19 @@ def lattice_quotient(blocks, dim: int) -> LatticeQuotient:
     The kernel is the saturated sublattice ``Z^dim ∩ ⋂ span(block)``: the
     kernel of the stacked annihilators of the blocks, which
     :func:`integer_kernel` returns primitive, so it always has a
-    unimodular completion.
+    unimodular completion.  A block's annihilators are the rows of its HNF
+    transform past its rank.
     """
-    annihilators = [np.asarray(integer_kernel(np.asarray(b).T)).T
-                    for b in blocks]
-    stack = [a for a in annihilators if a.shape[0]]
+    echelons, stack = [], []
+    for b in blocks:
+        t = _identity(dim)
+        pivots = _eliminate(_to_pylist(b), t)
+        r = len(pivots)
+        echelons.append((pivots, t[:r]))
+        if r < dim:
+            stack.append(_to_array(t[r:], dim))
     kernel = (integer_kernel(np.concatenate(stack, axis=0)) if stack
               else np.eye(dim, dtype=np.int64))
     completion, inverse = _complete(kernel)
-    return LatticeQuotient(kernel=np.asarray(kernel),
-                           completion=_to_array(completion, dim),
-                           inverse=_to_array(inverse, dim))
+    return LatticeQuotient(kernel=np.asarray(kernel), completion=completion,
+                           inverse=inverse, echelons=tuple(echelons))

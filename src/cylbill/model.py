@@ -260,18 +260,15 @@ def validate(system: CylindricBilliardSystem) -> ValidationReport:
 def system_to_dict(system: CylindricBilliardSystem) -> dict:
     cyls = []
     for cyl in system.cylinders:
+        # float64 and int64 arrays, so tolist() gives Python floats and ints
         entry = {
             "radius": cyl.radius,
-            "translation": [float(x) for x in cyl.translation],
+            "translation": cyl.translation.tolist(),
         }
         if cyl.generator_coeffs is not None:
-            entry["generator_coeffs"] = [
-                [int(x) for x in row] for row in cyl.generator_coeffs
-            ]
+            entry["generator_coeffs"] = cyl.generator_coeffs.tolist()
         else:
-            entry["generator_basis"] = [
-                [float(x) for x in row] for row in cyl.generator_basis
-            ]
+            entry["generator_basis"] = cyl.generator_basis.tolist()
         if cyl.provenance:
             entry["provenance"] = cyl.provenance
         cyls.append(entry)
@@ -279,7 +276,7 @@ def system_to_dict(system: CylindricBilliardSystem) -> dict:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "dim": system.dim,
-        "lattice_basis": [[float(x) for x in row] for row in system.lattice.basis],
+        "lattice_basis": system.lattice.basis.tolist(),
         "cylinders": cyls,
     }
 

@@ -1123,27 +1123,33 @@ RECORD_FORMAT = "cylbill-trajectory"
 
 
 def record_to_dict(record: TrajectoryRecord) -> dict:
+    events = record.events
+    d = record.initial.q.size
+    # every list from one typed array's tolist(): Python floats and ints
+    times = np.array([ev.time for ev in events], dtype=float).tolist()
+    cylinders = np.array([ev.cylinder for ev in events],
+                         dtype=np.int64).tolist()
+    images = np.array([ev.lattice_image for ev in events],
+                      dtype=np.int64).reshape(-1, d).tolist()
+    normals = np.array([ev.normal for ev in events],
+                       dtype=float).reshape(-1, d).tolist()
     return {
         "format": RECORD_FORMAT,
-        "initial_q": [float(x) for x in record.initial.q],
-        "initial_v": [float(x) for x in record.initial.v],
+        "initial_q": record.initial.q.tolist(),
+        "initial_v": record.initial.v.tolist(),
         "events": [
-            {
-                "time": float(ev.time),
-                "cylinder": int(ev.cylinder),
-                "lattice_image": [int(x) for x in ev.lattice_image],
-                "normal": [float(x) for x in ev.normal],
-            }
-            for ev in record.events
+            {"time": t, "cylinder": i, "lattice_image": image,
+             "normal": normal}
+            for t, i, image, normal in zip(times, cylinders, images, normals)
         ],
-        "symbolic": [int(x) for x in record.symbolic],
+        "symbolic": list(cylinders),
         "flags": {k: bool(v) for k, v in record.flags.items()},
         "final_q": None if record.final_q is None
-        else [float(x) for x in record.final_q],
+        else np.asarray(record.final_q, dtype=float).tolist(),
         "final_v": None if record.final_v is None
-        else [float(x) for x in record.final_v],
+        else np.asarray(record.final_v, dtype=float).tolist(),
         "final_wrap": None if record.final_wrap is None
-        else [int(x) for x in record.final_wrap],
+        else np.asarray(record.final_wrap, dtype=np.int64).tolist(),
         "total_time": float(record.total_time),
     }
 

@@ -4,8 +4,10 @@
 one fraction-free HNF elimination.  This module keeps the earlier route:
 ``Fraction`` Gauss-Jordan determinants and inverses, a completion read off
 the inverse of the HNF transform and checked by its determinant, and the
-greedy rank loop that picks the columns adding rank one at a time.  Tests
-require both routes to agree exactly.
+greedy rank loop that picks the columns adding rank one at a time; and
+the factor builder's earlier route to a retained block's kept columns,
+which maps the whole block into the quotient and eliminates the image.
+Tests require both routes to agree exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from cylbill.intlat import LatticeQuotient, _eliminate, _identity
+from cylbill.intlat import (
+    LatticeQuotient,
+    _eliminate,
+    _identity,
+    pivot_columns,
+)
 
 
 def _to_pylist(a) -> list[list[int]]:
@@ -169,3 +176,14 @@ def greedy_columns(a) -> list[int]:
         if integer_rank(m[:, chosen + [j]]) == len(chosen) + 1:
             chosen.append(j)
     return chosen
+
+
+def factor_columns(quotient: LatticeQuotient,
+                   block) -> tuple[list[int], np.ndarray]:
+    """A block's kept columns and their quotient coordinates, the earlier
+    way: map every column by the object-int product ``inverse[rank:] @ C``
+    and keep the pivot columns of the image."""
+    y = (np.asarray(quotient.inverse[quotient.rank:], dtype=object)
+         @ np.asarray(block, dtype=object))
+    cols = pivot_columns(y)
+    return cols, y[:, cols]

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylbill import builders, fileio
+import intlat_oracle as oracle
+from cylbill import builders, fileio, intlat
 from cylbill.builders import (
     BuilderError,
     FactorLatticeError,
@@ -28,7 +29,7 @@ from cylbill.geometry import (
     span_of,
     subspace_overlap,
 )
-from cylbill.model import system_to_dict, validate
+from cylbill.model import load_system, system_to_dict, validate
 from cylbill.torusflow import random_phase
 from conftest import (
     axis_space,
@@ -396,3 +397,54 @@ def test_factor_quotient_agrees_with_the_span_of_the_base_spaces():
         assert projector_distance(report.active_space, span) < 1e-12
         n_cases += 1
     assert n_cases == 2 * (7 + 3) + 3
+
+
+def _assert_oracle_factor(parent, indices):
+    """``sub_billiard``'s cylinders keep the columns, with the coefficients,
+    that mapping each whole block and eliminating its image keeps."""
+    idx = sorted(set(indices))
+    blocks = [parent.cylinders[i].generator_coeffs for i in idx]
+    quotient = intlat.lattice_quotient(blocks, parent.dim)
+    factor, _ = sub_billiard(parent, idx)
+    for i, (block, cyl) in enumerate(zip(blocks, factor.cylinders)):
+        cols, coords = oracle.factor_columns(quotient, block)
+        assert quotient.kept_columns(i) == cols
+        assert cyl.generator_coeffs.dtype == np.int64
+        assert cyl.generator_coeffs.flags.c_contiguous
+        assert cyl.generator_coeffs.shape == coords.shape
+        assert (cyl.generator_coeffs.astype(object) == coords).all()
+
+
+def test_kept_columns_match_the_mapped_blocks_on_the_factor_cases():
+    n_cases = 0
+    for parent, indices, _ in _factor_cases():
+        _assert_oracle_factor(parent, indices)
+        n_cases += 1
+    assert n_cases == 2 * (7 + 3) + 3
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_kept_columns_match_the_mapped_blocks_with_unequal_masses(n):
+    masses = tuple(1.0 + 0.37 * i + 0.11 * i * i for i in range(n))
+    _, emb = hard_ball_system(HardBallParams(n, 2, masses, 0.02))
+    _assert_oracle_factor(emb.full_system, range(emb.full_system.k))
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_SYSTEMS))
+def test_kept_columns_match_the_mapped_blocks_on_the_data_files(name):
+    parent = load_system(Path(__file__).parent / "data" / f"{name}.json")
+    k = parent.k
+    for indices in ([[i] for i in range(k)]
+                    + [[i, j] for i in range(k) for j in range(i + 1, k)]
+                    + [list(range(k))]):
+        _assert_oracle_factor(parent, indices)
+
+
+@pytest.mark.parametrize("n, nu", [(3, 2), (5, 2), (8, 2), (4, 3)])
+def test_hard_ball_build_makes_no_pivot_columns_call(n, nu, monkeypatch):
+    calls = []
+    original = intlat.pivot_columns
+    monkeypatch.setattr(intlat, "pivot_columns",
+                        lambda a: calls.append(1) or original(a))
+    hard_ball_system(HardBallParams(n, nu, (1.0,) * n, 0.05))
+    assert calls == []

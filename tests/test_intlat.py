@@ -14,7 +14,7 @@ def _as_obj(m):
 def completion(k) -> np.ndarray:
     """The unimodular completion ``[k | w]`` of a primitive ``k``, as
     ``lattice_quotient`` builds it."""
-    return intlat._to_array(intlat._complete(k)[0], np.asarray(k).shape[0])
+    return intlat._complete(k)[0]
 
 
 class TestRowHNF:
@@ -231,3 +231,116 @@ def test_elimination_tracks_the_transform_and_its_inverse(rows, cols, data):
     assert (_as_obj(t) @ _as_obj(a) == _as_obj(h)).all()
     assert (_as_obj(t) @ _as_obj(tinv_cols).T
             == np.eye(rows, dtype=np.int64).astype(object)).all()
+
+
+def _assert_oracle_kept_columns(blocks, dim) -> intlat.LatticeQuotient:
+    """Each block's kept columns and their quotient coordinates equal the
+    route that maps the whole block and eliminates its image."""
+    quot = intlat.lattice_quotient(blocks, dim)
+    for i, block in enumerate(blocks):
+        cols, coords = oracle.factor_columns(quot, block)
+        assert quot.kept_columns(i) == cols
+        got = quot.coordinates(np.asarray(block)[:, cols])
+        assert got.shape == coords.shape
+        assert (_as_obj(got) == coords).all()
+    return quot
+
+
+def _random_parent(rng, d, scale):
+    """Blocks of a random integer parent: each holds random combinations
+    of a shared set of columns (possibly none), its own columns, and now
+    and then a zero column or a combination of its columns so far."""
+    shared = rng.integers(-scale, scale + 1, size=(d, int(rng.integers(0, 3))))
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        cols = [shared @ rng.integers(-2, 3, size=shared.shape[1])
+                for _ in range(shared.shape[1])]
+        cols += [rng.integers(-scale, scale + 1, size=d)
+                 for _ in range(int(rng.integers(0, d - 1)))]
+        if cols and rng.integers(0, 3) == 0:
+            cols.insert(int(rng.integers(0, len(cols) + 1)),
+                        np.column_stack(cols) @ rng.integers(-2, 3,
+                                                             size=len(cols)))
+        if rng.integers(0, 4) == 0:
+            cols.append(np.zeros(d, dtype=np.int64))
+        blocks.append(np.column_stack(cols).astype(np.int64) if cols
+                      else np.zeros((d, 0), dtype=np.int64))
+    return blocks
+
+
+class TestKeptColumns:
+    """Kept columns read from each block's own elimination equal the
+    mapped-block route's."""
+
+    def test_random_parents(self, rng):
+        seen = {"nu0 = 0": 0, "nu0 > 0": 0, "rank-deficient": 0,
+                "object ints": 0, "int64": 0}
+        for _ in range(300):
+            d = int(rng.integers(2, 9))
+            scale = int(rng.choice([3, 3, 3, 2**40]))
+            blocks = _random_parent(rng, d, scale)
+            quot = _assert_oracle_kept_columns(blocks, d)
+            seen["nu0 = 0" if quot.rank == 0 else "nu0 > 0"] += 1
+            seen["rank-deficient"] += any(
+                intlat.integer_rank(b) < b.shape[1] for b in blocks)
+            for b in blocks:
+                dtype = quot.coordinates(b).dtype
+                seen["object ints" if dtype == object else "int64"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_a_rank_deficient_block_drops_its_dependent_columns(self):
+        # columns 1 and 3 depend on the ones before them; the common
+        # direction (1, 1, 0) is quotiented out, so column 2 goes too
+        a = np.array([[1, 2, 1, 3], [0, 0, 1, 1], [0, 0, 0, 0]])
+        b = np.array([[1, 0], [1, 0], [0, 1]])
+        quot = _assert_oracle_kept_columns([a, b], 3)
+        assert quot.rank == 1
+        assert quot.kept_columns(0) == [0]
+        assert quot.kept_columns(1) == [1]
+
+    def test_no_common_direction_keeps_every_pivot(self):
+        a = np.array([[1, 0], [0, 1], [0, 0], [0, 0]])
+        b = np.array([[0, 0], [0, 0], [1, 0], [0, 1]])
+        quot = _assert_oracle_kept_columns([a, b], 4)
+        assert quot.rank == 0
+        assert quot.kept_columns(0) == [0, 1]
+        assert quot.kept_columns(1) == [0, 1]
+
+    def test_product_switches_to_python_ints_past_the_bound(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            top = int(rng.choice([3, 2**20, 2**31, 2**40]))
+            a = rng.integers(-top, top + 1, size=(3, n))
+            b = rng.integers(-top, top + 1, size=(n, 2))
+            got = intlat._int_product(a, b)
+            bound = (int(np.abs(a).max()) * int(np.abs(b).max()) * n)
+            assert (got.dtype == object) == (bound > intlat._INT64_MAX)
+            assert (_as_obj(got) == _as_obj(a) @ _as_obj(b)).all()
+        # entries of int64's extremes: the bound, not the values, decides
+        a = np.array([[np.iinfo(np.int64).min]])
+        assert intlat._int_product(a, np.array([[1]])).dtype == object
+        assert intlat._int_product(a, np.array([[1]]))[0, 0] == -2**63
+
+    def test_large_kernel_completes_through_python_ints(self):
+        # a primitive kernel whose completion and inverse hold entries
+        # near 2**40: the self-check product runs on Python integers
+        k = np.array([[1], [2**40], [3 * 2**39 + 1], [5]])
+        comp, inv = intlat._complete(k)
+        _assert_exactly_equal(comp, oracle.unimodular_completion(k))
+        _assert_exactly_equal(inv, oracle.int_inverse(comp))
+        bound = int(np.abs(comp).max()) * int(np.abs(inv).max()) * 4
+        assert bound > intlat._INT64_MAX
+
+    def test_self_check_rejects_a_wrong_inverse_past_the_int64_bound(
+            self, monkeypatch):
+        original = intlat._eliminate
+
+        def eliminate(aa, t=None, tinv=None):
+            pivots = original(aa, t, tinv)
+            if tinv is not None:
+                tinv[-1][0] += 1
+            return pivots
+
+        monkeypatch.setattr(intlat, "_eliminate", eliminate)
+        with pytest.raises(AssertionError, match="unimodular"):
+            intlat._complete(np.array([[1], [2**40], [3 * 2**39 + 1], [5]]))

@@ -253,3 +253,24 @@ class TestSerialization:
         for i in range(2):
             assert projector_distance(back.base_space(i),
                                       system.base_space(i)) < 1e-12
+
+
+def test_system_lists_write_the_per_element_bytes():
+    # integer, real and empty axes, and a skew lattice: the tolist() rows
+    # write the bytes that converting every element on its own writes
+    system = make_mixed_axis_system()
+    doc = system_to_dict(system)
+    want = dict(doc, lattice_basis=[[float(x) for x in row]
+                                    for row in system.lattice.basis])
+    want["cylinders"] = []
+    for entry, cyl in zip(doc["cylinders"], system.cylinders):
+        entry = dict(entry, translation=[float(x) for x in cyl.translation])
+        if cyl.lattice_aligned:
+            entry["generator_coeffs"] = [[int(x) for x in row]
+                                         for row in cyl.generator_coeffs]
+        else:
+            entry["generator_basis"] = [[float(x) for x in row]
+                                        for row in cyl.generator_basis]
+        want["cylinders"].append(entry)
+    assert doc == want
+    assert fileio.dumps(doc) == fileio.dumps(want)

@@ -1128,6 +1128,43 @@ class TestRecordExport:
         table = tf.record_table(rec)
         assert table.count("\n") == 21
 
+    def test_typed_lists_write_the_per_element_bytes(self):
+        # the lists come from tolist(); the bytes are those of converting
+        # every element on its own
+        def per_element(record):
+            return {
+                "format": tf.RECORD_FORMAT,
+                "initial_q": [float(x) for x in record.initial.q],
+                "initial_v": [float(x) for x in record.initial.v],
+                "events": [{"time": float(ev.time),
+                            "cylinder": int(ev.cylinder),
+                            "lattice_image": [int(x) for x in ev.lattice_image],
+                            "normal": [float(x) for x in ev.normal]}
+                           for ev in record.events],
+                "symbolic": [int(x) for x in record.symbolic],
+                "flags": {k: bool(v) for k, v in record.flags.items()},
+                "final_q": None if record.final_q is None
+                else [float(x) for x in record.final_q],
+                "final_v": None if record.final_v is None
+                else [float(x) for x in record.final_v],
+                "final_wrap": None if record.final_wrap is None
+                else [int(x) for x in record.final_wrap],
+                "total_time": float(record.total_time),
+            }
+
+        from cylbill import fileio
+
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(3, 2, (1.0, 1.2, 0.9), 0.2))
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 50):
+            rec = tf.flow(system, tf.random_phase(system, rng),
+                          max_collisions=n, default_horizon=1e4)
+            for part in (rec, rec.prefix(n // 2)):
+                got = tf.record_to_dict(part)
+                assert fileio.dumps(got) == fileio.dumps(per_element(part))
+                assert got == per_element(part)
+
 
 class TestFactorFlowConsistency:
     def test_full_hard_ball_projects_to_reduced_flow(self):
