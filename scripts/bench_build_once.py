@@ -19,12 +19,22 @@ Three parts, all deterministic in their inputs:
   trajectory file, its TSV table and both splitting verdicts.
 * ``same_process``: one process loads the parent package under another
   name beside the change and alternates calls between them, the first
-  side alternating from rep to rep; CPU time of each call, medians.
+  side alternating from rep to rep; CPU time of each call, medians.  The
+  calls are ``hard_ball_system`` and ``cli build`` on hard-ball systems,
+  and ``save_record`` on 40 records with flow-hardball's parameters
+  (seeds 0-39, as in ``identity``) and on one 100,000-event record of the
+  same system (each side writes the same records, flowed once by the
+  change).
 * ``pairs``: ``cylbench/run.py --seconds 30 --trace 0`` on each workload and
   seed, the parent and the change back to back, one run at a time, the
   first side alternating from one (workload, seed) pair to the next;
+  they run before the other parts, while this script's process is small,
+  because a child's ``ru_maxrss`` (``peak_rss_mb``) starts from its
+  parent's;
   ``summary`` holds quartiles, ``worse_by`` (the change's median against
   the parent's, positive is worse), ``parent_iqr_share`` and win counts.
+  ``--earlier <file>`` carries the ``runs`` and ``summary`` of an earlier
+  output into ``earlier_rounds``, so a rerun keeps every round made.
 """
 
 from __future__ import annotations
@@ -158,45 +168,72 @@ def _load_package(name: str, src: Path):
     spec.loader.exec_module(package)
 
 
+def _alternate(calls: dict, reps: int) -> dict:
+    """Median CPU time of each side's call, the first side alternating."""
+    for call in calls.values():
+        call()  # warm-up
+    times = {"parent": [], "change": []}
+    for rep in range(reps):
+        order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
+        for name in order:
+            start = time.process_time()
+            calls[name]()
+            times[name].append(time.process_time() - start)
+    faster = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    p_ms = 1e3 * statistics.median(times["parent"])
+    c_ms = 1e3 * statistics.median(times["change"])
+    return {"parent_ms": round(p_ms, 3), "change_ms": round(c_ms, 3),
+            "change_over_parent": round(c_ms / p_ms, 3),
+            "change_faster_in": f"{faster} of {reps}"}
+
+
 def same_process(parent: Path, change: Path) -> dict:
+    import numpy as np
+
     sys.path.insert(0, str(change / "src"))
     _load_package("cylbill_parent", parent / "src")
     sides = {}
     for name, package in (("parent", "cylbill_parent"), ("change", "cylbill")):
-        sides[name] = (importlib.import_module(f"{package}.builders"),
-                       importlib.import_module(f"{package}.cli"))
+        sides[name] = {module: importlib.import_module(f"{package}.{module}")
+                       for module in ("builders", "cli", "torusflow")}
     results = {}
     with tempfile.TemporaryDirectory() as work:
-        out = str(Path(work) / "hb.json")
+        out = str(Path(work) / "out.json")
         for what, n, reps in SAME_PROCESS:
             calls = {}
-            for name, (builders, cli) in sides.items():
-                params = builders.HardBallParams(n, 2, (1.0,) * n, 0.02)
+            for name, side in sides.items():
+                params = side["builders"].HardBallParams(n, 2, (1.0,) * n,
+                                                         0.02)
                 argv = ["build", "hardball", "--n", str(n), "--nu", "2",
                         "--masses", ",".join(["1"] * n), "--r", "0.02",
                         "--out", out]
                 if what == "hard_ball_system":
-                    calls[name] = (lambda b=builders, p=params:
+                    calls[name] = (lambda b=side["builders"], p=params:
                                    b.hard_ball_system(p))
                 else:
-                    calls[name] = (lambda c=cli, a=argv: _cli(c, a))
-                calls[name]()  # warm-up
-            times = {"parent": [], "change": []}
-            for rep in range(reps):
-                order = ("parent", "change") if rep % 2 == 0 \
-                    else ("change", "parent")
-                for name in order:
-                    start = time.process_time()
-                    calls[name]()
-                    times[name].append(time.process_time() - start)
-            faster = sum(c < p for p, c in zip(times["parent"],
-                                               times["change"]))
-            p_ms = 1e3 * statistics.median(times["parent"])
-            c_ms = 1e3 * statistics.median(times["change"])
-            results[f"{what} hb({n},2)"] = {
-                "parent_ms": round(p_ms, 3), "change_ms": round(c_ms, 3),
-                "change_over_parent": round(c_ms / p_ms, 3),
-                "change_faster_in": f"{faster} of {reps}"}
+                    calls[name] = (lambda c=side["cli"], a=argv: _cli(c, a))
+            results[f"{what} hb({n},2)"] = _alternate(calls, reps)
+        builders, torusflow = sides["change"]["builders"], \
+            sides["change"]["torusflow"]
+        system, _ = builders.hard_ball_system(
+            builders.HardBallParams(3, 2, (1.0, 1.2, 0.9), 0.2))
+        records = {
+            "40 flow-hardball records": [torusflow.flow(
+                system, torusflow.random_phase(
+                    system, np.random.default_rng(seed)),
+                max_collisions=200, default_horizon=1e4)
+                for seed in range(40)],
+            "one 100,000-event record": [torusflow.flow(
+                system, torusflow.random_phase(
+                    system, np.random.default_rng(0)),
+                max_collisions=10**5, default_horizon=1e300)],
+        }
+        for label, reps in (("40 flow-hardball records", 30),
+                            ("one 100,000-event record", 6)):
+            calls = {name: (lambda tf=side["torusflow"], rs=records[label]:
+                            [tf.save_record(r, out) for r in rs])
+                     for name, side in sides.items()}
+            results[f"save_record {label}"] = _alternate(calls, reps)
     return results
 
 
@@ -283,7 +320,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
-    parser.add_argument("--seeds", type=_seed_range, default="801-810")
+    parser.add_argument("--seeds", type=_seed_range, default="801-820")
+    parser.add_argument("--earlier", type=Path)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--identity-side", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -291,13 +329,17 @@ def main() -> None:
         print(json.dumps(identity_side(args.identity_side)))
         return
     parent, change = args.parent.resolve(), args.change.resolve()
+    # the pairs run first, while this process is small: a child's
+    # ru_maxrss starts from its parent's, so peak_rss_mb would otherwise
+    # read this process's high-water mark
+    runs = pairs(parent, change, args.seeds)
     doc = {
         "what": "A hard-ball build takes each retained cylinder's kept "
                 "generator columns from the elimination the lattice "
                 "quotient already ran on its block, maps them and checks "
                 "the completion in int64 under an entry bound, and writes "
                 "systems and trajectories from tolist() rows.",
-        "how": __doc__.split("Three parts", 1)[1].strip(),
+        "how": "Three parts" + __doc__.split("Three parts", 1)[1].rstrip(),
         "command": "python3 cylbench/run.py --workload <workload> --seed "
                    "<seed> --seconds 30 --trace 0",
         "script": "scripts/bench_build_once.py",
@@ -305,9 +347,14 @@ def main() -> None:
                 " OPENBLAS/OMP/MKL threads 1",
         "identity": identity(parent, change),
         "same_process": same_process(parent, change),
+        "runs": runs,
+        "summary": summary(runs),
     }
-    doc["runs"] = pairs(parent, change, args.seeds)
-    doc["summary"] = summary(doc["runs"])
+    if args.earlier is not None:
+        earlier = json.loads(args.earlier.read_text())
+        doc["earlier_rounds"] = earlier.get("earlier_rounds", []) + [
+            {"seeds": sorted({r["seed"] for r in earlier["runs"]}),
+             "runs": earlier["runs"], "summary": earlier["summary"]}]
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

@@ -211,7 +211,7 @@ class LatticeQuotient:
     kernel: np.ndarray
     completion: np.ndarray
     inverse: np.ndarray
-    echelons: tuple = field(default=(), repr=False)
+    echelons: tuple = field(repr=False)
 
     @property
     def rank(self) -> int:

@@ -164,7 +164,8 @@ def lattice_quotient(blocks, dim: int) -> LatticeQuotient:
     completion = unimodular_completion(kernel)
     return LatticeQuotient(kernel=np.asarray(kernel),
                            completion=np.asarray(completion),
-                           inverse=np.asarray(int_inverse(completion)))
+                           inverse=np.asarray(int_inverse(completion)),
+                           echelons=())
 
 
 def greedy_columns(a) -> list[int]:
