@@ -26,7 +26,7 @@ import numpy as np
 
 from . import intlat
 from .classify import non_orthogonality_graph
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, LimitError
 from .geometry import (
     Lattice,
     Subspace,
@@ -328,7 +328,8 @@ def sub_billiard(
     quotiented by them; the result lives in the span of the retained base
     spaces with the projected lattice.  Requires an integer-generator
     parent; the quotient is computed exactly in lattice coefficients, and
-    only the drift space is read in floats, from its kernel.
+    only the drift space is read in floats, from its kernel.  A factor
+    generator coefficient past the int64 range raises ``LimitError``.
     """
     idx = sorted(set(int(i) for i in indices))
     if not idx:
@@ -371,8 +372,13 @@ def sub_billiard(
         # drop columns that add no rank (axis directions inside the drift
         # space), read from the quotient's elimination of this block
         kept = cyl.generator_coeffs[:, quotient.kept_columns(block)]
-        coeffs = np.array(quotient.coordinates(kept), dtype=np.int64,
-                          order="C")
+        try:
+            coeffs = np.array(quotient.coordinates(kept), dtype=np.int64,
+                              order="C")
+        except OverflowError:
+            raise LimitError(
+                "int64", f"cylinder {i}'s factor generator coefficients do "
+                "not fit int64") from None
         cylinders.append(
             CylinderSpec(
                 radius=cyl.radius,

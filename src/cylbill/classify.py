@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CHUNK_ENTRIES, DROP, OVERLAP
-from .errors import DegeneracyError, UsageError
+from .errors import DegeneracyError, LimitError
 from .geometry import (
     DimensionMismatch,
     Subspace,
@@ -42,13 +42,8 @@ __all__ = [
     "commutant_dimension",
     "is_transverse",
     "count_transitive_blocks",
-    "EnumerationGuardError",
     "WitnessCheckError",
 ]
-
-
-class EnumerationGuardError(UsageError, RuntimeError):
-    """Flat enumeration refused: too many cylinders for an exact answer."""
 
 
 class WitnessCheckError(DegeneracyError, RuntimeError):
@@ -302,11 +297,12 @@ def is_transverse(system):
     violates iff it lies in a mask and reaches its rank; the smallest
     subset is found by descending in lexicographic order into the first
     prefix that can still be completed to one.  More than
-    ``MAX_TRANSVERSE_CYLINDERS`` cylinders raise ``EnumerationGuardError``.
+    ``MAX_TRANSVERSE_CYLINDERS`` cylinders raise ``LimitError``.
     """
     k = system.k
     if k > MAX_TRANSVERSE_CYLINDERS:
-        raise EnumerationGuardError(
+        raise LimitError(
+            "MAX_TRANSVERSE_CYLINDERS",
             f"{k} cylinders exceed the enumeration guard "
             f"({MAX_TRANSVERSE_CYLINDERS}); refusing a partial answer"
         )

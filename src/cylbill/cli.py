@@ -173,9 +173,6 @@ def _directsum_params(path) -> dict:
 
 def cmd_build(args) -> int:
     if args.kind == "hardball":
-        if args.n is None or args.nu is None or args.masses is None \
-                or args.r is None:
-            raise UsageError("hardball needs --n, --nu, --masses, --r")
         masses = tuple(float(x) for x in args.masses.split(","))
         params = builders.HardBallParams(
             n_balls=args.n, torus_dim=args.nu, masses=masses, radius=args.r
@@ -189,8 +186,6 @@ def cmd_build(args) -> int:
             "radii": [c.radius for c in system.cylinders],
         }
     elif args.kind == "directsum":
-        if args.params is None:
-            raise UsageError("directsum needs --params (JSON parameter file)")
         system, graph = builders.direct_sum_system(
             **_directsum_params(args.params))
         extra = {
@@ -198,9 +193,7 @@ def cmd_build(args) -> int:
             "n_cylinders": system.k,
             "graph_edges": np.argwhere(np.triu(graph)).tolist(),
         }
-    elif args.kind == "subbilliard":
-        if args.system is None or args.indices is None:
-            raise UsageError("subbilliard needs --system and --indices")
+    else:   # subbilliard
         parent = _load_valid_system(args.system)
         system, report = builders.sub_billiard(parent,
                                                _parse_ints(args.indices))
@@ -211,8 +204,6 @@ def cmd_build(args) -> int:
             "factor_dim": system.dim,
             "drift_rank": report.drift_lattice_rank,
         }
-    else:
-        raise UsageError(f"unknown build kind {args.kind!r}")
     report = model.validate(system)
     if not report.ok:
         raise InputError(f"built system failed validation: {report}")
@@ -434,19 +425,23 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("build", help="build a system file")
-    p.add_argument("kind", choices=["hardball", "directsum", "subbilliard"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=None, help="number of balls")
-    p.add_argument("--nu", type=int, default=None, help="torus dimension")
-    p.add_argument("--masses", default=None, help="comma-separated masses")
-    p.add_argument("--r", type=float, default=None, help="ball radius")
-    p.add_argument("--params", default=None,
-                   help="JSON parameters (directsum)")
-    p.add_argument("--system", default=None, help="parent system (subbilliard)")
-    p.add_argument("--indices", default=None,
-                   help="comma-separated cylinder indices (subbilliard)")
-    p.set_defaults(func=cmd_build)
+    # each build kind declares only the options it reads
+    kinds = sub.add_parser("build", help="build a system file") \
+        .add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("hardball", help="hard balls on the unit torus")
+    p.add_argument("--n", type=int, required=True, help="number of balls")
+    p.add_argument("--nu", type=int, required=True, help="torus dimension")
+    p.add_argument("--masses", required=True, help="comma-separated masses")
+    p.add_argument("--r", type=float, required=True, help="ball radius")
+    p = kinds.add_parser("directsum", help="prescribed base-space blocks")
+    p.add_argument("--params", required=True, help="JSON parameter file")
+    p = kinds.add_parser("subbilliard", help="factor of a parent system")
+    p.add_argument("--system", required=True, help="parent system")
+    p.add_argument("--indices", required=True,
+                   help="comma-separated cylinder indices")
+    for p in kinds.choices.values():
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_build)
 
     for name, fn in (("delta", cmd_delta), ("rich", cmd_rich)):
         p = sub.add_parser(name, help="expanding-dimension sampler")

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DROP, RANK_REL
-from .errors import UsageError
+from .errors import LimitError, UsageError
 
 MAX_BALL_CANDIDATES = 4_000_000
 MAX_LLL_STEPS = 100_000
@@ -28,7 +28,6 @@ MAX_LLL_STEPS = 100_000
 __all__ = [
     "Subspace",
     "Lattice",
-    "LatticeLimitError",
     "orthonormalize",
     "orthonormal_stack",
     "residual",
@@ -44,11 +43,6 @@ __all__ = [
 
 class DimensionMismatch(UsageError, ValueError):
     """Inputs do not share one ambient dimension."""
-
-
-class LatticeLimitError(UsageError, RuntimeError):
-    """A lattice computation would exceed one of its stated size limits
-    (``MAX_BALL_CANDIDATES``, ``MAX_LLL_STEPS``)."""
 
 
 def _as_columns(vectors, ambient_dim=None) -> np.ndarray:
@@ -264,7 +258,8 @@ def _lll(basis: np.ndarray):
     while k < n:
         guard += 1
         if guard > MAX_LLL_STEPS:
-            raise LatticeLimitError(
+            raise LimitError(
+                "MAX_LLL_STEPS",
                 f"lattice reduction did not finish in {MAX_LLL_STEPS} steps")
         for j in range(k - 1, -1, -1):
             q = int(round(mu[k, j]))
@@ -368,7 +363,7 @@ class Lattice:
 
         Returns ``(ints, points)`` where ``points = basis @ ints.T`` row-wise
         and ``ints`` are integer coordinates in the original basis.  Raises
-        :class:`LatticeLimitError` when the search box holds more than
+        :class:`LimitError` when the search box holds more than
         ``MAX_BALL_CANDIDATES`` points.
         """
         c = np.asarray(center, dtype=float).reshape(-1)
@@ -382,7 +377,8 @@ class Lattice:
         counts = np.maximum(hi - lo + 1, 0)
         total = int(np.prod(counts.astype(np.float64)))
         if total > MAX_BALL_CANDIDATES:
-            raise LatticeLimitError(
+            raise LimitError(
+                "MAX_BALL_CANDIDATES",
                 f"lattice ball enumeration too large ({total} candidates, "
                 f"limit {MAX_BALL_CANDIDATES})"
             )

@@ -36,7 +36,7 @@ from .config import (
     T_MIN_GAP,
     UNIT_NORM,
 )
-from .errors import DegeneracyError, UsageError
+from .errors import DegeneracyError, LimitError
 from .geometry import (
     Subspace,
     complement,
@@ -50,7 +50,6 @@ __all__ = [
     "EuclideanPathResult",
     "TraceError",
     "NoValidPath",
-    "SampleLimitError",
     "MAX_DELTA_SAMPLES",
     "trace",
     "contact_guard",
@@ -83,10 +82,6 @@ class TraceError(DegeneracyError, RuntimeError):
 
 class NoValidPath(DegeneracyError, RuntimeError):
     """Every sample of a δ sampler failed to give a valid path."""
-
-
-class SampleLimitError(UsageError, ValueError):
-    """A δ sampler asks for more than ``MAX_DELTA_SAMPLES`` samples."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,7 +516,8 @@ def _check_samples(n_samples: int) -> None:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if n_samples > MAX_DELTA_SAMPLES:
-        raise SampleLimitError(
+        raise LimitError(
+            "MAX_DELTA_SAMPLES",
             f"{n_samples} samples exceed MAX_DELTA_SAMPLES = "
             f"{MAX_DELTA_SAMPLES}")
 
@@ -533,7 +529,7 @@ def delta_sigma_report(system, labels, n_samples: int,
     is a valid path unless a draw breaks one of the kernel's guards.  The
     samples are built and ranked one chunk at a time, so only one chunk's
     paths and constraint stacks are held at once.  More than
-    ``MAX_DELTA_SAMPLES`` samples raise ``SampleLimitError`` before any
+    ``MAX_DELTA_SAMPLES`` samples raise ``LimitError`` before any
     path is built."""
     _check_samples(n_samples)
     view = _SequenceView(system, labels)
@@ -586,7 +582,7 @@ def delta_sigma_constrained(system, labels, base_spec: EuclideanPathSpec,
     """Largest expanding dimension over paths sharing the base path's
     relative cylinder positions: only the initial velocity and a uniform
     translation are varied.  More than ``MAX_DELTA_SAMPLES`` samples raise
-    ``SampleLimitError`` before any path is traced."""
+    ``LimitError`` before any path is traced."""
     return _constrained_report(system, labels, base_spec, n_samples,
                                seed).value
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import intlat
 from .classify import SplittingWitness, is_transitive
 from .config import CHUNK_ENTRIES, T_MIN_GAP, UNIT_NORM
-from .errors import DegeneracyError, InputError, UsageError
+from .errors import DegeneracyError, InputError, LimitError
 from .geometry import Lattice
 from .paths import _GRAZE, EuclideanPathSpec, contact_guard, contact_status
 
@@ -44,8 +44,6 @@ __all__ = [
     "FlowError",
     "StartInside",
     "SingularContact",
-    "WindowLimitError",
-    "EventLimitError",
     "UnalignedAxisError",
     "MAX_FLOW_EVENTS",
     "MAX_LYAPUNOV_WINDOWS",
@@ -94,14 +92,6 @@ class SingularContact(FlowError):
         super().__init__(f"{reason} contact at t={time:.6g}")
         self.reason = reason
         self.time = time
-
-
-class WindowLimitError(UsageError, ValueError):
-    """A Lyapunov run asks for more than ``MAX_LYAPUNOV_WINDOWS`` windows."""
-
-
-class EventLimitError(UsageError, ValueError):
-    """A flow asks for more than ``MAX_FLOW_EVENTS`` collisions."""
 
 
 class UnalignedAxisError(InputError, ValueError):
@@ -532,7 +522,7 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
     lattice image is built by one ``_FlowView.image`` pass per cylinder.
 
     At most ``MAX_FLOW_EVENTS`` collisions are recorded: a larger
-    ``max_collisions`` raises ``EventLimitError`` before anything is
+    ``max_collisions`` raises ``LimitError`` before anything is
     flowed, and ``max_collisions=None`` (with a ``max_time``) means the
     cap.
     """
@@ -546,7 +536,8 @@ def flow(system, phase: PhasePoint, max_collisions: int | None = None,
     elif max_collisions < 0:
         raise ValueError(f"max_collisions must be >= 0, not {max_collisions}")
     elif max_collisions > MAX_FLOW_EVENTS:
-        raise EventLimitError(
+        raise LimitError(
+            "MAX_FLOW_EVENTS",
             f"max_collisions asks for {max_collisions:.3g} collisions, above "
             f"MAX_FLOW_EVENTS = {MAX_FLOW_EVENTS}")
     view = _flow_view(system)
@@ -962,7 +953,7 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     ``d0`` must lie in (0, 1e-8] and has no effect on the result; it stays
     only because the benchmark's lyapunov-sinai workload and acceptance
     criterion 10 pass it.  No window at all raises ``ValueError``, and more
-    than ``MAX_LYAPUNOV_WINDOWS`` windows raise ``WindowLimitError``.
+    than ``MAX_LYAPUNOV_WINDOWS`` windows raise ``LimitError``.
     """
     # NaN fails every comparison, so it is refused here too
     if not (0 < total_t < math.inf and 0 < renorm_dt < math.inf
@@ -975,7 +966,8 @@ def lyapunov_max(system, phase: PhasePoint, total_t: float, renorm_dt: float,
     if n_windows < 1:
         raise ValueError(f"total_t / renorm_dt asks for {n_windows} windows")
     if n_windows > MAX_LYAPUNOV_WINDOWS:
-        raise WindowLimitError(
+        raise LimitError(
+            "MAX_LYAPUNOV_WINDOWS",
             f"total_t / renorm_dt asks for {n_windows:.3g} windows, above "
             f"MAX_LYAPUNOV_WINDOWS = {MAX_LYAPUNOV_WINDOWS}")
     view = _flow_view(system)

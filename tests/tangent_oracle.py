@@ -16,10 +16,11 @@ import math
 
 import numpy as np
 
+from cylbill.errors import LimitError
 from cylbill.torusflow import (DISCARD_REASONS, MAX_LYAPUNOV_WINDOWS,
                                LyapunovResult, SingularContact, StartInside,
-                               WindowLimitError, _across, _assert_outside,
-                               _FlowView, _flow_view, _FRAME_CAP, _Orbit)
+                               _across, _assert_outside, _FlowView,
+                               _flow_view, _FRAME_CAP, _Orbit)
 
 
 class _TangentOrbit(_Orbit):
@@ -184,7 +185,8 @@ def lyapunov_max(system, phase, total_t: float, renorm_dt: float,
     if n_windows < 1:
         raise ValueError(f"total_t / renorm_dt asks for {n_windows} windows")
     if n_windows > MAX_LYAPUNOV_WINDOWS:
-        raise WindowLimitError(
+        raise LimitError(
+            "MAX_LYAPUNOV_WINDOWS",
             f"total_t / renorm_dt asks for {n_windows:.3g} windows, above "
             f"MAX_LYAPUNOV_WINDOWS = {MAX_LYAPUNOV_WINDOWS}")
     view = _flow_view(system)

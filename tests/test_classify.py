@@ -9,7 +9,6 @@ import pytest
 import test_acceptance as acceptance
 from cylbill import builders, classify
 from cylbill.classify import (
-    EnumerationGuardError,
     _flats,
     SplittingWitness,
     WitnessCheckError,
@@ -21,7 +20,7 @@ from cylbill.classify import (
     non_orthogonality_graph,
 )
 from cylbill.config import OVERLAP
-from cylbill.errors import DegeneracyError
+from cylbill.errors import DegeneracyError, LimitError
 from cylbill.geometry import (
     DimensionMismatch,
     Lattice,
@@ -580,7 +579,7 @@ class TestTransverse:
     def test_enumeration_guard(self):
         system = make_sphere_system(2)
         system.cylinders = system.cylinders * 30
-        with pytest.raises(EnumerationGuardError):
+        with pytest.raises(LimitError):
             is_transverse(system)
 
     def test_sphere_alone_transverse(self):

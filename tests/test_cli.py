@@ -19,7 +19,7 @@ import cylbill
 from cylbill import builders, classify, cli, config, fileio, geometry, paths
 from cylbill import torusflow as tf
 from cylbill.cli import main
-from cylbill.errors import DegeneracyError, InputError, UsageError
+from cylbill.errors import DegeneracyError, InputError, LimitError, UsageError
 from cylbill.model import (CylindricBilliardSystem, load_system, save_system,
                            system_to_dict)
 from cylbill.paths import save_sigma
@@ -144,6 +144,21 @@ class TestBuild:
                            "--nu", "2", "--masses", "1", "--r", "0.1",
                            "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("hardball", "--n", "3", "--nu", "2", "--masses", "1,1,1",
+         "--r", "0.1", "--indices", "5", "--params", "x.json"),
+        ("directsum", "--params", "x.json", "--n", "3"),
+        ("subbilliard", "--system", "x.json", "--indices", "0",
+         "--masses", "1"),
+    ], ids=["hardball", "directsum", "subbilliard"])
+    def test_option_of_another_kind_usage_error(self, capsys, tmp_path,
+                                                argv):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "build", *argv, "--out", str(out))
+        assert code == 4
+        assert err.startswith("usage error: unrecognized arguments: ")
+        assert not out.exists()
 
 
 class TestClassify:
@@ -569,7 +584,63 @@ class TestSimulateAndScans:
         assert code == 4
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _sinai_start():
+    return make_sphere_system(2, r=0.3), tf.PhasePoint([0.0, 0.5], [0.6, 0.8])
+
+
+def _crowd():
+    crowd = make_sphere_system(2, r=0.3)
+    crowd.cylinders = crowd.cylinders * 30
+    return crowd
+
+
+def _lll_past_limit():
+    # a basis that is not reduced, with no reduction step allowed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "MAX_LLL_STEPS", 0)
+        return geometry.Lattice(np.array([[1.0, 5.0], [0.0, 1.0]])) \
+            .reduced_basis
+
+
+# each stated size limit and a call past it
+PAST_LIMIT = {
+    "MAX_FLOW_EVENTS": lambda: tf.flow(
+        *_sinai_start(), max_collisions=tf.MAX_FLOW_EVENTS + 1),
+    "MAX_LYAPUNOV_WINDOWS": lambda: tf.lyapunov_max(
+        *_sinai_start(), total_t=tf.MAX_LYAPUNOV_WINDOWS + 1.0,
+        renorm_dt=1.0, seed=1),
+    "MAX_DELTA_SAMPLES": lambda: paths.delta_sigma_report(
+        make_sphere_system(2, r=0.3), [0], paths.MAX_DELTA_SAMPLES + 1, 1),
+    "MAX_BALL_CANDIDATES": lambda: geometry.Lattice(np.eye(2)).enumerate_ball(
+        np.zeros(2), 2000.0),
+    "MAX_LLL_STEPS": _lll_past_limit,
+    "MAX_TRANSVERSE_CYLINDERS": lambda: classify.is_transverse(_crowd()),
+    "int64": lambda: builders.sub_billiard(
+        load_system(DATA / "factor_past_int64.json"), [0, 1]),
+}
+
+
 class TestSizeLimitExit:
+    @pytest.mark.parametrize("limit", sorted(PAST_LIMIT))
+    def test_every_limit_raises_one_class(self, limit):
+        with pytest.raises(LimitError) as raised:
+            PAST_LIMIT[limit]()
+        assert raised.value.limit == limit
+        assert documented_exit(raised.value) == 4
+
+    def test_factor_past_int64_exits_4(self, capsys, tmp_path):
+        out = tmp_path / "sub.json"
+        code, _, err = run(capsys, "build", "subbilliard", "--system",
+                           str(DATA / "factor_past_int64.json"),
+                           "--indices", "0,1", "--out", str(out))
+        assert code == 4
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: ") and "int64" in err
+        assert not out.exists()
+
     def test_lattice_limit_exits_4(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "sinai.json"
         save_system(make_sphere_system(2, r=0.3), p)
@@ -877,6 +948,37 @@ class TestFailureExitCodes:
         assert err.startswith(STDERR_PREFIX[code])
 
 
+# every command that takes --out for its report, run on small inputs
+REPORT_COMMANDS = {
+    "classify": ("classify", "--system", "{sinai}"),
+    "delta": ("delta", "--system", "{sinai}", "--sigma", "{sigma}",
+              "--samples", "5", "--seed", "1"),
+    "rich": ("rich", "--system", "{sinai}", "--sigma", "{sigma}",
+             "--samples", "5", "--seed", "1"),
+    "lyapunov": ("lyapunov", "--system", "{sinai}", "--q", "0,0.5",
+                 "--v", "0.6,0.8", "--total-time", "10", "--seed", "1"),
+    "splitting-scan": ("splitting-scan", "--system", "{sinai}",
+                       "--orbits", "3", "--collisions", "5", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_report_written_with_out_matches_stdout(capsys, tmp_path, command):
+    sinai = tmp_path / "sinai.json"
+    save_system(make_sphere_system(2, r=0.3), sinai)
+    sigma = tmp_path / "sigma.json"
+    save_sigma([0], sigma)
+    argv = [a.format(sinai=sinai, sigma=sigma)
+            for a in REPORT_COMMANDS[command]]
+    code, text, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    out = tmp_path / "report.txt"
+    assert run(capsys, *argv, "--out", str(out)) == (code, "", "")
+    written = out.read_text(encoding="utf-8")
+    assert written.startswith(f"# cylbill report: {command}\n# generated: ")
+    assert strip_timestamp(written) == strip_timestamp(text)
+
+
 def test_malformed_system_is_refused_before_its_spaces_are_filled(
         monkeypatch, capsys):
     # a system no file can hold: its coefficient matrix has 2 rows in 3-space
@@ -893,8 +995,8 @@ def test_every_package_error_has_exactly_one_base():
               if issubclass(cls, Exception) and cls.__module__ == mod.__name__]
     assert {cls.__name__ for cls in errors} >= {
         "SystemFormatError", "BuilderError", "TraceError", "NoValidPath",
-        "FlowError", "FactorLatticeError", "LatticeLimitError",
-        "EnumerationGuardError", "DimensionMismatch"}
+        "FlowError", "FactorLatticeError", "LimitError",
+        "DimensionMismatch"}
     stray = [f"{cls.__module__}.{cls.__name__}" for cls in errors
              if sum(issubclass(cls, base) for base in EXIT_OF_BASE) != 1]
     assert stray == []

@@ -9,7 +9,6 @@ from cylbill import fileio, geometry
 from cylbill.geometry import (
     DimensionMismatch,
     Lattice,
-    LatticeLimitError,
     Subspace,
     complement,
     containment_residual,
@@ -21,6 +20,7 @@ from cylbill.geometry import (
     subspace_overlap,
 )
 from cylbill.config import DROP
+from cylbill.errors import LimitError
 from conftest import intersect, random_subspace, row_reduction_rank
 from mgs_oracle import orthonormalize_mgs
 from shadow_oracle import nearest_image_delta
@@ -255,12 +255,12 @@ class TestLattice:
         monkeypatch.setattr(geometry, "MAX_BALL_CANDIDATES", 100)
         lat = Lattice(np.eye(2))
         assert len(lat.enumerate_ball(np.zeros(2), 3.0)[0]) == 29
-        with pytest.raises(LatticeLimitError, match="too large"):
+        with pytest.raises(LimitError, match="too large"):
             lat.enumerate_ball(np.zeros(2), 10.0)
 
     def test_reduction_limit_is_typed(self, monkeypatch):
         monkeypatch.setattr(geometry, "MAX_LLL_STEPS", 0)
-        with pytest.raises(LatticeLimitError, match="did not finish"):
+        with pytest.raises(LimitError, match="did not finish"):
             Lattice(np.array([[1.0, 5.0], [0.0, 1.0]])).reduced_basis
 
     def test_nearest_image_delta(self):

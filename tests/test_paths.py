@@ -5,6 +5,7 @@ import fd_oracle as fd
 import test_acceptance as acceptance
 from cylbill import builders, intlat, paths, torusflow
 from cylbill.config import AXIS_PARALLEL, DISC, T_MIN_GAP
+from cylbill.errors import LimitError
 from cylbill.geometry import (
     Lattice,
     Subspace,
@@ -462,8 +463,9 @@ class TestDelta:
         for call in (lambda: delta_sigma_report(system, [0], too_many, 1),
                      lambda: delta_sigma_constrained(system, [0], base,
                                                      too_many, 1)):
-            with pytest.raises(paths.SampleLimitError):
+            with pytest.raises(LimitError) as raised:
                 call()
+            assert raised.value.limit == "MAX_DELTA_SAMPLES"
 
     def test_no_sampler_takes_box_scale(self):
         # the box is three times the largest radius, with no way to set it

@@ -9,6 +9,7 @@ import pytest
 from cylbill import builders, paths
 from cylbill import torusflow as tf
 from cylbill.classify import count_transitive_blocks, is_transitive
+from cylbill.errors import LimitError
 from cylbill.geometry import Lattice, complement, projector_distance
 from cylbill.model import CylinderSpec, CylindricBilliardSystem, load_system
 from conftest import axis_space, make_sphere_system, make_two_block_system
@@ -622,7 +623,7 @@ class TestFlow:
         assert len(tf.flow(sinai, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
                            max_collisions=7).events) == 7
         fresh = make_sphere_system(2, r=0.3)
-        with pytest.raises(tf.EventLimitError, match="MAX_FLOW_EVENTS"):
+        with pytest.raises(LimitError, match="MAX_FLOW_EVENTS"):
             tf.flow(fresh, tf.PhasePoint([0.0, 0.5], [0.6, 0.8]),
                     max_collisions=8, max_time=1.0)
         assert fresh._flow_cache is None
@@ -915,7 +916,7 @@ class TestLyapunov:
 
     def test_window_cap_refused_before_flowing(self, sinai):
         # the start lies inside the scatterer: the cap is checked first
-        with pytest.raises(tf.WindowLimitError):
+        with pytest.raises(LimitError):
             tf.lyapunov_max(sinai, tf.PhasePoint([0.5, 0.5], [1.0, 0.0]),
                             total_t=1.0 + tf.MAX_LYAPUNOV_WINDOWS,
                             renorm_dt=1.0, d0=1e-9, seed=3)
