@@ -405,14 +405,19 @@ def w_plus(system, labels, spec: EuclideanPathSpec) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
+def _touched_span(system, labels) -> Subspace:
+    """Span of the touched cylinders' base spaces."""
+    distinct = sorted(set(int(x) for x in labels))
+    return span_of([system.base_space(i) for i in distinct],
+                   ambient_dim=system.dim)
+
+
 def sequence_generator_intersection(system, labels) -> Subspace:
     """Common axis directions of the touched cylinders (translations along
     them change nothing about the path): the intersection of their
     generator spaces, which is the orthogonal complement of the span of
     their base spaces."""
-    distinct = sorted(set(int(x) for x in labels))
-    return complement(span_of([system.base_space(i) for i in distinct],
-                              ambient_dim=system.dim))
+    return complement(_touched_span(system, labels))
 
 
 # Candidates a constrained sample screens, traced as one stack.
@@ -453,7 +458,7 @@ def _report(system, labels, view: _SequenceView, dims: list[int],
             f"all {n_samples} samples failed to produce a valid path"
         )
     counts = np.bincount(codes, minlength=len(REJECTION_REASONS) + 1)
-    bound = view.d - 1 - sequence_generator_intersection(system, labels).dim
+    bound = _touched_span(system, labels).dim - 1
     return DeltaReport(value=max(dims), d=view.d, bound=bound,
                        n_success=len(dims),
                        n_failed_samples=n_samples - len(dims),

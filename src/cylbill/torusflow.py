@@ -179,10 +179,13 @@ class TrajectoryRecord:
 _WINDOW_DIAMETERS = 2.0
 """Scan window length in fundamental diameters of the widest projected
 lattice.  A shorter window spends more scans, most of them empty, on a long
-free flight; a longer one scans a larger image ball every time.  Against 2,
-two-orbit Lyapunov runs in d = 2 cost 16% more at 1 and the same at 4, and
-hard-ball flows in d = 4 to 18 cost from 24% less to 3% more at 1, and
-from 14% to 7 times more at 4."""
+free flight; a longer one scans a larger image ball every time.  Against 2
+(``BENCH_ball_pad.json``, CPU time): a 200-collision flow of three hard
+discs with its splitting checks costs 5% less at 1 and 9% more at 4; a
+Lyapunov run in d = 2 costs 16% (Sinai) and 33% (two discs) more at 1 and
+within 6% of it at 3 and 4; and hard-ball flows cost 5% (hb(4,3)) to 42%
+(hb(12,3)) less per collision at 1, and from 25% more (hb(8,2)) to 13 times
+more (hb(12,3)) at 4.  So no one length is best for every system."""
 
 
 class _FlowView:
@@ -203,10 +206,13 @@ class _FlowView:
     1e-3), or, without cylinders, ``diam``, the diameter of the system's
     own cell, which sets ``flow``'s default horizon.  Each ball reaches
     ``window + r``, plus ``T_MIN_GAP`` for the second contact of a hit at
-    the window's end, from any point within half the reduced basis's
-    spread of the lattice point ``offsets`` rounds it to; as the window is
-    at least the fundamental diameter, the ball also holds every point's
-    nearest image.
+    the window's end, from any point within half the projected lattice's
+    fundamental diameter of the lattice point ``offsets`` rounds it to:
+    rounding the reduced coordinates leaves the point at ``red f`` from it,
+    every ``|f_j| <= 1/2``, and the diameter is the largest ``|red s|``
+    over sign vectors ``s`` (above 12 dimensions, the column lengths' sum,
+    which bounds it).  As the window is at least the fundamental diameter,
+    the ball also holds every point's nearest image.
 
     Each base space gets a block of ``n`` rows, ``n`` the largest base
     dimension, padded with zeros: ``bt`` (``k n x d``) stacks the ``B_i^T``
@@ -214,11 +220,12 @@ class _FlowView:
     diagonal, from the projected lattices' reduced bases.  ``pts``
     (``k x n x m``) holds each ball, padded to the largest, one coordinate
     per row, so every array pass runs along the images.  Cylinder ``i``'s
-    first ``sizes[i]`` columns are its images; a padding column is zero, a
-    copy of the ball's centre image, so it never changes a nearest
-    distance, and the scan's loop skips it so it never counts as a second
-    contact.  Ball column ``j`` shifted by reduced coordinates ``k`` is the
-    image ``W (ints_j + U k)``, ``U`` the reduced transform:
+    first ``sizes[i]`` columns are its images; a padding column copies the
+    ball's farthest image, so it never changes a nearest distance and the
+    screen seldom passes it, and the scan's loop skips it so it never
+    counts as a second contact.  Ball column ``j`` shifted by reduced
+    coordinates ``k`` is the image ``W (ints_j + U k)``, ``U`` the reduced
+    transform:
     ``image_ints[i]`` holds the ``W ints_j`` and ``image_red[i]`` is
     ``W U``, so ``image`` builds the images of any number of one cylinder's
     hits by one gather and one product.  ``rr`` is
@@ -271,16 +278,17 @@ class _FlowView:
         self.radius = np.array([cyl.radius for cyl in system.cylinders])
         balls, self.image_ints = [], []
         for (lattice, w), r in zip(projected, self.radius.tolist()):
-            half_spread = 0.5 * float(
-                np.sum(np.linalg.norm(lattice.reduced_basis, axis=0)))
             ints, pts = lattice.enumerate_ball(
                 np.zeros(w.shape[1]),
-                self.window + r + T_MIN_GAP + half_spread + 1e-9)
+                self.window + r + T_MIN_GAP
+                + 0.5 * lattice.fundamental_diameter + 1e-9)
             self.image_ints.append(ints @ w.T)
             balls.append(pts)
         self.sizes = [len(pts) for pts in balls]
         self.pts = np.zeros((k, n, max(self.sizes, default=0)))
         for i, pts in enumerate(balls):
+            far = pts[np.argmax(np.vecdot(pts, pts))]
+            self.pts[i, :self.dims[i]] = far[:, None]
             self.pts[i, :self.dims[i], :len(pts)] = pts.T
         self.rr = (self.radius ** 2)[:, None]
         self.rr_list = self.rr[:, 0].tolist()

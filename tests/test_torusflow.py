@@ -10,7 +10,8 @@ from cylbill import builders, paths
 from cylbill import torusflow as tf
 from cylbill.classify import count_transitive_blocks, is_transitive
 from cylbill.errors import LimitError
-from cylbill.geometry import Lattice, complement, projector_distance
+from cylbill.geometry import (Lattice, complement, orthonormalize,
+                              projector_distance)
 from cylbill.model import CylinderSpec, CylindricBilliardSystem, load_system
 from conftest import axis_space, make_sphere_system, make_two_block_system
 from image_oracle import hit_image, recording_scans
@@ -382,6 +383,90 @@ class TestStackedScan:
             new, old = _scan_both(system, images, q, v)
             assert old.reason == "simultaneous"
             assert_same_scan(system, new, old)
+
+
+def _skew_direct_sum():
+    """Two 2-dim blocks whose axes are rational in the coordinates of a
+    skew lattice, not in ambient ones."""
+    lattice = np.array([[1.0, 0.5, 0, 0], [0, np.sqrt(2.0), 0, 0],
+                        [0, 0, 1.0, 0], [0, 0, 0.3, 1.0]])
+    axes = [[[1, 1, 0, 0], [0, 0, 1, 2]], [[1, -1, 0, 0], [0, 0, 2, -1]]]
+    bases = [complement(orthonormalize((lattice @ np.array(a).T).T))
+             for a in axes]
+    return builders.direct_sum_system([2, 2], bases, [0.1, 0.1],
+                                      lattice_basis=lattice)[0]
+
+
+PAD_SYSTEMS = {
+    "hb32_masses": lambda: builders.hard_ball_system(
+        builders.HardBallParams(3, 2, (1.0, 1.2, 0.9), 0.2))[0],
+    "hb43_file": lambda: load_system(
+        Path(__file__).parent / "data" / "hb_4_3.json"),
+    "sinai": lambda: make_sphere_system(2, r=0.3),
+    "skew": _skew_direct_sum,
+}
+
+
+def _missed_images(system) -> int:
+    """How many images within ``window + r + T_MIN_GAP`` of 200 seeded
+    points, some off the cell, are no column of the view's ball shifted by
+    ``offsets``' ``k_red``.  Brute force finds them in the oracle's wider
+    ball, shifted to the point's own rounded lattice point."""
+    view = tf._flow_view(system)
+    images = axis_images(system, view.window)
+    rng = np.random.default_rng(4401)
+    missed = 0
+    for _ in range(200):
+        x = system.lattice.basis @ rng.uniform(-1.0, 2.0, system.dim)
+        _, k_red = view.offsets(x)
+        for i, img in enumerate(images):
+            red = img.lattice.reduced_basis
+            y = img.basis.T @ (x - img.translation)
+            k = np.round(np.linalg.solve(red, y))
+            near = (np.linalg.norm(y - red @ k - img.pts, axis=1)
+                    <= view.window + img.radius + tf.T_MIN_GAP)
+            shift = img.lattice.reduced_transform @ k.astype(np.int64)
+            want = (img.ints[near] + shift) @ img.cosets.T
+            cols = np.arange(view.sizes[i])
+            have = view.image(i, cols, np.tile(k_red, (cols.size, 1)), 0)
+            missed += len(set(map(tuple, want.tolist()))
+                          - set(map(tuple, have.tolist())))
+    return missed
+
+
+class TestImageBalls:
+    """Each cylinder's ball is padded by half the fundamental diameter of
+    its projected lattice: ``offsets`` rounds a point's reduced
+    coordinates, which leaves it within that of its lattice point."""
+
+    @pytest.mark.parametrize("name", sorted(PAD_SYSTEMS))
+    def test_pad_is_half_the_fundamental_diameter(self, monkeypatch, name):
+        system = PAD_SYSTEMS[name]()
+        balls = []
+        enumerate_ball = Lattice.enumerate_ball
+
+        def spy(lattice, center, radius):
+            balls.append((lattice, radius))
+            return enumerate_ball(lattice, center, radius)
+
+        monkeypatch.setattr(Lattice, "enumerate_ball", spy)
+        view = tf._flow_view(system)
+        assert len(balls) == system.k
+        for (lattice, radius), r in zip(balls, view.radius.tolist()):
+            assert radius == (view.window + r + tf.T_MIN_GAP
+                              + 0.5 * lattice.fundamental_diameter + 1e-9)
+
+    @pytest.mark.parametrize("name", sorted(PAD_SYSTEMS))
+    def test_ball_holds_every_image_within_reach(self, name):
+        assert _missed_images(PAD_SYSTEMS[name]()) == 0
+
+    @pytest.mark.parametrize("name", sorted(PAD_SYSTEMS))
+    def test_half_the_pad_misses_images(self, monkeypatch, name):
+        # the check above sees a ball padded by a quarter of the diameter
+        diameter = Lattice.__dict__["fundamental_diameter"].func
+        monkeypatch.setattr(Lattice, "fundamental_diameter", property(
+            lambda lattice: 0.5 * diameter(lattice)))
+        assert _missed_images(PAD_SYSTEMS[name]()) > 0
 
 
 class TestFlow:
