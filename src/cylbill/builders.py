@@ -48,7 +48,15 @@ __all__ = [
     "BuilderError",
     "NotDirectSumError",
     "FactorLatticeError",
+    "MAX_HARD_BALL_ENTRIES",
 ]
+
+MAX_HARD_BALL_ENTRIES = 4 * 10**7
+"""Most generator coefficients a hard-ball build holds: ν²N²(N−1)²/2 for
+the full system, refused before anything is allocated.  A build peaked at
+36, 28 and 26 bytes per coefficient on hb(10,2), hb(20,2) and hb(30,2)
+(tracemalloc), so the limit is about 1 GB; it refuses N ≥ 68 at ν = 2 and
+N ≥ 56 at ν = 3."""
 
 
 class BuilderError(InputError, ValueError):
@@ -162,9 +170,17 @@ def hard_ball_system(
     lattice; one cylinder per ball pair encodes the pair's contact set, with
     base-sphere radius ``2 r sqrt(m_i m_j / (m_i + m_j))``.  The returned
     system is its factor by the common axis directions (uniform
-    translations of all balls), of dimension nu*(N-1).
+    translations of all balls), of dimension nu*(N-1).  A full system of
+    more than ``MAX_HARD_BALL_ENTRIES`` generator coefficients raises
+    ``LimitError`` before anything is built.
     """
     n, nu = params.n_balls, params.torus_dim
+    entries = (nu * n * (n - 1)) ** 2 // 2
+    if entries > MAX_HARD_BALL_ENTRIES:
+        raise LimitError(
+            "MAX_HARD_BALL_ENTRIES",
+            f"hb({n},{nu}) holds {entries} generator coefficients, more than "
+            f"MAX_HARD_BALL_ENTRIES = {MAX_HARD_BALL_ENTRIES}")
     full_dim = n * nu
     scale = np.repeat(np.sqrt(np.asarray(params.masses, dtype=float)), nu)
     lattice_basis = np.diag(scale)

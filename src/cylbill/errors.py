@@ -33,8 +33,8 @@ class LimitError(UsageError, ValueError):
     """The input exceeds a stated size limit, which ``limit`` names: one of
     ``MAX_FLOW_EVENTS``, ``MAX_LYAPUNOV_WINDOWS``, ``MAX_DELTA_SAMPLES``,
     ``MAX_BALL_CANDIDATES``, ``MAX_LLL_STEPS``,
-    ``MAX_TRANSVERSE_CYLINDERS``, or ``int64`` for a factor generator
-    coefficient past the int64 range."""
+    ``MAX_TRANSVERSE_CYLINDERS``, ``MAX_HARD_BALL_ENTRIES``, or ``int64``
+    for a factor generator coefficient past the int64 range."""
 
     def __init__(self, limit: str, message: str):
         super().__init__(message)

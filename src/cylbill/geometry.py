@@ -241,16 +241,10 @@ def _lll(basis: np.ndarray):
     u = np.eye(n, dtype=np.int64)
 
     def gso(bm):
-        g = bm.copy()
-        mu = np.zeros((n, n))
-        nrm = np.zeros(n)
-        for i in range(n):
-            for j in range(i):
-                if nrm[j] > 0:
-                    mu[i, j] = (bm[:, i] @ g[:, j]) / nrm[j]
-                g[:, i] -= mu[i, j] * g[:, j]
-            nrm[i] = g[:, i] @ g[:, i]
-        return mu, nrm
+        # bm = QR: mu[k, j] = R[j, k] / R[j, j], |b*_j|^2 = R[j, j]^2
+        r = np.linalg.qr(bm, mode="r")
+        diag = np.diag(r)
+        return (r / diag[:, None]).T, diag * diag
 
     mu, nrm = gso(b)
     k = 1
@@ -282,8 +276,9 @@ class Lattice:
     """A full-rank lattice in d-space, generated by the columns of ``basis``.
 
     The generating basis is arbitrary; a reduced (short, near-orthogonal)
-    basis is computed lazily and cached since only image enumeration in the
-    flow needs it.
+    basis is computed lazily and cached, since only ball enumeration and
+    ``fundamental_diameter`` read it.  Above 12 dimensions that diameter
+    is the bound given by the sum of the reduced column lengths.
     """
 
     basis: np.ndarray

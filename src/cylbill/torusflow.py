@@ -299,7 +299,11 @@ class _FlowView:
         """The fundamental diameter of the system's own cell, read only by
         the default horizon and the window of a view without cylinders:
         for a system whose cylinders all have axes, the full lattice's
-        reduction is paid only when one of them asks."""
+        reduction is paid only when one of them asks.  With one QR per
+        reduction step it costs about 1.3 ms CPU on hb(12,2) (d = 22),
+        6 ms on hb(20,2) (d = 38) and 11 ms on hb(24,2) (d = 46) on a
+        2-vCPU guest; up to 12 dimensions the largest sign-vector sum
+        costs more than the reduction (8 ms at d = 12)."""
         return self.lattice.fundamental_diameter
 
     def offsets(self, x: np.ndarray):

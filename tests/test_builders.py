@@ -29,6 +29,7 @@ from cylbill.geometry import (
     span_of,
     subspace_overlap,
 )
+from cylbill.errors import LimitError
 from cylbill.model import load_system, system_to_dict, validate
 from cylbill.torusflow import random_phase
 from conftest import (
@@ -159,6 +160,19 @@ class TestHardBall:
                         cols.append(col)
             assert cyl.generator_coeffs.dtype == np.int64
             assert np.array_equal(cyl.generator_coeffs, np.column_stack(cols))
+
+    def test_size_limit_counts_every_coefficient(self, monkeypatch):
+        """The limit is on the full system's coefficients: hb(3,2) holds
+        3 pairs of 6 x 4, 72 entries."""
+        _, emb = hard_ball_system(HardBallParams(3, 2, (1.0,) * 3, 0.05))
+        assert sum(c.generator_coeffs.size
+                   for c in emb.full_system.cylinders) == 72
+        monkeypatch.setattr(builders, "MAX_HARD_BALL_ENTRIES", 72)
+        hard_ball_system(HardBallParams(3, 2, (1.0,) * 3, 0.05))
+        monkeypatch.setattr(builders, "MAX_HARD_BALL_ENTRIES", 71)
+        with pytest.raises(LimitError) as raised:
+            hard_ball_system(HardBallParams(3, 2, (1.0,) * 3, 0.05))
+        assert raised.value.limit == "MAX_HARD_BALL_ENTRIES"
 
     def test_embedding_maps(self):
         params = HardBallParams(3, 2, (1.0, 2.0, 0.5), 0.1)

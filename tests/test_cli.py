@@ -618,6 +618,8 @@ PAST_LIMIT = {
         np.zeros(2), 2000.0),
     "MAX_LLL_STEPS": _lll_past_limit,
     "MAX_TRANSVERSE_CYLINDERS": lambda: classify.is_transverse(_crowd()),
+    "MAX_HARD_BALL_ENTRIES": lambda: builders.hard_ball_system(
+        builders.HardBallParams(68, 2, (1.0,) * 68, 0.001)),
     "int64": lambda: builders.sub_billiard(
         load_system(DATA / "factor_past_int64.json"), [0, 1]),
 }
@@ -639,6 +641,19 @@ class TestSizeLimitExit:
         assert code == 4
         assert err.count("\n") == 1
         assert err.startswith("usage error: ") and "int64" in err
+        assert not out.exists()
+
+    def test_hard_ball_limit_exits_4(self, capsys, tmp_path):
+        out = tmp_path / "hb100.json"
+        start = time.process_time()
+        code, _, err = run(capsys, "build", "hardball", "--n", "100",
+                           "--nu", "2", "--masses", ",".join(["1"] * 100),
+                           "--r", "0.001", "--out", str(out))
+        assert time.process_time() - start < 0.5
+        assert code == 4
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: ")
+        assert "MAX_HARD_BALL_ENTRIES" in err
         assert not out.exists()
 
     def test_lattice_limit_exits_4(self, capsys, tmp_path, monkeypatch):

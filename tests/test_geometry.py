@@ -22,6 +22,7 @@ from cylbill.geometry import (
 from cylbill.config import DROP
 from cylbill.errors import LimitError
 from conftest import intersect, random_subspace, row_reduction_rank
+from lll_oracle import census, lll_loop
 from mgs_oracle import orthonormalize_mgs
 from shadow_oracle import nearest_image_delta
 
@@ -270,6 +271,35 @@ class TestLattice:
 
     def test_fundamental_diameter(self):
         assert abs(Lattice(np.eye(2)).fundamental_diameter - np.sqrt(2)) < 1e-12
+
+
+def _is_lll_reduced(basis, reduced, u) -> bool:
+    """Size- and Lovász-reduced (δ = 0.75) by a Cholesky route of its own,
+    with ``reduced = basis @ u`` for an integer unimodular ``u``."""
+    chol = np.linalg.cholesky(reduced.T @ reduced)
+    diag = np.diag(chol)
+    mu, nrm = chol / diag, diag * diag
+    n = len(nrm)
+    size = all(abs(mu[k, j]) <= 0.5 + 1e-9
+               for k in range(n) for j in range(k))
+    lovasz = all(nrm[k] >= (0.75 - mu[k, k - 1] ** 2) * nrm[k - 1]
+                 * (1 - 1e-12) for k in range(1, n))
+    return (size and lovasz and u.dtype == np.int64
+            and round(abs(np.linalg.det(u.astype(float)))) == 1
+            and np.allclose(reduced, basis @ u, rtol=0, atol=1e-9))
+
+
+def test_reduction_matches_the_loop_oracle():
+    """One QR per step takes the loop's decisions: every projected lattice
+    (the only lattices a flow scans) and every unequal-mass lattice
+    reduces to the oracle's transform; elsewhere a tie in μ may move the
+    reduction to another reduced basis of the same lattice."""
+    for label, kind, unequal, basis in census():
+        reduced, u = Lattice(basis)._reduction
+        if np.array_equal(u, lll_loop(basis)[1]):
+            continue
+        assert kind == "reduced" and not unequal, label
+        assert _is_lll_reduced(basis, reduced, u), label
 
 
 class TestFileIO:
