@@ -62,8 +62,7 @@ def _write_report(command: str, body: dict, summary: list[str],
         + "".join(f"# summary: {line}\n" for line in summary)
     )
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fileio.write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -308,8 +307,7 @@ def cmd_simulate(args) -> int:
         )
     flow.save_record(record, args.out)
     if args.table:
-        with open(args.table, "w", encoding="utf-8") as fh:
-            fh.write(flow.record_table(record))
+        fileio.write_text(args.table, flow.record_table(record))
     body = {
         "system": args.system,
         "out": args.out,

@@ -6,16 +6,32 @@ sorted so reruns produce byte-identical documents.  A list of only Python
 floats, or of only Python ints, is written on one line by one join after
 one finiteness check; any other list is written item by item, to the same
 bytes.
+
+Every file the package writes goes through ``write_text``: it opens the
+path without truncating it, writes the UTF-8 bytes from offset 0 and then,
+if the path is a regular file, cuts it to the length written.  An existing
+file keeps its inode, its hard links and its permissions, a symlink is
+written through, and a path that is not a regular file (``/dev/stdout``,
+``/dev/null``, a FIFO) is written without being cut.  Opening with
+truncation (``open(path, "w")``) writes the same bytes, but on ext4 a file
+truncated to zero is flushed when it is closed.  On a 2-vCPU guest with an
+ext4 root, ``dump`` of a 4.6 KB system over its old file took 618 us CPU
+and 52 ms wall that way, against 244 us CPU and 255 us wall in place, most
+of it serializing (``BENCH_write_in_place.json``).  A temporary file
+renamed over the old one pays the same flush; unlinking first breaks hard
+links and resets permissions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 
-__all__ = ["dumps", "dump", "load"]
+__all__ = ["dumps", "dump", "load", "write_text"]
 
 
 def _emit(obj, out: list[str], indent: int) -> None:
@@ -87,9 +103,23 @@ def dumps(obj) -> str:
     return "".join(out) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place, then cut a regular
+    file to the length written."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def dump(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    write_text(path, dumps(obj))
 
 
 def load(path):
